@@ -18,7 +18,7 @@ from .geometry import (Bnd, Circle, DomainSpec, Mesh, Polygon, Region,
 from .fem import (BoundaryFunctional, NeumannSystem, RadiationSpec,
                   ScalarField, assemble, dirichlet_eigs, flux_extract,
                   h1_norm, h1_seminorm, l2_norm, recovered_boundary_flux,
-                  solve, solve_mean_zero_neumann)
+                  solve)
 from .auxiliary import (AuxiliarySet, PhysicsConfig, compute_beta,
                         compute_cstar, compute_mueff, rellich_residual,
                         solve_auxiliary_set, solve_psi_d, solve_psi_e, solve_s)

@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import BetaNearZero, ResonantDopant
 from . import fem
-from .fem import (BoundaryFunctional, RadiationSpec, ScalarField, assemble,
-                  flux_extract, h1_seminorm, integrate, l2_norm,
-                  recovered_boundary_flux, solve, source_load)
-from .geometry import Bnd, Mesh, Region, SourceSpec, region_measures
+from .fem import (BoundaryFunctional, RadiationSpec, ScalarField,
+                  _tri_values_and_grads, assemble, flux_extract, h1_seminorm,
+                  integrate, l2_norm, recovered_boundary_flux, solve,
+                  source_load)
+from .geometry import Bnd, Mesh, Region, SourceSpec, _as_region_set, region_measures
 
 RESONANCE_GUARD = 1e-8   # smallest-singular-value threshold relative to |A|
 
@@ -78,7 +79,7 @@ def exterior_regions(mesh: Mesh, cfg: PhysicsConfig):
     regs = {Region.EXTERIOR}
     if cfg.radiation.mode == "pml" and mesh.region_triangles(Region.PML).any():
         regs.add(Region.PML)
-    return frozenset(int(r) for r in regs)
+    return _as_region_set(regs)
 
 
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
@@ -105,20 +106,16 @@ def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
 def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 12) -> float:
     """sigma_min(A_ff) / ||A_ff||_1, via inverse iteration on the LU factors."""
     import scipy.sparse.linalg as spla
-    fixed, _ = fem._dirichlet_arrays(system, {t: 0.0 for t in fixed_tags})
-    free_idx = np.where(~fixed)[0]
-    A_ff = system.A[np.ix_(free_idx, free_idx)].tocsc()
-    key = ("dir",) + tuple(np.where(fixed)[0][:8]) + (int(fixed.sum()),)
-    lu = system.lu(key, A_ff)
-    x = np.ones(len(free_idx), dtype=complex) / math.sqrt(len(free_idx))
+    block = system.dirichlet_block(fixed_tags)
+    x = np.ones(len(block.free), dtype=complex) / math.sqrt(len(block.free))
     lam = 0.0
     for _ in range(iters):
-        y = lu.solve(x, trans="H")
-        w = lu.solve(y, trans="N")
+        y = block.lu.solve(x, trans="H")
+        w = block.lu.solve(y, trans="N")
         lam = float(np.linalg.norm(w))
         x = w / lam
     sigma_min = 1.0 / math.sqrt(lam)
-    norm_a = float(spla.onenormest(A_ff))
+    norm_a = float(spla.onenormest(block.A_ff))
     return sigma_min / norm_a
 
 
@@ -275,22 +272,20 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
 
 
 def _physical_rim(mesh: Mesh, cfg: PhysicsConfig):
-    """Edges of the circle bounding the physical exterior, with side triangles."""
+    """Edges of the circle bounding the physical exterior, with side triangles.
+
+    Returns the rim edges that have an exterior side, in rim order, and for
+    each its exterior triangle (the later one if both sides are exterior).
+    """
     if int(Region.PML) in exterior_regions(mesh, cfg):
         edges = mesh.interface_edges(Region.EXTERIOR, Region.PML)
     else:
         edges = mesh.boundary_edges[Bnd.GAMMA_INF]
-    edge_set = {tuple(sorted(map(int, e))) for e in edges}
-    adj = {}
-    ext_tris = np.where(mesh.tri_region == int(Region.EXTERIOR))[0]
-    for t_idx in ext_tris:
-        tri = mesh.triangles[t_idx]
-        for kk in range(3):
-            key = tuple(sorted((int(tri[kk]), int(tri[(kk + 1) % 3]))))
-            if key in edge_set:
-                adj[key] = t_idx
-    return [(e, adj[tuple(sorted(map(int, e)))]) for e in edges
-            if tuple(sorted(map(int, e))) in adj]
+    owners = mesh.edge_triangles(edges)
+    ext = np.append(mesh.tri_region, -1)[owners] == int(Region.EXTERIOR)
+    side = np.where(ext[:, 1], owners[:, 1], owners[:, 0])
+    keep = ext.any(axis=1)
+    return edges[keep], side[keep]
 
 
 def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,
@@ -310,17 +305,12 @@ def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,
     vol = 2.0 * k.imag * (abs(k) ** 2 * l2 * l2 + h1s * h1s)
     # rim term
     full = field.to_full()
+    rim_edges, rim_tris = _physical_rim(mesh, cfg)
+    _, rim_gx, rim_gy, _ = _tri_values_and_grads(field, rim_tris)
     rim = 0.0
-    for (i, j), t_idx in _physical_rim(mesh, cfg):
+    for (i, j), gx, gy in zip(rim_edges, rim_gx, rim_gy):
         pi, pj = mesh.nodes[int(i)], mesh.nodes[int(j)]
         length = float(np.linalg.norm(pj - pi))
-        tri = mesh.triangles[t_idx]
-        pts = mesh.nodes[tri]
-        b = np.array([pts[1, 1] - pts[2, 1], pts[2, 1] - pts[0, 1], pts[0, 1] - pts[1, 1]])
-        c = np.array([pts[2, 0] - pts[1, 0], pts[0, 0] - pts[2, 0], pts[1, 0] - pts[0, 0]])
-        area = mesh.tri_areas[t_idx]
-        gx = (full[tri] * b).sum() / (2 * area)
-        gy = (full[tri] * c).sum() / (2 * area)
         mid = 0.5 * (pi + pj)
         rhat = mid / np.linalg.norm(mid)
         dr = gx * rhat[0] + gy * rhat[1]

@@ -291,7 +291,7 @@ class CorrectorEngine:
         keep = [r for r in all_regions
                 if r != int(Region.PML) or int(Region.PML) in self.ext_system.regions]
         out_nodes = mesh.region_nodes(keep)
-        return ScalarField(mesh, frozenset(keep), full[out_nodes])
+        return ScalarField(mesh, keep, full[out_nodes])
 
     def resolvent_residual(self, hier: CorrectorHierarchy, delta: complex) -> float:
         """Relative defect of (I - delta T) applied to the summed state."""

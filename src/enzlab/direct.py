@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ValidationError
 from .auxiliary import PhysicsConfig, exterior_regions
 from .fem import ScalarField, assemble, h1_norm, h1_seminorm, l2_norm, solve, source_load
-from .geometry import Bnd, Mesh, Region
+from .geometry import Bnd, Mesh, Region, _as_region_set
 
 
 def transmission_system(mesh: Mesh, cfg: PhysicsConfig):
@@ -66,10 +66,10 @@ def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
 
 
 def _restrict(field: ScalarField, regions) -> ScalarField:
-    if field.regions == frozenset(regions):
+    if field.regions == _as_region_set(regions):
         return field
-    sub = ScalarField.zeros(field.mesh, regions)
-    return ScalarField(field.mesh, regions, field.to_full()[sub.nodes])
+    return ScalarField(field.mesh, regions,
+                       field.to_full()[field.mesh.region_nodes(regions)])
 
 
 def enz_absorption(u: ScalarField, cfg: PhysicsConfig) -> float:

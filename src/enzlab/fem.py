@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (EmptyWindow, IncompatibleData, NoConvergence,
                      SingularSystem, TagMismatch, ZeroCoefficient)
-from .geometry import Bnd, Mesh, Region, SourceSpec
+from .geometry import Bnd, Mesh, Region, SourceSpec, _as_region_set
 
 # Fraction of row-sum lumping mixed into every mass matrix.  One half cancels
 # the leading dispersion error of the consistent mass on near-uniform meshes;
@@ -68,7 +68,7 @@ class ScalarField:
 
     def __init__(self, mesh: Mesh, regions, values: np.ndarray, record=None):
         self.mesh = mesh
-        self.regions = frozenset(int(r) for r in (regions if not isinstance(regions, (int, Region)) else [regions]))
+        self.regions = _as_region_set(regions)
         self.nodes = mesh.region_nodes(self.regions)
         values = np.asarray(values, dtype=complex)
         if values.shape != self.nodes.shape:
@@ -78,7 +78,6 @@ class ScalarField:
 
     @classmethod
     def zeros(cls, mesh: Mesh, regions) -> "ScalarField":
-        regions = frozenset(int(r) for r in (regions if not isinstance(regions, (int, Region)) else [regions]))
         return cls(mesh, regions, np.zeros(len(mesh.region_nodes(regions)), dtype=complex))
 
     def to_full(self) -> np.ndarray:
@@ -86,15 +85,9 @@ class ScalarField:
         out[self.nodes] = self.values
         return out
 
-    @cached_property
-    def _pos(self) -> np.ndarray:
-        pos = np.full(self.mesh.num_nodes, -1, dtype=np.int64)
-        pos[self.nodes] = np.arange(len(self.nodes))
-        return pos
-
     def trace(self, tag: Bnd) -> np.ndarray:
         bn = self.mesh.boundary_nodes(tag)
-        loc = self._pos[bn]
+        loc = self.mesh.region_pos(self.regions)[bn]
         if (loc < 0).any():
             raise TagMismatch(f"field does not cover boundary {tag!r}")
         return self.values[loc]
@@ -220,6 +213,25 @@ def _boundary_mass(mesh: Mesh, tag: Bnd) -> sp.csc_matrix:
 
 
 @dataclass(eq=False)
+class DirichletBlock:
+    """Split of a system into free and fixed nodes for one set of Dirichlet tags."""
+
+    free: np.ndarray           # local indices of the unconstrained nodes
+    fixed: np.ndarray          # local indices of the constrained nodes
+    A_ff: sp.csc_matrix
+    A_fd: sp.csc_matrix
+    norm: float                # infinity norm of A_ff
+
+    @cached_property
+    def lu(self):
+        """SuperLU factorization of ``A_ff``, computed on first use."""
+        try:
+            return spla.splu(self.A_ff)
+        except RuntimeError as exc:
+            raise SingularSystem(f"factorization failed: {exc}") from exc
+
+
+@dataclass(eq=False)
 class LinearSystem:
     """Assembled sparse operator on the active nodes of a region set."""
 
@@ -230,16 +242,22 @@ class LinearSystem:
     pos: np.ndarray
     k: complex | None = None
     radiation: RadiationSpec | None = None
-    _lu_cache: dict = dc_field(default_factory=dict)
+    _blocks: dict = dc_field(default_factory=dict, repr=False)
 
-    def lu(self, key="full", matrix=None):
-        if key not in self._lu_cache:
-            target = self.A if matrix is None else matrix
-            try:
-                self._lu_cache[key] = spla.splu(target.tocsc())
-            except RuntimeError as exc:
-                raise SingularSystem(f"factorization failed: {exc}") from exc
-        return self._lu_cache[key]
+    def dirichlet_block(self, tags) -> DirichletBlock:
+        """Block with the nodes of the ``Bnd`` tags fixed; built once per tag set."""
+        tags = frozenset(Bnd(t) for t in tags)
+        block = self._blocks.get(tags)
+        if block is None:
+            fixed = np.zeros(len(self.nodes), dtype=bool)
+            for tag in tags:
+                fixed[self.local_boundary(tag)] = True
+            free_idx, fixed_idx = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+            A_ff = self.A[np.ix_(free_idx, free_idx)].tocsc()
+            block = self._blocks[tags] = DirichletBlock(
+                free_idx, fixed_idx, A_ff, self.A[np.ix_(free_idx, fixed_idx)],
+                float(np.asarray(np.abs(A_ff).sum(axis=1)).max(initial=0.0)))
+        return block
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
         bn = self.mesh.boundary_nodes(tag)
@@ -292,7 +310,7 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
     absorbing term is added on the truncation circle.  The result is complex
     symmetric (not Hermitian).
     """
-    regions = frozenset(int(r) for r in (regions if not isinstance(regions, (int, Region)) else [regions]))
+    regions = _as_region_set(regions)
     mask = mesh.region_triangles(regions)
     if not mask.any():
         raise TagMismatch("no triangles in requested regions")
@@ -340,10 +358,9 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
         A = A - q * _boundary_mass(mesh, Bnd.GAMMA_INF)
 
     nodes = mesh.region_nodes(regions)
-    pos = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes))
     A_local = A[np.ix_(nodes, nodes)].tocsc()
-    return LinearSystem(mesh, regions, A_local, nodes, pos, k=k, radiation=radiation)
+    return LinearSystem(mesh, regions, A_local, nodes, mesh.region_pos(regions),
+                        k=k, radiation=radiation)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +372,6 @@ class SolveRecord:
     system: LinearSystem
     rhs: np.ndarray            # full right-hand side on active nodes
     dirichlet: dict            # tag -> values imposed
-
-
-def _dirichlet_arrays(system: LinearSystem, dirichlet: dict):
-    n = len(system.nodes)
-    fixed = np.zeros(n, dtype=bool)
-    gvals = np.zeros(n, dtype=complex)
-    for tag, val in (dirichlet or {}).items():
-        loc = system.local_boundary(Bnd(tag))
-        fixed[loc] = True
-        gvals[loc] = val
-    return fixed, gvals
 
 
 # Solutions amplified beyond this (relative to ||b|| / ||A||) indicate a
@@ -386,40 +392,31 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     in double precision while the solve is still perfectly reliable).
     """
     rhs = np.asarray(rhs, dtype=complex)
-    fixed, gvals = _dirichlet_arrays(system, dirichlet)
-    free = ~fixed
-    u = gvals.copy()
-    if free.any():
-        A = system.A
-        b_free = rhs[free] - A[np.ix_(np.where(free)[0], np.where(fixed)[0])] @ gvals[fixed]
+    dirichlet = dict(dirichlet or {})
+    block = system.dirichlet_block(dirichlet)
+    u = np.zeros(len(system.nodes), dtype=complex)
+    for tag, val in dirichlet.items():
+        u[system.local_boundary(Bnd(tag))] = val
+    if len(block.free):
+        b_free = rhs[block.free] - block.A_fd @ u[block.fixed]
         scale = np.linalg.norm(b_free)
-        if scale == 0.0:
-            u[free] = 0.0
-        else:
-            key = ("dir",) + tuple(np.where(fixed)[0][:8]) + (int(fixed.sum()),)
-            A_ff = A[np.ix_(np.where(free)[0], np.where(free)[0])].tocsc()
-            norm_key = key + ("norm",)
-            if norm_key not in system._lu_cache:
-                system._lu_cache[norm_key] = float(
-                    np.abs(A_ff).sum(axis=1).max())   # infinity norm
-            norm_a = system._lu_cache[norm_key]
-            lu = system.lu(key, A_ff)
-            x = lu.solve(b_free)
+        if scale != 0.0:
+            x = block.lu.solve(b_free)
             if not np.isfinite(x).all():
                 raise SingularSystem("factorization produced non-finite values")
-            resid = np.linalg.norm(A_ff @ x - b_free)
+            resid = np.linalg.norm(block.A_ff @ x - b_free)
             x_norm = np.linalg.norm(x)
-            backward = resid / (norm_a * x_norm + scale)
+            backward = resid / (block.norm * x_norm + scale)
             if backward > rtol:
                 raise SingularSystem(
                     f"backward error {backward:.3e} exceeds {rtol:.1e}; "
                     "system is numerically singular")
-            if norm_a * x_norm > _AMPLIFICATION_LIMIT * scale:
+            if block.norm * x_norm > _AMPLIFICATION_LIMIT * scale:
                 raise SingularSystem(
                     "solution amplification at working-precision singularity level")
-            u[free] = x
+            u[block.free] = x
     field = ScalarField(system.mesh, system.regions, u)
-    field.record = SolveRecord(system, rhs, dict(dirichlet or {}))
+    field.record = SolveRecord(system, rhs, dirichlet)
     return field
 
 
@@ -459,11 +456,10 @@ class NeumannSystem:
     def __init__(self, mesh: Mesh, regions=Region.ENZ, ctol: float = 1e-6,
                  mass_lump: float = MASS_LUMP_FRACTION):
         self.mesh = mesh
-        self.regions = frozenset(int(r) for r in (regions if not isinstance(regions, (int, Region)) else [regions]))
+        self.regions = _as_region_set(regions)
         self.ctol = ctol
         self.nodes = mesh.region_nodes(self.regions)
-        self.pos = np.full(mesh.num_nodes, -1, dtype=np.int64)
-        self.pos[self.nodes] = np.arange(len(self.nodes))
+        self.pos = mesh.region_pos(self.regions)
         K = stiffness_matrix(mesh, self.regions)
         self.M = mass_matrix(mesh, self.regions, lump=mass_lump)[np.ix_(self.nodes, self.nodes)].tocsc()
         self.K = K[np.ix_(self.nodes, self.nodes)].tocsc()
@@ -520,18 +516,7 @@ class NeumannSystem:
         norm = math.sqrt(float(np.vdot(u, self.M @ u).real)) if n else 0.0
         if norm > 0 and abs(mean) * math.sqrt(self.area) > 1e-10 * norm:
             raise SingularSystem("mean-zero constraint violated beyond tolerance")
-        field = ScalarField(self.mesh, self.regions, u)
-        field.record = SolveRecord(self, np.concatenate([b, [0.0]]), {})
-        return field
-
-    def stiffness_apply(self, values: np.ndarray) -> np.ndarray:
-        return self.K @ values
-
-
-def solve_mean_zero_neumann(mesh: Mesh, regions, volume: np.ndarray | None,
-                            fluxes: dict, ctol: float = 1e-6) -> ScalarField:
-    """One-shot convenience wrapper around :class:`NeumannSystem`."""
-    return NeumannSystem(mesh, regions, ctol=ctol).solve(volume, fluxes)
+        return ScalarField(self.mesh, self.regions, u)
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +596,8 @@ def source_load(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
     Triangles cut by a disk boundary are integrated by uniform subdivision;
     fully covered/uncovered triangles are exact.
     """
-    nodes = mesh.region_nodes(regions)
-    pos = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes))
-    out = np.zeros(len(nodes), dtype=complex)
+    pos = mesh.region_pos(regions)
+    out = np.zeros(len(mesh.region_nodes(regions)), dtype=complex)
     if sources is None or sources.is_trivial():
         return out
     mask = mesh.region_triangles(regions)
@@ -717,15 +700,11 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd,
     per-node derivative and its trapezoidal integral over the boundary.
     """
     mesh = field.mesh
-    regions = field.regions if from_regions is None else frozenset(
-        int(r) for r in (from_regions if not isinstance(from_regions, (int, Region)) else [from_regions]))
+    regions = field.regions if from_regions is None else _as_region_set(from_regions)
     tris = mesh.triangles[mesh.region_triangles(regions)]
-    # node adjacency within the chosen side
-    nbr: dict[int, set] = {}
-    for t in tris:
-        for a in t:
-            s = nbr.setdefault(int(a), set())
-            s.update(int(x) for x in t)
+    # node adjacency within the chosen side; every node neighbours itself
+    adj = (_scatter(tris, np.ones((len(tris), 3, 3)), mesh.num_nodes)
+           + sp.identity(mesh.num_nodes, format="csc")).tocsr()
     bn = mesh.boundary_nodes(tag)
     edges = mesh.boundary_edges[tag]
     normals = mesh.boundary_normals[tag]
@@ -737,12 +716,11 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd,
     full = field.to_full()
     deriv = np.zeros(len(bn), dtype=complex)
     for idx, n0 in enumerate(bn):
-        patch = set(nbr.get(int(n0), {int(n0)}))
-        for _ in range(2):
-            if len(patch) >= 10:
+        pl = np.array([n0])     # one ring, then up to two more below 10 nodes
+        for _ in range(3):
+            if len(pl) >= 10:
                 break
-            patch = set().union(*(nbr.get(p, {p}) for p in patch))
-        pl = sorted(patch)
+            pl = np.unique(adj[pl].indices)
         p0 = mesh.nodes[n0]
         d = (mesh.nodes[pl] - p0)
         scale = max(np.abs(d).max(), 1e-30)
@@ -772,17 +750,9 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    regions = frozenset(int(r) for r in (regions if not isinstance(regions, (int, Region)) else [regions]))
+    regions = _as_region_set(regions)
     nodes = mesh.region_nodes(regions)
-    pos = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes))
-    bset = set()
-    for tag, edges in mesh.boundary_edges.items():
-        onb = pos[np.unique(edges)] >= 0
-        if onb.any():
-            bset.update(int(x) for x in np.unique(edges)[onb])
-    interior = np.array([n for n in nodes if int(n) not in bset], dtype=np.int64)
-    il = pos[interior]
+    il = mesh.region_pos(regions)[mesh.interior_nodes(regions)]
     K = stiffness_matrix(mesh, regions)[np.ix_(nodes, nodes)].real.tocsc()
     M = mass_matrix(mesh, regions)[np.ix_(nodes, nodes)].real.tocsc()
     K_ii = K[np.ix_(il, il)].tocsc()
@@ -818,9 +788,7 @@ def eigen_flux(mesh: Mesh, lam: float, mode: ScalarField,
     K = stiffness_matrix(mesh, regions)[np.ix_(nodes, nodes)]
     M = mass_matrix(mesh, regions)[np.ix_(nodes, nodes)]
     resid = K @ mode.values - lam * (M @ mode.values)
-    pos = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes))
-    loc = pos[mesh.boundary_nodes(tag)]
+    loc = mesh.region_pos(regions)[mesh.boundary_nodes(tag)]
     if (loc < 0).any():
         raise TagMismatch(f"boundary {tag!r} not covered by eigenfunction")
     return BoundaryFunctional(mesh, tag, resid[loc])

@@ -18,8 +18,8 @@ import numpy as np
 
 from .auxiliary import AuxiliarySet, PhysicsConfig
 from .errors import EmptyWindow
-from .fem import ScalarField, _p1_geometry
-from .geometry import Bnd, Mesh, Region
+from .fem import ScalarField, _p1_geometry, _tri_values_and_grads
+from .geometry import Bnd, Mesh, Region, _as_region_set
 
 
 @dataclass
@@ -32,8 +32,7 @@ class PiecewiseVectorField:
     region: np.ndarray        # (n,) region tag per triangle
 
     def restrict(self, regions) -> "PiecewiseVectorField":
-        regions = {int(r) for r in np.atleast_1d(regions)}
-        sel = np.isin(self.region, sorted(regions))
+        sel = np.isin(self.region, sorted(_as_region_set(regions)))
         return PiecewiseVectorField(self.mesh, self.tri_index[sel],
                                     self.vectors[sel], self.region[sel])
 
@@ -41,14 +40,6 @@ class PiecewiseVectorField:
         f = self if regions is None else self.restrict(regions)
         area = f.mesh.tri_areas[f.tri_index]
         return math.sqrt(float((np.abs(f.vectors) ** 2).sum(axis=1) @ area))
-
-
-def _gradients(field: ScalarField, tri_mask: np.ndarray):
-    tris, b, c, area = _p1_geometry(field.mesh, tri_mask)
-    vals = field.to_full()[tris]
-    gx = (vals * b).sum(axis=1) / (2.0 * area)
-    gy = (vals * c).sum(axis=1) / (2.0 * area)
-    return np.column_stack([gx, gy]), tris, area
 
 
 def compute_poynting(u: ScalarField, cfg: PhysicsConfig) -> PiecewiseVectorField:
@@ -63,12 +54,13 @@ def compute_poynting(u: ScalarField, cfg: PhysicsConfig) -> PiecewiseVectorField
                      int(Region.EXTERIOR): 1.0 + 0.0j}
     keep = sorted(set(int(r) for r in u.regions) & set(eps_by_region))
     mask = mesh.region_triangles(keep)
-    grads, tris, _ = _gradients(u, mask)
-    u_cen = u.to_full()[tris].mean(axis=1)
+    vals, gx, gy, _ = _tri_values_and_grads(u, mask)
+    u_cen = vals.mean(axis=1)
     reg = mesh.tri_region[mask]
     eps = np.array([eps_by_region[int(r)] for r in reg])
     factor = np.conj(u_cen) / (2j * cfg.omega * eps)
-    return PiecewiseVectorField(mesh, np.where(mask)[0], factor[:, None] * grads,
+    return PiecewiseVectorField(mesh, np.where(mask)[0],
+                                factor[:, None] * np.column_stack([gx, gy]),
                                 reg.astype(np.int16))
 
 
@@ -77,9 +69,9 @@ def poynting_limit(phi0: ScalarField, c_star: complex,
     """Limiting Poynting field in the shell: conj(c*) / (2 i omega) grad(phi0)."""
     mesh = phi0.mesh
     mask = mesh.region_triangles(Region.ENZ)
-    grads, _, _ = _gradients(phi0, mask)
+    _, gx, gy, _ = _tri_values_and_grads(phi0, mask)
     factor = np.conj(c_star) / (2j * cfg.omega)
-    return PiecewiseVectorField(mesh, np.where(mask)[0], factor * grads,
+    return PiecewiseVectorField(mesh, np.where(mask)[0], factor * np.column_stack([gx, gy]),
                                 mesh.tri_region[mask].astype(np.int16))
 
 
@@ -91,13 +83,6 @@ def poynting_gap(s_delta: PiecewiseVectorField, s_limit: PiecewiseVectorField) -
         raise EmptyWindow("fields do not share shell triangles")
     area = a.mesh.tri_areas[a.tri_index]
     return math.sqrt(float((np.abs(a.vectors - b.vectors) ** 2).sum(axis=1) @ area))
-
-
-def _interior_enz_nodes(mesh: Mesh) -> np.ndarray:
-    nodes = mesh.region_nodes(Region.ENZ)
-    bset = set(int(x) for x in np.unique(mesh.boundary_edges[Bnd.GAMMA_D]))
-    bset |= set(int(x) for x in np.unique(mesh.boundary_edges[Bnd.GAMMA_OMEGA]))
-    return np.array([n for n in nodes if int(n) not in bset], dtype=np.int64)
 
 
 def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
@@ -128,7 +113,7 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
     for loc in range(3):
         np.add.at(m_vec, tris[:, loc], area / 3.0)
     const = 1j * cfg.omega * complex(cfg.mu) * abs(aux.c_star) ** 2 / 2.0
-    interior = _interior_enz_nodes(mesh)
+    interior = mesh.interior_nodes(Region.ENZ)
     scale = max(float(np.abs(div_acc[interior]).max(initial=0.0)),
                 abs(const) * float(m_vec[interior].max(initial=0.0)), 1e-300)
     div_res = float(np.abs(div_acc[interior] + const * m_vec[interior]).max(initial=0.0)) / scale

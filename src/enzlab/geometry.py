@@ -287,13 +287,18 @@ def _curve_samples(shape: Shape, n: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class Mesh:
-    """Immutable conforming triangulation with region and boundary tags."""
+    """Immutable conforming triangulation with region and boundary tags.
+
+    Topology queries are memoized per normalized region set and return
+    read-only arrays shared by every caller.
+    """
 
     nodes: np.ndarray                       # (N, 2) float64
     triangles: np.ndarray                   # (T, 3) int32, CCW
     tri_region: np.ndarray                  # (T,) int16
     boundary_edges: dict                    # Bnd -> (E, 2) int32, CCW loops
     boundary_normals: dict                  # Bnd -> (E, 2) float64, outward
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.nodes, self.triangles, self.tri_region):
@@ -301,6 +306,14 @@ class Mesh:
         for d in (self.boundary_edges, self.boundary_normals):
             for arr in d.values():
                 arr.setflags(write=False)
+
+    def _memoized(self, key, build) -> np.ndarray:
+        arr = self._memo.get(key)
+        if arr is None:
+            arr = build()
+            arr.setflags(write=False)
+            self._memo[key] = arr
+        return arr
 
     @property
     def num_nodes(self) -> int:
@@ -322,12 +335,33 @@ class Mesh:
 
     def region_triangles(self, regions) -> np.ndarray:
         regions = _as_region_set(regions)
-        return np.isin(self.tri_region, sorted(regions))
+        return self._memoized(("triangles", regions),
+                              lambda: np.isin(self.tri_region, sorted(regions)))
 
     def region_nodes(self, regions) -> np.ndarray:
         """Sorted global indices of nodes touched by the given regions."""
-        mask = self.region_triangles(regions)
-        return np.unique(self.triangles[mask])
+        regions = _as_region_set(regions)
+        return self._memoized(
+            ("nodes", regions),
+            lambda: np.unique(self.triangles[self.region_triangles(regions)]))
+
+    def region_pos(self, regions) -> np.ndarray:
+        """Position of each global node in ``region_nodes(regions)``, -1 outside."""
+        regions = _as_region_set(regions)
+
+        def build():
+            nodes = self.region_nodes(regions)
+            pos = np.full(self.num_nodes, -1, dtype=np.int64)
+            pos[nodes] = np.arange(len(nodes))
+            return pos
+        return self._memoized(("pos", regions), build)
+
+    def interior_nodes(self, regions) -> np.ndarray:
+        """Sorted nodes of ``region_nodes(regions)`` on no tagged boundary."""
+        regions = _as_region_set(regions)
+        return self._memoized(("interior", regions), lambda: np.setdiff1d(
+            self.region_nodes(regions),
+            np.concatenate([e.ravel() for e in self.boundary_edges.values()])))
 
     def boundary_nodes(self, tag: Bnd) -> np.ndarray:
         """Boundary nodes in loop order (first node of each directed edge)."""
@@ -346,25 +380,56 @@ class Mesh:
 
     @cached_property
     def pml_inner_radius(self) -> float | None:
-        mask = self.region_triangles(Region.PML)
-        if not mask.any():
+        nodes = self.region_nodes(Region.PML)
+        if not len(nodes):
             return None
-        return float(np.linalg.norm(self.nodes[np.unique(self.triangles[mask])], axis=1).min())
+        return float(np.linalg.norm(self.nodes[nodes], axis=1).min())
 
     @cached_property
     def truncation_radius(self) -> float:
         return float(np.linalg.norm(self.nodes, axis=1).max())
 
+    @cached_property
+    def _edge_map(self):
+        """Every edge once, ordered by its key ``i * N + j`` (i < j).
+
+        Returns the keys, the position of each edge's first half-edge in the
+        triangle list, and its one or two triangles in increasing order (-1
+        on the missing side of a boundary edge).
+        """
+        half = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                       axis=1).astype(np.int64)
+        keys, first, inv = np.unique(half[:, 0] * self.num_nodes + half[:, 1],
+                                     return_index=True, return_inverse=True)
+        tri = np.arange(len(half)) // 3
+        owners = np.full((len(keys), 2), -1, dtype=np.int64)
+        owners[:, 0] = tri[first]
+        later = np.ones(len(half), dtype=bool)
+        later[first] = False
+        owners[inv[later], 1] = tri[later]
+        for arr in (keys, first, owners):
+            arr.setflags(write=False)
+        return keys, first, owners
+
+    def edge_triangles(self, edges) -> np.ndarray:
+        """The two triangles on each given mesh edge, increasing, -1 if absent."""
+        keys, _, owners = self._edge_map
+        e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
+        return owners[np.searchsorted(keys, e[:, 0] * self.num_nodes + e[:, 1])]
+
     def interface_edges(self, region_a: Region, region_b: Region) -> np.ndarray:
-        """Edges shared by one ``region_a`` and one ``region_b`` triangle."""
-        edges = {}
-        for t, reg in zip(self.triangles, self.tri_region):
-            for k in range(3):
-                key = tuple(sorted((int(t[k]), int(t[(k + 1) % 3]))))
-                edges.setdefault(key, []).append(int(reg))
-        out = [e for e, regs in edges.items()
-               if sorted(regs) == sorted([int(region_a), int(region_b)])]
-        return np.asarray(out, dtype=np.int32).reshape(-1, 2)
+        """Edges shared by one ``region_a`` and one ``region_b`` triangle.
+
+        Each edge is a sorted node pair; edges come in the order in which the
+        triangle list first reaches them.
+        """
+        keys, first, owners = self._edge_map
+        regs = np.sort(np.append(self.tri_region, -1)[owners], axis=1)
+        a, b = sorted((int(region_a), int(region_b)))
+        sel = np.flatnonzero((regs[:, 0] == a) & (regs[:, 1] == b))
+        sel = sel[np.argsort(first[sel])]
+        n = self.num_nodes
+        return np.column_stack((keys[sel] // n, keys[sel] % n)).astype(np.int32)
 
 
 def _as_region_set(regions) -> frozenset:

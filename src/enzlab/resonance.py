@@ -25,9 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import Degenerate, ResonantDopant, SingularSystem
-from .auxiliary import (PhysicsConfig, _branch_sqrt, compute_beta, compute_cstar,
-                        compute_mueff, exterior_system, solve_psi_d, solve_psi_e,
-                        solve_s)
+from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
 from .fem import (BoundaryFunctional, NeumannSystem, ScalarField, dirichlet_eigs,
                   eigen_flux, h1_norm, integrate, mass_matrix, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region
@@ -155,24 +153,17 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
         k = _branch_sqrt(lam_star - complex(gamma))
         cfg_g = PhysicsConfig.from_k(k, sources=cfg.sources,
                                      radiation=cfg.radiation, rtol=cfg.rtol)
-        ext = exterior_system(mesh, cfg_g)
-        s, flux_s = solve_s(mesh, cfg_g, system=ext)
-        psi_e, flux_psi_e = solve_psi_e(mesh, cfg_g, system=ext)
         try:
-            psi_d, flux_psi_d = solve_psi_d(mesh, cfg_g, guard=False)
+            aux = solve_auxiliary_set(mesh, cfg_g, guard=False)
         except SingularSystem as exc:
             raise ResonantDopant(
                 f"gamma {gamma} lands on another discrete eigenvalue") from exc
-        beta = compute_beta(flux_psi_e, flux_psi_d, mesh, cfg_g)
-        c_star = compute_cstar(beta, flux_s)
-        mu_eff = compute_mueff(mesh, psi_d, cfg_g)
-        k2 = k * k
-        vol = k2 * c_star * neumann.m_vec
+        vol = k * k * aux.c_star * neumann.m_vec
         phi0 = neumann.solve(vol, {
-            Bnd.GAMMA_OMEGA: c_star * flux_psi_e + flux_s,
-            Bnd.GAMMA_D: c_star * flux_psi_d,
+            Bnd.GAMMA_OMEGA: aux.c_star * aux.flux_psi_e + aux.flux_s,
+            Bnd.GAMMA_D: aux.c_star * aux.flux_psi_d,
         })
-        rec = GammaRecord(complex(gamma), k, beta, c_star, mu_eff, phi0)
+        rec = GammaRecord(complex(gamma), k, aux.beta, aux.c_star, aux.mu_eff, phi0)
         rec.phi_gap = h1_norm(phi0 - study.phi_hat0)
         study.records.append(rec)
 
@@ -191,11 +182,7 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
 
 def _deflated_system(mesh: Mesh, lambda_star: float, cluster):
     nodes = mesh.region_nodes(Region.DOPANT)
-    pos = np.full(mesh.num_nodes, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes))
-    bset = set(int(x) for x in np.unique(mesh.boundary_edges[Bnd.GAMMA_D]))
-    interior = np.array([n for n in nodes if int(n) not in bset], dtype=np.int64)
-    il = pos[interior]
+    il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
     K = stiffness_matrix(mesh, Region.DOPANT)[np.ix_(nodes, nodes)]
     M = mass_matrix(mesh, Region.DOPANT)[np.ix_(nodes, nodes)]
     A = (K - lambda_star * M).tocsc()
@@ -204,7 +191,7 @@ def _deflated_system(mesh: Mesh, lambda_star: float, cluster):
     m = B.shape[1]
     bordered = sp.bmat([[A_ii, sp.csc_matrix(B)],
                         [sp.csc_matrix(B.conj().T), None]], format="csc")
-    return nodes, pos, il, A, spla.splu(bordered), m
+    return nodes, il, A, spla.splu(bordered), m
 
 
 def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
@@ -217,9 +204,9 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
     Any multiple of a cluster eigenfunction may be added to the result and it
     still satisfies the same equation and trace.
     """
-    nodes, pos, il, A, lu, m = _deflated_system(mesh, lambda_star, cluster)
+    nodes, il, A, lu, m = _deflated_system(mesh, lambda_star, cluster)
     vals = np.zeros(len(nodes), dtype=complex)
-    bn = pos[mesh.boundary_nodes(Bnd.GAMMA_D)]
+    bn = mesh.region_pos(Region.DOPANT)[mesh.boundary_nodes(Bnd.GAMMA_D)]
     vals[bn] = trace
     rhs = -(A @ vals)
     if volume is not None:

@@ -8,6 +8,8 @@ import pytest
 from enzlab.cli import main
 from enzlab.config import parse_config
 from enzlab.errors import ParseError, ValidationError
+from enzlab.fem import dirichlet_eigs
+from enzlab.oracle import j0_zero
 
 CANONICAL_CFG = """
 [domain]
@@ -99,6 +101,34 @@ sources = ring 2.3 2.7 1,0
     assert code == 4   # VALIDATION_ERROR
 
 
+def _exit_code(tmp_path, cfg_text, sub="aux"):
+    path = tmp_path / "case.cfg"
+    path.write_text(cfg_text)
+    return main([sub, str(path), "--out", str(tmp_path / "out")])
+
+
+def test_malformed_config_exits_3(tmp_path):
+    text = CANONICAL_CFG.replace("dopant = circle", "dopant circle")
+    assert _exit_code(tmp_path, text) == 3   # PARSE_ERROR
+
+
+def test_dopant_leaving_scatterer_exits_5(tmp_path):
+    text = CANONICAL_CFG.replace("dopant = circle 0 0 0.3", "dopant = circle 0.8 0 0.3")
+    assert _exit_code(tmp_path, text) == 5   # GEOMETRY_INVALID
+
+
+def test_mesh_size_at_half_gap_exits_6(tmp_path):
+    text = CANONICAL_CFG.replace("h = 0.2", "h = 0.35")   # gap is 0.7
+    assert _exit_code(tmp_path, text) == 6   # MESH_FAILURE
+
+
+def test_resonant_dopant_exits_12(tmp_path, mesh_coarse):
+    # mesh_coarse is the mesh this config builds; mu = its dopant eigenvalue
+    lam = dirichlet_eigs(mesh_coarse, 1, target=(j0_zero(1) / 0.3) ** 2)[0][0]
+    text = CANONICAL_CFG.replace("h = 0.2", "h = 0.1").replace("mu = 1,0", f"mu = {lam!r},0")
+    assert _exit_code(tmp_path, text) == 12   # RESONANT_DOPANT
+
+
 def test_unknown_subcommand_exits_2(cfg_file):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command", str(cfg_file)])
@@ -141,6 +171,18 @@ def test_sweep_delta_csv_shape(cfg_file, tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     second = [float(v) for v in lines[2].split(",")]
     assert first[2] > second[2]  # larger delta, larger order-0 error
+
+
+def test_sweep_delta_threads_byte_identical(cfg_file, tmp_path, monkeypatch):
+    # the worker threads share one mesh and one corrector engine
+    csv = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ENZ_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(["sweep-delta", str(cfg_file), "--out", str(out),
+                     "--deltas", "0.1,0 0.01,0"]) == 0
+        csv[threads] = (out / "sweep_delta.csv").read_bytes()
+    assert csv["1"] == csv["2"]
 
 
 def test_oracle_check_and_convergence_table(cfg_file, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from enzlab import fem
 from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
-                           ZeroCoefficient)
+                           TagMismatch, ZeroCoefficient)
 from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
                         assemble, dirichlet_eigs, flux_extract, h1_norm,
                         l2_norm, mass_matrix, recovered_boundary_flux, solve)
@@ -153,6 +153,24 @@ def test_mean_zero_neumann_balanced_data(annulus_mesh):
     mean = np.dot(ns.m_vec, u.values) / ns.area
     assert abs(mean) <= 1e-10 * max(1.0, float(np.abs(u.values).max()))
     assert np.abs(u.values).max() > 0
+
+
+def test_neumann_field_rejected_by_flux_extract(annulus_mesh):
+    # a Neumann solution carries no record of a LinearSystem solve
+    ns = NeumannSystem(annulus_mesh, Region.ENZ)
+    u = ns.solve(None, {})
+    with pytest.raises(TagMismatch):
+        flux_extract(u, ns, Bnd.GAMMA_OMEGA)
+
+
+def test_dirichlet_block_cached_per_tag_set(annulus_mesh):
+    sys_ = _laplace_system(annulus_mesh, [Region.EXTERIOR, Region.PML])
+    both = sys_.dirichlet_block([Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])
+    assert sys_.dirichlet_block((int(Bnd.GAMMA_INF), Bnd.GAMMA_OMEGA)) is both
+    inf_only = sys_.dirichlet_block([Bnd.GAMMA_INF])
+    assert inf_only is not both
+    assert len(inf_only.fixed) == len(annulus_mesh.boundary_nodes(Bnd.GAMMA_INF))
+    assert sorted(np.concatenate([both.free, both.fixed])) == list(range(len(sys_.nodes)))
 
 
 def test_flux_constant_field_is_zero(annulus_mesh):

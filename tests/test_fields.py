@@ -6,7 +6,7 @@ import pytest
 
 from enzlab.auxiliary import PhysicsConfig
 from enzlab.direct import solve_transmission
-from enzlab.fem import ScalarField
+from enzlab.fem import ScalarField, _tri_values_and_grads
 from enzlab.fields import (PiecewiseVectorField, compute_poynting,
                            ideal_fluid_residuals, poynting_gap, poynting_limit)
 from enzlab.geometry import Region, SourceSpec, structured_rectangle_mesh
@@ -71,11 +71,11 @@ def test_curl_of_any_gradient_field_vanishes(mesh_coarse, cfg_ring, engine_coars
     nodes = mesh_coarse.region_nodes(Region.ENZ)
     w = ScalarField(mesh_coarse, Region.ENZ,
                     rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes)))
-    from enzlab.fields import _gradients
-    grads, _, _ = _gradients(w, mesh_coarse.region_triangles(Region.ENZ))
+    _, gx, gy, _ = _tri_values_and_grads(w, mesh_coarse.region_triangles(Region.ENZ))
     f = PiecewiseVectorField(mesh_coarse,
                              np.where(mesh_coarse.region_triangles(Region.ENZ))[0],
-                             grads, mesh_coarse.tri_region[mesh_coarse.region_triangles(Region.ENZ)])
+                             np.column_stack([gx, gy]),
+                             mesh_coarse.tri_region[mesh_coarse.region_triangles(Region.ENZ)])
     res = ideal_fluid_residuals(f, engine_coarse.aux, cfg_ring)
     assert res["curl_residual"] <= 1e-12
 
@@ -88,8 +88,7 @@ def test_potential_split_weak_laplacians(engine_coarse, hier8, cfg_ring, mesh_co
     factor = np.conj(c_star) / (2j * cfg_ring.omega)
     const = 1j * cfg_ring.omega * complex(cfg_ring.mu) * abs(c_star) ** 2 / 2.0
     ns = engine_coarse.neumann
-    from enzlab.fields import _interior_enz_nodes
-    interior = _interior_enz_nodes(mesh_coarse)
+    interior = mesh_coarse.interior_nodes(Region.ENZ)
     loc = ns.pos[interior]
     for part in (np.real, np.imag):
         w_vals = part(factor * phi0.values).astype(complex)

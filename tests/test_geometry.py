@@ -71,11 +71,12 @@ def test_zero_collar_thickness_means_no_pml_region():
 def test_interface_edges_pair_correct_regions():
     mesh = build_mesh(CANONICAL, 0.15)
     # adjacency audit: every tagged edge must separate the right two regions
-    edge_owner = {}
+    edge_owner, edge_tris = {}, {}
     for t_idx, tri in enumerate(mesh.triangles):
         for k in range(3):
             key = tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3]))))
             edge_owner.setdefault(key, []).append(int(mesh.tri_region[t_idx]))
+            edge_tris.setdefault(key, []).append(t_idx)
     expected = {Bnd.GAMMA_D: {int(Region.DOPANT), int(Region.ENZ)},
                 Bnd.GAMMA_OMEGA: {int(Region.ENZ), int(Region.EXTERIOR)}}
     for tag, want in expected.items():
@@ -85,6 +86,31 @@ def test_interface_edges_pair_correct_regions():
     for i, j in mesh.boundary_edges[Bnd.GAMMA_INF]:
         owners = edge_owner[tuple(sorted((int(i), int(j))))]
         assert len(owners) == 1
+    # the vectorized edge map reproduces the brute-force owners, in order
+    for a, b in ((Region.ENZ, Region.EXTERIOR), (Region.DOPANT, Region.ENZ),
+                 (Region.EXTERIOR, Region.PML)):
+        want = [e for e, regs in edge_owner.items()
+                if sorted(regs) == sorted((int(a), int(b)))]
+        got = mesh.interface_edges(a, b)
+        assert [tuple(e) for e in got.tolist()] == want
+        assert mesh.edge_triangles(got).tolist() == [edge_tris[e] for e in want]
+    inf = mesh.edge_triangles(mesh.boundary_edges[Bnd.GAMMA_INF]).tolist()
+    assert inf == [edge_tris[tuple(sorted((int(i), int(j))))] + [-1]
+                   for i, j in mesh.boundary_edges[Bnd.GAMMA_INF]]
+
+
+def test_topology_queries_memoized_and_read_only():
+    mesh = build_mesh(CANONICAL, 0.15)
+    nodes = mesh.region_nodes([Region.ENZ, Region.DOPANT])
+    assert mesh.region_nodes((int(Region.DOPANT), Region.ENZ)) is nodes
+    pos = mesh.region_pos([Region.DOPANT, Region.ENZ])
+    assert (pos[nodes] == np.arange(len(nodes))).all() and (pos >= 0).sum() == len(nodes)
+    on_bnd = {int(x) for e in mesh.boundary_edges.values() for x in e.ravel()}
+    for reg in Region:
+        want = [n for n in mesh.region_nodes(reg).tolist() if n not in on_bnd]
+        assert mesh.interior_nodes(reg).tolist() == want
+    for arr in (nodes, pos, mesh.region_triangles(Region.ENZ), mesh.interior_nodes(Region.ENZ)):
+        assert not arr.flags.writeable
 
 
 def test_normals_point_outward():
