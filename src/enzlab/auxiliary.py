@@ -171,7 +171,7 @@ def compute_beta(flux_psi_e: BoundaryFunctional, flux_psi_d: BoundaryFunctional,
                  mesh: Mesh, cfg: PhysicsConfig) -> complex:
     """Flux balance constant: k^2 |ENZ| + flux(psi_e) - flux(psi_d)."""
     k = cfg.k
-    area_enz = float(mesh.tri_areas[mesh.tri_region == int(Region.ENZ)].sum())
+    area_enz = region_measures(mesh)["areas"][Region.ENZ]
     beta = k * k * area_enz + flux_psi_e.total() - flux_psi_d.total()
     scale = max(abs(k * k) * area_enz, abs(flux_psi_e.total()),
                 abs(flux_psi_d.total()))
@@ -198,8 +198,9 @@ def compute_mueff(mesh: Mesh, psi_d: ScalarField, cfg: PhysicsConfig,
     derivative and is the discretization-independent cross-check.
     """
     k = cfg.k
-    area_enz = float(mesh.tri_areas[mesh.tri_region == int(Region.ENZ)].sum())
-    area_omega = area_enz + float(mesh.tri_areas[mesh.tri_region == int(Region.DOPANT)].sum())
+    areas = region_measures(mesh)["areas"]
+    area_enz = areas[Region.ENZ]
+    area_omega = area_enz + areas[Region.DOPANT]
     if method == "volume":
         val = area_enz + complex(integrate(psi_d))
     elif method == "flux":

@@ -3,8 +3,7 @@
 Every subcommand reads one configuration file, writes UTF-8 CSV artifacts
 (with header rows) plus a JSON run manifest into the output directory, and
 exits with a distinct nonzero code per error class.  Identical inputs produce
-byte-identical CSVs; timing information lives only in the manifest.  The
-environment variable ``ENZ_THREADS`` caps the worker count of sweep loops.
+byte-identical CSVs; timing information lives only in the manifest.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +25,16 @@ from .config import parse_config
 from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
 from .fem import ScalarField
-from .fields import compute_poynting, ideal_fluid_residuals, poynting_limit
-from .geometry import Circle, Region, build_mesh, region_measures
+from .fields import compute_poynting
+from .geometry import Circle, build_mesh
 from .oracle import RadialLayers, axisym_solution
 from .resonance import gamma_sweep
-from .auxiliary import PhysicsConfig
 
 _FMT = "{:.12e}"
 
 
 def _fmt(x) -> str:
     return _FMT.format(float(x))
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ENZ_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -65,6 +54,12 @@ def _write_field_csv(path: Path, field: ScalarField) -> None:
             f.write(f"{n},{_fmt(x)},{_fmt(y)},{_fmt(re)},{_fmt(im)}\n")
 
 
+def _write_json(path: Path, data, default=lambda z: [z.real, z.imag]) -> None:
+    """Indented JSON; complex values become [re, im] pairs by default."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(data, f, indent=2, default=default)
+
+
 def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
     data = {
         "subcommand": name,
@@ -80,8 +75,7 @@ def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
         "run": dataclasses.asdict(opts),
         "timings_s": timings,
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, default=str)
+    _write_json(outdir / "manifest.json", data, default=str)
 
 
 def _require_concentric(spec, cfg):
@@ -117,7 +111,6 @@ def _oracle_reference(spec, cfg):
 
 
 def run_aux(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     mesh = build_mesh(spec, opts.h)
     aux = solve_auxiliary_set(mesh, cfg)
     rres = rellich_residual(mesh, cfg, aux.psi_e, aux.flux_psi_e)
@@ -128,11 +121,9 @@ def run_aux(spec, cfg, opts, outdir: Path) -> None:
                [(k.real, k.imag, d.real, d.imag, aux.beta.real, aux.beta.imag,
                  aux.c_star.real, aux.c_star.imag, aux.mu_eff.real,
                  aux.mu_eff.imag, rres)])
-    _manifest(outdir, "aux", spec, cfg, opts, {"total": time.perf_counter() - t0})
 
 
 def run_expand(spec, cfg, opts, outdir: Path, order=None, delta=None) -> None:
-    t0 = time.perf_counter()
     order = opts.order if order is None else order
     delta = complex(cfg.delta) if delta is None else delta
     mesh = build_mesh(spec, opts.h)
@@ -148,24 +139,19 @@ def run_expand(spec, cfg, opts, outdir: Path, order=None, delta=None) -> None:
         "c_delta": [hier.c_delta(delta, order - 1).real,
                     hier.c_delta(delta, order - 1).imag],
     }
-    with open(outdir / "expand_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
-    _manifest(outdir, "expand", spec, cfg, opts, {"total": time.perf_counter() - t0})
+    _write_json(outdir / "expand_summary.json", summary)
 
 
 def run_direct(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     if complex(cfg.delta) == 0:
         raise ValidationError("delta must be nonzero for a direct run")
     mesh = build_mesh(spec, opts.h)
     u = solve_transmission(mesh, cfg)
     _write_field_csv(outdir / "direct_field.csv", u)
-    _manifest(outdir, "direct", spec, cfg, opts, {"total": time.perf_counter() - t0})
 
 
 def run_sweep_delta(spec, cfg, opts, outdir: Path, deltas=None, order=None,
                     window=None) -> None:
-    t0 = time.perf_counter()
     deltas = tuple(deltas if deltas is not None else opts.deltas)
     if not deltas:
         raise ValidationError("sweep needs a nonempty deltas list")
@@ -185,17 +171,13 @@ def run_sweep_delta(spec, cfg, opts, outdir: Path, deltas=None, order=None,
         d = complex(delta)
         return (abs(d), math.atan2(d.imag, d.real), errs[0], errs[1], errs[2])
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(one, deltas))
+    rows = [one(delta) for delta in deltas]
     _write_csv(outdir / "sweep_delta.csv",
                ["delta_abs", "delta_arg", "h1_err_J0", "h1_err_J1", "h1_err_J2"],
                rows)
-    _manifest(outdir, "sweep-delta", spec, cfg, opts,
-              {"total": time.perf_counter() - t0})
 
 
 def run_oracle_check(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     sol = _oracle_reference(spec, cfg)
     radii = np.linspace(1e-3, spec.truncation_radius - spec.pml_thickness, 400)
     vals = sol(radii)
@@ -205,25 +187,18 @@ def run_oracle_check(spec, cfg, opts, outdir: Path) -> None:
     summary = {key: [s[key].real, s[key].imag] if isinstance(s[key], complex)
                else s[key] for key in ("beta", "c_star", "mu_eff", "flux_psi_e",
                                        "flux_psi_d", "int_psi_d", "flux_s")}
-    with open(outdir / "oracle_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, default=lambda z: [z.real, z.imag])
-    _manifest(outdir, "oracle-check", spec, cfg, opts,
-              {"total": time.perf_counter() - t0})
+    _write_json(outdir / "oracle_summary.json", summary)
 
 
 def run_radius(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     mesh = build_mesh(spec, opts.h)
     engine = CorrectorEngine(mesh, cfg)
     rho = engine.estimate_radius(iters=opts.rho_iters, seed=opts.seed)
-    with open(outdir / "radius.json", "w", encoding="utf-8") as f:
-        json.dump({"rho_hat": rho, "convergence_radius": 1.0 / rho,
-                   "iters": opts.rho_iters, "seed": opts.seed}, f, indent=2)
-    _manifest(outdir, "radius", spec, cfg, opts, {"total": time.perf_counter() - t0})
+    _write_json(outdir / "radius.json", {"rho_hat": rho, "convergence_radius": 1.0 / rho,
+                                         "iters": opts.rho_iters, "seed": opts.seed})
 
 
 def run_resonance_sweep(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     mesh = build_mesh(spec, opts.h)
     if opts.resonance_target is not None:
         target = opts.resonance_target
@@ -247,14 +222,10 @@ def run_resonance_sweep(spec, cfg, opts, outdir: Path) -> None:
                                study.c_bar_extrapolated.imag],
         "cluster_size": len(study.cluster),
     }
-    with open(outdir / "resonance_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
-    _manifest(outdir, "resonance-sweep", spec, cfg, opts,
-              {"total": time.perf_counter() - t0})
+    _write_json(outdir / "resonance_summary.json", summary)
 
 
 def run_poynting(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     if complex(cfg.delta) == 0:
         raise ValidationError("delta must be nonzero for a Poynting run")
     mesh = build_mesh(spec, opts.h)
@@ -267,12 +238,9 @@ def run_poynting(spec, cfg, opts, outdir: Path) -> None:
     _write_csv(outdir / "poynting.csv",
                ["tri_centroid_x", "tri_centroid_y", "S1_re", "S1_im",
                 "S2_re", "S2_im", "region"], rows)
-    _manifest(outdir, "poynting", spec, cfg, opts,
-              {"total": time.perf_counter() - t0})
 
 
 def run_convergence_table(spec, cfg, opts, outdir: Path) -> None:
-    t0 = time.perf_counter()
     sol = _oracle_reference(spec, cfg)
     ref = sol.scalars
     hs = [opts.h * 2.0, opts.h, opts.h / 2.0]
@@ -292,8 +260,6 @@ def run_convergence_table(spec, cfg, opts, outdir: Path) -> None:
     _write_csv(outdir / "convergence_table.csv",
                ["h", "beta_rel_err", "cstar_rel_err", "mueff_rel_err",
                 "beta_rate", "cstar_rate", "mueff_rate"], out)
-    _manifest(outdir, "convergence-table", spec, cfg, opts,
-              {"total": time.perf_counter() - t0})
 
 
 _SUBCOMMANDS = {
@@ -362,7 +328,10 @@ def main(argv=None) -> int:
                 body = args.window.split(":", 1)[-1]
                 cx, cy, r = (float(v) for v in body.split(","))
                 kwargs["window"] = (cx, cy, r)
+        t0 = time.perf_counter()
         _SUBCOMMANDS[args.subcommand](spec, cfg, opts, outdir, **kwargs)
+        _manifest(outdir, args.subcommand, spec, cfg, opts,
+                  {"total": time.perf_counter() - t0})
     except EnzLabError as exc:
         print(f"error [{exc.name}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .fem import RadiationSpec
@@ -175,6 +175,10 @@ def parse_config(path):
         cap = 0.5 * (trunc - outer.circumradius())
         pml_t = take(dom, "pml_thickness", ffloat,
                      default=min(default_collar, max(cap, 0.0)))
+    if radiation.mode == "robin" and pml_t > 0:
+        # the Robin term lives on the truncation circle, which a collar
+        # would take out of the exterior problem
+        raise ValidationError("radiation = robin requires pml_thickness = 0")
     h = take(dom, "h", ffloat, default=wavelength / 20.0)
     if h <= 0:
         raise ValidationError("mesh size h must be positive")

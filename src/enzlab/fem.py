@@ -1,8 +1,13 @@
 """Complex-valued P1 finite elements on tagged sub-regions.
 
+Every operator is assembled directly on the node numbering of its region
+set, ``mesh.region_nodes(regions)``: row and column ``i`` belong to the
+``i``-th node of that sorted list.
+
 Provides sparse assembly of ``int a grad(u).grad(v) - c u v`` with either a
 first-order Robin condition or a polynomially stretched absorbing collar on
-the truncation circle, direct sparse solves with a residual contract,
+the truncation circle, direct sparse solves with a residual contract (one
+SuperLU routine, :func:`factor`, whose breakdown raises SINGULAR_SYSTEM),
 mean-zero pure-Neumann solves via a scalar multiplier, variational
 (residual-based) flux extraction, recovered higher-order boundary fluxes,
 windowed discrete norms, and Dirichlet eigenpairs of sub-regions.
@@ -86,11 +91,7 @@ class ScalarField:
         return out
 
     def trace(self, tag: Bnd) -> np.ndarray:
-        bn = self.mesh.boundary_nodes(tag)
-        loc = self.mesh.region_pos(self.regions)[bn]
-        if (loc < 0).any():
-            raise TagMismatch(f"field does not cover boundary {tag!r}")
-        return self.values[loc]
+        return self.values[_local_boundary(self.mesh, self.regions, tag)]
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.mesh, self.regions, self.values.copy())
@@ -152,7 +153,7 @@ class BoundaryFunctional:
 
 
 # ---------------------------------------------------------------------------
-# geometry helpers shared by assembly
+# the P1 element kernel, on each region set's own node numbering
 
 
 def _p1_geometry(mesh: Mesh, tri_mask: np.ndarray):
@@ -165,47 +166,58 @@ def _p1_geometry(mesh: Mesh, tri_mask: np.ndarray):
     return tris, b, c, area
 
 
+def _region_elements(mesh: Mesh, regions):
+    """``_p1_geometry`` of a region set, triangles numbered on its own nodes."""
+    tris, b, c, area = _p1_geometry(mesh, mesh.region_triangles(regions))
+    # keep the mesh's int32 index width: the scatter builds 9 indices per triangle
+    return mesh.region_pos(regions)[tris].astype(tris.dtype), b, c, area
+
+
+def _local_boundary(mesh: Mesh, regions, tag: Bnd) -> np.ndarray:
+    """Positions of ``boundary_nodes(tag)`` in ``region_nodes(regions)``."""
+    loc = mesh.region_pos(regions)[mesh.boundary_nodes(Bnd(tag))]
+    if (loc < 0).any():
+        raise TagMismatch(f"boundary {Bnd(tag)!r} not contained in regions {sorted(regions)}")
+    return loc
+
+
 def _scatter(tris: np.ndarray, local: np.ndarray, n: int) -> sp.csc_matrix:
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
+    rows = np.repeat(tris, tris.shape[1], axis=1).ravel()
+    cols = np.tile(tris, (1, tris.shape[1])).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsc()
 
 
-def _element_mass(area: np.ndarray, coeff: np.ndarray, lump: float) -> np.ndarray:
+def _element_mass(area: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = coeff[:, None, None] * area[:, None, None] * base[None, :, :]
-    if lump > 0.0:
-        lumped = coeff[:, None, None] * area[:, None, None] * (np.eye(3) / 3.0)[None, :, :]
-        local = (1.0 - lump) * local + lump * lumped
-    return local
+    lumped = coeff[:, None, None] * area[:, None, None] * (np.eye(3) / 3.0)[None, :, :]
+    return (1.0 - MASS_LUMP_FRACTION) * local + MASS_LUMP_FRACTION * lumped
 
 
-def mass_matrix(mesh: Mesh, regions, lump: float = MASS_LUMP_FRACTION) -> sp.csc_matrix:
-    """Region mass matrix on global node indexing."""
-    mask = mesh.region_triangles(regions)
-    tris, _, _, area = _p1_geometry(mesh, mask)
-    local = _element_mass(area, np.ones(len(area)), lump).astype(complex)
-    return _scatter(tris, local, mesh.num_nodes)
+def mass_matrix(mesh: Mesh, regions) -> sp.csc_matrix:
+    """Region mass matrix on ``region_nodes(regions)`` numbering."""
+    tris, _, _, area = _region_elements(mesh, regions)
+    local = _element_mass(area, np.ones(len(area))).astype(complex)
+    return _scatter(tris, local, len(mesh.region_nodes(regions)))
 
 
-def stiffness_matrix(mesh: Mesh, regions, coeff: complex = 1.0) -> sp.csc_matrix:
-    mask = mesh.region_triangles(regions)
-    tris, b, c, area = _p1_geometry(mesh, mask)
-    f = coeff / (4.0 * area)
+def stiffness_matrix(mesh: Mesh, regions) -> sp.csc_matrix:
+    """Region Laplace stiffness matrix on ``region_nodes(regions)`` numbering."""
+    tris, b, c, area = _region_elements(mesh, regions)
+    f = 1.0 / (4.0 * area)
     local = (f[:, None, None]
              * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])).astype(complex)
-    return _scatter(tris, local, mesh.num_nodes)
+    return _scatter(tris, local, len(mesh.region_nodes(regions)))
 
 
-def _boundary_mass(mesh: Mesh, tag: Bnd) -> sp.csc_matrix:
-    edges = mesh.boundary_edges[tag]
+def _boundary_mass(mesh: Mesh, regions, tag: Bnd) -> sp.csc_matrix:
+    """Mass of a tagged curve on ``region_nodes(regions)``; TagMismatch if outside."""
+    _local_boundary(mesh, regions, tag)   # every edge node lies in the regions
+    edges = mesh.region_pos(regions)[mesh.boundary_edges[tag]]
     lens = mesh.boundary_edge_lengths(tag)
     block = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     local = lens[:, None, None] * block[None, :, :]
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(mesh.num_nodes, mesh.num_nodes)).tocsc()
+    return _scatter(edges, local, len(mesh.region_nodes(regions)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +236,25 @@ class DirichletBlock:
 
     @cached_property
     def lu(self):
-        """SuperLU factorization of ``A_ff``, computed on first use."""
-        try:
-            return spla.splu(self.A_ff)
-        except RuntimeError as exc:
-            raise SingularSystem(f"factorization failed: {exc}") from exc
+        """Factorization of ``A_ff``, computed on first use."""
+        return factor(self.A_ff)
+
+
+def factor(A: sp.csc_matrix):
+    """SuperLU factorization of a square CSC matrix.
+
+    A breakdown (an exactly singular pivot) raises SINGULAR_SYSTEM.
+    """
+    try:
+        return spla.splu(A)
+    except RuntimeError as exc:
+        raise SingularSystem(f"factorization failed: {exc}") from exc
+
+
+def bordered(A: sp.spmatrix, B: np.ndarray) -> sp.csc_matrix:
+    """The saddle-point matrix ``[[A, B], [B^H, 0]]`` for constraint columns ``B``."""
+    B = sp.csc_matrix(B)
+    return sp.bmat([[A, B], [B.conj().T, None]], format="csc")
 
 
 @dataclass(eq=False)
@@ -260,11 +286,7 @@ class LinearSystem:
         return block
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
-        bn = self.mesh.boundary_nodes(tag)
-        loc = self.pos[bn]
-        if (loc < 0).any():
-            raise TagMismatch(f"boundary {tag!r} not contained in system regions")
-        return loc
+        return _local_boundary(self.mesh, self.regions, tag)
 
     def curve_sign(self, tag: Bnd) -> float:
         """+1 if the system domain lies inside the tagged curve, else -1."""
@@ -300,21 +322,21 @@ def _pml_coefficients(mesh: Mesh, tri_idx: np.ndarray, k: complex, rad: Radiatio
 
 
 def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
-             radiation: RadiationSpec | None = None, k: complex | None = None,
-             mass_lump: float = MASS_LUMP_FRACTION) -> LinearSystem:
+             radiation: RadiationSpec | None = None, k: complex | None = None) -> LinearSystem:
     """Assemble ``int a grad(u).grad(v) - c u v`` plus radiation terms.
 
     ``diffusion`` and ``reaction`` map each active region tag to a complex
     constant.  With ``radiation.mode == "pml"`` the collar triangles get the
     complex-stretched anisotropic tensor; with ``"robin"`` a first-order
-    absorbing term is added on the truncation circle.  The result is complex
-    symmetric (not Hermitian).
+    absorbing term is added on the truncation circle, which must then bound
+    the regions (TAG_MISMATCH otherwise).  The result is complex symmetric
+    (not Hermitian) and numbered on ``region_nodes(regions)``.
     """
     regions = _as_region_set(regions)
     mask = mesh.region_triangles(regions)
     if not mask.any():
         raise TagMismatch("no triangles in requested regions")
-    tris, b, c, area = _p1_geometry(mesh, mask)
+    tris, b, c, area = _region_elements(mesh, regions)
     reg = mesh.tri_region[mask]
 
     a_t = np.zeros(len(tris), dtype=complex)
@@ -347,19 +369,17 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
         g11[:, None, None] * b[:, :, None] * b[:, None, :]
         + g12[:, None, None] * (b[:, :, None] * c[:, None, :] + c[:, :, None] * b[:, None, :])
         + g22[:, None, None] * c[:, :, None] * c[:, None, :])
-    local = k_local - _element_mass(area, c_t, mass_lump)
-    A = _scatter(tris, local, mesh.num_nodes)
+    local = k_local - _element_mass(area, c_t)
+    nodes = mesh.region_nodes(regions)
+    A = _scatter(tris, local, len(nodes))
 
     if radiation is not None and radiation.mode == "robin":
         if k is None:
             raise ValueError("Robin assembly needs the wavenumber k")
         r_t = mesh.truncation_radius
         q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 1.0 / (2.0 * r_t))
-        A = A - q * _boundary_mass(mesh, Bnd.GAMMA_INF)
-
-    nodes = mesh.region_nodes(regions)
-    A_local = A[np.ix_(nodes, nodes)].tocsc()
-    return LinearSystem(mesh, regions, A_local, nodes, mesh.region_pos(regions),
+        A = A - q * _boundary_mass(mesh, regions, Bnd.GAMMA_INF)
+    return LinearSystem(mesh, regions, A, nodes, mesh.region_pos(regions),
                         k=k, radiation=radiation)
 
 
@@ -453,30 +473,21 @@ def flux_extract(fieldval: ScalarField, system: LinearSystem, tag: Bnd,
 class NeumannSystem:
     """Pure-Neumann Laplacian on a region set with a mean-zero multiplier."""
 
-    def __init__(self, mesh: Mesh, regions=Region.ENZ, ctol: float = 1e-6,
-                 mass_lump: float = MASS_LUMP_FRACTION):
+    def __init__(self, mesh: Mesh, regions=Region.ENZ, ctol: float = 1e-6):
         self.mesh = mesh
         self.regions = _as_region_set(regions)
         self.ctol = ctol
         self.nodes = mesh.region_nodes(self.regions)
         self.pos = mesh.region_pos(self.regions)
-        K = stiffness_matrix(mesh, self.regions)
-        self.M = mass_matrix(mesh, self.regions, lump=mass_lump)[np.ix_(self.nodes, self.nodes)].tocsc()
-        self.K = K[np.ix_(self.nodes, self.nodes)].tocsc()
+        self.K = stiffness_matrix(mesh, self.regions)
+        self.M = mass_matrix(mesh, self.regions)
         self.m_vec = np.asarray(self.M.sum(axis=1)).ravel()   # integral of each hat
         self.area = float(self.m_vec.sum().real)
-        n = len(self.nodes)
-        col = sp.csc_matrix(self.m_vec.reshape(n, 1))
-        self._bordered = sp.bmat([[self.K, col], [col.T, None]], format="csc")
-        self._lu = None
 
-    def _factor(self):
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(self._bordered)
-            except RuntimeError as exc:
-                raise SingularSystem(f"bordered factorization failed: {exc}") from exc
-        return self._lu
+    @cached_property
+    def _lu(self):
+        """Factorization of ``K`` bordered by the (real) mean-value row."""
+        return factor(bordered(self.K, self.m_vec.real[:, None]))
 
     def solve(self, volume: np.ndarray | None, fluxes: dict) -> ScalarField:
         """Solve -Lap(u) = volume data with prescribed boundary fluxes.
@@ -496,9 +507,7 @@ class NeumannSystem:
             tag = Bnd(tag)
             if h.tag != tag:
                 raise TagMismatch("functional tag does not match key")
-            loc = self.pos[self.mesh.boundary_nodes(tag)]
-            if (loc < 0).any():
-                raise TagMismatch(f"boundary {tag!r} not in Neumann domain")
+            loc = _local_boundary(self.mesh, self.regions, tag)
             sign = 1.0 if tag == Bnd.GAMMA_OMEGA else -1.0
             b[loc] += sign * h.values
             scale = max(scale, float(np.abs(h.values).sum()))
@@ -508,7 +517,7 @@ class NeumannSystem:
                 f"compatibility residual {abs(total):.3e} exceeds "
                 f"{self.ctol:.1e} * {scale:.3e}")
         rhs = np.concatenate([b, [0.0]])
-        x = self._factor().solve(rhs)
+        x = self._lu.solve(rhs)
         u = x[:n]
         if not np.isfinite(u).all():
             raise SingularSystem("mean-zero solve produced non-finite values")
@@ -631,7 +640,8 @@ def source_load(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
         w_full = src.amplitude * area[inside_all] / 3.0
         np.add.at(out, pos[tris[inside_all]].ravel(), np.repeat(w_full, 3))
         for t_loc in np.where(cut)[0]:
-            out[pos[tris[t_loc]]] += src.amplitude * _subdivided_load(pts[t_loc], indicator)
+            out[pos[tris[t_loc]]] += src.amplitude * _subdivided_load(
+                pts[t_loc], area[t_loc], indicator)
     return out
 
 
@@ -670,19 +680,14 @@ def _sub_centroids(n: int) -> np.ndarray:
 _SUB_CENTROIDS = _sub_centroids(16)
 
 
-def _subdivided_load(tri: np.ndarray, indicator) -> np.ndarray:
+def _subdivided_load(tri: np.ndarray, area: float, indicator) -> np.ndarray:
     """P1 load of a support indicator on one cut triangle via subdivision."""
     l1, l2 = _SUB_CENTROIDS[:, 0], _SUB_CENTROIDS[:, 1]
     lam = np.column_stack([1.0 - l1 - l2, l1, l2])
     pts = lam @ tri
     inside = indicator(pts)
-    sub_area = _tri_area(tri) / (16 * 16)
+    sub_area = area / (16 * 16)
     return lam[inside].sum(axis=0) * sub_area
-
-
-def _tri_area(tri: np.ndarray) -> float:
-    return 0.5 * abs((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                     - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +756,9 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
     if count < 1:
         raise ValueError("count must be >= 1")
     regions = _as_region_set(regions)
-    nodes = mesh.region_nodes(regions)
     il = mesh.region_pos(regions)[mesh.interior_nodes(regions)]
-    K = stiffness_matrix(mesh, regions)[np.ix_(nodes, nodes)].real.tocsc()
-    M = mass_matrix(mesh, regions)[np.ix_(nodes, nodes)].real.tocsc()
+    K = stiffness_matrix(mesh, regions).real.tocsc()
+    M = mass_matrix(mesh, regions).real.tocsc()
     K_ii = K[np.ix_(il, il)].tocsc()
     M_ii = M[np.ix_(il, il)].tocsc()
     v0 = np.ones(len(il)) / math.sqrt(len(il))
@@ -774,7 +778,7 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
         resid = np.linalg.norm(K_ii @ u - vals[j] * (M_ii @ u))
         if resid > resid_tol * max(1.0, abs(vals[j])) * np.linalg.norm(u):
             raise NoConvergence(f"eigenpair residual {resid:.2e} above tolerance")
-        vloc = np.zeros(len(nodes), dtype=complex)
+        vloc = np.zeros(K.shape[0], dtype=complex)
         vloc[il] = u
         pairs.append((float(vals[j]), ScalarField(mesh, regions, vloc)))
     return pairs
@@ -783,12 +787,7 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
 def eigen_flux(mesh: Mesh, lam: float, mode: ScalarField,
                tag: Bnd = Bnd.GAMMA_D) -> BoundaryFunctional:
     """Variational normal flux of a Dirichlet eigenfunction on its boundary."""
-    regions = mode.regions
-    nodes = mode.nodes
-    K = stiffness_matrix(mesh, regions)[np.ix_(nodes, nodes)]
-    M = mass_matrix(mesh, regions)[np.ix_(nodes, nodes)]
+    K = stiffness_matrix(mesh, mode.regions)
+    M = mass_matrix(mesh, mode.regions)
     resid = K @ mode.values - lam * (M @ mode.values)
-    loc = mesh.region_pos(regions)[mesh.boundary_nodes(tag)]
-    if (loc < 0).any():
-        raise TagMismatch(f"boundary {tag!r} not covered by eigenfunction")
-    return BoundaryFunctional(mesh, tag, resid[loc])
+    return BoundaryFunctional(mesh, tag, resid[_local_boundary(mesh, mode.regions, tag)])

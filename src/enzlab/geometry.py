@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -637,8 +637,10 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
     spec.validate()
     if target_h <= 0:
         raise MeshFailure("target_h must be positive")
-    if target_h >= 0.5 * spec.interface_gap():
-        raise MeshFailure("target_h must be smaller than half the dopant-scatterer gap")
+    half_gap = 0.5 * spec.interface_gap()
+    if target_h >= half_gap:
+        raise MeshFailure(f"target_h = {target_h:g} must be smaller than half the "
+                          f"dopant-scatterer gap ({half_gap:g})")
 
     builder = _Builder()
     dop_ring = _disk_fan(builder, spec.dopant, target_h)

@@ -16,18 +16,16 @@ solver precision.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import Degenerate, ResonantDopant, SingularSystem
 from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
-from .fem import (BoundaryFunctional, NeumannSystem, ScalarField, dirichlet_eigs,
-                  eigen_flux, h1_norm, integrate, mass_matrix, stiffness_matrix)
+from .fem import (BoundaryFunctional, NeumannSystem, ScalarField, bordered,
+                  dirichlet_eigs, eigen_flux, factor, h1_norm, integrate,
+                  mass_matrix, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region
 
 EXCITED = "EXCITED"
@@ -181,17 +179,11 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
 
 
 def _deflated_system(mesh: Mesh, lambda_star: float, cluster):
-    nodes = mesh.region_nodes(Region.DOPANT)
     il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
-    K = stiffness_matrix(mesh, Region.DOPANT)[np.ix_(nodes, nodes)]
-    M = mass_matrix(mesh, Region.DOPANT)[np.ix_(nodes, nodes)]
-    A = (K - lambda_star * M).tocsc()
+    M = mass_matrix(mesh, Region.DOPANT)
+    A = (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc()
     B = np.column_stack([(M @ u.values)[il] for _, u in cluster])
-    A_ii = A[np.ix_(il, il)]
-    m = B.shape[1]
-    bordered = sp.bmat([[A_ii, sp.csc_matrix(B)],
-                        [sp.csc_matrix(B.conj().T), None]], format="csc")
-    return nodes, il, A, spla.splu(bordered), m
+    return il, A, factor(bordered(A[np.ix_(il, il)], B)), B.shape[1]
 
 
 def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
@@ -204,8 +196,8 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
     Any multiple of a cluster eigenfunction may be added to the result and it
     still satisfies the same equation and trace.
     """
-    nodes, il, A, lu, m = _deflated_system(mesh, lambda_star, cluster)
-    vals = np.zeros(len(nodes), dtype=complex)
+    il, A, lu, m = _deflated_system(mesh, lambda_star, cluster)
+    vals = np.zeros(A.shape[0], dtype=complex)
     bn = mesh.region_pos(Region.DOPANT)[mesh.boundary_nodes(Bnd.GAMMA_D)]
     vals[bn] = trace
     rhs = -(A @ vals)

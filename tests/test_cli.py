@@ -9,7 +9,7 @@ from enzlab.cli import main
 from enzlab.config import parse_config
 from enzlab.errors import ParseError, ValidationError
 from enzlab.fem import dirichlet_eigs
-from enzlab.oracle import j0_zero
+from enzlab.oracle import RadialLayers, axisym_solution, j0_zero
 
 CANONICAL_CFG = """
 [domain]
@@ -129,6 +129,30 @@ def test_resonant_dopant_exits_12(tmp_path, mesh_coarse):
     assert _exit_code(tmp_path, text) == 12   # RESONANT_DOPANT
 
 
+def test_robin_with_collar_exits_4(tmp_path):
+    text = CANONICAL_CFG.replace("[physics]", "[physics]\nradiation = robin")
+    assert _exit_code(tmp_path, text) == 4   # VALIDATION_ERROR
+
+
+def test_robin_aux_certificate(tmp_path):
+    text = (CANONICAL_CFG.replace("pml_thickness = 1", "pml_thickness = 0")
+            .replace("h = 0.2", "h = 0.1")
+            .replace("[physics]", "[physics]\nradiation = robin"))
+    assert _exit_code(tmp_path, text) == 0
+    vals = [float(v) for v in (tmp_path / "out" / "aux.csv").read_text().splitlines()[1].split(",")]
+    k, beta = complex(vals[0], vals[1]), complex(vals[4], vals[5])
+    assert (k * beta.conjugate()).imag < 0
+    ref = axisym_solution(RadialLayers(a=0.3, b=1.0, c=4.0, eps_enz=0.01, source_r1=2.3,
+                                       source_r2=2.7, amplitude=1.0), k=1.0, mu=1.0)
+    assert abs(beta - ref.scalars["beta"]) < 0.02 * abs(ref.scalars["beta"])   # 0.7 % seen
+
+
+def test_convergence_table_names_failing_mesh_size(tmp_path, capsys):
+    # the table meshes at 2h = 0.4, above half the 0.7 gap
+    assert _exit_code(tmp_path, CANONICAL_CFG, sub="convergence-table") == 6
+    assert "0.4" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(cfg_file):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command", str(cfg_file)])
@@ -171,18 +195,6 @@ def test_sweep_delta_csv_shape(cfg_file, tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     second = [float(v) for v in lines[2].split(",")]
     assert first[2] > second[2]  # larger delta, larger order-0 error
-
-
-def test_sweep_delta_threads_byte_identical(cfg_file, tmp_path, monkeypatch):
-    # the worker threads share one mesh and one corrector engine
-    csv = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ENZ_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        assert main(["sweep-delta", str(cfg_file), "--out", str(out),
-                     "--deltas", "0.1,0 0.01,0"]) == 0
-        csv[threads] = (out / "sweep_delta.csv").read_bytes()
-    assert csv["1"] == csv["2"]
 
 
 def test_oracle_check_and_convergence_table(cfg_file, tmp_path):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from enzlab import fem
+from enzlab import direct, fem
+from enzlab.auxiliary import PhysicsConfig, exterior_system
 from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
                            TagMismatch, ZeroCoefficient)
 from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
                         assemble, dirichlet_eigs, flux_extract, h1_norm,
-                        l2_norm, mass_matrix, recovered_boundary_flux, solve)
+                        l2_norm, mass_matrix, recovered_boundary_flux, solve,
+                        stiffness_matrix)
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, build_mesh,
                              structured_rectangle_mesh)
 
@@ -259,11 +261,69 @@ def test_dirichlet_eigs_disk(annulus_mesh_fine):
     lam2 = dirichlet_eigs(mesh, 1, target=lam2_exact)[0][0]
     assert lam2 == pytest.approx(lam2_exact, rel=2e-2)
     # mass orthonormality
-    M = mass_matrix(mesh, Region.DOPANT)[np.ix_(u1.nodes, u1.nodes)]
+    M = mass_matrix(mesh, Region.DOPANT)
     for i, (_, ui) in enumerate(pairs):
         for j, (_, uj) in enumerate(pairs):
             g = np.vdot(ui.values, M @ uj.values)
             assert abs(g - (1.0 if i == j else 0.0)) < 1e-8
+
+
+NO_COLLAR = DomainSpec(outer=Circle((0.0, 0.0), 1.0),
+                       dopant=Circle((0.0, 0.0), 0.3),
+                       truncation_radius=4.0, pml_thickness=0.0)
+
+
+def _sliced_from_global(monkeypatch, mesh, build):
+    """Operator as assembled on all mesh nodes, then cut to the region's nodes.
+
+    The element kernel and the scatter are switched to global numbering, so
+    ``build`` sees the same element matrices as on the region numbering.
+    """
+    scatter = fem._scatter
+
+    def boundary_mass(mesh_, regions, tag):
+        lens = mesh_.boundary_edge_lengths(tag)
+        local = lens[:, None, None] * (np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0)
+        return scatter(mesh_.boundary_edges[tag], local, mesh_.num_nodes)
+
+    with monkeypatch.context() as m:
+        m.setattr(fem, "_region_elements", lambda mesh_, regions: fem._p1_geometry(
+            mesh_, mesh_.region_triangles(regions)))
+        m.setattr(fem, "_scatter", lambda tris, local, n: scatter(tris, local, mesh.num_nodes))
+        m.setattr(fem, "_boundary_mass", boundary_mass)
+        A, regions = build()
+    nodes = mesh.region_nodes(regions)
+    return A[np.ix_(nodes, nodes)].tocsc()
+
+
+def _assert_same_csc(new, old):
+    assert new.shape == old.shape
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert np.array_equal(new.data, old.data)
+
+
+def test_region_operators_equal_sliced_global_ones(annulus_mesh, monkeypatch):
+    def operator(system):
+        return system.A, system.regions
+
+    robin_mesh = build_mesh(NO_COLLAR, 0.1)
+    cfg_pml = PhysicsConfig(mu=1.0 + 0.1j)
+    cfg_robin = PhysicsConfig(radiation=fem.RadiationSpec("robin"))
+    cases = [(annulus_mesh, lambda: operator(direct.transmission_system(annulus_mesh, cfg_pml))),
+             (robin_mesh, lambda: operator(exterior_system(robin_mesh, cfg_robin)))]
+    cases += [(annulus_mesh, lambda op=op, r=r: (op(annulus_mesh, r), r))
+              for r in (Region.ENZ, Region.DOPANT) for op in (stiffness_matrix, mass_matrix)]
+    for mesh, build in cases:
+        new, _ = build()
+        _assert_same_csc(new, _sliced_from_global(monkeypatch, mesh, build))
+
+
+def test_robin_outside_system_rejected(annulus_mesh):
+    # with a collar the truncation circle does not bound the exterior alone
+    with pytest.raises(TagMismatch):
+        assemble(annulus_mesh, Region.EXTERIOR, {Region.EXTERIOR: 1.0},
+                 {Region.EXTERIOR: 1.0}, radiation=fem.RadiationSpec("robin"), k=1.0)
 
 
 def test_system_is_complex_symmetric(annulus_mesh):

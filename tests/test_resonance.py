@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enzlab.auxiliary import PhysicsConfig, compute_cstar, compute_beta
-from enzlab.errors import Degenerate
+from enzlab.errors import Degenerate, SingularSystem
 from enzlab.fem import BoundaryFunctional, ScalarField, h1_norm, integrate
 from enzlab.geometry import Bnd, Region
 from enzlab.oracle import j0_zero, j1_zero
@@ -166,3 +166,13 @@ def test_deflated_dopant_solve_nonuniqueness(mesh_fine, angular_cluster):
     chi_shift = ScalarField(mesh_fine, Region.DOPANT, chi.values + 0.5 * u1.values)
     assert np.abs(chi.trace(Bnd.GAMMA_D) - chi_shift.trace(Bnd.GAMMA_D)).max() < 1e-14
     assert h1_norm(chi_shift - chi) > 0.1 * h1_norm(chi)
+
+
+def test_deflated_solve_breakdown_is_singular_system(mesh_fine, angular_cluster):
+    # a zero cluster vector leaves an empty row in the bordered matrix
+    lam_star, cluster = angular_cluster
+    degenerate = cluster + [(lam_star, ScalarField.zeros(mesh_fine, Region.DOPANT))]
+    n_bnd = len(mesh_fine.boundary_nodes(Bnd.GAMMA_D))
+    with pytest.raises(SingularSystem):
+        deflated_dirichlet_solve(mesh_fine, lam_star, degenerate,
+                                 np.ones(n_bnd, dtype=complex))
