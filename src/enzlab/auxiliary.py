@@ -208,7 +208,7 @@ def compute_mueff(mesh: Mesh, psi_d: ScalarField, cfg: PhysicsConfig,
             raise ValueError("flux method needs the dopant flux functional")
         val = area_enz - flux_psi_d.total() / (k * k)
     elif method == "flux_recovered":
-        _, total = recovered_boundary_flux(psi_d, Bnd.GAMMA_D, from_regions=Region.DOPANT)
+        _, total = recovered_boundary_flux(psi_d, Bnd.GAMMA_D)
         val = area_enz - total / (k * k)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -234,8 +234,8 @@ class AuxiliarySet:
     beta: complex
     c_star: complex
     mu_eff: complex
-    ext_system: object = None
-    dop_system: object = None
+    ext_system: fem.LinearSystem
+    dop_system: fem.LinearSystem
 
     @property
     def k(self) -> complex:
@@ -305,7 +305,7 @@ def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,
     h1s = h1_seminorm(field, window=Region.EXTERIOR)
     vol = 2.0 * k.imag * (abs(k) ** 2 * l2 * l2 + h1s * h1s)
     # rim term
-    full = field.to_full()
+    pos = mesh.region_pos(field.regions)
     rim_edges, rim_tris = _physical_rim(mesh, cfg)
     _, rim_gx, rim_gy, _ = _tri_values_and_grads(field, rim_tris)
     rim = 0.0
@@ -315,6 +315,6 @@ def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,
         mid = 0.5 * (pi + pj)
         rhat = mid / np.linalg.norm(mid)
         dr = gx * rhat[0] + gy * rhat[1]
-        u_sq = 0.5 * (abs(full[int(i)]) ** 2 + abs(full[int(j)]) ** 2)
+        u_sq = 0.5 * (abs(field.values[pos[i]]) ** 2 + abs(field.values[pos[j]]) ** 2)
         rim += length * (abs(dr) ** 2 + (k * k).real * u_sq)
     return float(abs(lhs - (vol + rim)))

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import EnzLabError, ValidationError
 from .auxiliary import rellich_residual, solve_auxiliary_set
-from .config import parse_config
+from .config import _parse_complex, _parse_order, _parse_window, parse_config
 from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
 from .fem import ScalarField
@@ -286,23 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="configuration file")
         p.add_argument("--out", help="output directory (overrides [run] out)")
         if name == "expand":
-            p.add_argument("--order", type=int, default=None)
+            p.add_argument("--order", type=str, default=None)
             p.add_argument("--delta", type=str, default=None,
                            help="complex value as RE,IM")
         if name == "sweep-delta":
             p.add_argument("--deltas", type=str, default=None,
                            help="space-separated list of RE,IM values")
-            p.add_argument("--order", type=int, default=None)
+            p.add_argument("--order", type=str, default=None)
             p.add_argument("--window", type=str, default=None,
                            help="disk:cx,cy,r")
     return parser
-
-
-def _parse_cli_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    return complex(float(parts[0]), float(parts[1]))
 
 
 def main(argv=None) -> int:
@@ -312,22 +305,17 @@ def main(argv=None) -> int:
         spec, cfg, opts = parse_config(args.config)
         outdir = Path(args.out or opts.out)
         outdir.mkdir(parents=True, exist_ok=True)
+        # flag values are checked like their config keys
         kwargs = {}
-        if args.subcommand == "expand":
-            if args.order is not None:
-                kwargs["order"] = args.order
-            if args.delta is not None:
-                kwargs["delta"] = _parse_cli_complex(args.delta)
-        if args.subcommand == "sweep-delta":
-            if args.deltas is not None:
-                kwargs["deltas"] = tuple(_parse_cli_complex(v)
-                                         for v in args.deltas.split())
-            if args.order is not None:
-                kwargs["order"] = args.order
-            if args.window is not None:
-                body = args.window.split(":", 1)[-1]
-                cx, cy, r = (float(v) for v in body.split(","))
-                kwargs["window"] = (cx, cy, r)
+        if getattr(args, "order", None) is not None:
+            kwargs["order"] = _parse_order(args.order, "--order")
+        if getattr(args, "delta", None) is not None:
+            kwargs["delta"] = _parse_complex(args.delta, "--delta")
+        if getattr(args, "deltas", None) is not None:
+            kwargs["deltas"] = tuple(_parse_complex(v, "--deltas") for v in args.deltas.split())
+        if getattr(args, "window", None) is not None:
+            kind, _, body = args.window.partition(":")
+            kwargs["window"] = _parse_window(kind, body.split(","), "--window")
         t0 = time.perf_counter()
         _SUBCOMMANDS[args.subcommand](spec, cfg, opts, outdir, **kwargs)
         _manifest(outdir, args.subcommand, spec, cfg, opts,

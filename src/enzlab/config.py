@@ -37,7 +37,11 @@ class RunOptions:
     out: str = "out"
 
 
-def _parse_complex(text: str, lineno: int) -> complex:
+# Value parsers take the text and where it came from ("line 7" in a file, a
+# flag name on the command line), which their PARSE_ERROR names.
+
+
+def _parse_complex(text: str, where: str) -> complex:
     parts = [p.strip() for p in text.split(",")]
     try:
         if len(parts) == 1:
@@ -46,10 +50,35 @@ def _parse_complex(text: str, lineno: int) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise ParseError(f"line {lineno}: cannot parse complex number {text!r}")
+    raise ParseError(f"{where}: cannot parse complex number {text!r}")
 
 
-def _parse_shape(text: str, lineno: int):
+def _parse_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{where}: expected integer, got {text!r}") from None
+
+
+def _parse_order(text: str, where: str) -> int:
+    """Expansion order: an integer, VALIDATION_ERROR when negative."""
+    order = _parse_int(text, where)
+    if order < 0:
+        raise ValidationError("expansion order must be nonnegative")
+    return order
+
+
+def _parse_window(kind: str, numbers: list, where: str) -> tuple:
+    """Disk window ``(cx, cy, r)`` from its kind and its three numbers."""
+    try:
+        if kind == "disk" and len(numbers) == 3:
+            return tuple(float(v) for v in numbers)
+    except ValueError:
+        pass
+    raise ParseError(f"{where}: expected a disk window 'disk cx cy r'")
+
+
+def _parse_shape(text: str, where: str):
     toks = text.split()
     try:
         if toks[0] == "circle" and len(toks) == 4:
@@ -60,10 +89,10 @@ def _parse_shape(text: str, lineno: int):
             return Polygon(tuple(zip(vals[0::2], vals[1::2])))
     except (ValueError, IndexError):
         pass
-    raise ParseError(f"line {lineno}: cannot parse shape {text!r}")
+    raise ParseError(f"{where}: cannot parse shape {text!r}")
 
 
-def _parse_sources(text: str, lineno: int) -> SourceSpec:
+def _parse_sources(text: str, where: str) -> SourceSpec:
     entries = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -73,15 +102,15 @@ def _parse_sources(text: str, lineno: int) -> SourceSpec:
         try:
             if toks[0] == "disk" and len(toks) == 5:
                 cx, cy, r = map(float, toks[1:4])
-                entries.append(SourceDisk((cx, cy), r, _parse_complex(toks[4], lineno)))
+                entries.append(SourceDisk((cx, cy), r, _parse_complex(toks[4], where)))
                 continue
             if toks[0] == "ring" and len(toks) == 4:
                 r1, r2 = float(toks[1]), float(toks[2])
-                entries.append(SourceRing(r1, r2, _parse_complex(toks[3], lineno)))
+                entries.append(SourceRing(r1, r2, _parse_complex(toks[3], where)))
                 continue
         except ValueError:
             pass
-        raise ParseError(f"line {lineno}: cannot parse source entry {chunk!r}")
+        raise ParseError(f"{where}: cannot parse source entry {chunk!r}")
     return SourceSpec(tuple(entries))
 
 
@@ -123,19 +152,13 @@ def parse_config(path):
                 raise ValidationError(f"missing required key {key!r}")
             return default
         val, lineno = table[key]
-        return conv(val, lineno)
+        return conv(val, f"line {lineno}")
 
-    def ffloat(val, lineno):
+    def ffloat(val, where):
         try:
             return float(val)
         except ValueError:
-            raise ParseError(f"line {lineno}: expected number, got {val!r}") from None
-
-    def fint(val, lineno):
-        try:
-            return int(val)
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected integer, got {val!r}") from None
+            raise ParseError(f"{where}: expected number, got {val!r}") from None
 
     outer = take(dom, "outer", _parse_shape, required=True)
     dopant = take(dom, "dopant", _parse_shape, required=True)
@@ -155,7 +178,7 @@ def parse_config(path):
     rad_mode = take(phy, "radiation", lambda v, n: v.strip(), default="pml")
     sigma0_raw = take(phy, "pml_sigma0", lambda v, n: v.strip(), default="auto")
     sigma0 = None if sigma0_raw in ("auto", None) else float(sigma0_raw)
-    order_pml = take(phy, "pml_order", fint, default=2)
+    order_pml = take(phy, "pml_order", _parse_int, default=2)
     try:
         radiation = RadiationSpec(rad_mode, sigma0, order_pml)
     except ValueError as exc:
@@ -193,34 +216,24 @@ def parse_config(path):
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    def flist(val, lineno):
-        try:
-            return tuple(float(v) for v in val.split())
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected number list, got {val!r}") from None
+    def fclist(val, where):
+        return tuple(_parse_complex(v, where) for v in val.split())
 
-    def fclist(val, lineno):
-        return tuple(_parse_complex(v, lineno) for v in val.split())
-
-    def fwindow(val, lineno):
-        toks = val.split()
-        if len(toks) == 4 and toks[0] == "disk":
-            return (float(toks[1]), float(toks[2]), float(toks[3]))
-        raise ParseError(f"line {lineno}: expected 'disk cx cy r', got {val!r}")
+    def fwindow(val, where):
+        kind, *numbers = val.split() or [""]
+        return _parse_window(kind, numbers, where)
 
     opts = RunOptions(
         h=h,
-        order=take(run, "order", fint, default=2),
-        rho_iters=take(run, "rho_iters", fint, default=30),
-        seed=take(run, "seed", fint, default=0),
+        order=take(run, "order", _parse_order, default=2),
+        rho_iters=take(run, "rho_iters", _parse_int, default=30),
+        seed=take(run, "seed", _parse_int, default=0),
         deltas=take(run, "deltas", fclist, default=()),
         window=take(run, "window", fwindow, default=None),
         gammas=take(run, "gammas", fclist, default=()),
         resonance_target=take(run, "resonance_target", ffloat, default=None),
         out=take(run, "out", lambda v, n: v.strip(), default="out"),
     )
-    if opts.order < 0:
-        raise ValidationError("expansion order must be nonnegative")
     if opts.rho_iters < 10:
         raise ValidationError("rho_iters must be at least 10")
     return spec, cfg, opts

@@ -25,12 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentSeries, NoConvergence
-from .auxiliary import (AuxiliarySet, PhysicsConfig, dopant_system,
-                        exterior_dirichlet, exterior_system,
+from .auxiliary import (AuxiliarySet, PhysicsConfig, exterior_dirichlet,
                         solve_auxiliary_set)
 from .fem import (BoundaryFunctional, NeumannSystem, ScalarField,
                   flux_extract, h1_norm, solve)
 from .geometry import Bnd, Mesh, Region
+
+# Largest standard deviation of the power iteration's tail log-ratios for
+# which the radius estimate is accepted.
+RADIUS_SPREAD_TOL = 0.25
 
 
 def flux_average(h_e: BoundaryFunctional, h_d: BoundaryFunctional,
@@ -119,8 +122,8 @@ class CorrectorEngine:
         self.mesh = mesh
         self.cfg = cfg
         self.aux = aux if aux is not None else solve_auxiliary_set(mesh, cfg)
-        self.ext_system = self.aux.ext_system or exterior_system(mesh, cfg)
-        self.dop_system = self.aux.dop_system or dopant_system(mesh, cfg)
+        self.ext_system = self.aux.ext_system
+        self.dop_system = self.aux.dop_system
         self.neumann = NeumannSystem(mesh, Region.ENZ, ctol=cfg.ctol)
         self._dual_w = {
             Bnd.GAMMA_OMEGA: mesh.boundary_lumped_lengths(Bnd.GAMMA_OMEGA),
@@ -206,13 +209,12 @@ class CorrectorEngine:
         return CorrectorHierarchy(order, self.aux.c_star, e, phi, lam, chi,
                                   f_lam, f_chi, norms, rho)
 
-    def estimate_radius(self, iters: int = 30, seed: int = 0,
-                        spread_tol: float = 0.25) -> float:
+    def estimate_radius(self, iters: int = 30, seed: int = 0) -> float:
         """Spectral radius of the iteration map by power iteration.
 
         Returns ``rho_hat``; 1/rho_hat is the empirical convergence radius of
-        the expansion.  Raises NO_CONVERGENCE when the tail log-ratios keep
-        oscillating beyond ``spread_tol``.
+        the expansion.  Raises NO_CONVERGENCE when the standard deviation of
+        the tail log-ratios exceeds ``RADIUS_SPREAD_TOL``.
         """
         if iters < 10:
             raise ValueError("iters must be >= 10")
@@ -238,7 +240,7 @@ class CorrectorEngine:
             log_ratios.append(math.log(r))
             st = st * (1.0 / r)
         tail = np.asarray(log_ratios[len(log_ratios) // 2:])
-        if tail.std() > spread_tol:
+        if tail.std() > RADIUS_SPREAD_TOL:
             raise NoConvergence(
                 f"power-iteration ratios oscillate (std {tail.std():.3f})")
         return float(np.exp(tail.mean()))
@@ -264,34 +266,29 @@ class CorrectorEngine:
             raise ValueError(f"order {order} beyond hierarchy depth {hier.order}")
         j_inner = order - 1   # corrector fields enter at delta^(j+1)
         c_d = hier.c_delta(delta, j_inner)
-        mesh = self.mesh
-        full = np.zeros(mesh.num_nodes, dtype=complex)
 
         def summed(fields):
-            acc = np.zeros(mesh.num_nodes, dtype=complex)
+            acc = np.zeros(len(fields[0].values), dtype=complex)
             d_pow = 1.0 + 0.0j
             for j in range(j_inner + 1):
-                acc[fields[j].nodes] += d_pow * fields[j].values
+                acc += d_pow * fields[j].values
                 d_pow *= delta
             return acc
 
-        lam_sum = summed(hier.lam)
-        phi_sum = summed(hier.phi)
-        chi_sum = summed(hier.chi)
-        ext_nodes = self.ext_system.nodes
-        full[ext_nodes] = (c_d * self.aux.psi_e.to_full()[ext_nodes]
-                           + self.aux.s.to_full()[ext_nodes]
-                           + delta * lam_sum[ext_nodes])
-        enz_nodes = self.neumann.nodes
-        full[enz_nodes] = c_d + delta * phi_sum[enz_nodes]
-        dop_nodes = self.dop_system.nodes
-        full[dop_nodes] = (c_d * self.aux.psi_d.to_full()[dop_nodes]
-                           + delta * chi_sum[dop_nodes])
-        all_regions = sorted({int(r) for r in np.unique(mesh.tri_region)})
-        keep = [r for r in all_regions
-                if r != int(Region.PML) or int(Region.PML) in self.ext_system.regions]
-        out_nodes = mesh.region_nodes(keep)
-        return ScalarField(mesh, keep, full[out_nodes])
+        # each block lives on its own system's nodes; on the shared interface
+        # nodes the later block wins: exterior, then ENZ, then dopant
+        blocks = [
+            (self.ext_system.nodes, c_d * self.aux.psi_e.values + self.aux.s.values
+             + delta * summed(hier.lam)),
+            (self.neumann.nodes, c_d + delta * summed(hier.phi)),
+            (self.dop_system.nodes, c_d * self.aux.psi_d.values + delta * summed(hier.chi)),
+        ]
+        regions = self.ext_system.regions | self.neumann.regions | self.dop_system.regions
+        pos = self.mesh.region_pos(regions)
+        out = np.zeros(len(self.mesh.region_nodes(regions)), dtype=complex)
+        for nodes, vals in blocks:
+            out[pos[nodes]] = vals
+        return ScalarField(self.mesh, regions, out)
 
     def resolvent_residual(self, hier: CorrectorHierarchy, delta: complex) -> float:
         """Relative defect of (I - delta T) applied to the summed state."""

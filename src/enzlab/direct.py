@@ -68,8 +68,9 @@ def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
 def _restrict(field: ScalarField, regions) -> ScalarField:
     if field.regions == _as_region_set(regions):
         return field
-    return ScalarField(field.mesh, regions,
-                       field.to_full()[field.mesh.region_nodes(regions)])
+    mesh = field.mesh
+    return ScalarField(mesh, regions,
+                       field.values[mesh.region_pos(field.regions)[mesh.region_nodes(regions)]])
 
 
 def enz_absorption(u: ScalarField, cfg: PhysicsConfig) -> float:

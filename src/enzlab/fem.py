@@ -2,7 +2,9 @@
 
 Every operator is assembled directly on the node numbering of its region
 set, ``mesh.region_nodes(regions)``: row and column ``i`` belong to the
-``i``-th node of that sorted list.
+``i``-th node of that sorted list.  Fields are evaluated on the same
+numbering: a :class:`ScalarField` is read through ``mesh.region_pos`` of its
+own regions, never scattered to every mesh node.
 
 Provides sparse assembly of ``int a grad(u).grad(v) - c u v`` with either a
 first-order Robin condition or a polynomially stretched absorbing collar on
@@ -181,6 +183,19 @@ def _local_boundary(mesh: Mesh, regions, tag: Bnd) -> np.ndarray:
     return loc
 
 
+def curve_sign(regions, tag: Bnd) -> float:
+    """+1 if the regions lie inside the tagged curve, else -1.
+
+    Multiplying a flux taken along the regions' outward normal by this sign
+    gives the flux along the curve's canonical (outward) normal.
+    """
+    inside = {Bnd.GAMMA_D: {int(Region.DOPANT)},
+              Bnd.GAMMA_OMEGA: {int(Region.DOPANT), int(Region.ENZ)}}
+    if tag == Bnd.GAMMA_INF:
+        return 1.0
+    return 1.0 if inside[tag] & _as_region_set(regions) else -1.0
+
+
 def _scatter(tris: np.ndarray, local: np.ndarray, n: int) -> sp.csc_matrix:
     rows = np.repeat(tris, tris.shape[1], axis=1).ravel()
     cols = np.tile(tris, (1, tris.shape[1])).ravel()
@@ -265,9 +280,6 @@ class LinearSystem:
     regions: frozenset
     A: sp.csc_matrix
     nodes: np.ndarray
-    pos: np.ndarray
-    k: complex | None = None
-    radiation: RadiationSpec | None = None
     _blocks: dict = dc_field(default_factory=dict, repr=False)
 
     def dirichlet_block(self, tags) -> DirichletBlock:
@@ -287,14 +299,6 @@ class LinearSystem:
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
         return _local_boundary(self.mesh, self.regions, tag)
-
-    def curve_sign(self, tag: Bnd) -> float:
-        """+1 if the system domain lies inside the tagged curve, else -1."""
-        inside = {Bnd.GAMMA_D: {int(Region.DOPANT)},
-                  Bnd.GAMMA_OMEGA: {int(Region.DOPANT), int(Region.ENZ)}}
-        if tag == Bnd.GAMMA_INF:
-            return 1.0
-        return 1.0 if inside[tag] & self.regions else -1.0
 
 
 def _pml_coefficients(mesh: Mesh, tri_idx: np.ndarray, k: complex, rad: RadiationSpec):
@@ -379,8 +383,7 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
         r_t = mesh.truncation_radius
         q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 1.0 / (2.0 * r_t))
         A = A - q * _boundary_mass(mesh, regions, Bnd.GAMMA_INF)
-    return LinearSystem(mesh, regions, A, nodes, mesh.region_pos(regions),
-                        k=k, radiation=radiation)
+    return LinearSystem(mesh, regions, A, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +394,6 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
 class SolveRecord:
     system: LinearSystem
     rhs: np.ndarray            # full right-hand side on active nodes
-    dirichlet: dict            # tag -> values imposed
 
 
 # Solutions amplified beyond this (relative to ||b|| / ||A||) indicate a
@@ -436,7 +438,7 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
                     "solution amplification at working-precision singularity level")
             u[block.free] = x
     field = ScalarField(system.mesh, system.regions, u)
-    field.record = SolveRecord(system, rhs, dirichlet)
+    field.record = SolveRecord(system, rhs)
     return field
 
 
@@ -453,14 +455,10 @@ def flux_extract(fieldval: ScalarField, system: LinearSystem, tag: Bnd,
     rec = fieldval.record
     if rec is None or rec.system is not system:
         raise TagMismatch("field does not carry a solve record for this system")
-    loc = system.local_boundary(Bnd(tag))
-    u_local = np.zeros(len(system.nodes), dtype=complex)
-    u_pos = system.pos[fieldval.nodes]
-    u_local[u_pos] = fieldval.values
-    resid = system.A @ u_local - rec.rhs
-    coeffs = resid[loc]
+    resid = system.A @ fieldval.values - rec.rhs
+    coeffs = resid[system.local_boundary(Bnd(tag))]
     if orientation == "canonical":
-        coeffs = coeffs * system.curve_sign(Bnd(tag))
+        coeffs = coeffs * curve_sign(system.regions, Bnd(tag))
     elif orientation != "domain":
         raise ValueError(f"unknown orientation {orientation!r}")
     return BoundaryFunctional(system.mesh, Bnd(tag), coeffs)
@@ -508,8 +506,7 @@ class NeumannSystem:
             if h.tag != tag:
                 raise TagMismatch("functional tag does not match key")
             loc = _local_boundary(self.mesh, self.regions, tag)
-            sign = 1.0 if tag == Bnd.GAMMA_OMEGA else -1.0
-            b[loc] += sign * h.values
+            b[loc] += curve_sign(self.regions, tag) * h.values
             scale = max(scale, float(np.abs(h.values).sum()))
         total = b.sum()
         if scale > 0 and abs(total) > self.ctol * scale:
@@ -532,24 +529,36 @@ class NeumannSystem:
 # norms and derived quantities
 
 
-def _window_tri_mask(mesh: Mesh, regions, window) -> np.ndarray:
-    mask = mesh.region_triangles(regions)
-    if window is None:
-        return mask
+def _window_tri_mask(field: ScalarField, window) -> np.ndarray:
+    """Triangles of the field inside ``window``; EMPTY_WINDOW if there are none.
+
+    ``window`` is None, a disk ``(cx, cy, r)`` tested at centroids, or regions.
+    """
+    mesh = field.mesh
+    mask = mesh.region_triangles(field.regions)
     if isinstance(window, tuple) and len(window) == 3:
         cx, cy, r = window
         cen = mesh.tri_centroids
-        inside = (cen[:, 0] - cx) ** 2 + (cen[:, 1] - cy) ** 2 <= r * r
-        return mask & inside
-    # otherwise interpret as a region selection
-    return mask & mesh.region_triangles(window)
+        mask = mask & ((cen[:, 0] - cx) ** 2 + (cen[:, 1] - cy) ** 2 <= r * r)
+    elif window is not None:
+        mask = mask & mesh.region_triangles(window)
+    if not mask.any():
+        raise EmptyWindow("window selects no triangles")
+    return mask
 
 
-def _tri_values_and_grads(field: ScalarField, tri_mask: np.ndarray):
+def _tri_values_and_grads(field: ScalarField, tris):
+    """Vertex values, gradient and area of the field on the selected triangles.
+
+    ``tris`` is a boolean mask or an index array over the mesh triangles.
+    Values are read on the field's own node numbering; a triangle outside the
+    field's regions raises TAG_MISMATCH.
+    """
     mesh = field.mesh
-    tris, b, c, area = _p1_geometry(mesh, tri_mask)
-    full = field.to_full()
-    vals = full[tris]
+    if not mesh.region_triangles(field.regions)[tris].all():
+        raise TagMismatch(f"triangles outside the field's regions {sorted(field.regions)}")
+    tri_nodes, b, c, area = _p1_geometry(mesh, tris)
+    vals = field.values[mesh.region_pos(field.regions)[tri_nodes]]
     gx = (vals * b).sum(axis=1) / (2.0 * area)
     gy = (vals * c).sum(axis=1) / (2.0 * area)
     return vals, gx, gy, area
@@ -557,20 +566,14 @@ def _tri_values_and_grads(field: ScalarField, tri_mask: np.ndarray):
 
 def h1_norm(field: ScalarField, window=None) -> float:
     """Discrete (L2^2 + |grad|^2)^(1/2) over triangles inside the window."""
-    mask = _window_tri_mask(field.mesh, field.regions, window)
-    if not mask.any():
-        raise EmptyWindow("window selects no triangles")
-    vals, gx, gy, area = _tri_values_and_grads(field, mask)
+    vals, gx, gy, area = _tri_values_and_grads(field, _window_tri_mask(field, window))
     grad2 = (np.abs(gx) ** 2 + np.abs(gy) ** 2) @ area
     l22 = _l2_sq(vals, area)
     return math.sqrt(float(grad2 + l22))
 
 
 def h1_seminorm(field: ScalarField, window=None) -> float:
-    mask = _window_tri_mask(field.mesh, field.regions, window)
-    if not mask.any():
-        raise EmptyWindow("window selects no triangles")
-    _, gx, gy, area = _tri_values_and_grads(field, mask)
+    _, gx, gy, area = _tri_values_and_grads(field, _window_tri_mask(field, window))
     return math.sqrt(float((np.abs(gx) ** 2 + np.abs(gy) ** 2) @ area))
 
 
@@ -582,21 +585,14 @@ def _l2_sq(vals: np.ndarray, area: np.ndarray) -> float:
 
 
 def l2_norm(field: ScalarField, window=None) -> float:
-    mask = _window_tri_mask(field.mesh, field.regions, window)
-    if not mask.any():
-        raise EmptyWindow("window selects no triangles")
-    vals, _, _, area = _tri_values_and_grads(field, mask)
+    vals, _, _, area = _tri_values_and_grads(field, _window_tri_mask(field, window))
     return math.sqrt(_l2_sq(vals, area))
 
 
 def integrate(field: ScalarField, window=None) -> complex:
     """Integral of the P1 interpolant over the window."""
-    mask = _window_tri_mask(field.mesh, field.regions, window)
-    if not mask.any():
-        raise EmptyWindow("window selects no triangles")
-    tris = field.mesh.triangles[mask]
-    area = field.mesh.tri_areas[mask]
-    return complex((field.to_full()[tris].mean(axis=1) * area).sum())
+    vals, _, _, area = _tri_values_and_grads(field, _window_tri_mask(field, window))
+    return complex((vals.mean(axis=1) * area).sum())
 
 
 def source_load(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
@@ -694,22 +690,23 @@ def _subdivided_load(tri: np.ndarray, area: float, indicator) -> np.ndarray:
 # recovered boundary flux (independent of the variational route)
 
 
-def recovered_boundary_flux(field: ScalarField, tag: Bnd,
-                            from_regions=None) -> tuple[np.ndarray, complex]:
+def recovered_boundary_flux(field: ScalarField, tag: Bnd) -> tuple[np.ndarray, complex]:
     """Normal derivative on a tagged boundary by local quadratic recovery.
 
     Fits a complex quadratic to the nodal values in the 2-ring patch of each
-    boundary node (restricted to ``from_regions``) and differentiates it along
+    boundary node (within the field's regions) and differentiates it along
     the canonical outward normal of the curve.  Second-order accurate, and
     deliberately independent of the variational flux route.  Returns the
     per-node derivative and its trapezoidal integral over the boundary.
+    Raises TAG_MISMATCH when the boundary is not in the field's regions.
     """
     mesh = field.mesh
-    regions = field.regions if from_regions is None else _as_region_set(from_regions)
-    tris = mesh.triangles[mesh.region_triangles(regions)]
-    # node adjacency within the chosen side; every node neighbours itself
-    adj = (_scatter(tris, np.ones((len(tris), 3, 3)), mesh.num_nodes)
-           + sp.identity(mesh.num_nodes, format="csc")).tocsr()
+    loc = _local_boundary(mesh, field.regions, tag)
+    tris = _region_elements(mesh, field.regions)[0]
+    n = len(field.nodes)
+    # node adjacency on the field's own numbering; every node neighbours itself
+    adj = (_scatter(tris, np.ones((len(tris), 3, 3)), n)
+           + sp.identity(n, format="csc")).tocsr()
     bn = mesh.boundary_nodes(tag)
     edges = mesh.boundary_edges[tag]
     normals = mesh.boundary_normals[tag]
@@ -718,21 +715,20 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd,
         node_normal.setdefault(int(i), []).append(nv)
     for (_, j), nv in zip(edges, normals):
         node_normal.setdefault(int(j), []).append(nv)
-    full = field.to_full()
     deriv = np.zeros(len(bn), dtype=complex)
     for idx, n0 in enumerate(bn):
-        pl = np.array([n0])     # one ring, then up to two more below 10 nodes
+        pl = loc[idx:idx + 1]   # one ring, then up to two more below 10 nodes
         for _ in range(3):
             if len(pl) >= 10:
                 break
             pl = np.unique(adj[pl].indices)
         p0 = mesh.nodes[n0]
-        d = (mesh.nodes[pl] - p0)
+        d = (mesh.nodes[field.nodes[pl]] - p0)
         scale = max(np.abs(d).max(), 1e-30)
         d = d / scale
         X = np.column_stack([np.ones(len(pl)), d[:, 0], d[:, 1],
                              d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2])
-        coef, *_ = np.linalg.lstsq(X, full[pl], rcond=None)
+        coef, *_ = np.linalg.lstsq(X, field.values[pl], rcond=None)
         nv = np.mean(node_normal[int(n0)], axis=0)
         nv = nv / np.linalg.norm(nv)
         deriv[idx] = (coef[1] * nv[0] + coef[2] * nv[1]) / scale
@@ -744,8 +740,12 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd,
 # Dirichlet eigenpairs
 
 
+# Largest accepted ||K u - lambda M u|| / (max(1, |lambda|) ||u||).
+_EIG_RESID_TOL = 1e-8
+
+
 def dirichlet_eigs(mesh: Mesh, count: int, target: float,
-                   regions=Region.DOPANT, resid_tol: float = 1e-8) -> list:
+                   regions=Region.DOPANT) -> list:
     """Eigenpairs of the Dirichlet Laplacian on a sub-region.
 
     Solves the generalized problem K u = lambda M u on the interior nodes
@@ -776,7 +776,7 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
     for j in range(count):
         u = vecs[:, j]
         resid = np.linalg.norm(K_ii @ u - vals[j] * (M_ii @ u))
-        if resid > resid_tol * max(1.0, abs(vals[j])) * np.linalg.norm(u):
+        if resid > _EIG_RESID_TOL * max(1.0, abs(vals[j])) * np.linalg.norm(u):
             raise NoConvergence(f"eigenpair residual {resid:.2e} above tolerance")
         vloc = np.zeros(K.shape[0], dtype=complex)
         vloc[il] = u

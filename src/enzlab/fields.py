@@ -18,7 +18,8 @@ import numpy as np
 
 from .auxiliary import AuxiliarySet, PhysicsConfig
 from .errors import EmptyWindow
-from .fem import ScalarField, _p1_geometry, _tri_values_and_grads
+from .fem import (ScalarField, _local_boundary, _p1_geometry,
+                  _tri_values_and_grads, curve_sign)
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
 
@@ -96,10 +97,10 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
     """
     mesh = s_limit.mesh
     f = s_limit.restrict(Region.ENZ)
-    mask = np.zeros(mesh.num_triangles, dtype=bool)
-    mask[f.tri_index] = True
-    tris, b, c, _ = _p1_geometry(mesh, mask)
-    n = mesh.num_nodes
+    tri_nodes, b, c, area = _p1_geometry(mesh, f.tri_index)
+    pos = mesh.region_pos(Region.ENZ)
+    tris = pos[tri_nodes]
+    n = len(mesh.region_nodes(Region.ENZ))
     div_acc = np.zeros(n, dtype=complex)
     curl_acc = np.zeros(n, dtype=complex)
     # int_T S.grad(v_i) = S.(b_i, c_i)/2 ; rotated gradient for the curl
@@ -109,11 +110,10 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
         np.add.at(curl_acc, tris[:, loc],
                   0.5 * (-f.vectors[:, 0] * c[:, loc] + f.vectors[:, 1] * b[:, loc]))
     m_vec = np.zeros(n, dtype=float)
-    area = mesh.tri_areas[mask]
     for loc in range(3):
         np.add.at(m_vec, tris[:, loc], area / 3.0)
     const = 1j * cfg.omega * complex(cfg.mu) * abs(aux.c_star) ** 2 / 2.0
-    interior = mesh.interior_nodes(Region.ENZ)
+    interior = pos[mesh.interior_nodes(Region.ENZ)]
     scale = max(float(np.abs(div_acc[interior]).max(initial=0.0)),
                 abs(const) * float(m_vec[interior].max(initial=0.0)), 1e-300)
     div_res = float(np.abs(div_acc[interior] + const * m_vec[interior]).max(initial=0.0)) / scale
@@ -124,12 +124,11 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
     # (div_acc already carries the limit prefactor through the vectors)
     factor = np.conj(aux.c_star) / (2j * cfg.omega)
     bc = {}
-    for tag, sign, data in (
-            (Bnd.GAMMA_OMEGA, 1.0,
-             aux.c_star * aux.flux_psi_e.values + aux.flux_s.values),
-            (Bnd.GAMMA_D, -1.0, aux.c_star * aux.flux_psi_d.values)):
-        bn = mesh.boundary_nodes(tag)
-        actual = sign * (div_acc[bn] + const * m_vec[bn])
+    for tag, data in (
+            (Bnd.GAMMA_OMEGA, aux.c_star * aux.flux_psi_e.values + aux.flux_s.values),
+            (Bnd.GAMMA_D, aux.c_star * aux.flux_psi_d.values)):
+        bn = _local_boundary(mesh, Region.ENZ, tag)
+        actual = curve_sign(Region.ENZ, tag) * (div_acc[bn] + const * m_vec[bn])
         target = factor * data
         sc = max(float(np.abs(target).max(initial=0.0)), 1e-300)
         bc[tag] = float(np.abs(actual - target).max(initial=0.0)) / sc

@@ -31,19 +31,19 @@ from .geometry import Bnd, Mesh, Region
 EXCITED = "EXCITED"
 NOT_EXCITED = "NOT_EXCITED"
 MEAN_THRESHOLD = 1e-6
+CLUSTER_REL_TOL = 1e-3
 
 
-def resonant_cluster(mesh: Mesh, target: float, count: int = 6,
-                     rel_tol: float = 1e-3):
+def resonant_cluster(mesh: Mesh, target: float, count: int = 6):
     """Discrete eigenvalue cluster nearest ``target`` on the dopant.
 
     Returns (lambda_star, [(lambda_j, U_j), ...]) where lambda_star is the
     cluster mean; the cluster collects computed eigenvalues within
-    ``rel_tol`` (relative) of the nearest one.
+    ``CLUSTER_REL_TOL`` (relative) of the nearest one.
     """
     pairs = dirichlet_eigs(mesh, count, target=target)
     lam0 = pairs[0][0]
-    cluster = [(l, u) for l, u in pairs if abs(l - lam0) <= rel_tol * abs(lam0)]
+    cluster = [(l, u) for l, u in pairs if abs(l - lam0) <= CLUSTER_REL_TOL * abs(lam0)]
     lam_star = float(np.mean([l for l, _ in cluster]))
     return lam_star, cluster
 

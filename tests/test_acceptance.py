@@ -71,11 +71,11 @@ def test_criterion_1_oracle_agreement(mesh_fine, mesh_finest, cfg_ring, aux_fine
     gaps = {}
     for label, mesh, aux in (("h", mesh_fine, aux_fine),
                              ("h/2", mesh_finest, None)):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         if aux is None:
             aux = solve_auxiliary_set(mesh, cfg_ring)
         u = solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
-        solve_time = time.perf_counter() - t0
+        solve_time = time.process_time() - t0
         assert solve_time <= 60.0, f"solve exceeded budget: {solve_time:.1f}s"
         r = np.linalg.norm(mesh.nodes[u.nodes], axis=1)
         phys = r <= 3.0

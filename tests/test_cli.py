@@ -112,6 +112,21 @@ def test_malformed_config_exits_3(tmp_path):
     assert _exit_code(tmp_path, text) == 3   # PARSE_ERROR
 
 
+def test_malformed_window_key_exits_3(tmp_path):
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\nwindow = disk 0 0 x")
+    assert _exit_code(tmp_path, text) == 3   # PARSE_ERROR
+
+
+@pytest.mark.parametrize("subcommand, flags, code", [
+    ("expand", ["--delta", "abc"], 3),
+    ("sweep-delta", ["--deltas", "0.1,x"], 3),
+    ("sweep-delta", ["--window", "disk:1,2"], 3),
+    ("expand", ["--order", "-1"], 4),
+])
+def test_flag_values_checked_like_config_keys(cfg_file, tmp_path, subcommand, flags, code):
+    assert main([subcommand, str(cfg_file), "--out", str(tmp_path / "o"), *flags]) == code
+
+
 def test_dopant_leaving_scatterer_exits_5(tmp_path):
     text = CANONICAL_CFG.replace("dopant = circle 0 0 0.3", "dopant = circle 0.8 0 0.3")
     assert _exit_code(tmp_path, text) == 5   # GEOMETRY_INVALID

@@ -157,6 +157,19 @@ def test_mean_zero_neumann_balanced_data(annulus_mesh):
     assert np.abs(u.values).max() > 0
 
 
+def test_mean_zero_neumann_dopant_balanced_data(annulus_mesh):
+    # the dopant lies inside its own curve, so its canonical GAMMA_D flux is
+    # its domain flux: a unit sink balanced by a uniform outflow is compatible
+    mesh = annulus_mesh
+    ns = NeumannSystem(mesh, Region.DOPANT)
+    w = mesh.boundary_lumped_lengths(Bnd.GAMMA_D)
+    h = BoundaryFunctional(mesh, Bnd.GAMMA_D, ns.area * w / w.sum())
+    u = ns.solve(-ns.m_vec, {Bnd.GAMMA_D: h})
+    mean = np.dot(ns.m_vec, u.values) / ns.area
+    assert abs(mean) <= 1e-10 * max(1.0, float(np.abs(u.values).max()))
+    assert np.abs(u.values).max() > 0
+
+
 def test_neumann_field_rejected_by_flux_extract(annulus_mesh):
     # a Neumann solution carries no record of a LinearSystem solve
     ns = NeumannSystem(annulus_mesh, Region.ENZ)
@@ -230,9 +243,28 @@ def test_recovered_flux_second_order():
         r = np.linalg.norm(mesh.nodes, axis=1)
         vals = np.log(np.where(r > 0, r, 1.0))
         field = ScalarField(mesh, Region.ENZ, vals[mesh.region_nodes(Region.ENZ)])
-        _, total = recovered_boundary_flux(field, Bnd.GAMMA_D, from_regions=Region.ENZ)
+        _, total = recovered_boundary_flux(field, Bnd.GAMMA_D)
         errs.append(abs(total - 2 * math.pi * 0.3 * (1 / 0.3)))
     assert errs[0] / errs[1] > 3.0
+
+
+def test_recovered_flux_outside_field_rejected(annulus_mesh):
+    field = ScalarField.zeros(annulus_mesh, Region.ENZ)
+    with pytest.raises(TagMismatch):
+        recovered_boundary_flux(field, Bnd.GAMMA_INF)
+
+
+def test_tri_values_read_on_field_numbering(annulus_mesh):
+    mesh = annulus_mesh
+    rng = np.random.default_rng(3)
+    nodes = mesh.region_nodes(Region.ENZ)
+    field = ScalarField(mesh, Region.ENZ, rng.standard_normal(len(nodes)) + 1j)
+    mask = mesh.region_triangles(Region.ENZ)
+    vals, _, _, _ = fem._tri_values_and_grads(field, mask)
+    assert np.array_equal(vals, field.to_full()[mesh.triangles[mask]])
+    # dopant triangles touch GAMMA_D nodes of the field but are not its own
+    with pytest.raises(TagMismatch):
+        fem._tri_values_and_grads(field, mesh.region_triangles(Region.DOPANT))
 
 
 def test_h1_norm_values_and_monotonicity():
