@@ -176,8 +176,8 @@ def parse_config(path):
     delta = take(phy, "delta", _parse_complex, default=1e-2 + 0.0j)
     sources = take(phy, "sources", _parse_sources, default=SourceSpec())
     rad_mode = take(phy, "radiation", lambda v, n: v.strip(), default="pml")
-    sigma0_raw = take(phy, "pml_sigma0", lambda v, n: v.strip(), default="auto")
-    sigma0 = None if sigma0_raw in ("auto", None) else float(sigma0_raw)
+    sigma0 = take(phy, "pml_sigma0",
+                  lambda v, where: None if v.strip() == "auto" else ffloat(v, where))
     order_pml = take(phy, "pml_order", _parse_int, default=2)
     try:
         radiation = RadiationSpec(rad_mode, sigma0, order_pml)

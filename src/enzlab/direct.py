@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .auxiliary import PhysicsConfig, exterior_regions
-from .fem import ScalarField, assemble, h1_norm, h1_seminorm, l2_norm, solve, source_load
+from .fem import ScalarField, assemble, h1_l2_norms, h1_seminorm, solve, source_load
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
 
@@ -57,10 +57,8 @@ def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
     uu = _restrict(u, common)
     vv = _restrict(v, common)
     diff = uu - vv
-    h1e = h1_norm(diff, window=window)
-    l2e = l2_norm(diff, window=window)
-    h1u = h1_norm(uu, window=window)
-    l2u = l2_norm(uu, window=window)
+    h1e, l2e = h1_l2_norms(diff, window)
+    h1u, l2u = h1_l2_norms(uu, window)
     return Comparison(h1e, l2e, h1e / h1u if h1u > 0 else math.inf,
                       l2e / l2u if l2u > 0 else math.inf)
 

@@ -127,6 +127,14 @@ def test_flag_values_checked_like_config_keys(cfg_file, tmp_path, subcommand, fl
     assert main([subcommand, str(cfg_file), "--out", str(tmp_path / "o"), *flags]) == code
 
 
+@pytest.mark.parametrize("value, code", [("abc", 3), ("nan", 4)])   # PARSE_ERROR, VALIDATION_ERROR
+def test_pml_sigma0_checked(tmp_path, capsys, value, code):
+    text = CANONICAL_CFG.replace("[physics]", f"[physics]\npml_sigma0 = {value}")
+    assert _exit_code(tmp_path, text) == code
+    if code == 3:
+        assert "line 10" in capsys.readouterr().err
+
+
 def test_dopant_leaving_scatterer_exits_5(tmp_path):
     text = CANONICAL_CFG.replace("dopant = circle 0 0 0.3", "dopant = circle 0.8 0 0.3")
     assert _exit_code(tmp_path, text) == 5   # GEOMETRY_INVALID

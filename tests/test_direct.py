@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from enzlab import oracle
-from enzlab.direct import (compare_fields, enz_absorption, solve_transmission)
+from enzlab.direct import (PHYSICAL_REGIONS, compare_fields, enz_absorption,
+                           solve_transmission)
 from enzlab.errors import ValidationError
-from enzlab.fem import ScalarField, h1_seminorm, l2_norm
+from enzlab.fem import ScalarField, h1_norm, h1_seminorm, l2_norm
 from enzlab.geometry import Region, SourceSpec
 
 from conftest import RING_SOURCE
@@ -78,3 +79,15 @@ def test_loss_and_gain_absorption_signs(mesh_coarse, cfg_ring):
         u = solve_transmission(mesh_coarse, cfg)
         power = enz_absorption(u, cfg)
         assert math.copysign(1.0, power) == sgn
+
+
+def test_compare_fields_equals_separate_norms(mesh_coarse, cfg_ring):
+    u = solve_transmission(mesh_coarse, cfg_ring)
+    v = solve_transmission(mesh_coarse, dataclasses.replace(cfg_ring, delta=2e-2 + 1e-3j))
+    disk = (0.4, -0.2, 1.5)
+    for window, norm_window in ((None, PHYSICAL_REGIONS), (disk, disk)):
+        c = compare_fields(u, v, window=window)
+        diff = u - v
+        assert (c.h1_error, c.l2_error) == (h1_norm(diff, norm_window), l2_norm(diff, norm_window))
+        assert c.h1_rel == c.h1_error / h1_norm(u, norm_window)
+        assert c.l2_rel == c.l2_error / l2_norm(u, norm_window)
