@@ -48,7 +48,7 @@ class PhysicsConfig:
     delta: complex = 1e-2 + 0.0j
     sources: SourceSpec = dc_field(default_factory=SourceSpec)
     radiation: RadiationSpec = dc_field(default_factory=RadiationSpec)
-    rtol: float = 1e-10
+    rtol: float = fem.BACKWARD_RTOL
     ctol: float = 1e-6
 
     def __post_init__(self):

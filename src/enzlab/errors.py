@@ -2,6 +2,11 @@
 
 Every error carries a stable symbolic ``name`` (used by the CLI to map
 failures to distinct exit codes) and a human-readable message.
+
+``tests/test_cli.py`` reaches these codes from a config file through the
+CLI: 3, 4, 5, 6 and 12; 11 (EMPTY_WINDOW) from ``sweep-delta`` with a
+``window`` disk that misses the mesh; 16 (DOMAIN) from ``oracle-check`` with
+a truncation radius whose Bessel arguments pass 200.
 """
 
 

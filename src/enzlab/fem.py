@@ -8,13 +8,23 @@ own regions, never scattered to every mesh node.
 
 Provides sparse assembly of ``int a grad(u).grad(v) - c u v`` with either a
 first-order Robin condition or a polynomially stretched absorbing collar on
-the truncation circle, direct sparse solves with a residual contract (one
-SuperLU routine, :func:`factor`, whose breakdown raises SINGULAR_SYSTEM and
-whose column ordering is minimum degree on ``A + A^T``, chosen because every
-matrix factored here has a structurally symmetric FEM pattern), mean-zero
-pure-Neumann solves via a scalar multiplier, variational (residual-based)
-flux extraction, recovered higher-order boundary fluxes, windowed discrete
-norms, and Dirichlet eigenpairs of sub-regions.
+the truncation circle, direct sparse solves, mean-zero pure-Neumann solves
+via a scalar multiplier, variational (residual-based) flux extraction,
+recovered higher-order boundary fluxes, windowed discrete norms, and
+Dirichlet eigenpairs of sub-regions.
+
+Every factorization goes through one SuperLU routine, :func:`factor`, whose
+breakdown raises SINGULAR_SYSTEM.  The matrices all have a structurally
+symmetric FEM pattern, so the columns are ordered by minimum degree on
+``A + A^T`` and SuperLU runs in symmetric mode, pivoting on the diagonal
+whenever the diagonal entry is at least 0.1 of its column's largest.  That
+skips the column search of partial pivoting at the same fill and cuts the
+factor time by a quarter to a half.  The threshold is 0.1, not 0, because
+the bordered (Neumann and deflated) systems need the pivoting fallback: with
+0 they take roundoff-sized pivots and solve wrongly without a breakdown.
+Every solve on a factorization, bordered ones included, goes through one
+residual contract, :func:`checked_solve`: a normwise backward error above
+1e-10 raises SINGULAR_SYSTEM.
 
 Flux conventions: :func:`flux_extract` returns the weak residual paired
 against boundary traces, i.e. the flux with respect to the *solve domain's*
@@ -260,20 +270,66 @@ class DirichletBlock:
 def factor(A: sp.csc_matrix):
     """SuperLU factorization of a square CSC matrix.
 
-    Columns are ordered by multiple minimum degree on the pattern of
-    ``A + A^T``.  Every matrix factored here is structurally symmetric (P1
-    stiffness and mass, Dirichlet blocks of them, and their bordered
-    Neumann and deflated forms), and on such patterns this ordering fills
-    less than SuperLU's default COLAMD: nnz(L + U) of the exterior Dirichlet
-    block at h = 0.025 drops from 18.85M to 11.48M, and of the transmission
-    block at h = 0.05 from 4.06M to 2.52M, and their triangular solves take
-    15-25% less time.  A breakdown (an exactly singular pivot) raises
-    SINGULAR_SYSTEM.
+    Every matrix factored here is structurally symmetric (P1 stiffness and
+    mass, Dirichlet blocks of them, and their bordered Neumann and deflated
+    forms), and the transmission, exterior and dopant blocks are complex
+    symmetric as well.  Two choices follow from that:
+
+    - Columns are ordered by multiple minimum degree on the pattern of
+      ``A + A^T``, which fills less than SuperLU's default COLAMD: nnz(L + U)
+      of the exterior Dirichlet block at h = 0.025 drops from 18.85M to
+      11.48M, and of the transmission block at h = 0.05 from 4.06M to 2.52M.
+    - SuperLU runs in symmetric mode: rows are permuted like the columns and
+      a diagonal entry is the pivot whenever its modulus is at least 0.1 of
+      the largest in its column, so the column search of partial pivoting is
+      skipped and the fill stays the same.  Medians of 3-5 factorizations
+      on a 2-core host with one BLAS thread, partial pivoting against
+      symmetric mode: transmission block 0.57-0.64 s to 0.35-0.38 s at
+      h = 0.05 (four deltas) and 4.95 s to 2.48 s at h = 0.025; exterior
+      block 0.51 s to 0.31 s at h = 0.05 and 3.1 s to 2.3 s at h = 0.025;
+      triangular solves equal or faster.  The threshold is not 0:
+      the bordered Neumann and deflated systems have a zero border diagonal
+      next to a (near-)singular block.  With threshold 0 they take a
+      roundoff-sized diagonal pivot and, without any breakdown, solve with a
+      backward error of 1e-4 to 1e-3 (canonical mesh, h = 0.1); 0.1 falls
+      back to an off-diagonal pivot there.
+
+    A breakdown (an exactly singular pivot) raises SINGULAR_SYSTEM.
     """
     try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                         options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(f"factorization failed: {exc}") from exc
+
+
+# Largest accepted normwise backward error ||Ax-b|| / (||A|| ||x|| + ||b||).
+BACKWARD_RTOL = 1e-10
+
+
+def inf_norm(A: sp.spmatrix) -> float:
+    """Largest absolute row sum of a sparse matrix."""
+    return float(np.asarray(np.abs(A).sum(axis=1)).max(initial=0.0))
+
+
+def checked_solve(lu, A: sp.spmatrix, norm: float, b: np.ndarray,
+                  rtol: float = BACKWARD_RTOL) -> np.ndarray:
+    """``lu.solve(b)`` for ``A`` (infinity norm ``norm``) under the residual contract.
+
+    Raises SINGULAR_SYSTEM if the solution is not finite or its normwise
+    backward error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``rtol``: a bad
+    pivot then shows as an error, not as a wrong field.
+    """
+    x = lu.solve(b)
+    if not np.isfinite(x).all():
+        raise SingularSystem("factorization produced non-finite values")
+    resid = np.linalg.norm(A @ x - b)
+    denom = norm * np.linalg.norm(x) + np.linalg.norm(b)
+    if resid > rtol * denom:
+        raise SingularSystem(
+            f"backward error {resid / denom:.3e} exceeds {rtol:.1e}; "
+            "system is numerically singular")
+    return x
 
 
 def bordered(A: sp.spmatrix, B: np.ndarray) -> sp.csc_matrix:
@@ -304,7 +360,7 @@ class LinearSystem:
             A_ff = self.A[np.ix_(free_idx, free_idx)].tocsc()
             block = self._blocks[tags] = DirichletBlock(
                 free_idx, fixed_idx, A_ff, self.A[np.ix_(free_idx, fixed_idx)],
-                float(np.asarray(np.abs(A_ff).sum(axis=1)).max(initial=0.0)))
+                inf_norm(A_ff))
         return block
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
@@ -412,14 +468,14 @@ _AMPLIFICATION_LIMIT = 1e13
 
 
 def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
-          rtol: float = 1e-10) -> ScalarField:
+          rtol: float = BACKWARD_RTOL) -> ScalarField:
     """Direct sparse solve with a residual contract.
 
     ``rhs`` is a dual vector aligned with ``system.nodes``.  ``dirichlet``
     maps boundary tags to trace values (scalar or per-node array).  Raises
     SINGULAR_SYSTEM if factorization breaks down, the normwise backward
-    error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``rtol``, or the solution
-    is amplified at the working-precision singularity level (the strongly
+    error exceeds ``rtol`` (:func:`checked_solve`), or the solution is
+    amplified at the working-precision singularity level (the strongly
     scaled shell block makes a plain ||Ax-b|| <= rtol ||b|| test unattainable
     in double precision while the solve is still perfectly reliable).
     """
@@ -433,17 +489,8 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
         b_free = rhs[block.free] - block.A_fd @ u[block.fixed]
         scale = np.linalg.norm(b_free)
         if scale != 0.0:
-            x = block.lu.solve(b_free)
-            if not np.isfinite(x).all():
-                raise SingularSystem("factorization produced non-finite values")
-            resid = np.linalg.norm(block.A_ff @ x - b_free)
-            x_norm = np.linalg.norm(x)
-            backward = resid / (block.norm * x_norm + scale)
-            if backward > rtol:
-                raise SingularSystem(
-                    f"backward error {backward:.3e} exceeds {rtol:.1e}; "
-                    "system is numerically singular")
-            if block.norm * x_norm > _AMPLIFICATION_LIMIT * scale:
+            x = checked_solve(block.lu, block.A_ff, block.norm, b_free, rtol)
+            if block.norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * scale:
                 raise SingularSystem(
                     "solution amplification at working-precision singularity level")
             u[block.free] = x
@@ -493,9 +540,10 @@ class NeumannSystem:
         self.area = float(self.m_vec.sum().real)
 
     @cached_property
-    def _lu(self):
-        """Factorization of ``K`` bordered by the (real) mean-value row."""
-        return factor(bordered(self.K, self.m_vec.real[:, None]))
+    def _bordered(self):
+        """Factorization, matrix and norm of ``K`` bordered by the mean-value row."""
+        A = bordered(self.K, self.m_vec.real[:, None])
+        return factor(A), A, inf_norm(A)
 
     def solve(self, volume: np.ndarray | None, fluxes: dict) -> ScalarField:
         """Solve -Lap(u) = volume data with prescribed boundary fluxes.
@@ -503,7 +551,9 @@ class NeumannSystem:
         ``fluxes`` maps boundary tags to :class:`BoundaryFunctional` given in
         the canonical orientation of each curve; orientation relative to this
         domain is handled internally.  Raises INCOMPATIBLE_DATA when the
-        total data violates the discrete solvability condition.
+        total data violates the discrete solvability condition, and
+        SINGULAR_SYSTEM when the bordered solve breaks the backward-error
+        contract of :func:`checked_solve` or the mean-zero constraint.
         """
         n = len(self.nodes)
         b = np.zeros(n, dtype=complex)
@@ -523,11 +573,7 @@ class NeumannSystem:
             raise IncompatibleData(
                 f"compatibility residual {abs(total):.3e} exceeds "
                 f"{self.ctol:.1e} * {scale:.3e}")
-        rhs = np.concatenate([b, [0.0]])
-        x = self._lu.solve(rhs)
-        u = x[:n]
-        if not np.isfinite(u).all():
-            raise SingularSystem("mean-zero solve produced non-finite values")
+        u = checked_solve(*self._bordered, np.concatenate([b, [0.0]]))[:n]
         mean = np.dot(self.m_vec, u) / self.area
         norm = math.sqrt(float(np.vdot(u, self.M @ u).real)) if n else 0.0
         if norm > 0 and abs(mean) * math.sqrt(self.area) > 1e-10 * norm:

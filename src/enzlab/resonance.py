@@ -24,8 +24,8 @@ import numpy as np
 from .errors import Degenerate, ResonantDopant, SingularSystem
 from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
 from .fem import (BoundaryFunctional, NeumannSystem, ScalarField, bordered,
-                  dirichlet_eigs, eigen_flux, factor, h1_norm, integrate,
-                  mass_matrix, stiffness_matrix)
+                  checked_solve, dirichlet_eigs, eigen_flux, factor, h1_norm,
+                  inf_norm, integrate, mass_matrix, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region
 
 EXCITED = "EXCITED"
@@ -183,7 +183,8 @@ def _deflated_system(mesh: Mesh, lambda_star: float, cluster):
     M = mass_matrix(mesh, Region.DOPANT)
     A = (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc()
     B = np.column_stack([(M @ u.values)[il] for _, u in cluster])
-    return il, A, factor(bordered(A[np.ix_(il, il)], B)), B.shape[1]
+    D = bordered(A[np.ix_(il, il)], B)
+    return il, A, (factor(D), D, inf_norm(D)), B.shape[1]
 
 
 def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
@@ -194,19 +195,19 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
     Projects the cluster eigenvectors out of the residual via a bordered
     system, returning the solution component mass-orthogonal to the cluster.
     Any multiple of a cluster eigenfunction may be added to the result and it
-    still satisfies the same equation and trace.
+    still satisfies the same equation and trace.  Raises SINGULAR_SYSTEM when
+    the bordered system breaks down or its solve breaks the backward-error
+    contract of :func:`enzlab.fem.checked_solve`.
     """
-    il, A, lu, m = _deflated_system(mesh, lambda_star, cluster)
+    il, A, bordered_system, m = _deflated_system(mesh, lambda_star, cluster)
     vals = np.zeros(A.shape[0], dtype=complex)
     bn = mesh.region_pos(Region.DOPANT)[mesh.boundary_nodes(Bnd.GAMMA_D)]
     vals[bn] = trace
     rhs = -(A @ vals)
     if volume is not None:
         rhs = rhs + volume
-    x = lu.solve(np.concatenate([rhs[il], np.zeros(m)]))
+    x = checked_solve(*bordered_system, np.concatenate([rhs[il], np.zeros(m)]))
     vals[il] = x[:len(il)]
-    if not np.isfinite(vals).all():
-        raise SingularSystem("deflated solve produced non-finite values")
     return ScalarField(mesh, Region.DOPANT, vals)
 
 

@@ -152,6 +152,17 @@ def test_resonant_dopant_exits_12(tmp_path, mesh_coarse):
     assert _exit_code(tmp_path, text) == 12   # RESONANT_DOPANT
 
 
+def test_empty_window_exits_11(tmp_path):
+    # the disk lies outside the truncation circle, so it selects no triangle
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\nwindow = disk 20 20 0.1\ndeltas = 0.1,0")
+    assert _exit_code(tmp_path, text, sub="sweep-delta") == 11   # EMPTY_WINDOW
+
+
+def test_oracle_beyond_bessel_range_exits_16(tmp_path):
+    text = CANONICAL_CFG.replace("truncation_radius = 4", "truncation_radius = 400")
+    assert _exit_code(tmp_path, text, sub="oracle-check") == 16   # DOMAIN
+
+
 def test_robin_with_collar_exits_4(tmp_path):
     text = CANONICAL_CFG.replace("[physics]", "[physics]\nradiation = robin")
     assert _exit_code(tmp_path, text) == 4   # VALIDATION_ERROR

@@ -382,6 +382,47 @@ def test_factor_uses_fill_reducing_ordering(mesh_coarse, cfg_ring):
         assert lu.L.nnz + lu.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)   # 0.68 seen
 
 
+def test_factor_pivots_on_diagonal(mesh_coarse):
+    cfg = PhysicsConfig(delta=-0.05 + 0.0j, sources=RING_SOURCE)
+    block = direct.transmission_system(mesh_coarse, cfg).dirichlet_block([Bnd.GAMMA_INF])
+    lu = fem.factor(block.A_ff)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    # the zero border diagonal of the Neumann system still gets a sound pivot:
+    # any right-hand side, compatible or not, is solved to roundoff
+    ns = NeumannSystem(mesh_coarse, Region.ENZ)
+    A = fem.bordered(ns.K, ns.m_vec.real[:, None])
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    x = fem.factor(A).solve(b)
+    backward = np.linalg.norm(A @ x - b) / (fem.inf_norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+    assert backward <= 1e-14   # 6.6e-17 seen; 1.4e-3 with threshold 0
+
+
+def test_neumann_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
+    # threshold 0 accepts a roundoff-sized diagonal pivot in the singular
+    # stiffness block; the wrong field must raise instead of being returned
+    def diagonal_only(A):
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+
+    monkeypatch.setattr(fem, "factor", diagonal_only)
+    ns = NeumannSystem(mesh_coarse, Region.ENZ)
+    w_om = mesh_coarse.boundary_lumped_lengths(Bnd.GAMMA_OMEGA)
+    w_d = mesh_coarse.boundary_lumped_lengths(Bnd.GAMMA_D)
+    # balanced up to 5e-7 of the data, inside the 1e-6 compatibility tolerance
+    h_om = BoundaryFunctional(mesh_coarse, Bnd.GAMMA_OMEGA, (1 + 5e-7) * w_om / w_om.sum())
+    h_d = BoundaryFunctional(mesh_coarse, Bnd.GAMMA_D, w_d / w_d.sum())
+    with pytest.raises(SingularSystem):   # backward error 2.9e-9 seen
+        ns.solve(None, {Bnd.GAMMA_OMEGA: h_om, Bnd.GAMMA_D: h_d})
+
+
+def test_factor_breakdown_is_singular_system():
+    import scipy.sparse as sp
+    A = sp.csc_matrix(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2]], dtype=complex))
+    with pytest.raises(SingularSystem):
+        fem.factor(A)
+
+
 def _per_triangle_source_load(mesh, regions, sources):
     """Reference load: each cut triangle subdivided on its own, in turn."""
     pos = mesh.region_pos(regions)

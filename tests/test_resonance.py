@@ -176,3 +176,23 @@ def test_deflated_solve_breakdown_is_singular_system(mesh_fine, angular_cluster)
     with pytest.raises(SingularSystem):
         deflated_dirichlet_solve(mesh_fine, lam_star, degenerate,
                                  np.ones(n_bnd, dtype=complex))
+
+
+def test_deflated_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
+    # with threshold 0 SuperLU takes a roundoff-sized diagonal pivot in the
+    # near-singular block and returns a field with backward error 4e-4; the
+    # solve must raise instead of returning it
+    import scipy.sparse.linalg as spla
+    from enzlab import resonance
+
+    def diagonal_only(A):
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+
+    lam_star, cluster = resonant_cluster(mesh_coarse, LAM_RADIAL)
+    n_bnd = len(mesh_coarse.boundary_nodes(Bnd.GAMMA_D))
+    trace = np.ones(n_bnd, dtype=complex)
+    deflated_dirichlet_solve(mesh_coarse, lam_star, cluster, trace)
+    monkeypatch.setattr(resonance, "factor", diagonal_only)
+    with pytest.raises(SingularSystem):
+        deflated_dirichlet_solve(mesh_coarse, lam_star, cluster, trace)
