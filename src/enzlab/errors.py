@@ -6,7 +6,10 @@ failures to distinct exit codes) and a human-readable message.
 ``tests/test_cli.py`` reaches these codes from a config file through the
 CLI: 3, 4, 5, 6 and 12; 11 (EMPTY_WINDOW) from ``sweep-delta`` with a
 ``window`` disk that misses the mesh; 16 (DOMAIN) from ``oracle-check`` with
-a truncation radius whose Bessel arguments pass 200.
+a truncation radius whose Bessel arguments pass 200; 17 (SINGULAR_MATCH)
+from ``oracle-check`` with ``delta = 1e-14``, where the interface matching
+system is too ill-conditioned; 18 (DEGENERATE) from ``resonance-sweep`` with
+a ``resonance_target`` at an eigenvalue pair of zero mean.
 """
 
 

@@ -4,9 +4,9 @@ Everything here is discretization-free in angle: the mode-0 radial problem is
 solved exactly in terms of Bessel/Hankel functions with interface matching,
 and the scalar constants (flux balance constant, coupling constant, effective
 permeability) come out in closed form.  This module is the independent truth
-source the finite element solvers are validated against, so it evaluates its
-own special functions (power series up to z = 12, Hankel's asymptotic
-expansion beyond) instead of reusing any machinery from the FEM path.
+source the finite element solvers are validated against: its Bessel
+functions and their zeros come from ``scipy.special``, which the FEM path
+does not use.
 
 Restrictions: real wavenumber, real positive per-layer permittivities, and a
 radially symmetric annular source.  Off-center sources and complex wavenumber
@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+import scipy.special as ss
 
 from .errors import DomainError, ResonantDopant, SingularMatch
 
-_EULER_GAMMA = 0.5772156649015328606
-_SERIES_CUTOFF = 12.0
 _Z_MAX = 200.0
 
 
@@ -33,166 +30,58 @@ _Z_MAX = 200.0
 # Bessel functions J0, J1, Y0, Y1 and the outgoing Hankel combinations
 
 
-def _check_domain(z: float, allow_zero: bool) -> float:
-    z = float(z)
-    if math.isnan(z) or z < 0.0 or z > _Z_MAX or (z == 0.0 and not allow_zero):
-        raise DomainError(f"argument {z!r} outside supported range (0, {_Z_MAX}]")
-    return z
-
-
-def _j0_series(z: float) -> float:
-    q = 0.25 * z * z
-    term, total = 1.0, 1.0
-    for m in range(1, 200):
-        term *= -q / (m * m)
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
-def _j1_series(z: float) -> float:
-    q = 0.25 * z * z
-    term, total = 1.0, 1.0
-    for m in range(1, 200):
-        term *= -q / (m * (m + 1))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return 0.5 * z * total
-
-
-def _y0_series(z: float) -> float:
-    q = 0.25 * z * z
-    term, total, harm = 1.0, 0.0, 0.0
-    for m in range(1, 200):
-        term *= -q / (m * m)
-        harm += 1.0 / m
-        total += -term * harm
-        if abs(term) < 1e-18:
-            break
-    return (2.0 / math.pi) * ((math.log(0.5 * z) + _EULER_GAMMA) * _j0_series(z) + total)
-
-
-def _y1_series(z: float) -> float:
-    q = 0.25 * z * z
-    term = 1.0          # (z/2)^{2m} series core for m = 0
-    total = 1.0         # H_0 + H_1 = 1 at m = 0
-    h_m, h_m1 = 0.0, 1.0
-    for m in range(1, 200):
-        term *= -q / (m * (m + 1))
-        h_m += 1.0 / m
-        h_m1 += 1.0 / (m + 1)
-        total += term * (h_m + h_m1)
-        if abs(term) < 1e-18:
-            break
-    return ((2.0 / math.pi) * (math.log(0.5 * z) + _EULER_GAMMA) * _j1_series(z)
-            - 2.0 / (math.pi * z) - (0.5 * z / math.pi) * total)
-
-
-def _hankel_asymptotic(n: int, z: float) -> tuple[float, float]:
-    """(J_n, Y_n) by Hankel's large-argument expansion with optimal truncation."""
-    mu = 4.0 * n * n
-    a = [1.0]
-    for m in range(1, 40):
-        a.append(a[-1] * (mu - (2 * m - 1) ** 2) / (8.0 * m))
-    p_sum, q_sum = 0.0, 0.0
-    best = math.inf
-    for m in range(40):
-        term = a[m] / z**m
-        if abs(term) > best:   # asymptotic tail started growing
-            break
-        best = abs(term)
-        half, rem = divmod(m, 2)
-        sgn = -1.0 if half % 2 == 1 else 1.0
-        if rem == 0:
-            p_sum += sgn * term
-        else:
-            q_sum += sgn * term
-    omega = z - (2 * n + 1) * math.pi / 4.0
-    amp = math.sqrt(2.0 / (math.pi * z))
-    jn = amp * (p_sum * math.cos(omega) - q_sum * math.sin(omega))
-    yn = amp * (p_sum * math.sin(omega) + q_sum * math.cos(omega))
-    return jn, yn
-
-
-def _j0(z: float) -> float:
-    z = _check_domain(z, allow_zero=True)
-    if z <= _SERIES_CUTOFF:
-        return _j0_series(z)
-    return _hankel_asymptotic(0, z)[0]
-
-
-def _j1(z: float) -> float:
-    z = _check_domain(z, allow_zero=True)
-    if z <= _SERIES_CUTOFF:
-        return _j1_series(z)
-    return _hankel_asymptotic(1, z)[0]
-
-
-def _y0(z: float) -> float:
-    z = _check_domain(z, allow_zero=False)
-    if z <= _SERIES_CUTOFF:
-        return _y0_series(z)
-    return _hankel_asymptotic(0, z)[1]
-
-
-def _y1(z: float) -> float:
-    z = _check_domain(z, allow_zero=False)
-    if z <= _SERIES_CUTOFF:
-        return _y1_series(z)
-    return _hankel_asymptotic(1, z)[1]
-
-
+# H1_n is built as J_n + i Y_n from the same calls, so it equals
+# complex(J_n, Y_n) exactly.
 _KINDS = {
-    "J0": _j0, "J1": _j1, "Y0": _y0, "Y1": _y1,
-    "H1_0": lambda z: complex(_j0(z), _y0(z)),
-    "H1_1": lambda z: complex(_j1(z), _y1(z)),
+    "J0": ss.j0, "J1": ss.j1, "Y0": ss.y0, "Y1": ss.y1,
+    "H1_0": lambda z: ss.j0(z) + 1j * ss.y0(z),
+    "H1_1": lambda z: ss.j1(z) + 1j * ss.y1(z),
 }
+
+
+def _check_domain(z, allow_zero: bool) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    ok = ((z >= 0.0) if allow_zero else (z > 0.0)) & (z <= _Z_MAX)   # NaN fails both
+    if not ok.all():
+        raise DomainError(f"argument {float(z[~ok].flat[0])!r} outside supported range "
+                          f"(0, {_Z_MAX}]")
+    return z
 
 
 def bessel(kind: str, z):
     """Evaluate J0/J1/Y0/Y1 or the outgoing Hankel functions H1_0/H1_1.
 
-    Absolute accuracy 1e-10 on (0, 200]; J kinds also accept z = 0.
-    Accepts scalars or arrays.
+    Defined on (0, 200]; J kinds also accept z = 0.  A scalar gives a Python
+    scalar, an array an array of the same shape; any entry outside the
+    domain raises ``DomainError``.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown Bessel kind {kind!r}")
-    fn = _KINDS[kind]
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        return fn(float(arr))
-    out = np.array([fn(float(v)) for v in arr.ravel()])
-    return out.reshape(arr.shape)
+    out = _KINDS[kind](_check_domain(z, allow_zero=kind.startswith("J")))
+    return out.item() if out.ndim == 0 else out
 
 
 def j0_zero(n: int) -> float:
-    """n-th positive zero of J0 (n >= 1), via bisection on this module."""
-    return _bessel_zero(_j0, n)
+    """n-th positive zero of J0 (n >= 1), up to z = 200."""
+    return _bessel_zero(0, n)
 
 
 def j1_zero(n: int) -> float:
-    """n-th positive zero of J1 (n >= 1, excluding z = 0)."""
-    return _bessel_zero(_j1, n)
+    """n-th positive zero of J1 (n >= 1, excluding z = 0), up to z = 200."""
+    return _bessel_zero(1, n)
 
 
-@lru_cache(maxsize=None)
-def _zero_grid(fn_name: str) -> np.ndarray:
-    fn = {"j0": _j0, "j1": _j1}[fn_name]
-    z = np.arange(0.5, _Z_MAX, 0.05)
-    vals = np.array([fn(v) for v in z])
-    flips = np.where(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return np.array([brentq(fn, z[i], z[i + 1], xtol=1e-13) for i in flips])
+# the m-th zero of J0 or J1 exceeds (m - 1/4) pi, so this many include every
+# zero up to _Z_MAX
+_N_ZEROS = int(_Z_MAX / math.pi) + 1
 
 
-def _bessel_zero(fn, n: int) -> float:
-    if n < 1:
-        raise DomainError("zero index must be >= 1")
-    name = "j0" if fn is _j0 else "j1"
-    zeros = _zero_grid(name)
-    if n > len(zeros):
-        raise DomainError(f"only {len(zeros)} zeros tabulated below z = {_Z_MAX}")
+def _bessel_zero(order: int, n: int) -> float:
+    zeros = ss.jn_zeros(order, _N_ZEROS)
+    zeros = zeros[zeros <= _Z_MAX]
+    if not 1 <= n <= len(zeros):
+        raise DomainError(f"zero index {n} outside 1..{len(zeros)}, the zeros of "
+                          f"J{order} up to z = {_Z_MAX}")
     return float(zeros[n - 1])
 
 
@@ -241,17 +130,15 @@ class RadialSolution:
         self.scalars = scalars
 
     def _u_particular(self, r: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(r, dtype=complex)
         if self._part is None:
-            return np.zeros_like(r, dtype=complex)
+            return out
         F, r1, r2 = self._part
         k = self.k
-        out = np.zeros_like(r, dtype=complex)
         act = r > r1
         if not act.any():
             return out
-        rr = np.minimum(r[act], r2)
-        i_j = (rr * bessel("J1", k * rr) - r1 * _j1(k * r1)) / k
-        i_y = (rr * bessel("Y1", k * rr) - r1 * _y1(k * r1)) / k
+        i_j, i_y = _ring_integrals(r1, k, np.minimum(r[act], r2))
         out[act] = -F * (math.pi / 2.0) * (bessel("Y0", k * r[act]) * i_j
                                            - bessel("J0", k * r[act]) * i_y)
         return out
@@ -300,13 +187,24 @@ class RadialSolution:
         return 2.0 * math.pi * total
 
 
-def _scalar_constants(layers: RadialLayers, k: float, mu: complex) -> dict:
+def _ring_integrals(r1: float, k: float, rho):
+    """(int_r1^rho s J0(ks) ds, int_r1^rho s Y0(ks) ds), since s Z0(ks) = (s Z1(ks))' / k.
+
+    With a ring source F on r1 <= r <= r2, variation of parameters writes the
+    particular solution at r > r1 as -F (pi/2) (Y0(kr) i_j - J0(kr) i_y) at
+    rho = min(r, r2); at rho = r2 these give the outgoing-matching coefficients.
+    """
+    i_j = (rho * bessel("J1", k * rho) - r1 * bessel("J1", k * r1)) / k
+    i_y = (rho * bessel("Y1", k * rho) - r1 * bessel("Y1", k * r1)) / k
+    return i_j, i_y
+
+
+def _scalar_constants(layers: RadialLayers, k: float, mu: complex, p_j, p_y) -> dict:
     a, b = layers.a, layers.b
-    j0a, j1a = _j0(k * a), _j1(k * a)
+    j0a, j1a = bessel("J0", k * a), bessel("J1", k * a)
     if abs(j0a) < 1e-10:
         raise ResonantDopant(f"J0(k*a) = {j0a:.2e}: dopant resonance")
-    h0b = complex(_j0(k * b), _y0(k * b))
-    h1b = complex(_j1(k * b), _y1(k * b))
+    h0b, h1b = bessel("H1_0", k * b), bessel("H1_1", k * b)
     flux_psi_e = -2.0 * math.pi * b * k * h1b / h0b
     flux_psi_d = -2.0 * math.pi * a * k * j1a / j0a
     int_psi_d = 2.0 * math.pi * a * j1a / (k * j0a)
@@ -317,15 +215,11 @@ def _scalar_constants(layers: RadialLayers, k: float, mu: complex) -> dict:
            "int_psi_d": int_psi_d, "mu_eff": mu_eff, "flux_s": 0.0 + 0.0j,
            "c_star": 0.0 + 0.0j, "s_coeffs": (0.0 + 0.0j, 0.0 + 0.0j)}
     if layers.amplitude != 0:
-        F, r1, r2 = layers.amplitude, layers.source_r1, layers.source_r2
-        i_j = (r2 * _j1(k * r2) - r1 * _j1(k * r1)) / k
-        i_y = (r2 * _y1(k * r2) - r1 * _y1(k * r1)) / k
-        p_j = F * (math.pi / 2.0) * i_y
-        p_y = -F * (math.pi / 2.0) * i_j
-        y0b = _y0(k * b)
+        y0b = bessel("Y0", k * b)
         a_s = (p_y - 1j * p_j) * y0b / h0b
         b_s = 1j * a_s + 1j * p_j - p_y
-        flux_s = 2.0 * math.pi * b * k * (-a_s * _j1(k * b) - b_s * _y1(k * b))
+        flux_s = 2.0 * math.pi * b * k * (-a_s * bessel("J1", k * b)
+                                          - b_s * bessel("Y1", k * b))
         out["flux_s"] = flux_s
         out["c_star"] = -flux_s / beta
         out["s_coeffs"] = (a_s, b_s)
@@ -348,33 +242,33 @@ def axisym_solution(layers: RadialLayers, k: float, mu: complex = 1.0) -> Radial
     id_, iz, ie = 1.0 / L.eps_dopant, 1.0 / L.eps_enz, 1.0 / L.eps_exterior
     if L.eps_exterior != 1.0:
         raise DomainError("exterior permittivity must be 1 for the radiation condition")
-    scalars = _scalar_constants(L, k, mu)
-
     if L.amplitude == 0:
-        sol = RadialSolution(L, k, (0j, 0j, 0j, 0j, 0j), None, scalars)
-        return sol
-    F, r1, r2 = L.amplitude, L.source_r1, L.source_r2
-    i_j = (r2 * _j1(k * r2) - r1 * _j1(k * r1)) / k
-    i_y = (r2 * _y1(k * r2) - r1 * _y1(k * r1)) / k
-    p_j = F * (math.pi / 2.0) * i_y
-    p_y = -F * (math.pi / 2.0) * i_j
+        return RadialSolution(L, k, (0j, 0j, 0j, 0j, 0j), None,
+                              _scalar_constants(L, k, mu, 0j, 0j))
+    i_j, i_y = _ring_integrals(L.source_r1, k, L.source_r2)
+    p_j = L.amplitude * (math.pi / 2.0) * i_y
+    p_y = -L.amplitude * (math.pi / 2.0) * i_j
+    scalars = _scalar_constants(L, k, mu, p_j, p_y)
 
     # unknowns: A_d, A_z, B_z, A_e, B_e
     A = np.zeros((5, 5), dtype=complex)
     rhs = np.zeros(5, dtype=complex)
-    A[0] = [_j0(kd * L.a), -_j0(kz * L.a), -_y0(kz * L.a), 0, 0]
-    A[1] = [-id_ * kd * _j1(kd * L.a), iz * kz * _j1(kz * L.a),
-            iz * kz * _y1(kz * L.a), 0, 0]
-    A[2] = [0, _j0(kz * L.b), _y0(kz * L.b), -_j0(k * L.b), -_y0(k * L.b)]
-    A[3] = [0, -iz * kz * _j1(kz * L.b), -iz * kz * _y1(kz * L.b),
-            ie * k * _j1(k * L.b), ie * k * _y1(k * L.b)]
+    A[0] = [bessel("J0", kd * L.a), -bessel("J0", kz * L.a),
+            -bessel("Y0", kz * L.a), 0, 0]
+    A[1] = [-id_ * kd * bessel("J1", kd * L.a), iz * kz * bessel("J1", kz * L.a),
+            iz * kz * bessel("Y1", kz * L.a), 0, 0]
+    A[2] = [0, bessel("J0", kz * L.b), bessel("Y0", kz * L.b),
+            -bessel("J0", k * L.b), -bessel("Y0", k * L.b)]
+    A[3] = [0, -iz * kz * bessel("J1", kz * L.b), -iz * kz * bessel("Y1", kz * L.b),
+            ie * k * bessel("J1", k * L.b), ie * k * bessel("Y1", k * L.b)]
     A[4] = [0, 0, 0, -1j, 1.0]
     rhs[4] = 1j * p_j - p_y
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularMatch(f"interface matching system condition {cond:.2e}")
     coeffs = np.linalg.solve(A, rhs)
-    sol = RadialSolution(L, k, tuple(coeffs), (F, r1, r2), scalars)
+    sol = RadialSolution(L, k, tuple(coeffs), (L.amplitude, L.source_r1, L.source_r2),
+                         scalars)
 
     # interface matching residuals must sit at solver precision
     for r0 in (L.a, L.b):

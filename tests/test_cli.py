@@ -163,6 +163,18 @@ def test_oracle_beyond_bessel_range_exits_16(tmp_path):
     assert _exit_code(tmp_path, text, sub="oracle-check") == 16   # DOMAIN
 
 
+def test_oracle_ill_conditioned_match_exits_17(tmp_path):
+    # the ENZ coefficient 1/delta = 1e14 puts the matching condition near 7e14
+    text = CANONICAL_CFG.replace("delta = 0.01,0", "delta = 1e-14,0")
+    assert _exit_code(tmp_path, text, sub="oracle-check") == 17   # SINGULAR_MATCH
+
+
+def test_resonance_sweep_on_zero_mean_pair_exits_18(tmp_path):
+    # (j1_zero(1) / 0.3)^2: the dopant's first angular pair, whose means vanish
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\nresonance_target = 163.13")
+    assert _exit_code(tmp_path, text, sub="resonance-sweep") == 18   # DEGENERATE
+
+
 def test_robin_with_collar_exits_4(tmp_path):
     text = CANONICAL_CFG.replace("[physics]", "[physics]\nradiation = robin")
     assert _exit_code(tmp_path, text) == 4   # VALIDATION_ERROR

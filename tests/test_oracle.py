@@ -24,11 +24,55 @@ def test_y_kind_rejects_zero_and_out_of_range():
         bessel("J0", -1.0)
 
 
-@pytest.mark.parametrize("kind,ref", [("J0", ss.j0), ("J1", ss.j1),
-                                      ("Y0", ss.y0), ("Y1", ss.y1)])
-def test_bessel_absolute_accuracy(kind, ref):
-    z = np.concatenate([np.linspace(1e-6, 12, 300), np.linspace(12.01, 200, 300)])
-    assert np.abs(bessel(kind, z) - ref(z)).max() < 1e-10
+# Abramowitz & Stegun, Handbook of Mathematical Functions, Table 9.1,
+# rounded to 10 decimals: x, J0(x), J1(x), Y0(x), Y1(x)
+_TABLE_9_1 = np.array([
+    (0.1, 0.9975015621, 0.0499375260, -1.5342386514, -6.4589510947),
+    (1.0, 0.7651976866, 0.4400505857, 0.0882569642, -0.7812128213),
+    (2.5, -0.0483837765, 0.4970941025, 0.4980703596, 0.1459181380),
+    (4.0, -0.3971498099, -0.0660433280, -0.0169407393, 0.3979257106),
+    (7.5, 0.2663396579, 0.1352484276, 0.1173132861, -0.2591285105),
+    (10.0, -0.2459357645, 0.0434727462, 0.0556711673, 0.2490154242),
+    (13.0, 0.2069261024, -0.0703180521, -0.0782078645, -0.2100814084),
+    (17.5, -0.1031103982, -0.1634199694, -0.1604111925, 0.0985727987),
+])
+
+
+@pytest.mark.parametrize("kind,col", [("J0", 1), ("J1", 2), ("Y0", 3), ("Y1", 4)],
+                         ids=["J0-j0", "J1-j1", "Y0-y0", "Y1-y1"])
+def test_bessel_absolute_accuracy(kind, col):
+    x = _TABLE_9_1[:, 0]
+    assert np.abs(bessel(kind, x) - _TABLE_9_1[:, col]).max() < 1e-10
+
+
+def test_bessel_zeros_match_table_9_5():
+    # Abramowitz & Stegun Table 9.5, 10 decimals
+    for n, (z0, z1) in enumerate([(2.4048255577, 3.8317059702),
+                                  (5.5200781103, 7.0155866698),
+                                  (8.6537279129, 10.1734681351)], start=1):
+        assert abs(j0_zero(n) - z0) < 1e-10
+        assert abs(j1_zero(n) - z1) < 1e-10
+
+
+def test_array_input_keeps_shape_and_checks_every_entry():
+    z = np.array([[0.5, 1.0, 2.0], [5.0, 50.0, 200.0]])
+    for kind in ("J0", "J1", "Y0", "Y1", "H1_0", "H1_1"):
+        out = bessel(kind, z)
+        assert out.shape == z.shape
+        assert out[1, 2] == bessel(kind, 200.0)
+    for kind, bad in (("J0", np.nan), ("J0", -1.0), ("J1", 250.0), ("Y0", 0.0)):
+        with pytest.raises(DomainError):
+            bessel(kind, np.array([[1.0, 2.0], [bad, 3.0]]))
+    with pytest.raises(DomainError):
+        bessel("J2", 1.0)
+
+
+def test_zero_index_outside_range_rejected():
+    for zero in (j0_zero, j1_zero):
+        assert zero(63) < 200.0   # the 64th zero lies above z = 200
+        for n in (0, 64):
+            with pytest.raises(DomainError):
+                zero(n)
 
 
 def test_hankel_combination():
