@@ -38,16 +38,32 @@ class RunOptions:
 
 
 # Value parsers take the text and where it came from ("line 7" in a file, a
-# flag name on the command line), which their PARSE_ERROR names.
+# flag name on the command line), which their PARSE_ERROR or, for a number
+# that is not finite, VALIDATION_ERROR names.
+
+
+def _floats(tokens, where: str) -> list:
+    """Floats of ``tokens``: ValueError if one does not parse, VALIDATION_ERROR
+    if one is NaN or infinite."""
+    vals = [float(t) for t in tokens]
+    for tok, val in zip(tokens, vals):
+        if not math.isfinite(val):
+            raise ValidationError(f"{where}: numbers must be finite, got {tok!r}")
+    return vals
+
+
+def _parse_float(text: str, where: str) -> float:
+    try:
+        return _floats([text], where)[0]
+    except ValueError:
+        raise ParseError(f"{where}: expected number, got {text!r}") from None
 
 
 def _parse_complex(text: str, where: str) -> complex:
     parts = [p.strip() for p in text.split(",")]
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            return complex(*_floats(parts, where))
     except ValueError:
         pass
     raise ParseError(f"{where}: cannot parse complex number {text!r}")
@@ -72,7 +88,7 @@ def _parse_window(kind: str, numbers: list, where: str) -> tuple:
     """Disk window ``(cx, cy, r)`` from its kind and its three numbers."""
     try:
         if kind == "disk" and len(numbers) == 3:
-            return tuple(float(v) for v in numbers)
+            return tuple(_floats(numbers, where))
     except ValueError:
         pass
     raise ParseError(f"{where}: expected a disk window 'disk cx cy r'")
@@ -82,10 +98,10 @@ def _parse_shape(text: str, where: str):
     toks = text.split()
     try:
         if toks[0] == "circle" and len(toks) == 4:
-            cx, cy, r = map(float, toks[1:])
+            cx, cy, r = _floats(toks[1:], where)
             return Circle((cx, cy), r)
         if toks[0] == "polygon" and len(toks) >= 7 and (len(toks) - 1) % 2 == 0:
-            vals = list(map(float, toks[1:]))
+            vals = _floats(toks[1:], where)
             return Polygon(tuple(zip(vals[0::2], vals[1::2])))
     except (ValueError, IndexError):
         pass
@@ -101,11 +117,11 @@ def _parse_sources(text: str, where: str) -> SourceSpec:
         toks = chunk.split()
         try:
             if toks[0] == "disk" and len(toks) == 5:
-                cx, cy, r = map(float, toks[1:4])
+                cx, cy, r = _floats(toks[1:4], where)
                 entries.append(SourceDisk((cx, cy), r, _parse_complex(toks[4], where)))
                 continue
             if toks[0] == "ring" and len(toks) == 4:
-                r1, r2 = float(toks[1]), float(toks[2])
+                r1, r2 = _floats(toks[1:3], where)
                 entries.append(SourceRing(r1, r2, _parse_complex(toks[3], where)))
                 continue
         except ValueError:
@@ -154,16 +170,10 @@ def parse_config(path):
         val, lineno = table[key]
         return conv(val, f"line {lineno}")
 
-    def ffloat(val, where):
-        try:
-            return float(val)
-        except ValueError:
-            raise ParseError(f"{where}: expected number, got {val!r}") from None
-
     outer = take(dom, "outer", _parse_shape, required=True)
     dopant = take(dom, "dopant", _parse_shape, required=True)
 
-    omega = take(phy, "omega", ffloat, default=1.0)
+    omega = take(phy, "omega", _parse_float, default=1.0)
     mu = take(phy, "mu", _parse_complex, default=1.0 + 0.0j)
     k_override = take(phy, "k", _parse_complex, default=None)
     if k_override is not None:
@@ -177,7 +187,7 @@ def parse_config(path):
     sources = take(phy, "sources", _parse_sources, default=SourceSpec())
     rad_mode = take(phy, "radiation", lambda v, n: v.strip(), default="pml")
     sigma0 = take(phy, "pml_sigma0",
-                  lambda v, where: None if v.strip() == "auto" else ffloat(v, where))
+                  lambda v, where: None if v.strip() == "auto" else _parse_float(v, where))
     order_pml = take(phy, "pml_order", _parse_int, default=2)
     try:
         radiation = RadiationSpec(rad_mode, sigma0, order_pml)
@@ -190,19 +200,19 @@ def parse_config(path):
     # the collar on top; an explicit truncation caps the default collar so
     # the physical annulus never collapses
     default_collar = wavelength if radiation.mode == "pml" else 0.0
-    trunc = take(dom, "truncation_radius", ffloat, default=None)
+    trunc = take(dom, "truncation_radius", _parse_float, default=None)
     if trunc is None:
         trunc = 4.0 * outer.circumradius() + default_collar
-        pml_t = take(dom, "pml_thickness", ffloat, default=default_collar)
+        pml_t = take(dom, "pml_thickness", _parse_float, default=default_collar)
     else:
         cap = 0.5 * (trunc - outer.circumradius())
-        pml_t = take(dom, "pml_thickness", ffloat,
+        pml_t = take(dom, "pml_thickness", _parse_float,
                      default=min(default_collar, max(cap, 0.0)))
     if radiation.mode == "robin" and pml_t > 0:
         # the Robin term lives on the truncation circle, which a collar
         # would take out of the exterior problem
         raise ValidationError("radiation = robin requires pml_thickness = 0")
-    h = take(dom, "h", ffloat, default=wavelength / 20.0)
+    h = take(dom, "h", _parse_float, default=wavelength / 20.0)
     if h <= 0:
         raise ValidationError("mesh size h must be positive")
 
@@ -231,9 +241,11 @@ def parse_config(path):
         deltas=take(run, "deltas", fclist, default=()),
         window=take(run, "window", fwindow, default=None),
         gammas=take(run, "gammas", fclist, default=()),
-        resonance_target=take(run, "resonance_target", ffloat, default=None),
+        resonance_target=take(run, "resonance_target", _parse_float, default=None),
         out=take(run, "out", lambda v, n: v.strip(), default="out"),
     )
     if opts.rho_iters < 10:
         raise ValidationError("rho_iters must be at least 10")
+    if len(opts.gammas) == 1:
+        raise ValidationError("gammas needs at least two values for a detuning sweep")
     return spec, cfg, opts

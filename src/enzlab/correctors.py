@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DivergentSeries, NoConvergence
 from .auxiliary import (AuxiliarySet, PhysicsConfig, exterior_dirichlet,
                         solve_auxiliary_set)
-from .fem import (BoundaryFunctional, NeumannSystem, ScalarField,
+from .fem import (BACKWARD_RTOL, BoundaryFunctional, NeumannSystem, ScalarField,
                   flux_extract, h1_norm, solve)
 from .geometry import Bnd, Mesh, Region
 
@@ -43,9 +43,7 @@ def flux_average(h_e: BoundaryFunctional, h_d: BoundaryFunctional,
     This is the unique constant shift that makes the annulus Neumann problem
     with data (h_e, h_d) solvable.
     """
-    he = h_e.total() if h_e is not None else 0.0
-    hd = h_d.total() if h_d is not None else 0.0
-    return -(he - hd) / beta
+    return -(h_e.total() - h_d.total()) / beta
 
 
 @dataclass
@@ -78,8 +76,7 @@ class CorrectorHierarchy:
 
     ``e[j]``, ``phi[j]``, ``lam[j]``, ``chi[j]`` are the order-j corrections;
     the order -1 members are the coupling constant and the auxiliary fields
-    themselves.  ``rho_hat`` is the tail estimate of the iteration map's
-    spectral radius (None when the hierarchy is too short to estimate).
+    themselves.
     """
 
     order: int
@@ -91,7 +88,6 @@ class CorrectorHierarchy:
     flux_lam: list                 # canonical fluxes of lam on the scatterer
     flux_chi: list                 # canonical fluxes of chi on the dopant
     state_norms: list              # norms of the iterated states
-    rho_hat: float | None
 
     def c_delta(self, delta: complex, order: int | None = None) -> complex:
         """Compensated sum  c* + sum_{j<=order} delta^(j+1) e_j.
@@ -201,13 +197,8 @@ class CorrectorEngine:
             e[j] = self.average(nxt.h_e, nxt.h_d)
             norms.append(self.state_norm(nxt))
             cur = nxt
-        rho = None
-        if order >= 5:
-            # transients die off first; only the last ratios see the radius
-            ratios = (np.asarray(norms[1:]) / np.asarray(norms[:-1]))[-3:]
-            rho = float(np.exp(np.mean(np.log(ratios))))
         return CorrectorHierarchy(order, self.aux.c_star, e, phi, lam, chi,
-                                  f_lam, f_chi, norms, rho)
+                                  f_lam, f_chi, norms)
 
     def estimate_radius(self, iters: int = 30, seed: int = 0) -> float:
         """Spectral radius of the iteration map by power iteration.
@@ -253,14 +244,17 @@ class CorrectorEngine:
 
         ``order`` is the highest kept power of delta: order 0 is the pure
         limit profile (constant in the annulus), order 1 adds the first
-        corrector, and so on.  ``order=None`` sums the whole hierarchy, which
-        requires |delta| * rho_hat < 1; an explicit truncation order is
-        allowed for any delta.
+        corrector, and so on.  An explicit truncation order is allowed for any
+        delta.  ``order=None`` sums the whole hierarchy and certifies the sum:
+        its :meth:`resolvent_residual` must be at most ``BACKWARD_RTOL``, the
+        bound every linear solve meets, or DIVERGENT_SERIES is raised.
         """
         if order is None:
-            if hier.rho_hat is not None and abs(delta) * hier.rho_hat >= 1.0:
+            defect = self.resolvent_residual(hier, delta)
+            if not defect <= BACKWARD_RTOL:   # NaN fails too
                 raise DivergentSeries(
-                    f"|delta|*rho_hat = {abs(delta) * hier.rho_hat:.3f} >= 1")
+                    f"resolvent defect {defect:.2e} > {BACKWARD_RTOL:.0e}: the series "
+                    f"diverges or has not converged by order J = {hier.order}")
             order = hier.order + 1
         if order > hier.order + 1:
             raise ValueError(f"order {order} beyond hierarchy depth {hier.order}")
@@ -291,13 +285,16 @@ class CorrectorEngine:
         return ScalarField(self.mesh, regions, out)
 
     def resolvent_residual(self, hier: CorrectorHierarchy, delta: complex) -> float:
-        """Relative defect of (I - delta T) applied to the summed state."""
-        x = self.seed_state()
+        """Relative defect ||x - delta T x - seed|| / ||seed|| of the summed state.
+
+        x = seed + sum_j delta^(j+1) T^(j+1) seed solves (I - delta T) x = seed
+        once the series has converged; the check costs one ``step``.
+        """
+        seed = self.seed_state()
+        x = seed
         d_pow = 1.0 + 0.0j
-        states = [IterState(hier.phi[j], hier.flux_lam[j], hier.flux_chi[j])
-                  for j in range(hier.order + 1)]
-        for j, st in enumerate(states):
+        for phi, f_lam, f_chi in zip(hier.phi, hier.flux_lam, hier.flux_chi):
             d_pow *= delta
-            x = x + d_pow * st
-        defect = x - delta * self.step(x) - self.seed_state()
-        return self.state_norm(defect) / self.state_norm(self.seed_state())
+            x = x + d_pow * IterState(phi, f_lam, f_chi)
+        defect = self.state_norm(x - delta * self.step(x) - seed)
+        return defect / self.state_norm(seed) if defect else 0.0

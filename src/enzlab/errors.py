@@ -4,12 +4,21 @@ Every error carries a stable symbolic ``name`` (used by the CLI to map
 failures to distinct exit codes) and a human-readable message.
 
 ``tests/test_cli.py`` reaches these codes from a config file through the
-CLI: 3, 4, 5, 6 and 12; 11 (EMPTY_WINDOW) from ``sweep-delta`` with a
+CLI: 3, 4, 5, 6 and 12 (a number that is NaN or infinite is a 4); 7
+(ZERO_COEFFICIENT) from ``direct`` with ``delta = 1e308,1e308``, finite but
+with 1/delta rounding to 0; 11 (EMPTY_WINDOW) from ``sweep-delta`` with a
 ``window`` disk that misses the mesh; 16 (DOMAIN) from ``oracle-check`` with
 a truncation radius whose Bessel arguments pass 200; 17 (SINGULAR_MATCH)
 from ``oracle-check`` with ``delta = 1e-14``, where the interface matching
 system is too ill-conditioned; 18 (DEGENERATE) from ``resonance-sweep`` with
 a ``resonance_target`` at an eigenvalue pair of zero mean.
+
+Not reachable from the CLI: 15 (DIVERGENT_SERIES), because every CLI
+expansion has an explicit order and only a full sum is certified.  Not
+reached by any config tried: 13 (BETA_NEAR_ZERO; mu from 1e-30 to 2500,
+mu = -1 and -100, i.e. k = i and 10i) and 14 (NO_CONVERGENCE; ``radius``
+over the same wavenumbers and ``rho_iters = 10``, ``resonance-sweep`` with
+targets -5 and 1e9 and dopant radii 0.1 and 0.15).
 """
 
 
@@ -91,7 +100,12 @@ class NoConvergence(EnzLabError):
 
 
 class DivergentSeries(EnzLabError):
-    """A full series sum was requested outside its convergence disk."""
+    """A full series sum failed its resolvent-residual certificate.
+
+    The relative defect of (I - delta T) on the summed state exceeds the
+    solvers' backward-error bound: the series diverges at this delta or has
+    not converged by the hierarchy's order J.
+    """
 
     name = "DIVERGENT_SERIES"
     exit_code = 15

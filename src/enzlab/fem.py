@@ -71,6 +71,8 @@ class RadiationSpec:
             raise ValueError(f"unknown radiation mode {self.mode!r}")
         if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ValueError("sigma0 must be finite and positive")
+        if self.stretch_order < 0:
+            raise ValueError("stretch_order must be nonnegative")
 
     def sigma(self, thickness: float) -> float:
         if self.sigma0 is not None:
@@ -809,7 +811,9 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
     Solves the generalized problem K u = lambda M u on the interior nodes
     via shift-invert Lanczos around ``target``; eigenvectors are returned
     mass-orthonormal as :class:`ScalarField` objects vanishing on the
-    region boundary.
+    region boundary.  The shifted matrix K - target M is factored by
+    :func:`factor` and every inverse application goes through
+    :func:`checked_solve`, so a singular shift raises SINGULAR_SYSTEM.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -820,8 +824,13 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
     K_ii = K[np.ix_(il, il)].tocsc()
     M_ii = M[np.ix_(il, il)].tocsc()
     v0 = np.ones(len(il)) / math.sqrt(len(il))
+    shifted = (K_ii - target * M_ii).tocsc()
+    lu, norm = factor(shifted), inf_norm(shifted)
+    op_inv = spla.LinearOperator(shifted.shape, dtype=float,
+                                 matvec=lambda b: checked_solve(lu, shifted, norm, b))
     try:
-        vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=target, v0=v0)
+        vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=target, v0=v0,
+                                OPinv=op_inv)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"eigen iteration did not converge: {exc}") from exc
     order = np.argsort(np.abs(vals - target))

@@ -200,14 +200,20 @@ def _ring_integrals(r1: float, k: float, rho):
 
 
 def _scalar_constants(layers: RadialLayers, k: float, mu: complex, p_j, p_y) -> dict:
+    """Closed-form scalars; psi_d = J0(kd r) / J0(kd a) with kd = k sqrt(eps_dopant).
+
+    The dopant flux is the co-normal one, (1/eps_dopant) dpsi_d/dr, so
+    ``flux_psi_d = -k^2 int_psi_d`` as in the finite element identity.
+    """
     a, b = layers.a, layers.b
-    j0a, j1a = bessel("J0", k * a), bessel("J1", k * a)
+    kd = k * math.sqrt(layers.eps_dopant)
+    j0a, j1a = bessel("J0", kd * a), bessel("J1", kd * a)
     if abs(j0a) < 1e-10:
-        raise ResonantDopant(f"J0(k*a) = {j0a:.2e}: dopant resonance")
+        raise ResonantDopant(f"J0(kd*a) = {j0a:.2e}: dopant resonance")
     h0b, h1b = bessel("H1_0", k * b), bessel("H1_1", k * b)
     flux_psi_e = -2.0 * math.pi * b * k * h1b / h0b
-    flux_psi_d = -2.0 * math.pi * a * k * j1a / j0a
-    int_psi_d = 2.0 * math.pi * a * j1a / (k * j0a)
+    flux_psi_d = -2.0 * math.pi * a * kd * j1a / (layers.eps_dopant * j0a)
+    int_psi_d = 2.0 * math.pi * a * j1a / (kd * j0a)
     area_enz = math.pi * (b * b - a * a)
     beta = k * k * area_enz + flux_psi_e - flux_psi_d
     mu_eff = mu * (area_enz + int_psi_d) / (math.pi * b * b)

@@ -135,6 +135,44 @@ def test_pml_sigma0_checked(tmp_path, capsys, value, code):
         assert "line 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, old, new, flags", [
+    ("aux", "h = 0.2", "h = nan", []),
+    ("aux", "truncation_radius = 4", "truncation_radius = nan", []),
+    ("aux", "pml_thickness = 1", "pml_thickness = nan", []),
+    ("aux", "delta = 0.01,0", "delta = inf,0", []),
+    ("aux", "mu = 1,0", "mu = nan,0", []),
+    ("aux", "ring 2.3 2.7 1,0", "ring 2.3 2.7 nan,0", []),
+    ("resonance-sweep", "seed = 0", "seed = 0\nresonance_target = nan", []),
+    ("resonance-sweep", "seed = 0", "seed = 0\ngammas = 0.1 nan", []),
+    ("sweep-delta", "seed = 0", "seed = 0\ndeltas = 0.1,0\nwindow = disk 0 0 nan", []),
+    ("expand", "seed = 0", "seed = 0", ["--delta", "nan,0"]),
+])
+def test_nonfinite_numbers_exit_4(tmp_path, capsys, subcommand, old, new, flags):
+    path = tmp_path / "case.cfg"
+    path.write_text(CANONICAL_CFG.replace(old, new))
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out"), *flags]) == 4
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert ("--delta" if flags else "line ") in err
+
+
+@pytest.mark.parametrize("line", ["pml_order = -1", "pml_order = -3"])
+def test_negative_pml_order_exits_4(tmp_path, line):
+    text = CANONICAL_CFG.replace("[physics]", f"[physics]\n{line}")
+    assert _exit_code(tmp_path, text) == 4   # VALIDATION_ERROR
+
+
+def test_single_gamma_exits_4(tmp_path):
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\ngammas = 0.1")
+    assert _exit_code(tmp_path, text, sub="resonance-sweep") == 4   # VALIDATION_ERROR
+
+
+def test_direct_with_reciprocal_underflow_exits_7(tmp_path):
+    # delta is finite, but 1/delta rounds to 0 in the ENZ coefficient
+    text = CANONICAL_CFG.replace("delta = 0.01,0", "delta = 1e308,1e308")
+    assert _exit_code(tmp_path, text, sub="direct") == 7   # ZERO_COEFFICIENT
+
+
 def test_dopant_leaving_scatterer_exits_5(tmp_path):
     text = CANONICAL_CFG.replace("dopant = circle 0 0 0.3", "dopant = circle 0.8 0 0.3")
     assert _exit_code(tmp_path, text) == 5   # GEOMETRY_INVALID

@@ -4,11 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from enzlab.auxiliary import PhysicsConfig
 from enzlab.correctors import CorrectorEngine, IterState, flux_average
 from enzlab.direct import compare_fields, solve_transmission
 from enzlab.errors import DivergentSeries
 from enzlab.fem import BoundaryFunctional, ScalarField, h1_norm, l2_norm
-from enzlab.geometry import Bnd, Region
+from enzlab.geometry import Bnd, Region, SourceSpec, build_mesh
+
+from conftest import GENERIC_SPEC
+
+
+@pytest.fixture(scope="module")
+def engine_generic(cfg_ring):
+    """Off-centre dopant at h = 0.1; the dense spectrum of its map gives rho 1.3864."""
+    return CorrectorEngine(build_mesh(GENERIC_SPEC, 0.1), cfg_ring)
 
 
 def test_flux_average_zero_and_linearity(mesh_coarse, aux_coarse):
@@ -191,9 +200,44 @@ def test_expansion_order_one_matches_hand_built(engine_coarse, hier8, aux_coarse
 
 
 def test_full_sum_requires_convergence(engine_coarse, hier8):
-    rho = hier8.rho_hat
+    rho = engine_coarse.estimate_radius(iters=25)
     with pytest.raises(DivergentSeries):
         engine_coarse.assemble_expansion(hier8, 1.5 / rho, order=None)
+
+
+def test_full_sum_guard_rejects_divergent_generic_sum(engine_generic):
+    # |delta| rho = 1.32: the J = 8 sum lies 30 % (relative H1) from the
+    # direct solve
+    hier = engine_generic.build_hierarchy(8)
+    with pytest.raises(DivergentSeries):
+        engine_generic.assemble_expansion(hier, -0.95, order=None)
+
+
+@pytest.mark.parametrize("mesh_label", ["canonical", "generic"])
+def test_certified_full_sums_match_direct_solve(mesh_label, engine_coarse, engine_generic,
+                                                cfg_ring):
+    # every full sum the resolvent certificate lets through is the direct
+    # solve; inside half the radius the J = 40 sums must get through
+    engine = engine_coarse if mesh_label == "canonical" else engine_generic
+    rho = engine.estimate_radius(iters=30)
+    hiers = {J: engine.build_hierarchy(J) for J in (8, 40)}
+    for delta, converges_by_40 in ((-0.95, False), (-0.8, False), (0.3 / rho, True),
+                                   (0.5 / rho, True), (0.9 / rho, False), (-0.3, True)):
+        u = solve_transmission(engine.mesh, dataclasses.replace(cfg_ring, delta=delta))
+        for J, hier in hiers.items():
+            try:
+                v = engine.assemble_expansion(hier, delta, order=None)
+            except DivergentSeries:
+                assert not (J == 40 and converges_by_40), f"delta {delta:.4f}"
+                continue
+            assert compare_fields(u, v).h1_rel <= 1e-8, f"J {J}, delta {delta:.4f}"
+
+
+def test_full_sum_of_trivial_source_is_zero(mesh_coarse):
+    eng = CorrectorEngine(mesh_coarse, PhysicsConfig(sources=SourceSpec()))
+    hier = eng.build_hierarchy(2)
+    assert eng.resolvent_residual(hier, 0.5) == 0.0
+    assert np.abs(eng.assemble_expansion(hier, 0.5, order=None).values).max() == 0.0
 
 
 def test_neumann_series_recovery_and_resolvent(engine_coarse, hier8, cfg_ring, mesh_coarse):

@@ -303,6 +303,13 @@ def test_dirichlet_eigs_disk(annulus_mesh_fine):
             assert abs(g - (1.0 if i == j else 0.0)) < 1e-8
 
 
+def test_dirichlet_eigs_shift_is_factored_by_fem_factor(mesh_coarse):
+    # the shift-invert operator comes from fem.factor, so a NaN shift is a
+    # SINGULAR_SYSTEM, not a RuntimeError from a hidden splu
+    with pytest.raises(SingularSystem):
+        dirichlet_eigs(mesh_coarse, 1, target=math.nan)
+
+
 NO_COLLAR = DomainSpec(outer=Circle((0.0, 0.0), 1.0),
                        dopant=Circle((0.0, 0.0), 0.3),
                        truncation_radius=4.0, pml_thickness=0.0)

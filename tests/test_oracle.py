@@ -159,3 +159,16 @@ def test_enz_field_approaches_coupling_constant():
     assert gaps[0] > gaps[1] > gaps[2]
     slope = math.log10(gaps[0] / gaps[2]) / 2.0
     assert slope > 0.8
+
+
+def test_enz_field_approaches_coupling_constant_with_dielectric_dopant():
+    # the shell field approaches c_star like delta only when psi_d and its
+    # co-normal flux use kd = k sqrt(eps_dopant); built from k it stalls
+    # near 3e-4
+    gaps = []
+    for delta in (1e-3, 1e-4, 1e-5):
+        sol = axisym_solution(_source_layers(eps_dopant=2.0, eps_enz=delta), k=1.0)
+        r = np.linspace(0.35, 0.95, 13)
+        gaps.append(np.abs(sol(r) - sol.scalars["c_star"]).max())
+    assert gaps[1] < 0.2 * gaps[0] and gaps[2] < 0.2 * gaps[1]
+    assert gaps[2] < 1e-5
