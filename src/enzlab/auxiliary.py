@@ -49,7 +49,6 @@ class PhysicsConfig:
     sources: SourceSpec = dc_field(default_factory=SourceSpec)
     radiation: RadiationSpec = dc_field(default_factory=RadiationSpec)
     rtol: float = fem.BACKWARD_RTOL
-    ctol: float = 1e-6
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -110,8 +109,8 @@ def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 
     x = np.ones(len(block.free), dtype=complex) / math.sqrt(len(block.free))
     lam = 0.0
     for _ in range(iters):
-        y = block.lu.solve(x, trans="H")
-        w = block.lu.solve(y, trans="N")
+        y = block.ff.lu.solve(x, trans="H")
+        w = block.ff.lu.solve(y, trans="N")
         lam = float(np.linalg.norm(w))
         x = w / lam
     sigma_min = 1.0 / math.sqrt(lam)

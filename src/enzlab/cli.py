@@ -123,19 +123,16 @@ def run_aux(spec, cfg, opts, outdir: Path) -> None:
                  aux.mu_eff.imag, rres)])
 
 
-def run_expand(spec, cfg, opts, outdir: Path, order=None, delta=None) -> None:
-    order = opts.order if order is None else order
-    delta = complex(cfg.delta) if delta is None else delta
+def run_expand(spec, cfg, opts, outdir: Path) -> None:
+    order, delta = opts.order, complex(cfg.delta)
     mesh = build_mesh(spec, opts.h)
     engine = CorrectorEngine(mesh, cfg)
     hier = engine.build_hierarchy(max(order, 1))
-    rho = engine.estimate_radius(iters=opts.rho_iters, seed=opts.seed)
     field = engine.assemble_expansion(hier, delta, order=order)
     _write_field_csv(outdir / "expand_field.csv", field)
     summary = {
         "c_star": [hier.c_star.real, hier.c_star.imag],
         "e": [[v.real, v.imag] for v in hier.e],
-        "rho_hat": rho,
         "c_delta": [hier.c_delta(delta, order - 1).real,
                     hier.c_delta(delta, order - 1).imag],
     }
@@ -150,16 +147,12 @@ def run_direct(spec, cfg, opts, outdir: Path) -> None:
     _write_field_csv(outdir / "direct_field.csv", u)
 
 
-def run_sweep_delta(spec, cfg, opts, outdir: Path, deltas=None, order=None,
-                    window=None) -> None:
-    deltas = tuple(deltas if deltas is not None else opts.deltas)
-    if not deltas:
+def run_sweep_delta(spec, cfg, opts, outdir: Path) -> None:
+    if not opts.deltas:
         raise ValidationError("sweep needs a nonempty deltas list")
-    order = opts.order if order is None else order
-    window = opts.window if window is None else window
     mesh = build_mesh(spec, opts.h)
     engine = CorrectorEngine(mesh, cfg)
-    hier = engine.build_hierarchy(max(order, 2))
+    hier = engine.build_hierarchy(2)
 
     def one(delta):
         cfg_d = dataclasses.replace(cfg, delta=complex(delta))
@@ -167,11 +160,11 @@ def run_sweep_delta(spec, cfg, opts, outdir: Path, deltas=None, order=None,
         errs = []
         for j in (0, 1, 2):
             v = engine.assemble_expansion(hier, complex(delta), order=j)
-            errs.append(compare_fields(u, v, window=window).h1_error)
+            errs.append(compare_fields(u, v, window=opts.window).h1_error)
         d = complex(delta)
         return (abs(d), math.atan2(d.imag, d.real), errs[0], errs[1], errs[2])
 
-    rows = [one(delta) for delta in deltas]
+    rows = [one(delta) for delta in opts.deltas]
     _write_csv(outdir / "sweep_delta.csv",
                ["delta_abs", "delta_arg", "h1_err_J0", "h1_err_J1", "h1_err_J2"],
                rows)
@@ -292,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "sweep-delta":
             p.add_argument("--deltas", type=str, default=None,
                            help="space-separated list of RE,IM values")
-            p.add_argument("--order", type=str, default=None)
             p.add_argument("--window", type=str, default=None,
                            help="disk:cx,cy,r")
     return parser
@@ -305,19 +297,20 @@ def main(argv=None) -> int:
         spec, cfg, opts = parse_config(args.config)
         outdir = Path(args.out or opts.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        # flag values are checked like their config keys
-        kwargs = {}
+        # flag values are checked like their config keys and replace them
         if getattr(args, "order", None) is not None:
-            kwargs["order"] = _parse_order(args.order, "--order")
+            opts = dataclasses.replace(opts, order=_parse_order(args.order, "--order"))
         if getattr(args, "delta", None) is not None:
-            kwargs["delta"] = _parse_complex(args.delta, "--delta")
+            cfg = dataclasses.replace(cfg, delta=_parse_complex(args.delta, "--delta"))
         if getattr(args, "deltas", None) is not None:
-            kwargs["deltas"] = tuple(_parse_complex(v, "--deltas") for v in args.deltas.split())
+            opts = dataclasses.replace(opts, deltas=tuple(
+                _parse_complex(v, "--deltas") for v in args.deltas.split()))
         if getattr(args, "window", None) is not None:
             kind, _, body = args.window.partition(":")
-            kwargs["window"] = _parse_window(kind, body.split(","), "--window")
+            opts = dataclasses.replace(
+                opts, window=_parse_window(kind, body.split(","), "--window"))
         t0 = time.perf_counter()
-        _SUBCOMMANDS[args.subcommand](spec, cfg, opts, outdir, **kwargs)
+        _SUBCOMMANDS[args.subcommand](spec, cfg, opts, outdir)
         _manifest(outdir, args.subcommand, spec, cfg, opts,
                   {"total": time.perf_counter() - t0})
     except EnzLabError as exc:

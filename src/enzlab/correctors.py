@@ -120,7 +120,7 @@ class CorrectorEngine:
         self.aux = aux if aux is not None else solve_auxiliary_set(mesh, cfg)
         self.ext_system = self.aux.ext_system
         self.dop_system = self.aux.dop_system
-        self.neumann = NeumannSystem(mesh, Region.ENZ, ctol=cfg.ctol)
+        self.neumann = NeumannSystem(mesh, Region.ENZ)
         self._dual_w = {
             Bnd.GAMMA_OMEGA: mesh.boundary_lumped_lengths(Bnd.GAMMA_OMEGA),
             Bnd.GAMMA_D: mesh.boundary_lumped_lengths(Bnd.GAMMA_D),

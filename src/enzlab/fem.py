@@ -22,9 +22,10 @@ skips the column search of partial pivoting at the same fill and cuts the
 factor time by a quarter to a half.  The threshold is 0.1, not 0, because
 the bordered (Neumann and deflated) systems need the pivoting fallback: with
 0 they take roundoff-sized pivots and solve wrongly without a breakdown.
-Every solve on a factorization, bordered ones included, goes through one
-residual contract, :func:`checked_solve`: a normwise backward error above
-1e-10 raises SINGULAR_SYSTEM.
+A :class:`Factored` matrix holds its norm and its LU, and every solve on a
+factorization, bordered ones included, goes through its one residual
+contract, :meth:`Factored.solve`: a normwise backward error above 1e-10
+raises SINGULAR_SYSTEM.
 
 Flux conventions: :func:`flux_extract` returns the weak residual paired
 against boundary traces, i.e. the flux with respect to the *solve domain's*
@@ -149,9 +150,6 @@ class BoundaryFunctional:
         """Pairing with the constant-1 trace: the total boundary flux."""
         return complex(self.values.sum())
 
-    def pairing(self, trace_values: np.ndarray) -> complex:
-        return complex(np.dot(self.values, np.asarray(trace_values)))
-
     def __add__(self, other: "BoundaryFunctional") -> "BoundaryFunctional":
         if other.tag != self.tag or other.mesh is not self.mesh:
             raise TagMismatch("functionals on different boundaries")
@@ -253,22 +251,6 @@ def _boundary_mass(mesh: Mesh, regions, tag: Bnd) -> sp.csc_matrix:
 # system assembly
 
 
-@dataclass(eq=False)
-class DirichletBlock:
-    """Split of a system into free and fixed nodes for one set of Dirichlet tags."""
-
-    free: np.ndarray           # local indices of the unconstrained nodes
-    fixed: np.ndarray          # local indices of the constrained nodes
-    A_ff: sp.csc_matrix
-    A_fd: sp.csc_matrix
-    norm: float                # infinity norm of A_ff
-
-    @cached_property
-    def lu(self):
-        """Factorization of ``A_ff``, computed on first use."""
-        return factor(self.A_ff)
-
-
 def factor(A: sp.csc_matrix):
     """SuperLU factorization of a square CSC matrix.
 
@@ -314,30 +296,59 @@ def inf_norm(A: sp.spmatrix) -> float:
     return float(np.asarray(np.abs(A).sum(axis=1)).max(initial=0.0))
 
 
-def checked_solve(lu, A: sp.spmatrix, norm: float, b: np.ndarray,
-                  rtol: float = BACKWARD_RTOL) -> np.ndarray:
-    """``lu.solve(b)`` for ``A`` (infinity norm ``norm``) under the residual contract.
+class Factored:
+    """A square CSC matrix with its infinity norm and its :func:`factor` LU.
 
-    Raises SINGULAR_SYSTEM if the solution is not finite or its normwise
-    backward error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``rtol``: a bad
-    pivot then shows as an error, not as a wrong field.
+    The LU is built on first use.  :meth:`solve` is the residual contract
+    every solve on a factorization goes through.
     """
-    x = lu.solve(b)
-    if not np.isfinite(x).all():
-        raise SingularSystem("factorization produced non-finite values")
-    resid = np.linalg.norm(A @ x - b)
-    denom = norm * np.linalg.norm(x) + np.linalg.norm(b)
-    if resid > rtol * denom:
-        raise SingularSystem(
-            f"backward error {resid / denom:.3e} exceeds {rtol:.1e}; "
-            "system is numerically singular")
-    return x
+
+    def __init__(self, A: sp.csc_matrix):
+        self.A = A
+        self.norm = inf_norm(A)
+
+    @cached_property
+    def lu(self):
+        return factor(self.A)
+
+    def solve(self, b: np.ndarray, rtol: float = BACKWARD_RTOL) -> np.ndarray:
+        """``lu.solve(b)``, checked against ``A``.
+
+        Raises SINGULAR_SYSTEM if the solution is not finite or its normwise
+        backward error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``rtol``: a
+        bad pivot then shows as an error, not as a wrong field.
+        """
+        x = self.lu.solve(b)
+        if not np.isfinite(x).all():
+            raise SingularSystem("factorization produced non-finite values")
+        resid = np.linalg.norm(self.A @ x - b)
+        denom = self.norm * np.linalg.norm(x) + np.linalg.norm(b)
+        if resid > rtol * denom:
+            raise SingularSystem(
+                f"backward error {resid / denom:.3e} exceeds {rtol:.1e}; "
+                "system is numerically singular")
+        return x
 
 
 def bordered(A: sp.spmatrix, B: np.ndarray) -> sp.csc_matrix:
     """The saddle-point matrix ``[[A, B], [B^H, 0]]`` for constraint columns ``B``."""
     B = sp.csc_matrix(B)
     return sp.bmat([[A, B], [B.conj().T, None]], format="csc")
+
+
+@dataclass(eq=False)
+class DirichletBlock:
+    """Split of a system into free and fixed nodes for one set of Dirichlet tags."""
+
+    free: np.ndarray           # local indices of the unconstrained nodes
+    fixed: np.ndarray          # local indices of the constrained nodes
+    A_ff: sp.csc_matrix
+    A_fd: sp.csc_matrix
+
+    @cached_property
+    def ff(self) -> Factored:
+        """``A_ff`` with its norm and LU, built on first use."""
+        return Factored(self.A_ff)
 
 
 @dataclass(eq=False)
@@ -359,10 +370,9 @@ class LinearSystem:
             for tag in tags:
                 fixed[self.local_boundary(tag)] = True
             free_idx, fixed_idx = np.flatnonzero(~fixed), np.flatnonzero(fixed)
-            A_ff = self.A[np.ix_(free_idx, free_idx)].tocsc()
             block = self._blocks[tags] = DirichletBlock(
-                free_idx, fixed_idx, A_ff, self.A[np.ix_(free_idx, fixed_idx)],
-                inf_norm(A_ff))
+                free_idx, fixed_idx, self.A[np.ix_(free_idx, free_idx)].tocsc(),
+                self.A[np.ix_(free_idx, fixed_idx)])
         return block
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
@@ -476,7 +486,7 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     ``rhs`` is a dual vector aligned with ``system.nodes``.  ``dirichlet``
     maps boundary tags to trace values (scalar or per-node array).  Raises
     SINGULAR_SYSTEM if factorization breaks down, the normwise backward
-    error exceeds ``rtol`` (:func:`checked_solve`), or the solution is
+    error exceeds ``rtol`` (:meth:`Factored.solve`), or the solution is
     amplified at the working-precision singularity level (the strongly
     scaled shell block makes a plain ||Ax-b|| <= rtol ||b|| test unattainable
     in double precision while the solve is still perfectly reliable).
@@ -491,8 +501,8 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
         b_free = rhs[block.free] - block.A_fd @ u[block.fixed]
         scale = np.linalg.norm(b_free)
         if scale != 0.0:
-            x = checked_solve(block.lu, block.A_ff, block.norm, b_free, rtol)
-            if block.norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * scale:
+            x = block.ff.solve(b_free, rtol)
+            if block.ff.norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * scale:
                 raise SingularSystem(
                     "solution amplification at working-precision singularity level")
             u[block.free] = x
@@ -527,25 +537,26 @@ def flux_extract(fieldval: ScalarField, system: LinearSystem, tag: Bnd,
 # mean-zero Neumann solves
 
 
+# Largest accepted |total data| relative to the summed data moduli.
+COMPATIBILITY_RTOL = 1e-6
+
+
 class NeumannSystem:
     """Pure-Neumann Laplacian on a region set with a mean-zero multiplier."""
 
-    def __init__(self, mesh: Mesh, regions=Region.ENZ, ctol: float = 1e-6):
+    def __init__(self, mesh: Mesh, regions=Region.ENZ):
         self.mesh = mesh
         self.regions = _as_region_set(regions)
-        self.ctol = ctol
         self.nodes = mesh.region_nodes(self.regions)
-        self.pos = mesh.region_pos(self.regions)
         self.K = stiffness_matrix(mesh, self.regions)
         self.M = mass_matrix(mesh, self.regions)
         self.m_vec = np.asarray(self.M.sum(axis=1)).ravel()   # integral of each hat
         self.area = float(self.m_vec.sum().real)
 
     @cached_property
-    def _bordered(self):
-        """Factorization, matrix and norm of ``K`` bordered by the mean-value row."""
-        A = bordered(self.K, self.m_vec.real[:, None])
-        return factor(A), A, inf_norm(A)
+    def _bordered(self) -> Factored:
+        """``K`` bordered by the mean-value row."""
+        return Factored(bordered(self.K, self.m_vec.real[:, None]))
 
     def solve(self, volume: np.ndarray | None, fluxes: dict) -> ScalarField:
         """Solve -Lap(u) = volume data with prescribed boundary fluxes.
@@ -555,7 +566,7 @@ class NeumannSystem:
         domain is handled internally.  Raises INCOMPATIBLE_DATA when the
         total data violates the discrete solvability condition, and
         SINGULAR_SYSTEM when the bordered solve breaks the backward-error
-        contract of :func:`checked_solve` or the mean-zero constraint.
+        contract of :meth:`Factored.solve` or the mean-zero constraint.
         """
         n = len(self.nodes)
         b = np.zeros(n, dtype=complex)
@@ -571,11 +582,11 @@ class NeumannSystem:
             b[loc] += curve_sign(self.regions, tag) * h.values
             scale = max(scale, float(np.abs(h.values).sum()))
         total = b.sum()
-        if scale > 0 and abs(total) > self.ctol * scale:
+        if scale > 0 and abs(total) > COMPATIBILITY_RTOL * scale:
             raise IncompatibleData(
                 f"compatibility residual {abs(total):.3e} exceeds "
-                f"{self.ctol:.1e} * {scale:.3e}")
-        u = checked_solve(*self._bordered, np.concatenate([b, [0.0]]))[:n]
+                f"{COMPATIBILITY_RTOL:.1e} * {scale:.3e}")
+        u = self._bordered.solve(np.concatenate([b, [0.0]]))[:n]
         mean = np.dot(self.m_vec, u) / self.area
         norm = math.sqrt(float(np.vdot(u, self.M @ u).real)) if n else 0.0
         if norm > 0 and abs(mean) * math.sqrt(self.area) > 1e-10 * norm:
@@ -804,30 +815,25 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd) -> tuple[np.ndarray, c
 _EIG_RESID_TOL = 1e-8
 
 
-def dirichlet_eigs(mesh: Mesh, count: int, target: float,
-                   regions=Region.DOPANT) -> list:
-    """Eigenpairs of the Dirichlet Laplacian on a sub-region.
+def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
+    """Eigenpairs of the Dirichlet Laplacian on the dopant.
 
     Solves the generalized problem K u = lambda M u on the interior nodes
     via shift-invert Lanczos around ``target``; eigenvectors are returned
     mass-orthonormal as :class:`ScalarField` objects vanishing on the
-    region boundary.  The shifted matrix K - target M is factored by
-    :func:`factor` and every inverse application goes through
-    :func:`checked_solve`, so a singular shift raises SINGULAR_SYSTEM.
+    dopant boundary.  Every inverse application is a :meth:`Factored.solve`
+    on K - target M, so a singular shift raises SINGULAR_SYSTEM.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    regions = _as_region_set(regions)
-    il = mesh.region_pos(regions)[mesh.interior_nodes(regions)]
-    K = stiffness_matrix(mesh, regions).real.tocsc()
-    M = mass_matrix(mesh, regions).real.tocsc()
+    il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
+    K = stiffness_matrix(mesh, Region.DOPANT).real.tocsc()
+    M = mass_matrix(mesh, Region.DOPANT).real.tocsc()
     K_ii = K[np.ix_(il, il)].tocsc()
     M_ii = M[np.ix_(il, il)].tocsc()
     v0 = np.ones(len(il)) / math.sqrt(len(il))
-    shifted = (K_ii - target * M_ii).tocsc()
-    lu, norm = factor(shifted), inf_norm(shifted)
-    op_inv = spla.LinearOperator(shifted.shape, dtype=float,
-                                 matvec=lambda b: checked_solve(lu, shifted, norm, b))
+    shifted = Factored((K_ii - target * M_ii).tocsc())
+    op_inv = spla.LinearOperator(shifted.A.shape, dtype=float, matvec=shifted.solve)
     try:
         vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=target, v0=v0,
                                 OPinv=op_inv)
@@ -847,7 +853,7 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float,
             raise NoConvergence(f"eigenpair residual {resid:.2e} above tolerance")
         vloc = np.zeros(K.shape[0], dtype=complex)
         vloc[il] = u
-        pairs.append((float(vals[j]), ScalarField(mesh, regions, vloc)))
+        pairs.append((float(vals[j]), ScalarField(mesh, Region.DOPANT, vloc)))
     return pairs
 
 

@@ -17,16 +17,16 @@ solver precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Degenerate, ResonantDopant, SingularSystem
 from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
-from .fem import (BoundaryFunctional, NeumannSystem, ScalarField, bordered,
-                  checked_solve, dirichlet_eigs, eigen_flux, factor, h1_norm,
-                  inf_norm, integrate, mass_matrix, stiffness_matrix)
-from .geometry import Bnd, Mesh, Region
+from .fem import (BoundaryFunctional, Factored, LinearSystem, NeumannSystem,
+                  ScalarField, bordered, dirichlet_eigs, eigen_flux, h1_norm,
+                  integrate, mass_matrix, stiffness_matrix)
+from .geometry import Bnd, Mesh, Region, _as_region_set
 
 EXCITED = "EXCITED"
 NOT_EXCITED = "NOT_EXCITED"
@@ -107,7 +107,7 @@ class ResonanceStudy:
     cluster: list
     means: np.ndarray
     classification: str
-    records: list = dc_field(default_factory=list)
+    records: list
     c_bar: complex = 0.0
     c_bar_extrapolated: complex = 0.0
     phi_hat0: ScalarField = None
@@ -135,8 +135,8 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     classification = classify_eigenpairs(mesh, cluster)
     if classification != EXCITED:
         raise Degenerate("detuning sweep requires an excited resonance")
-    study = ResonanceStudy(lam_star, cluster, means, classification)
-    neumann = NeumannSystem(mesh, Region.ENZ, ctol=cfg.ctol)
+    study = ResonanceStudy(lam_star, cluster, means, classification, [])
+    neumann = NeumannSystem(mesh, Region.ENZ)
 
     # limit objects use the exterior problem exactly at the eigenvalue
     cfg_star = PhysicsConfig.from_k(_branch_sqrt(lam_star), sources=cfg.sources,
@@ -178,15 +178,6 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
 # deflated solves for the un-excited (mean-zero) resonance
 
 
-def _deflated_system(mesh: Mesh, lambda_star: float, cluster):
-    il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
-    M = mass_matrix(mesh, Region.DOPANT)
-    A = (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc()
-    B = np.column_stack([(M @ u.values)[il] for _, u in cluster])
-    D = bordered(A[np.ix_(il, il)], B)
-    return il, A, (factor(D), D, inf_norm(D)), B.shape[1]
-
-
 def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
                              trace: np.ndarray,
                              volume: np.ndarray | None = None) -> ScalarField:
@@ -197,17 +188,21 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
     Any multiple of a cluster eigenfunction may be added to the result and it
     still satisfies the same equation and trace.  Raises SINGULAR_SYSTEM when
     the bordered system breaks down or its solve breaks the backward-error
-    contract of :func:`enzlab.fem.checked_solve`.
+    contract of :meth:`enzlab.fem.Factored.solve`.
     """
-    il, A, bordered_system, m = _deflated_system(mesh, lambda_star, cluster)
-    vals = np.zeros(A.shape[0], dtype=complex)
-    bn = mesh.region_pos(Region.DOPANT)[mesh.boundary_nodes(Bnd.GAMMA_D)]
-    vals[bn] = trace
-    rhs = -(A @ vals)
+    M = mass_matrix(mesh, Region.DOPANT)
+    system = LinearSystem(mesh, _as_region_set(Region.DOPANT),
+                          (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc(),
+                          mesh.region_nodes(Region.DOPANT))
+    block = system.dirichlet_block([Bnd.GAMMA_D])
+    B = np.column_stack([(M @ u.values)[block.free] for _, u in cluster])
+    vals = np.zeros(len(system.nodes), dtype=complex)
+    vals[system.local_boundary(Bnd.GAMMA_D)] = trace
+    rhs = -(block.A_fd @ vals[block.fixed])
     if volume is not None:
-        rhs = rhs + volume
-    x = checked_solve(*bordered_system, np.concatenate([rhs[il], np.zeros(m)]))
-    vals[il] = x[:len(il)]
+        rhs = rhs + volume[block.free]
+    x = Factored(bordered(block.A_ff, B)).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
+    vals[block.free] = x[:len(block.free)]
     return ScalarField(mesh, Region.DOPANT, vals)
 
 

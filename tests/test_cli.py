@@ -267,11 +267,37 @@ def test_rerun_is_byte_identical(cfg_file, tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_manifest_records_flag_values(cfg_file, tmp_path):
+    out = tmp_path / "out_flags"
+    assert main(["expand", str(cfg_file), "--out", str(out),
+                 "--order", "1", "--delta", "0.05,0"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["physics"]["delta"] == [0.05, 0.0]
+    assert manifest["run"]["order"] == 1
+    assert main(["sweep-delta", str(cfg_file), "--out", str(out),
+                 "--deltas", "0.1,0 0.01,0", "--window", "disk:0,0,3"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["run"]["deltas"]) == 2   # the config sets none
+    assert manifest["run"]["window"] == [0.0, 0.0, 3.0]
+
+
+def test_expand_estimates_no_radius(cfg_file, tmp_path, monkeypatch):
+    from enzlab.correctors import CorrectorEngine
+
+    def no_radius(self, *args, **kwargs):
+        raise AssertionError("expand must not estimate the radius")
+
+    monkeypatch.setattr(CorrectorEngine, "estimate_radius", no_radius)
+    out = tmp_path / "out_expand"
+    assert main(["expand", str(cfg_file), "--out", str(out),
+                 "--order", "2", "--delta", "0.01,0"]) == 0
+    assert "rho_hat" not in json.loads((out / "expand_summary.json").read_text())
+
+
 def test_sweep_delta_csv_shape(cfg_file, tmp_path):
     out = tmp_path / "out_sweep"
     code = main(["sweep-delta", str(cfg_file), "--out", str(out),
-                 "--deltas", "0.1,0 0.01,0", "--order", "2",
-                 "--window", "disk:0,0,3"])
+                 "--deltas", "0.1,0 0.01,0", "--window", "disk:0,0,3"])
     assert code == 0
     lines = (out / "sweep_delta.csv").read_text().strip().splitlines()
     assert lines[0] == "delta_abs,delta_arg,h1_err_J0,h1_err_J1,h1_err_J2"

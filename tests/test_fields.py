@@ -89,7 +89,7 @@ def test_potential_split_weak_laplacians(engine_coarse, hier8, cfg_ring, mesh_co
     const = 1j * cfg_ring.omega * complex(cfg_ring.mu) * abs(c_star) ** 2 / 2.0
     ns = engine_coarse.neumann
     interior = mesh_coarse.interior_nodes(Region.ENZ)
-    loc = ns.pos[interior]
+    loc = mesh_coarse.region_pos(Region.ENZ)[interior]
     for part in (np.real, np.imag):
         w_vals = part(factor * phi0.values).astype(complex)
         resid = (ns.K @ w_vals)[loc] + part(const) * ns.m_vec[loc]

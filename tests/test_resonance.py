@@ -183,7 +183,7 @@ def test_deflated_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
     # near-singular block and returns a field with backward error 4e-4; the
     # solve must raise instead of returning it
     import scipy.sparse.linalg as spla
-    from enzlab import resonance
+    from enzlab import fem
 
     def diagonal_only(A):
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -193,6 +193,43 @@ def test_deflated_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
     n_bnd = len(mesh_coarse.boundary_nodes(Bnd.GAMMA_D))
     trace = np.ones(n_bnd, dtype=complex)
     deflated_dirichlet_solve(mesh_coarse, lam_star, cluster, trace)
-    monkeypatch.setattr(resonance, "factor", diagonal_only)
+    monkeypatch.setattr(fem, "factor", diagonal_only)
     with pytest.raises(SingularSystem):
         deflated_dirichlet_solve(mesh_coarse, lam_star, cluster, trace)
+
+
+def _deflated_reference(mesh, lambda_star, cluster, trace, volume=None):
+    """The deflated solve built from the interior node split by hand."""
+    from enzlab import fem
+    il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
+    M = fem.mass_matrix(mesh, Region.DOPANT)
+    A = (fem.stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc()
+    B = np.column_stack([(M @ u.values)[il] for _, u in cluster])
+    D = fem.bordered(A[np.ix_(il, il)], B)
+    vals = np.zeros(A.shape[0], dtype=complex)
+    vals[mesh.region_pos(Region.DOPANT)[mesh.boundary_nodes(Bnd.GAMMA_D)]] = trace
+    rhs = -(A @ vals)
+    if volume is not None:
+        rhs = rhs + volume
+    x = fem.factor(D).solve(np.concatenate([rhs[il], np.zeros(B.shape[1])]))
+    vals[il] = x[:len(il)]
+    return vals
+
+
+@pytest.mark.parametrize("case", ["angular_fine", "radial_coarse"])
+def test_deflated_solve_equals_interior_split_reference(case, request, mesh_coarse):
+    if case == "angular_fine":
+        mesh = request.getfixturevalue("mesh_fine")
+        lam_star, cluster = request.getfixturevalue("angular_cluster")
+    else:
+        mesh = mesh_coarse
+        lam_star, cluster = resonant_cluster(mesh_coarse, LAM_RADIAL)
+    rng = np.random.default_rng(5)
+    n_bnd = len(mesh.boundary_nodes(Bnd.GAMMA_D))
+    n_dop = len(mesh.region_nodes(Region.DOPANT))
+    trace = rng.standard_normal(n_bnd) + 1j * rng.standard_normal(n_bnd)
+    volume = rng.standard_normal(n_dop) + 1j * rng.standard_normal(n_dop)
+    for vol in (None, volume):
+        got = deflated_dirichlet_solve(mesh, lam_star, cluster, trace, volume=vol)
+        assert np.array_equal(got.values,
+                              _deflated_reference(mesh, lam_star, cluster, trace, vol))
