@@ -54,10 +54,10 @@ def _write_field_csv(path: Path, field: ScalarField) -> None:
             f.write(f"{n},{_fmt(x)},{_fmt(y)},{_fmt(re)},{_fmt(im)}\n")
 
 
-def _write_json(path: Path, data, default=lambda z: [z.real, z.imag]) -> None:
-    """Indented JSON; complex values become [re, im] pairs by default."""
+def _write_json(path: Path, data) -> None:
+    """Indented JSON; complex values become [re, im] pairs."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2, default=default)
+        json.dump(data, f, indent=2, default=lambda z: [z.real, z.imag])
 
 
 def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
@@ -67,15 +67,14 @@ def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
         "numpy": np.__version__,
         "domain": repr(spec),
         "physics": {
-            "omega": cfg.omega, "mu": [cfg.mu.real, cfg.mu.imag],
-            "delta": [complex(cfg.delta).real, complex(cfg.delta).imag],
-            "k": [complex(cfg.k).real, complex(cfg.k).imag],
+            "omega": cfg.omega, "mu": complex(cfg.mu), "delta": complex(cfg.delta),
+            "k": complex(cfg.k),
             "radiation": cfg.radiation.mode,
         },
         "run": dataclasses.asdict(opts),
         "timings_s": timings,
     }
-    _write_json(outdir / "manifest.json", data, default=str)
+    _write_json(outdir / "manifest.json", data)
 
 
 def _require_concentric(spec, cfg):

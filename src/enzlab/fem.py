@@ -38,6 +38,7 @@ convention used by every balance constant in :mod:`enzlab.auxiliary`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -228,13 +229,21 @@ def mass_matrix(mesh: Mesh, regions) -> sp.csc_matrix:
     return _scatter(tris, local, len(mesh.region_nodes(regions)))
 
 
-def stiffness_matrix(mesh: Mesh, regions) -> sp.csc_matrix:
-    """Region Laplace stiffness matrix on ``region_nodes(regions)`` numbering."""
-    tris, b, c, area = _region_elements(mesh, regions)
+def stiffness_matrix(mesh: Mesh, regions, numbering=None) -> sp.csc_matrix:
+    """Laplace stiffness of ``regions`` on ``region_nodes(numbering)`` numbering.
+
+    ``numbering`` is a region set containing ``regions``; by default the
+    regions themselves.
+    """
+    regions = _as_region_set(regions)
+    numbering = regions if numbering is None else _as_region_set(numbering)
+    tris, b, c, area = _region_elements(mesh, numbering)
+    sel = np.isin(mesh.tri_region[mesh.region_triangles(numbering)], sorted(regions))
+    tris, b, c, area = tris[sel], b[sel], c[sel], area[sel]
     f = 1.0 / (4.0 * area)
     local = (f[:, None, None]
              * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])).astype(complex)
-    return _scatter(tris, local, len(mesh.region_nodes(regions)))
+    return _scatter(tris, local, len(mesh.region_nodes(numbering)))
 
 
 def _boundary_mass(mesh: Mesh, regions, tag: Bnd) -> sp.csc_matrix:
@@ -669,12 +678,31 @@ def integrate(field: ScalarField, window=None) -> complex:
     return complex((vals.mean(axis=1) * area).sum())
 
 
+# Per mesh, the latest source load of each region set: {regions: (sources, load)}.
+# An entry holds no reference to its mesh and is dropped when the mesh is.
+_LOADS = weakref.WeakKeyDictionary()
+
+
 def source_load(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
     """Dual vector of ``int f v`` for disk-supported piecewise-constant f.
 
     Triangles cut by a disk boundary are integrated by uniform subdivision;
-    fully covered/uncovered triangles are exact.
+    fully covered/uncovered triangles are exact.  The load does not depend on
+    the coefficients, so it is integrated once per mesh, region set and
+    sources and returned read-only until the mesh is collected or other
+    sources on the same region set replace it.
     """
+    regions = _as_region_set(regions)
+    memo = _LOADS.setdefault(mesh, {})
+    hit = memo.get(regions)
+    if hit is None or hit[0] != sources:
+        load = _integrate_sources(mesh, regions, sources)
+        load.setflags(write=False)
+        hit = memo[regions] = (sources, load)
+    return hit[1]
+
+
+def _integrate_sources(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
     pos = mesh.region_pos(regions)
     out = np.zeros(len(mesh.region_nodes(regions)), dtype=complex)
     if sources is None or sources.is_trivial():

@@ -275,9 +275,10 @@ def test_manifest_records_flag_values(cfg_file, tmp_path):
     assert manifest["physics"]["delta"] == [0.05, 0.0]
     assert manifest["run"]["order"] == 1
     assert main(["sweep-delta", str(cfg_file), "--out", str(out),
-                 "--deltas", "0.1,0 0.01,0", "--window", "disk:0,0,3"]) == 0
+                 "--deltas", "0.05,0 0.002,0.001", "--window", "disk:0,0,3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert len(manifest["run"]["deltas"]) == 2   # the config sets none
+    # the config sets no deltas; complex values are [re, im] pairs, as in "physics"
+    assert manifest["run"]["deltas"] == [[0.05, 0.0], [0.002, 0.001]]
     assert manifest["run"]["window"] == [0.0, 0.0, 3.0]
 
 

@@ -349,10 +349,15 @@ def test_region_operators_equal_sliced_global_ones(annulus_mesh, monkeypatch):
     def operator(system):
         return system.A, system.regions
 
+    def transmission():
+        # assemble anew, so the patched kernels build it too, not the memo
+        direct._OPERATORS.pop(annulus_mesh, None)
+        return operator(direct.transmission_system(annulus_mesh, cfg_pml))
+
     robin_mesh = build_mesh(NO_COLLAR, 0.1)
     cfg_pml = PhysicsConfig(mu=1.0 + 0.1j)
     cfg_robin = PhysicsConfig(radiation=fem.RadiationSpec("robin"))
-    cases = [(annulus_mesh, lambda: operator(direct.transmission_system(annulus_mesh, cfg_pml))),
+    cases = [(annulus_mesh, transmission),
              (robin_mesh, lambda: operator(exterior_system(robin_mesh, cfg_robin)))]
     cases += [(annulus_mesh, lambda op=op, r=r: (op(annulus_mesh, r), r))
               for r in (Region.ENZ, Region.DOPANT) for op in (stiffness_matrix, mass_matrix)]
@@ -479,3 +484,13 @@ def test_source_load_matches_per_triangle_reference(mesh_coarse):
         for sources in (RING_SOURCE, disk):
             load = fem.source_load(mesh, regions, sources)
             assert np.array_equal(load, _per_triangle_source_load(mesh, regions, sources))
+
+
+def test_source_load_is_kept_read_only(mesh_coarse):
+    regions = [Region.DOPANT, Region.ENZ, Region.EXTERIOR, Region.PML]
+    load = fem.source_load(mesh_coarse, regions, RING_SOURCE)
+    assert fem.source_load(mesh_coarse, set(regions), RING_SOURCE) is load
+    with pytest.raises(ValueError):
+        load[0] = 1.0
+    other = SourceSpec((SourceDisk((1.7, -0.9), 0.35),))
+    assert not np.array_equal(fem.source_load(mesh_coarse, regions, other), load)
