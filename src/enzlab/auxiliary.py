@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -81,12 +82,34 @@ def exterior_regions(mesh: Mesh, cfg: PhysicsConfig):
     return _as_region_set(regs)
 
 
+# Per mesh, the latest exterior and dopant systems: {name: (key, system)}, each
+# system stored without its mesh.  Every caller gets the same matrix and the
+# same Dirichlet blocks with their LUs; an entry is dropped with its mesh.
+_SYSTEMS = weakref.WeakKeyDictionary()
+
+
+def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
+    memo = _SYSTEMS.setdefault(mesh, {})
+    hit = memo.get(name)
+    if hit is None or hit[0] != key:
+        hit = memo[name] = (key, replace(build(), mesh=None))
+    return replace(hit[1], mesh=mesh)
+
+
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
-    k = cfg.k
-    regs = exterior_regions(mesh, cfg)
-    diffusion = {Region(r): 1.0 + 0.0j for r in regs}
-    reaction = {Region(r): k * k for r in regs}
-    return assemble(mesh, regs, diffusion, reaction, radiation=cfg.radiation, k=k)
+    """The radiating exterior operator, assembled once per mesh and (k, radiation).
+
+    Every call with the same mesh and (k, radiation) shares the matrix and
+    its Dirichlet blocks, so the auxiliary set, the corrector engine and the
+    direct solve factor the scatterer's Dirichlet block once between them.
+    """
+    def build():
+        k = cfg.k
+        regs = exterior_regions(mesh, cfg)
+        diffusion = {Region(r): 1.0 + 0.0j for r in regs}
+        reaction = {Region(r): k * k for r in regs}
+        return assemble(mesh, regs, diffusion, reaction, radiation=cfg.radiation, k=k)
+    return _memoized_system(mesh, "exterior", (complex(cfg.k), cfg.radiation), build)
 
 
 def exterior_dirichlet(mesh: Mesh, cfg: PhysicsConfig, trace_omega) -> dict:
@@ -97,9 +120,10 @@ def exterior_dirichlet(mesh: Mesh, cfg: PhysicsConfig, trace_omega) -> dict:
 
 
 def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
+    """The dopant's Helmholtz operator, shared like :func:`exterior_system`, per k."""
     k = cfg.k
-    return assemble(mesh, Region.DOPANT, {Region.DOPANT: 1.0 + 0.0j},
-                    {Region.DOPANT: k * k})
+    return _memoized_system(mesh, "dopant", complex(k), lambda: assemble(
+        mesh, Region.DOPANT, {Region.DOPANT: 1.0 + 0.0j}, {Region.DOPANT: k * k}))
 
 
 def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 12) -> float:

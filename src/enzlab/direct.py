@@ -1,4 +1,32 @@
-"""Full transmission solves at finite contrast and expansion comparison."""
+"""Full transmission solves at finite contrast and expansion comparison.
+
+Only the ENZ coefficient 1/delta depends on delta, so the transmission
+operator is ``A_1 + (1/delta - 1) K_ENZ`` (:func:`transmission_system`), and
+the exterior reaches a solve only through its Dirichlet-to-Neumann map on
+the scatterer boundary Gamma_Omega: the Schur complement
+``S_e = A_gg - A_gf A_ff^-1 A_fg`` of the exterior operator onto Gamma_Omega,
+with ``f`` the exterior's free nodes (Gamma_inf is fixed under the collar).
+:func:`solve_transmission` therefore solves each delta on
+Omega = ENZ + dopant alone, with the operator ``A(delta)`` on Omega's rows
+and columns in which the exterior's own Gamma_Omega block is replaced by
+``S_e``, and the load less the condensed term ``A_gf A_ff^-1 b_f``.  The
+Omega operator is again affine in 1/delta.  One exterior solve with the
+Omega field's trace as Dirichlet data recovers the rest, and the glued field
+is certified on the assembled global operator with the backward-error bound
+and amplification check of :func:`enzlab.fem.solve` (:func:`fem.certify`).
+The dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
+solves.
+
+``S_e`` and the load term come, per mesh and (k, radiation), from one
+factorization of the exterior's free nodes with Gamma_Omega ordered last
+(:func:`fem.interface_last`), and are kept as dense arrays.  That LU serves
+the call that builds them and is then dropped: reading ``S_e`` off its
+factors makes SuperLU keep copies of both on it (at h = 0.025 a kept one
+raised the resident set from 426 to 668 MB).  Later calls back-substitute
+on the exterior's Dirichlet block instead, which
+:func:`auxiliary.exterior_system` shares with the auxiliary set and the
+corrector engine.
+"""
 
 from __future__ import annotations
 
@@ -9,17 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import fem
 from .errors import ValidationError, ZeroCoefficient
-from .auxiliary import PhysicsConfig, exterior_regions
+from .auxiliary import PhysicsConfig, exterior_dirichlet, exterior_regions, exterior_system
 from .fem import (LinearSystem, ScalarField, assemble, h1_l2_norms, h1_seminorm,
                   solve, source_load, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
+OMEGA_REGIONS = _as_region_set({Region.DOPANT, Region.ENZ})
 
 # Per mesh, the delta-independent parts of the transmission operator for the
-# latest (k, radiation).  An entry holds matrices and its key, never its
-# mesh, and is dropped when the mesh is.
+# latest (k, radiation), and of its condensation onto Omega.  An entry holds
+# matrices, arrays and its key, never its mesh, and is dropped when the mesh
+# is.
 _OPERATORS = weakref.WeakKeyDictionary()
+_CONDENSED = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -37,7 +69,7 @@ def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
     key = (complex(k), cfg.radiation)
     op = _OPERATORS.get(mesh)
     if op is None or op.key != key:
-        regs = _as_region_set({int(Region.DOPANT), int(Region.ENZ)} | exterior_regions(mesh, cfg))
+        regs = _as_region_set(OMEGA_REGIONS | exterior_regions(mesh, cfg))
         A_1 = assemble(mesh, regs, {Region(r): 1.0 + 0.0j for r in regs},
                        {Region(r): k * k for r in regs}, radiation=cfg.radiation, k=k).A
         K_ENZ = stiffness_matrix(mesh, Region.ENZ, numbering=regs)
@@ -65,17 +97,100 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     return LinearSystem(mesh, op.regions, A, mesh.region_nodes(op.regions))
 
 
+@dataclass(eq=False)
+class _Condensation:
+    """``A(delta)`` condensed onto Omega: ``C_1 + (1/delta - 1) K_ENZ``."""
+
+    key: tuple                 # (k, radiation)
+    omega: np.ndarray          # Omega's nodes, as positions in A(delta)
+    exterior: np.ndarray       # the exterior's nodes, as positions in A(delta)
+    gamma: np.ndarray          # Gamma_Omega, as positions in Omega
+    C_1: sp.csc_matrix         # A_1 on Omega, less A_gf A_ff^-1 A_fg on Gamma_Omega
+    K_ENZ: sp.csc_matrix       # the annulus stiffness on Omega
+    load: tuple = (None, None)   # the latest sources, and their A_gf A_ff^-1 b_f
+
+
+def _condensation(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator):
+    """The memoized condensation, or a new one and the interface-last LU it came from.
+
+    The LU is of ``A_1`` on the exterior's free nodes, then Gamma_Omega.  Its
+    Gamma_Omega block is the exterior's plus Omega's, so its Schur complement
+    is ``S_e`` plus Omega's block: less ``A_1``'s block it leaves
+    ``-A_gf A_ff^-1 A_fg``, which condensing adds to ``A_1`` on Omega.
+    """
+    cond = _CONDENSED.get(mesh)
+    if cond is not None and cond.key == op.key:
+        return cond, None
+    pos = mesh.region_pos(op.regions)
+    ext_nodes = mesh.region_nodes(exterior_regions(mesh, cfg))
+    fixed = [mesh.boundary_nodes(tag) for tag in exterior_dirichlet(mesh, cfg, 0.0)]
+    gamma = pos[mesh.boundary_nodes(Bnd.GAMMA_OMEGA)]
+    schur = fem.interface_last(op.A_1, pos[np.setdiff1d(ext_nodes, np.concatenate(fixed))],
+                               gamma)
+    D = schur[2] - op.A_1[np.ix_(gamma, gamma)].toarray()
+    omega = pos[mesh.region_nodes(OMEGA_REGIONS)]
+    gamma_om = mesh.region_pos(OMEGA_REGIONS)[mesh.boundary_nodes(Bnd.GAMMA_OMEGA)]
+    n_g = len(gamma)
+    dtn = sp.csc_matrix((D.ravel(), (np.repeat(gamma_om, n_g), np.tile(gamma_om, n_g))),
+                        shape=(len(omega), len(omega)))
+    cond = _CONDENSED[mesh] = _Condensation(
+        op.key, omega, pos[ext_nodes], gamma_om, (op.A_1[np.ix_(omega, omega)] + dtn).tocsc(),
+        op.K_ENZ[np.ix_(omega, omega)].tocsc())
+    return cond, schur
+
+
 def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     """Solve the scattering problem at finite ENZ permittivity ``cfg.delta``.
 
     The interface conditions (continuity of the field and of the scaled
     normal flux) hold weakly through conformity of the mesh; radiation is
-    treated per ``cfg.radiation``.
+    treated per ``cfg.radiation``.  The solve runs on Omega with the
+    exterior condensed onto Gamma_Omega (see the module docstring): one
+    factorization of the Omega operator per delta and one exterior solve.
+    The glued field is certified on the assembled system by
+    :func:`fem.certify` and carries that system's :class:`fem.SolveRecord`.
+    The first call per mesh and (k, radiation) factors the exterior with
+    Gamma_Omega last, solves on that LU and drops it; later calls solve on
+    the exterior's Dirichlet block, shared through
+    :func:`auxiliary.exterior_system`.
     """
     system = transmission_system(mesh, cfg)
     rhs = source_load(mesh, system.regions, cfg.sources)
-    bc = {Bnd.GAMMA_INF: 0.0} if int(Region.PML) in system.regions else None
-    return solve(system, rhs, bc, rtol=cfg.rtol)
+    bc = {Bnd.GAMMA_INF: 0.0} if int(Region.PML) in system.regions else {}
+    u = np.zeros(len(system.nodes), dtype=complex)
+    if rhs.any():
+        cond, schur = _condensation(mesh, cfg, _affine_operator(mesh, cfg))
+        if schur is not None:
+            B, order, S = schur
+            n_f = len(order) - len(S)
+            b_f = rhs[order[:n_f]]
+            # with S = S_e + Omega's block and z = A_gf A_ff^-1 b_f,
+            # B [x; y] = [b_f; 0] has S y = -z, and
+            # B [x; y] = [b_f; z + S t] has y = t and x = A_ff^-1 (b_f - A_fg t)
+            z = -S @ B.solve(np.concatenate([b_f, np.zeros(len(S))]), cfg.rtol)[n_f:]
+            cond.load = (cfg.sources, z)
+        else:
+            ext = exterior_system(mesh, cfg)
+            b_ext = rhs[cond.exterior]
+            sources, z = cond.load
+            if sources != cfg.sources:
+                # the exterior field of zero trace is A_ff^-1 b_f
+                s = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, 0.0), rtol=cfg.rtol)
+                z = (ext.A @ s.values)[ext.local_boundary(Bnd.GAMMA_OMEGA)]
+                cond.load = (cfg.sources, z)
+        b_om = rhs[cond.omega].copy()
+        b_om[cond.gamma] -= z
+        A_om = cond.C_1 + (1.0 / complex(cfg.delta) - 1.0) * cond.K_ENZ
+        u_om = fem.Factored(A_om).solve(b_om, cfg.rtol)
+        trace = u_om[cond.gamma]
+        if schur is not None:
+            x = B.solve(np.concatenate([b_f, z + S @ trace]), cfg.rtol)
+            u[order[:n_f]] = x[:n_f]
+        else:
+            u[cond.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace),
+                                     rtol=cfg.rtol).values
+        u[cond.omega] = u_om
+    return fem.certify(system, rhs, bc, u, rtol=cfg.rtol)
 
 
 @dataclass(frozen=True)

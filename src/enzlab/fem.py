@@ -260,7 +260,7 @@ def _boundary_mass(mesh: Mesh, regions, tag: Bnd) -> sp.csc_matrix:
 # system assembly
 
 
-def factor(A: sp.csc_matrix):
+def factor(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
     """SuperLU factorization of a square CSC matrix.
 
     Every matrix factored here is structurally symmetric (P1 stiffness and
@@ -287,13 +287,55 @@ def factor(A: sp.csc_matrix):
       backward error of 1e-4 to 1e-3 (canonical mesh, h = 0.1); 0.1 falls
       back to an off-diagonal pivot there.
 
+    ``permc_spec="NATURAL"`` keeps the columns as given; symmetric mode does
+    not postorder them.  :func:`interface_last` uses it to factor a matrix
+    it has ordered itself, and reads a Schur complement off the trailing
+    block of the factors.  Reading ``lu.L`` and ``lu.U`` makes SuperLU build
+    CSC copies of both factors and keep them on the LU for its whole life
+    (at h = 0.025 an exterior kept that way raised the resident set from
+    426 to 668 MB), so such an LU is dropped after the call that reads it.
+
     A breakdown (an exactly singular pivot) raises SINGULAR_SYSTEM.
     """
     try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+        return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.1,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(f"factorization failed: {exc}") from exc
+
+
+def interface_last(A: sp.csc_matrix, lead: np.ndarray, trail: np.ndarray):
+    """Factor ``A`` on ``lead`` then ``trail`` and read off its Schur complement.
+
+    ``lead`` is put in the minimum-degree order :func:`factor` would give
+    ``A[lead, lead]`` (SuperLU's incomplete factorization with every entry
+    dropped returns that order without factoring), ``trail`` follows in the
+    given order, and the permuted matrix is factored with
+    ``permc_spec="NATURAL"``.  The trailing block of the factors is then
+    ``S = A_tt - A_tl A_ll^-1 A_lt``, as long as threshold pivoting kept
+    every trailing row in the trailing block; SINGULAR_SYSTEM otherwise.
+
+    Returns the permuted matrix as a :class:`Factored`, the order (indices
+    into ``A``), and ``S`` as a dense array on ``trail``'s order.  The LU
+    holds copies of both factors from here on (see :func:`factor`); drop
+    it when its solves are done.
+    """
+    lead, trail = np.asarray(lead), np.asarray(trail)
+    try:
+        perm_c = spla.spilu(A[np.ix_(lead, lead)].tocsc(), drop_tol=1e30, fill_factor=1,
+                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                            options=dict(SymmetricMode=True)).perm_c
+    except RuntimeError as exc:
+        raise SingularSystem(f"ordering failed: {exc}") from exc
+    order = np.concatenate([lead[np.argsort(perm_c)], trail])
+    B = Factored(A[np.ix_(order, order)].tocsc())
+    lu = B.lu = factor(B.A, permc_spec="NATURAL")
+    m = len(lead)
+    if not (lu.perm_r[m:] >= m).all():
+        raise SingularSystem("pivoting moved an interface row into the eliminated block")
+    # rows of the trailing block come out in perm_r's order; put them back
+    S = (lu.L[m:, m:] @ lu.U[m:, m:]).toarray()[lu.perm_r[m:] - m]
+    return B, order, S
 
 
 # Largest accepted normwise backward error ||Ax-b|| / (||A|| ||x|| + ||b||).
@@ -328,15 +370,21 @@ class Factored:
         bad pivot then shows as an error, not as a wrong field.
         """
         x = self.lu.solve(b)
-        if not np.isfinite(x).all():
-            raise SingularSystem("factorization produced non-finite values")
-        resid = np.linalg.norm(self.A @ x - b)
-        denom = self.norm * np.linalg.norm(x) + np.linalg.norm(b)
-        if resid > rtol * denom:
-            raise SingularSystem(
-                f"backward error {resid / denom:.3e} exceeds {rtol:.1e}; "
-                "system is numerically singular")
+        _check_backward_error(self.A @ x - b, self.norm, x, b, rtol)
         return x
+
+
+def _check_backward_error(resid: np.ndarray, norm: float, x: np.ndarray,
+                          b: np.ndarray, rtol: float) -> None:
+    """SINGULAR_SYSTEM unless ``x`` is finite and ||r|| <= rtol (||A|| ||x|| + ||b||)."""
+    if not np.isfinite(x).all():
+        raise SingularSystem("factorization produced non-finite values")
+    resid = np.linalg.norm(resid)
+    denom = norm * np.linalg.norm(x) + np.linalg.norm(b)
+    if resid > rtol * denom:
+        raise SingularSystem(
+            f"backward error {resid / denom:.3e} exceeds {rtol:.1e}; "
+            "system is numerically singular")
 
 
 def bordered(A: sp.spmatrix, B: np.ndarray) -> sp.csc_matrix:
@@ -511,11 +559,40 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
         scale = np.linalg.norm(b_free)
         if scale != 0.0:
             x = block.ff.solve(b_free, rtol)
-            if block.ff.norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * scale:
-                raise SingularSystem(
-                    "solution amplification at working-precision singularity level")
+            _check_amplification(block.ff.norm, x, scale)
             u[block.free] = x
     field = ScalarField(system.mesh, system.regions, u)
+    field.record = SolveRecord(system, rhs)
+    return field
+
+
+def _check_amplification(norm: float, x: np.ndarray, scale: float) -> None:
+    if norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * scale:
+        raise SingularSystem("solution amplification at working-precision singularity level")
+
+
+def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
+            values: np.ndarray, rtol: float = BACKWARD_RTOL) -> ScalarField:
+    """A field solved without factoring ``system``, held to :func:`solve`'s contract.
+
+    ``values`` must carry the ``dirichlet`` values on the fixed nodes.  The
+    free rows are checked as :func:`solve` checks the factored Dirichlet
+    block: normwise backward error at most ``rtol`` against that block and
+    no amplification at the singularity level, or SINGULAR_SYSTEM.  The
+    block's norm and residual are read off ``system.A`` through a mask, so
+    nothing is sliced or factored.  The field carries the same
+    :class:`SolveRecord` as one from :func:`solve`.
+    """
+    free = np.ones(len(system.nodes), dtype=bool)
+    for tag in dirichlet:
+        free[system.local_boundary(Bnd(tag))] = False
+    Au = system.A @ values
+    b_free = rhs[free] - (system.A @ np.where(free, 0.0, values))[free]
+    norm = float((abs(system.A) @ free)[free].max(initial=0.0))   # ||A_ff||_inf
+    x = values[free]
+    _check_backward_error(Au[free] - rhs[free], norm, x, b_free, rtol)
+    _check_amplification(norm, x, np.linalg.norm(b_free))
+    field = ScalarField(system.mesh, system.regions, values)
     field.record = SolveRecord(system, rhs)
     return field
 

@@ -6,13 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
-from enzlab import direct, fem, oracle
+from enzlab import auxiliary, direct, fem, oracle
 from enzlab.auxiliary import PhysicsConfig, exterior_regions
+from enzlab.correctors import CorrectorEngine
 from enzlab.direct import (PHYSICAL_REGIONS, compare_fields, enz_absorption,
                            solve_transmission, transmission_system)
-from enzlab.errors import ValidationError
-from enzlab.fem import RadiationSpec, ScalarField, h1_norm, h1_seminorm, l2_norm
-from enzlab.geometry import Region, SourceRing, SourceSpec, build_mesh
+from enzlab.errors import SingularSystem, ValidationError
+from enzlab.fem import (RadiationSpec, ScalarField, dirichlet_eigs, h1_norm, h1_seminorm,
+                        l2_norm)
+from enzlab.geometry import Bnd, Region, SourceRing, SourceSpec, build_mesh
+from enzlab.oracle import j0_zero
 
 from conftest import CANONICAL_SPEC, GENERIC_SPEC, RING_SOURCE
 
@@ -159,9 +162,92 @@ def test_second_delta_reuses_operator_and_load(monkeypatch, cfg_ring):
 
 def test_memo_dies_with_its_mesh(cfg_ring):
     mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    engine = CorrectorEngine(mesh, cfg_ring)
     u = solve_transmission(mesh, cfg_ring)
+    memos = (direct._OPERATORS, direct._CONDENSED, auxiliary._SYSTEMS, fem._LOADS)
+    assert all(mesh in memo for memo in memos)
     ref = weakref.ref(mesh)
-    del mesh, u
+    del mesh, engine, u
     gc.collect()
     assert ref() is None
 
+
+def _monolithic_solve(mesh, cfg):
+    """The reference: the assembled transmission system, factored whole."""
+    system = transmission_system(mesh, cfg)
+    bc = {Bnd.GAMMA_INF: 0.0} if int(Region.PML) in system.regions else None
+    return fem.solve(system, fem.source_load(mesh, system.regions, cfg.sources), bc)
+
+
+def _condensed_gaps(mesh, cfgs):
+    """Gaps to the reference along ``cfgs``, the first solved as a first call."""
+    direct._CONDENSED.pop(mesh, None)
+    gaps = []
+    for cfg in cfgs:
+        ref = _monolithic_solve(mesh, cfg).values
+        u = solve_transmission(mesh, cfg)
+        gaps.append(np.abs(u.values - ref).max() / np.abs(ref).max())
+    return gaps
+
+
+def test_condensed_solve_matches_monolithic_solve():
+    # on each ray the first delta builds the condensation and solves on the
+    # interface-last LU, the others on the exterior's Dirichlet block
+    worst = 0.0
+    for spec in (CANONICAL_SPEC, GENERIC_SPEC):
+        for mode, thickness in (("pml", spec.pml_thickness), ("robin", 0.0)):
+            mesh = build_mesh(dataclasses.replace(spec, pml_thickness=thickness), 0.1)
+            for ray in (1.0, 1.0j, -1.0j):
+                cfgs = [PhysicsConfig(delta=ray * mag, sources=RING_SOURCE,
+                                      radiation=RadiationSpec(mode))
+                        for mag in (1e-3, 1e-2, 1e-1)]
+                worst = max(worst, *_condensed_gaps(mesh, cfgs))
+    assert worst <= 1e-10   # 5.0e-12 seen
+
+
+def test_condensed_solve_at_a_dopant_resonance(mesh_coarse):
+    # k^2 at the dopant's first discrete Dirichlet eigenvalue: the dopant is
+    # not condensed, so only the exterior's Dirichlet block must be regular
+    lam = dirichlet_eigs(mesh_coarse, 1, target=(j0_zero(1) / 0.3) ** 2)[0][0]
+    cfgs = [PhysicsConfig(mu=complex(lam), delta=delta, sources=RING_SOURCE)
+            for delta in (1e-2, 1e-3j)]
+    assert max(_condensed_gaps(mesh_coarse, cfgs)) <= 1e-10   # 2.8e-14 seen
+
+
+def test_condensed_solve_is_certified_on_the_global_system(cfg_ring):
+    # a condensed load off by 1e-4 solves Omega's system to roundoff, but
+    # the glued field fails the transmission system's backward-error bound
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    solve_transmission(mesh, cfg_ring)
+    cond = direct._CONDENSED[mesh]
+    cond.load = (cond.load[0], cond.load[1] * (1.0 + 1e-4))   # backward error 2.2e-9 seen
+    with pytest.raises(SingularSystem):
+        solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=3e-3))
+
+
+def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
+    factored = []
+    factor = fem.factor
+
+    def counted(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "factor", counted)
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    CorrectorEngine(mesh, cfg_ring)
+    for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
+        solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
+    ext = auxiliary.exterior_system(mesh, cfg_ring)
+    n_free = len(ext.dirichlet_block(auxiliary.exterior_dirichlet(mesh, cfg_ring, 0.0)).free)
+    n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
+    n_omega = len(mesh.region_nodes([Region.DOPANT, Region.ENZ]))
+    system = transmission_system(mesh, cfg_ring)
+    n_global = len(system.dirichlet_block([Bnd.GAMMA_INF]).free)
+    sizes = {"exterior Dirichlet block": n_free, "interface-last exterior": n_free + n_gamma,
+             "Omega": n_omega, "transmission block": n_global}
+    assert len(set(sizes.values())) == len(sizes)
+    counts = {name: factored.count(n) for name, n in sizes.items()}
+    assert counts == {"exterior Dirichlet block": 1, "interface-last exterior": 1,
+                      "Omega": 3, "transmission block": 0}
+    assert len(system.nodes) not in factored

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from enzlab import direct, fem
-from enzlab.auxiliary import PhysicsConfig, exterior_system
+from enzlab import auxiliary, direct, fem
+from enzlab.auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
 from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
                            TagMismatch, ZeroCoefficient)
 from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
@@ -354,11 +354,14 @@ def test_region_operators_equal_sliced_global_ones(annulus_mesh, monkeypatch):
         direct._OPERATORS.pop(annulus_mesh, None)
         return operator(direct.transmission_system(annulus_mesh, cfg_pml))
 
+    def exterior():
+        auxiliary._SYSTEMS.pop(robin_mesh, None)   # likewise
+        return operator(exterior_system(robin_mesh, cfg_robin))
+
     robin_mesh = build_mesh(NO_COLLAR, 0.1)
     cfg_pml = PhysicsConfig(mu=1.0 + 0.1j)
     cfg_robin = PhysicsConfig(radiation=fem.RadiationSpec("robin"))
-    cases = [(annulus_mesh, transmission),
-             (robin_mesh, lambda: operator(exterior_system(robin_mesh, cfg_robin)))]
+    cases = [(annulus_mesh, transmission), (robin_mesh, exterior)]
     cases += [(annulus_mesh, lambda op=op, r=r: (op(annulus_mesh, r), r))
               for r in (Region.ENZ, Region.DOPANT) for op in (stiffness_matrix, mass_matrix)]
     for mesh, build in cases:
@@ -433,6 +436,35 @@ def test_factor_breakdown_is_singular_system():
     A = sp.csc_matrix(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2]], dtype=complex))
     with pytest.raises(SingularSystem):
         fem.factor(A)
+
+
+def test_interface_last_under_threshold_pivoting():
+    import scipy.sparse as sp
+    # the leading diagonal 1e-3 is below 0.1 of the interface entry under it,
+    # so threshold pivoting takes the interface row first
+    A = sp.csc_matrix(np.array([[1e-3, 0.0, 1.0], [0.0, 2.0, 0.5], [1.0, 0.5, 3.0]],
+                               dtype=complex) * (1.0 + 0.2j))
+    with pytest.raises(SingularSystem):
+        fem.interface_last(A, np.array([0, 1]), np.array([2]))
+    # a pivot swap inside the interface block still leaves S, rows put back
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 0.26, 1.0], [0.0, 1.0, 2.0]], dtype=complex) * (1.0 - 0.3j)
+    B, order, S = fem.interface_last(sp.csc_matrix(A), np.array([0]), np.array([1, 2]))
+    assert not np.array_equal(B.lu.perm_r, np.arange(3))
+    ref = A[1:, 1:] - np.outer(A[1:, 0], A[0, 1:]) / A[0, 0]
+    assert np.abs(S - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_ring):
+    ext = exterior_system(mesh_coarse, cfg_ring)
+    free = ext.dirichlet_block(exterior_dirichlet(mesh_coarse, cfg_ring, 0.0)).free
+    gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)
+    B, order, S = fem.interface_last(ext.A, free, gamma)
+    assert np.array_equal(np.sort(order[:len(free)]), free)
+    assert np.array_equal(order[len(free):], gamma)
+    A_ff = ext.A[np.ix_(free, free)].tocsc()
+    X = spla.splu(A_ff).solve(ext.A[np.ix_(free, gamma)].toarray())
+    ref = ext.A[np.ix_(gamma, gamma)].toarray() - ext.A[np.ix_(gamma, free)] @ X
+    assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()   # 6.8e-16 seen
 
 
 def _per_triangle_source_load(mesh, regions, sources):
