@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass, field as dc_field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,14 +42,14 @@ def _branch_sqrt(w: complex) -> complex:
 
 @dataclass(frozen=True)
 class PhysicsConfig:
-    """Frequency, material constants, sources, and numerical tolerances."""
+    """Frequency, material constants, sources and radiation treatment."""
 
     omega: float = 1.0
     mu: complex = 1.0 + 0.0j
     delta: complex = 1e-2 + 0.0j
     sources: SourceSpec = dc_field(default_factory=SourceSpec)
     radiation: RadiationSpec = dc_field(default_factory=RadiationSpec)
-    rtol: float = fem.BACKWARD_RTOL
+    rtol: ClassVar[float] = fem.BACKWARD_RTOL   # every solve's backward-error bound
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -82,18 +82,13 @@ def exterior_regions(mesh: Mesh, cfg: PhysicsConfig):
     return _as_region_set(regs)
 
 
-# Per mesh, the latest exterior and dopant systems: {name: (key, system)}, each
-# system stored without its mesh.  Every caller gets the same matrix and the
-# same Dirichlet blocks with their LUs; an entry is dropped with its mesh.
-_SYSTEMS = weakref.WeakKeyDictionary()
-
-
 def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
-    memo = _SYSTEMS.setdefault(mesh, {})
-    hit = memo.get(name)
-    if hit is None or hit[0] != key:
-        hit = memo[name] = (key, replace(build(), mesh=None))
-    return replace(hit[1], mesh=mesh)
+    """The latest system under ``name`` in :meth:`Mesh.cached`, kept without its mesh.
+
+    Every caller gets the same matrix and the same Dirichlet blocks with
+    their LUs, in a copy that carries the mesh again.
+    """
+    return replace(mesh.cached(name, key, lambda: replace(build(), mesh=None)), mesh=mesh)
 
 
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
@@ -154,7 +149,7 @@ def solve_s(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """
     system = system or exterior_system(mesh, cfg)
     rhs = source_load(mesh, system.regions, cfg.sources)
-    u = solve(system, rhs, exterior_dirichlet(mesh, cfg, 0.0), rtol=cfg.rtol)
+    u = solve(system, rhs, exterior_dirichlet(mesh, cfg, 0.0))
     flux = flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
     return u, flux
 
@@ -163,7 +158,7 @@ def solve_psi_e(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """Exterior lifting field: unit trace on the scatterer, radiating."""
     system = system or exterior_system(mesh, cfg)
     rhs = np.zeros(len(system.nodes), dtype=complex)
-    u = solve(system, rhs, exterior_dirichlet(mesh, cfg, 1.0), rtol=cfg.rtol)
+    u = solve(system, rhs, exterior_dirichlet(mesh, cfg, 1.0))
     flux = flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
     return u, flux
 
@@ -181,7 +176,7 @@ def solve_psi_d(mesh: Mesh, cfg: PhysicsConfig, system=None, guard: bool = True)
             raise ResonantDopant(
                 f"dopant operator near-singular (sigma_min/|A| = {ratio:.2e})")
     rhs = np.zeros(len(system.nodes), dtype=complex)
-    u = solve(system, rhs, {Bnd.GAMMA_D: 1.0}, rtol=cfg.rtol)
+    u = solve(system, rhs, {Bnd.GAMMA_D: 1.0})
     flux = flux_extract(u, system, Bnd.GAMMA_D, orientation="canonical")
     return u, flux
 

@@ -153,11 +153,9 @@ class CorrectorEngine:
     def lift(self, trace_e: np.ndarray, trace_d: np.ndarray):
         """Radiating exterior and interior dopant solves from interface traces."""
         rhs_e = np.zeros(len(self.ext_system.nodes), dtype=complex)
-        lam = solve(self.ext_system, rhs_e,
-                    exterior_dirichlet(self.mesh, self.cfg, trace_e),
-                    rtol=self.cfg.rtol)
+        lam = solve(self.ext_system, rhs_e, exterior_dirichlet(self.mesh, self.cfg, trace_e))
         rhs_d = np.zeros(len(self.dop_system.nodes), dtype=complex)
-        chi = solve(self.dop_system, rhs_d, {Bnd.GAMMA_D: trace_d}, rtol=self.cfg.rtol)
+        chi = solve(self.dop_system, rhs_d, {Bnd.GAMMA_D: trace_d})
         return lam, chi
 
     def step(self, state: IterState, keep_fields: bool = False):

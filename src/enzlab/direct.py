@@ -17,21 +17,24 @@ and amplification check of :func:`enzlab.fem.solve` (:func:`fem.certify`).
 The dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
-``S_e`` and the load term come, per mesh and (k, radiation), from one
-factorization of the exterior's free nodes with Gamma_Omega ordered last
-(:func:`fem.interface_last`), and are kept as dense arrays.  That LU serves
-the call that builds them and is then dropped: reading ``S_e`` off its
+``S_e`` comes, per mesh and (k, radiation), from one factorization of the
+exterior's free nodes with Gamma_Omega ordered last
+(:func:`fem.interface_last`), and is kept as a dense array.  That LU serves
+the call that builds ``S_e`` and is then dropped: reading ``S_e`` off its
 factors makes SuperLU keep copies of both on it (at h = 0.025 a kept one
 raised the resident set from 426 to 668 MB).  Later calls back-substitute
 on the exterior's Dirichlet block instead, which
 :func:`auxiliary.exterior_system` shares with the auxiliary set and the
 corrector engine.
+
+Two entries of :meth:`Mesh.cached` hold what does not depend on delta: the
+affine operator of the latest (k, radiation), with the condensation filled
+in by its first solve, and the load term of the latest (k, radiation,
+sources), solved on whichever exterior LU that solve has at hand.
 """
 
 from __future__ import annotations
 
-import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,35 +49,36 @@ from .geometry import Bnd, Mesh, Region, _as_region_set
 
 OMEGA_REGIONS = _as_region_set({Region.DOPANT, Region.ENZ})
 
-# Per mesh, the delta-independent parts of the transmission operator for the
-# latest (k, radiation), and of its condensation onto Omega.  An entry holds
-# matrices, arrays and its key, never its mesh, and is dropped when the mesh
-# is.
-_OPERATORS = weakref.WeakKeyDictionary()
-_CONDENSED = weakref.WeakKeyDictionary()
-
 
 @dataclass(frozen=True)
+class _Condensation:
+    """``A(delta)`` condensed onto Omega: ``C_1 + (1/delta - 1) K_ENZ``."""
+
+    omega: np.ndarray          # Omega's nodes, as positions in A(delta)
+    exterior: np.ndarray       # the exterior's nodes, as positions in A(delta)
+    gamma: np.ndarray          # Gamma_Omega, as positions in Omega
+    C_1: sp.csc_matrix         # A_1 on Omega, less A_gf A_ff^-1 A_fg on Gamma_Omega
+    K_ENZ: sp.csc_matrix       # the annulus stiffness on Omega
+
+
+@dataclass(eq=False)
 class _AffineOperator:
     """``A(delta) = A_1 + (1/delta - 1) K_ENZ`` on one region set's numbering."""
 
-    key: tuple                 # (k, radiation)
     regions: frozenset
     A_1: sp.csc_matrix         # the operator at unit ENZ coefficient
     K_ENZ: sp.csc_matrix       # the annulus stiffness; its pattern lies inside A_1's
+    condensation: _Condensation | None = None   # filled by the first solve with a load
 
 
 def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
-    k = cfg.k
-    key = (complex(k), cfg.radiation)
-    op = _OPERATORS.get(mesh)
-    if op is None or op.key != key:
+    def build():
+        k = cfg.k
         regs = _as_region_set(OMEGA_REGIONS | exterior_regions(mesh, cfg))
         A_1 = assemble(mesh, regs, {Region(r): 1.0 + 0.0j for r in regs},
                        {Region(r): k * k for r in regs}, radiation=cfg.radiation, k=k).A
-        K_ENZ = stiffness_matrix(mesh, Region.ENZ, numbering=regs)
-        op = _OPERATORS[mesh] = _AffineOperator(key, regs, A_1, K_ENZ)
-    return op
+        return _AffineOperator(regs, A_1, stiffness_matrix(mesh, Region.ENZ, numbering=regs))
+    return mesh.cached("transmission operator", (complex(cfg.k), cfg.radiation), build)
 
 
 def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
@@ -83,9 +87,9 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     Only the ENZ coefficient 1/delta depends on delta, so the operator is
     ``A_1 + (1/delta - 1) K_ENZ``: ``A_1`` at unit ENZ coefficient, ``K_ENZ``
     the annulus stiffness on ``A_1``'s numbering.  Both are assembled once
-    per mesh and (k, radiation), and kept until the mesh is collected or
-    another (k, radiation) replaces them; each call returns a new system,
-    whose Dirichlet blocks and LU are its own.
+    per mesh and (k, radiation), and kept until another (k, radiation)
+    replaces them; each call returns a new system, whose Dirichlet blocks
+    and LU are its own.
     """
     if cfg.delta == 0:
         raise ValidationError("delta must be nonzero for a direct transmission solve")
@@ -97,30 +101,14 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     return LinearSystem(mesh, op.regions, A, mesh.region_nodes(op.regions))
 
 
-@dataclass(eq=False)
-class _Condensation:
-    """``A(delta)`` condensed onto Omega: ``C_1 + (1/delta - 1) K_ENZ``."""
-
-    key: tuple                 # (k, radiation)
-    omega: np.ndarray          # Omega's nodes, as positions in A(delta)
-    exterior: np.ndarray       # the exterior's nodes, as positions in A(delta)
-    gamma: np.ndarray          # Gamma_Omega, as positions in Omega
-    C_1: sp.csc_matrix         # A_1 on Omega, less A_gf A_ff^-1 A_fg on Gamma_Omega
-    K_ENZ: sp.csc_matrix       # the annulus stiffness on Omega
-    load: tuple = (None, None)   # the latest sources, and their A_gf A_ff^-1 b_f
-
-
-def _condensation(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator):
-    """The memoized condensation, or a new one and the interface-last LU it came from.
+def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator):
+    """The condensation of ``op``, and the interface-last LU it came from.
 
     The LU is of ``A_1`` on the exterior's free nodes, then Gamma_Omega.  Its
     Gamma_Omega block is the exterior's plus Omega's, so its Schur complement
     is ``S_e`` plus Omega's block: less ``A_1``'s block it leaves
     ``-A_gf A_ff^-1 A_fg``, which condensing adds to ``A_1`` on Omega.
     """
-    cond = _CONDENSED.get(mesh)
-    if cond is not None and cond.key == op.key:
-        return cond, None
     pos = mesh.region_pos(op.regions)
     ext_nodes = mesh.region_nodes(exterior_regions(mesh, cfg))
     fixed = [mesh.boundary_nodes(tag) for tag in exterior_dirichlet(mesh, cfg, 0.0)]
@@ -133,9 +121,9 @@ def _condensation(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator):
     n_g = len(gamma)
     dtn = sp.csc_matrix((D.ravel(), (np.repeat(gamma_om, n_g), np.tile(gamma_om, n_g))),
                         shape=(len(omega), len(omega)))
-    cond = _CONDENSED[mesh] = _Condensation(
-        op.key, omega, pos[ext_nodes], gamma_om, (op.A_1[np.ix_(omega, omega)] + dtn).tocsc(),
-        op.K_ENZ[np.ix_(omega, omega)].tocsc())
+    cond = _Condensation(omega, pos[ext_nodes], gamma_om,
+                         (op.A_1[np.ix_(omega, omega)] + dtn).tocsc(),
+                         op.K_ENZ[np.ix_(omega, omega)].tocsc())
     return cond, schur
 
 
@@ -159,46 +147,48 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     bc = {Bnd.GAMMA_INF: 0.0} if int(Region.PML) in system.regions else {}
     u = np.zeros(len(system.nodes), dtype=complex)
     if rhs.any():
-        cond, schur = _condensation(mesh, cfg, _affine_operator(mesh, cfg))
+        op = _affine_operator(mesh, cfg)
+        schur = None
+        if op.condensation is None:
+            op.condensation, schur = _condense(mesh, cfg, op)
+        cond = op.condensation
         if schur is not None:
             B, order, S = schur
             n_f = len(order) - len(S)
             b_f = rhs[order[:n_f]]
-            # with S = S_e + Omega's block and z = A_gf A_ff^-1 b_f,
-            # B [x; y] = [b_f; 0] has S y = -z, and
-            # B [x; y] = [b_f; z + S t] has y = t and x = A_ff^-1 (b_f - A_fg t)
-            z = -S @ B.solve(np.concatenate([b_f, np.zeros(len(S))]), cfg.rtol)[n_f:]
-            cond.load = (cfg.sources, z)
         else:
             ext = exterior_system(mesh, cfg)
             b_ext = rhs[cond.exterior]
-            sources, z = cond.load
-            if sources != cfg.sources:
-                # the exterior field of zero trace is A_ff^-1 b_f
-                s = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, 0.0), rtol=cfg.rtol)
-                z = (ext.A @ s.values)[ext.local_boundary(Bnd.GAMMA_OMEGA)]
-                cond.load = (cfg.sources, z)
+
+        def load_term():
+            if schur is not None:
+                # with S = S_e + Omega's block and z = A_gf A_ff^-1 b_f,
+                # B [x; y] = [b_f; 0] has S y = -z, and
+                # B [x; y] = [b_f; z + S t] has y = t and x = A_ff^-1 (b_f - A_fg t)
+                return -S @ B.solve(np.concatenate([b_f, np.zeros(len(S))]))[n_f:]
+            # the exterior field of zero trace is A_ff^-1 b_f
+            s = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, 0.0))
+            return (ext.A @ s.values)[ext.local_boundary(Bnd.GAMMA_OMEGA)]
+        z = mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
+                        load_term)
         b_om = rhs[cond.omega].copy()
         b_om[cond.gamma] -= z
         A_om = cond.C_1 + (1.0 / complex(cfg.delta) - 1.0) * cond.K_ENZ
-        u_om = fem.Factored(A_om).solve(b_om, cfg.rtol)
+        u_om = fem.Factored(A_om).solve(b_om)
         trace = u_om[cond.gamma]
         if schur is not None:
-            x = B.solve(np.concatenate([b_f, z + S @ trace]), cfg.rtol)
+            x = B.solve(np.concatenate([b_f, z + S @ trace]))
             u[order[:n_f]] = x[:n_f]
         else:
-            u[cond.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace),
-                                     rtol=cfg.rtol).values
+            u[cond.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace)).values
         u[cond.omega] = u_om
-    return fem.certify(system, rhs, bc, u, rtol=cfg.rtol)
+    return fem.certify(system, rhs, bc, u)
 
 
 @dataclass(frozen=True)
 class Comparison:
     h1_error: float
     l2_error: float
-    h1_rel: float
-    l2_rel: float
 
 
 PHYSICAL_REGIONS = frozenset({int(Region.DOPANT), int(Region.ENZ), int(Region.EXTERIOR)})
@@ -211,11 +201,7 @@ def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
     common = u.regions & v.regions
     uu = _restrict(u, common)
     vv = _restrict(v, common)
-    diff = uu - vv
-    h1e, l2e = h1_l2_norms(diff, window)
-    h1u, l2u = h1_l2_norms(uu, window)
-    return Comparison(h1e, l2e, h1e / h1u if h1u > 0 else math.inf,
-                      l2e / l2u if l2u > 0 else math.inf)
+    return Comparison(*h1_l2_norms(uu - vv, window))
 
 
 def _restrict(field: ScalarField, regions) -> ScalarField:

@@ -38,7 +38,6 @@ convention used by every balance constant in :mod:`enzlab.auxiliary`.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -572,13 +571,13 @@ def _check_amplification(norm: float, x: np.ndarray, scale: float) -> None:
 
 
 def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
-            values: np.ndarray, rtol: float = BACKWARD_RTOL) -> ScalarField:
+            values: np.ndarray) -> ScalarField:
     """A field solved without factoring ``system``, held to :func:`solve`'s contract.
 
     ``values`` must carry the ``dirichlet`` values on the fixed nodes.  The
     free rows are checked as :func:`solve` checks the factored Dirichlet
-    block: normwise backward error at most ``rtol`` against that block and
-    no amplification at the singularity level, or SINGULAR_SYSTEM.  The
+    block: normwise backward error at most ``BACKWARD_RTOL`` against that
+    block and no amplification at the singularity level, or SINGULAR_SYSTEM.  The
     block's norm and residual are read off ``system.A`` through a mask, so
     nothing is sliced or factored.  The field carries the same
     :class:`SolveRecord` as one from :func:`solve`.
@@ -590,7 +589,7 @@ def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
     b_free = rhs[free] - (system.A @ np.where(free, 0.0, values))[free]
     norm = float((abs(system.A) @ free)[free].max(initial=0.0))   # ||A_ff||_inf
     x = values[free]
-    _check_backward_error(Au[free] - rhs[free], norm, x, b_free, rtol)
+    _check_backward_error(Au[free] - rhs[free], norm, x, b_free, BACKWARD_RTOL)
     _check_amplification(norm, x, np.linalg.norm(b_free))
     field = ScalarField(system.mesh, system.regions, values)
     field.record = SolveRecord(system, rhs)
@@ -755,28 +754,17 @@ def integrate(field: ScalarField, window=None) -> complex:
     return complex((vals.mean(axis=1) * area).sum())
 
 
-# Per mesh, the latest source load of each region set: {regions: (sources, load)}.
-# An entry holds no reference to its mesh and is dropped when the mesh is.
-_LOADS = weakref.WeakKeyDictionary()
-
-
 def source_load(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
     """Dual vector of ``int f v`` for disk-supported piecewise-constant f.
 
     Triangles cut by a disk boundary are integrated by uniform subdivision;
     fully covered/uncovered triangles are exact.  The load does not depend on
-    the coefficients, so it is integrated once per mesh, region set and
-    sources and returned read-only until the mesh is collected or other
-    sources on the same region set replace it.
+    the coefficients, so it is kept read-only in :meth:`Mesh.cached`, one per
+    region set, until other sources on that region set replace it.
     """
     regions = _as_region_set(regions)
-    memo = _LOADS.setdefault(mesh, {})
-    hit = memo.get(regions)
-    if hit is None or hit[0] != sources:
-        load = _integrate_sources(mesh, regions, sources)
-        load.setflags(write=False)
-        hit = memo[regions] = (sources, load)
-    return hit[1]
+    return mesh.cached(("load", regions), sources,
+                       lambda: _integrate_sources(mesh, regions, sources))
 
 
 def _integrate_sources(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:

@@ -290,7 +290,9 @@ class Mesh:
     """Immutable conforming triangulation with region and boundary tags.
 
     Topology queries are memoized per normalized region set and return
-    read-only arrays shared by every caller.
+    read-only arrays shared by every caller.  :meth:`cached` is the one
+    per-mesh cache: topology, source loads, the exterior and dopant systems,
+    and the transmission operator with its condensed load all live in it.
     """
 
     nodes: np.ndarray                       # (N, 2) float64
@@ -307,13 +309,21 @@ class Mesh:
             for arr in d.values():
                 arr.setflags(write=False)
 
-    def _memoized(self, key, build) -> np.ndarray:
-        arr = self._memo.get(key)
-        if arr is None:
-            arr = build()
-            arr.setflags(write=False)
-            self._memo[key] = arr
-        return arr
+    def cached(self, name, key, build):
+        """``build()``, kept under ``name`` and rebuilt when asked with another ``key``.
+
+        Each ``name`` holds its latest value only; arrays come back read-only.
+        No value may refer to the mesh, so that reference counting alone
+        frees the mesh and everything cached on it, without waiting for the
+        cycle collector.
+        """
+        hit = self._memo.get(name)
+        if hit is None or hit[0] != key:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            hit = self._memo[name] = (key, value)
+        return hit[1]
 
     @property
     def num_nodes(self) -> int:
@@ -335,14 +345,14 @@ class Mesh:
 
     def region_triangles(self, regions) -> np.ndarray:
         regions = _as_region_set(regions)
-        return self._memoized(("triangles", regions),
-                              lambda: np.isin(self.tri_region, sorted(regions)))
+        return self.cached(("triangles", regions), None,
+                           lambda: np.isin(self.tri_region, sorted(regions)))
 
     def region_nodes(self, regions) -> np.ndarray:
         """Sorted global indices of nodes touched by the given regions."""
         regions = _as_region_set(regions)
-        return self._memoized(
-            ("nodes", regions),
+        return self.cached(
+            ("nodes", regions), None,
             lambda: np.unique(self.triangles[self.region_triangles(regions)]))
 
     def region_pos(self, regions) -> np.ndarray:
@@ -354,12 +364,12 @@ class Mesh:
             pos = np.full(self.num_nodes, -1, dtype=np.int64)
             pos[nodes] = np.arange(len(nodes))
             return pos
-        return self._memoized(("pos", regions), build)
+        return self.cached(("pos", regions), None, build)
 
     def interior_nodes(self, regions) -> np.ndarray:
         """Sorted nodes of ``region_nodes(regions)`` on no tagged boundary."""
         regions = _as_region_set(regions)
-        return self._memoized(("interior", regions), lambda: np.setdiff1d(
+        return self.cached(("interior", regions), None, lambda: np.setdiff1d(
             self.region_nodes(regions),
             np.concatenate([e.ravel() for e in self.boundary_edges.values()])))
 

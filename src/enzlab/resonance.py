@@ -140,7 +140,7 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
 
     # limit objects use the exterior problem exactly at the eigenvalue
     cfg_star = PhysicsConfig.from_k(_branch_sqrt(lam_star), sources=cfg.sources,
-                                    radiation=cfg.radiation, rtol=cfg.rtol)
+                                    radiation=cfg.radiation)
     _, flux_s_star = solve_s(mesh, cfg_star)
     study.flux_s = flux_s_star
     study.c_bar = compute_cbar(lam_star, means, flux_s_star)
@@ -150,7 +150,7 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     for gamma in gammas:
         k = _branch_sqrt(lam_star - complex(gamma))
         cfg_g = PhysicsConfig.from_k(k, sources=cfg.sources,
-                                     radiation=cfg.radiation, rtol=cfg.rtol)
+                                     radiation=cfg.radiation)
         try:
             aux = solve_auxiliary_set(mesh, cfg_g, guard=False)
         except SingularSystem as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from enzlab import auxiliary, direct, fem
+from enzlab import direct, fem
 from enzlab.auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
 from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
                            TagMismatch, ZeroCoefficient)
@@ -351,11 +351,11 @@ def test_region_operators_equal_sliced_global_ones(annulus_mesh, monkeypatch):
 
     def transmission():
         # assemble anew, so the patched kernels build it too, not the memo
-        direct._OPERATORS.pop(annulus_mesh, None)
+        annulus_mesh._memo.pop("transmission operator", None)
         return operator(direct.transmission_system(annulus_mesh, cfg_pml))
 
     def exterior():
-        auxiliary._SYSTEMS.pop(robin_mesh, None)   # likewise
+        robin_mesh._memo.pop("exterior", None)   # likewise
         return operator(exterior_system(robin_mesh, cfg_robin))
 
     robin_mesh = build_mesh(NO_COLLAR, 0.1)
