@@ -294,8 +294,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec, cfg, opts = parse_config(args.config)
-        outdir = Path(args.out or opts.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         # flag values are checked like their config keys and replace them
         if getattr(args, "order", None) is not None:
             opts = dataclasses.replace(opts, order=_parse_order(args.order, "--order"))
@@ -308,6 +306,8 @@ def main(argv=None) -> int:
             kind, _, body = args.window.partition(":")
             opts = dataclasses.replace(
                 opts, window=_parse_window(kind, body.split(","), "--window"))
+        outdir = Path(args.out or opts.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         _SUBCOMMANDS[args.subcommand](spec, cfg, opts, outdir)
         _manifest(outdir, args.subcommand, spec, cfg, opts,

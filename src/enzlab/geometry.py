@@ -292,7 +292,8 @@ class Mesh:
     Topology queries are memoized per normalized region set and return
     read-only arrays shared by every caller.  :meth:`cached` is the one
     per-mesh cache: topology, source loads, the exterior and dopant systems,
-    and the transmission operator with its condensed load all live in it.
+    the transmission operator with its condensed load, and the norm forms
+    all live in it.
     """
 
     nodes: np.ndarray                       # (N, 2) float64

@@ -125,6 +125,7 @@ def test_malformed_window_key_exits_3(tmp_path):
 ])
 def test_flag_values_checked_like_config_keys(cfg_file, tmp_path, subcommand, flags, code):
     assert main([subcommand, str(cfg_file), "--out", str(tmp_path / "o"), *flags]) == code
+    assert not (tmp_path / "o").exists()   # a rejected flag leaves no output directory
 
 
 @pytest.mark.parametrize("value, code", [("abc", 3), ("nan", 4)])   # PARSE_ERROR, VALIDATION_ERROR

@@ -168,8 +168,11 @@ def test_memo_dies_with_its_mesh(cfg_ring):
         hier = engine.build_hierarchy(2)
         u = solve_transmission(mesh, cfg_ring)
         v = solve_transmission(mesh, dataclasses.replace(cfg_ring, sources=DISK_SOURCE))
+        compare_fields(u, v)
+        engine.state_norm(engine.seed_state())
         assert {"exterior", "dopant", "transmission operator", "condensed load",
-                ("load", u.regions)} <= set(mesh._memo)
+                ("load", u.regions), ("norm forms", u.regions),
+                ("norm forms", frozenset({int(Region.ENZ)}))} <= set(mesh._memo)
         ref = weakref.ref(mesh)
         del mesh, engine, hier, u, v
         assert ref() is None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from enzlab import direct, fem
 from enzlab.auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
+from enzlab.correctors import CorrectorEngine
 from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
                            TagMismatch, ZeroCoefficient)
 from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
@@ -526,3 +528,79 @@ def test_source_load_is_kept_read_only(mesh_coarse):
         load[0] = 1.0
     other = SourceSpec((SourceDisk((1.7, -0.9), 0.35),))
     assert not np.array_equal(fem.source_load(mesh_coarse, regions, other), load)
+
+
+def _elementwise_norms(field, tri_mask):
+    """Reference (h1, l2, seminorm): vertex values and gradients, triangle by triangle."""
+    vals, gx, gy, area = fem._tri_values_and_grads(field, tri_mask)
+    semi_sq = float((np.abs(gx) ** 2 + np.abs(gy) ** 2) @ area)
+    # u^H M_T u with the consistent elemental mass A/12 (ones + eye)
+    l2_sq = float((((np.abs(vals) ** 2).sum(axis=1) + np.abs(vals.sum(axis=1)) ** 2) / 12.0)
+                  @ area)
+    return math.sqrt(semi_sq + l2_sq), math.sqrt(l2_sq), math.sqrt(semi_sq)
+
+
+def _form_norms(field, window):
+    h1, l2 = fem.h1_l2_norms(field, window)
+    assert h1 == h1_norm(field, window) and l2 == l2_norm(field, window)
+    return h1, l2, fem.h1_seminorm(field, window)
+
+
+def _disk_mask(field, cx, cy, r):
+    cen = field.mesh.tri_centroids
+    return (field.mesh.region_triangles(field.regions)
+            & ((cen[:, 0] - cx) ** 2 + (cen[:, 1] - cy) ** 2 <= r * r))
+
+
+def test_norm_forms_match_elementwise_reference(mesh_coarse, cfg_ring):
+    rng = np.random.default_rng(11)
+    disk = (0.2, -0.1, 1.5)
+    for mesh in (mesh_coarse, build_mesh(GENERIC_SPEC, 0.1)):
+        engine = CorrectorEngine(mesh, cfg_ring)
+        hier = engine.build_hierarchy(1)
+        d = 0.02 - 0.01j
+        u = direct.solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=d))
+        v = engine.assemble_expansion(hier, d, order=1)
+        common = u.regions & v.regions
+        fields = [direct._restrict(u, common) - direct._restrict(v, common)]
+        for regions in (common, Region.ENZ):
+            n = len(mesh.region_nodes(regions))
+            fields.append(ScalarField(mesh, regions, rng.standard_normal(n)
+                                      + 1j * rng.standard_normal(n)))
+        for field in fields:
+            region_window = direct.PHYSICAL_REGIONS & field.regions
+            for window, mask in ((region_window, mesh.region_triangles(region_window)
+                                  & mesh.region_triangles(field.regions)),
+                                 (disk, _disk_mask(field, *disk))):
+                got, ref = _form_norms(field, window), _elementwise_norms(field, mask)
+                assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_seminorm_of_near_constant_field(mesh_coarse, cfg_ring):
+    # at delta = 1e-4 the shell field is constant up to 1e-4: an unshifted
+    # x^H K x cancels to about 1e-6 relative there
+    u = direct.solve_transmission(mesh_coarse, dataclasses.replace(cfg_ring, delta=1e-4))
+    ref = _elementwise_norms(u, mesh_coarse.region_triangles(Region.ENZ))[2]
+    assert fem.h1_seminorm(u, Region.ENZ) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_region_tuple_is_not_a_disk(mesh_coarse, cfg_ring):
+    u = direct.solve_transmission(mesh_coarse, cfg_ring)
+    physical = (Region.DOPANT, Region.ENZ, Region.EXTERIOR)
+    norms = {h1_norm(u, w) for w in (physical, list(physical), set(physical))}
+    assert norms == {h1_norm(u, direct.PHYSICAL_REGIONS)}
+    # a disk window read from a config is floats; one of ints is a disk too
+    disk = (0.0, 1.0, 2.0)
+    ref = _elementwise_norms(u, _disk_mask(u, *disk))[0]
+    assert h1_norm(u, disk) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert h1_norm(u, (0, 1, 2)) == h1_norm(u, disk) != norms.pop()
+
+
+def test_empty_window_raises_and_caches_nothing():
+    mesh = structured_rectangle_mesh(8, 8)
+    field = ScalarField(mesh, Region.EXTERIOR,
+                        np.ones(len(mesh.region_nodes(Region.EXTERIOR)), dtype=complex))
+    for _ in range(2):
+        with pytest.raises(EmptyWindow):
+            h1_norm(field, window=(10.0, 10.0, 0.1))
+    assert not any(name[0] == "norm forms" for name in mesh._memo if isinstance(name, tuple))
