@@ -1,36 +1,40 @@
 """Full transmission solves at finite contrast and expansion comparison.
 
 Only the ENZ coefficient 1/delta depends on delta, so the transmission
-operator is ``A_1 + (1/delta - 1) K_ENZ`` (:func:`transmission_system`), and
-the exterior reaches a solve only through its Dirichlet-to-Neumann map on
-the scatterer boundary Gamma_Omega: the Schur complement
-``S_e = A_gg - A_gf A_ff^-1 A_fg`` of the exterior operator onto Gamma_Omega,
-with ``f`` the exterior's free nodes (Gamma_inf is fixed under the collar).
-:func:`solve_transmission` therefore solves each delta on
-Omega = ENZ + dopant alone, with the operator ``A(delta)`` on Omega's rows
-and columns in which the exterior's own Gamma_Omega block is replaced by
-``S_e``, and the load less the condensed term ``A_gf A_ff^-1 b_f``.  The
-Omega operator is again affine in 1/delta.  One exterior solve with the
-Omega field's trace as Dirichlet data recovers the rest, and the glued field
-is certified on the assembled global operator with the backward-error bound
-and amplification check of :func:`enzlab.fem.solve` (:func:`fem.certify`).
-The dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
+operator is ``A_1 + (1/delta - 1) K_ENZ`` (:func:`transmission_system`).
+``A_1`` is the exterior system of :func:`auxiliary.exterior_system` plus
+Omega's own operator at unit ENZ coefficient, Omega = ENZ + dopant, and
+``K_ENZ`` is the annulus stiffness; each part is assembled on its own region
+set and placed on the global numbering by :func:`fem.renumber`.
+
+The exterior reaches a solve only through its Dirichlet-to-Neumann map on
+the scatterer boundary Gamma_Omega: ``S_e = A_gg - A_gf A_ff^-1 A_fg``, the
+Schur complement of the exterior system onto Gamma_Omega, with ``f`` the
+exterior's free nodes (Gamma_inf is fixed under the collar).
+:func:`solve_transmission` therefore solves each delta on Omega alone, with
+``C_1 + (1/delta - 1) K_ENZ``, where ``C_1`` is Omega's operator plus ``S_e``
+on Gamma_Omega, and the load less the condensed term ``A_gf A_ff^-1 b_f``.
+One exterior solve with the Omega field's trace as Dirichlet data recovers
+the rest, and the glued field is certified on the global operator with the
+backward-error bound and amplification check of :func:`enzlab.fem.solve`
+(:func:`fem.certify`).  The load is the exterior's, the same one the
+auxiliary source field reads, since no source reaches the scatterer.  The
+dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
-``S_e`` comes, per mesh and (k, radiation), from one factorization of the
-exterior's free nodes with Gamma_Omega ordered last
-(:func:`fem.interface_last`), and is kept as a dense array.  That LU serves
-the call that builds ``S_e`` and is then dropped: reading ``S_e`` off its
-factors makes SuperLU keep copies of both on it (at h = 0.025 a kept one
-raised the resident set from 426 to 668 MB).  Later calls back-substitute
-on the exterior's Dirichlet block instead, which
-:func:`auxiliary.exterior_system` shares with the auxiliary set and the
-corrector engine.
+``S_e`` is read, per mesh and (k, radiation), off one factorization of the
+exterior system with Gamma_Omega ordered last (:func:`fem.interface_last`),
+and kept only inside ``C_1``.  That LU serves the call that builds ``C_1``
+and is then dropped: reading ``S_e`` off its factors makes SuperLU keep
+copies of both on it (at h = 0.025 a kept one raised the resident set from
+426 to 668 MB).  Later calls back-substitute on the exterior's Dirichlet
+block instead, which :func:`auxiliary.exterior_system` shares with the
+auxiliary set and the corrector engine.
 
 Two entries of :meth:`Mesh.cached` hold what does not depend on delta: the
-affine operator of the latest (k, radiation), with the condensation filled
-in by its first solve, and the load term of the latest (k, radiation,
-sources), solved on whichever exterior LU that solve has at hand.
+affine operator of the latest (k, radiation), with ``C_1`` filled in by its
+first solve, and the load term of the latest (k, radiation, sources), solved
+on whichever exterior LU that solve has at hand.
 """
 
 from __future__ import annotations
@@ -42,42 +46,40 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import ValidationError, ZeroCoefficient
-from .auxiliary import PhysicsConfig, exterior_dirichlet, exterior_regions, exterior_system
+from .auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
 from .fem import (LinearSystem, ScalarField, assemble, h1_l2_norms, h1_seminorm,
-                  solve, source_load, stiffness_matrix)
+                  renumber, solve, source_load, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
 OMEGA_REGIONS = _as_region_set({Region.DOPANT, Region.ENZ})
 
 
-@dataclass(frozen=True)
-class _Condensation:
-    """``A(delta)`` condensed onto Omega: ``C_1 + (1/delta - 1) K_ENZ``."""
-
-    omega: np.ndarray          # Omega's nodes, as positions in A(delta)
-    exterior: np.ndarray       # the exterior's nodes, as positions in A(delta)
-    gamma: np.ndarray          # Gamma_Omega, as positions in Omega
-    C_1: sp.csc_matrix         # A_1 on Omega, less A_gf A_ff^-1 A_fg on Gamma_Omega
-    K_ENZ: sp.csc_matrix       # the annulus stiffness on Omega
-
-
 @dataclass(eq=False)
 class _AffineOperator:
-    """``A(delta) = A_1 + (1/delta - 1) K_ENZ`` on one region set's numbering."""
+    """``A(delta) = A_1 + (1/delta - 1) K_ENZ``, on the global numbering and on Omega's."""
 
     regions: frozenset
-    A_1: sp.csc_matrix         # the operator at unit ENZ coefficient
+    A_1: sp.csc_matrix         # the exterior system plus A_om
     K_ENZ: sp.csc_matrix       # the annulus stiffness; its pattern lies inside A_1's
-    condensation: _Condensation | None = None   # filled by the first solve with a load
+    omega: np.ndarray          # Omega's nodes, as positions in A(delta)
+    exterior: np.ndarray       # the exterior's nodes, as positions in A(delta)
+    A_om: sp.csc_matrix        # Omega's operator at unit ENZ coefficient, on Omega
+    K_om: sp.csc_matrix        # K_ENZ on Omega
+    C_1: sp.csc_matrix | None = None   # A_om plus S_e on Gamma_Omega, set by the first solve
 
 
 def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
     def build():
         k = cfg.k
-        regs = _as_region_set(OMEGA_REGIONS | exterior_regions(mesh, cfg))
-        A_1 = assemble(mesh, regs, {Region(r): 1.0 + 0.0j for r in regs},
-                       {Region(r): k * k for r in regs}, radiation=cfg.radiation, k=k).A
-        return _AffineOperator(regs, A_1, stiffness_matrix(mesh, Region.ENZ, numbering=regs))
+        ext = exterior_system(mesh, cfg)
+        regs = _as_region_set(OMEGA_REGIONS | ext.regions)
+        A_om = assemble(mesh, OMEGA_REGIONS, {Region(r): 1.0 + 0.0j for r in OMEGA_REGIONS},
+                        {Region(r): k * k for r in OMEGA_REGIONS}).A
+        K_om = renumber(mesh, stiffness_matrix(mesh, Region.ENZ), Region.ENZ, OMEGA_REGIONS)
+        A_1 = renumber(mesh, ext.A, ext.regions, regs) + renumber(mesh, A_om, OMEGA_REGIONS, regs)
+        pos = mesh.region_pos(regs)
+        return _AffineOperator(regs, A_1, renumber(mesh, K_om, OMEGA_REGIONS, regs),
+                               pos[mesh.region_nodes(OMEGA_REGIONS)], pos[ext.nodes], A_om, K_om)
     return mesh.cached("transmission operator", (complex(cfg.k), cfg.radiation), build)
 
 
@@ -85,11 +87,11 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     """Global system with piecewise coefficient 1/eps and reaction k^2.
 
     Only the ENZ coefficient 1/delta depends on delta, so the operator is
-    ``A_1 + (1/delta - 1) K_ENZ``: ``A_1`` at unit ENZ coefficient, ``K_ENZ``
-    the annulus stiffness on ``A_1``'s numbering.  Both are assembled once
-    per mesh and (k, radiation), and kept until another (k, radiation)
-    replaces them; each call returns a new system, whose Dirichlet blocks
-    and LU are its own.
+    ``A_1 + (1/delta - 1) K_ENZ``: ``A_1``, the exterior system plus Omega's
+    operator at unit ENZ coefficient, and ``K_ENZ``, the annulus stiffness.
+    Both are composed once per mesh and (k, radiation), and kept until
+    another (k, radiation) replaces them; each call returns a new system,
+    whose Dirichlet blocks and LU are its own.
     """
     if cfg.delta == 0:
         raise ValidationError("delta must be nonzero for a direct transmission solve")
@@ -101,30 +103,19 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     return LinearSystem(mesh, op.regions, A, mesh.region_nodes(op.regions))
 
 
-def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator):
-    """The condensation of ``op``, and the interface-last LU it came from.
+def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator, ext: LinearSystem):
+    """``C_1``, and the interface-last LU of the exterior system it came from.
 
-    The LU is of ``A_1`` on the exterior's free nodes, then Gamma_Omega.  Its
-    Gamma_Omega block is the exterior's plus Omega's, so its Schur complement
-    is ``S_e`` plus Omega's block: less ``A_1``'s block it leaves
-    ``-A_gf A_ff^-1 A_fg``, which condensing adds to ``A_1`` on Omega.
+    The LU is of the exterior system on its free nodes, then Gamma_Omega, so
+    its trailing Schur complement is ``S_e``.
     """
-    pos = mesh.region_pos(op.regions)
-    ext_nodes = mesh.region_nodes(exterior_regions(mesh, cfg))
-    fixed = [mesh.boundary_nodes(tag) for tag in exterior_dirichlet(mesh, cfg, 0.0)]
-    gamma = pos[mesh.boundary_nodes(Bnd.GAMMA_OMEGA)]
-    schur = fem.interface_last(op.A_1, pos[np.setdiff1d(ext_nodes, np.concatenate(fixed))],
-                               gamma)
-    D = schur[2] - op.A_1[np.ix_(gamma, gamma)].toarray()
-    omega = pos[mesh.region_nodes(OMEGA_REGIONS)]
-    gamma_om = mesh.region_pos(OMEGA_REGIONS)[mesh.boundary_nodes(Bnd.GAMMA_OMEGA)]
-    n_g = len(gamma)
-    dtn = sp.csc_matrix((D.ravel(), (np.repeat(gamma_om, n_g), np.tile(gamma_om, n_g))),
-                        shape=(len(omega), len(omega)))
-    cond = _Condensation(omega, pos[ext_nodes], gamma_om,
-                         (op.A_1[np.ix_(omega, omega)] + dtn).tocsc(),
-                         op.K_ENZ[np.ix_(omega, omega)].tocsc())
-    return cond, schur
+    free = fem.split_nodes(mesh, ext.regions, exterior_dirichlet(mesh, cfg, 0.0))[0]
+    schur = fem.interface_last(ext.A, free, ext.local_boundary(Bnd.GAMMA_OMEGA))
+    gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
+    n_g, n = len(gamma), op.A_om.shape[0]
+    S_e = sp.csc_matrix((schur[2].ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))),
+                        shape=(n, n))
+    return (op.A_om + S_e).tocsc(), schur
 
 
 def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
@@ -135,53 +126,52 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     treated per ``cfg.radiation``.  The solve runs on Omega with the
     exterior condensed onto Gamma_Omega (see the module docstring): one
     factorization of the Omega operator per delta and one exterior solve.
-    The glued field is certified on the assembled system by
+    The glued field is certified on the global system by
     :func:`fem.certify` and carries that system's :class:`fem.SolveRecord`.
-    The first call per mesh and (k, radiation) factors the exterior with
-    Gamma_Omega last, solves on that LU and drops it; later calls solve on
-    the exterior's Dirichlet block, shared through
+    The first call per mesh and (k, radiation) factors the exterior system
+    with Gamma_Omega last, solves on that LU and drops it; later calls solve
+    on the exterior's Dirichlet block, shared through
     :func:`auxiliary.exterior_system`.
     """
     system = transmission_system(mesh, cfg)
-    rhs = source_load(mesh, system.regions, cfg.sources)
+    op = _affine_operator(mesh, cfg)
+    ext = exterior_system(mesh, cfg)
+    b_ext = source_load(mesh, ext.regions, cfg.sources)
+    rhs = np.zeros(len(system.nodes), dtype=complex)
+    rhs[op.exterior] = b_ext
     bc = {Bnd.GAMMA_INF: 0.0} if int(Region.PML) in system.regions else {}
     u = np.zeros(len(system.nodes), dtype=complex)
-    if rhs.any():
-        op = _affine_operator(mesh, cfg)
+    if b_ext.any():
         schur = None
-        if op.condensation is None:
-            op.condensation, schur = _condense(mesh, cfg, op)
-        cond = op.condensation
+        if op.C_1 is None:
+            op.C_1, schur = _condense(mesh, cfg, op, ext)
         if schur is not None:
             B, order, S = schur
             n_f = len(order) - len(S)
-            b_f = rhs[order[:n_f]]
-        else:
-            ext = exterior_system(mesh, cfg)
-            b_ext = rhs[cond.exterior]
+            b_f = b_ext[order[:n_f]]
 
         def load_term():
             if schur is not None:
-                # with S = S_e + Omega's block and z = A_gf A_ff^-1 b_f,
-                # B [x; y] = [b_f; 0] has S y = -z, and
-                # B [x; y] = [b_f; z + S t] has y = t and x = A_ff^-1 (b_f - A_fg t)
+                # with z = A_gf A_ff^-1 b_f,
+                # B [x; y] = [b_f; 0] has S_e y = -z, and
+                # B [x; y] = [b_f; z + S_e t] has y = t and x = A_ff^-1 (b_f - A_fg t)
                 return -S @ B.solve(np.concatenate([b_f, np.zeros(len(S))]))[n_f:]
             # the exterior field of zero trace is A_ff^-1 b_f
             s = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, 0.0))
             return (ext.A @ s.values)[ext.local_boundary(Bnd.GAMMA_OMEGA)]
         z = mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
                         load_term)
-        b_om = rhs[cond.omega].copy()
-        b_om[cond.gamma] -= z
-        A_om = cond.C_1 + (1.0 / complex(cfg.delta) - 1.0) * cond.K_ENZ
-        u_om = fem.Factored(A_om).solve(b_om)
-        trace = u_om[cond.gamma]
+        gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
+        b_om = rhs[op.omega]
+        b_om[gamma] -= z
+        u_om = fem.Factored(op.C_1 + (1.0 / complex(cfg.delta) - 1.0) * op.K_om).solve(b_om)
+        trace = u_om[gamma]
         if schur is not None:
             x = B.solve(np.concatenate([b_f, z + S @ trace]))
-            u[order[:n_f]] = x[:n_f]
+            u[op.exterior[order[:n_f]]] = x[:n_f]
         else:
-            u[cond.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace)).values
-        u[cond.omega] = u_om
+            u[op.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace)).values
+        u[op.omega] = u_om
     return fem.certify(system, rhs, bc, u)
 
 

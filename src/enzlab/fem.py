@@ -38,8 +38,8 @@ Windowed norms are quadratic forms.  For a field's region set and a window
 (None, a disk ``(cx, cy, r)`` or regions), the P1 stiffness ``K``, the
 consistent mass ``M`` (area/12 (ones + eye) per triangle) and the window's
 normalized hat integrals ``w`` are assembled once on the window's triangles
-and kept in :meth:`Mesh.cached` under ``("norm forms", regions)``, keyed by
-the normalized window.  Each norm is then ``Re x^H M x`` and
+and kept in :meth:`Mesh.cached` under ``("norm forms", regions, window)``,
+the window normalized.  Each norm is then ``Re x^H M x`` and
 ``Re xs^H K xs`` with ``xs = x - w.x``: two sparse matvecs and no element
 geometry.  The mean shift is needed, not cosmetic: on the near-constant ENZ
 field an unshifted ``x^H K x`` loses more digits the smaller delta is
@@ -206,6 +206,14 @@ def _local_boundary(mesh: Mesh, regions, tag: Bnd) -> np.ndarray:
     return loc
 
 
+def split_nodes(mesh: Mesh, regions, tags) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positions in ``region_nodes(regions)`` off and on the ``Bnd`` tags."""
+    on = np.zeros(len(mesh.region_nodes(regions)), dtype=bool)
+    for tag in tags:
+        on[_local_boundary(mesh, regions, tag)] = True
+    return np.flatnonzero(~on), np.flatnonzero(on)
+
+
 def curve_sign(regions, tag: Bnd) -> float:
     """+1 if the regions lie inside the tagged curve, else -1.
 
@@ -248,19 +256,25 @@ def mass_matrix(mesh: Mesh, regions) -> sp.csc_matrix:
     return _scatter(tris, local, len(mesh.region_nodes(regions)))
 
 
-def stiffness_matrix(mesh: Mesh, regions, numbering=None) -> sp.csc_matrix:
-    """Laplace stiffness of ``regions`` on ``region_nodes(numbering)`` numbering.
-
-    ``numbering`` is a region set containing ``regions``; by default the
-    regions themselves.
-    """
-    regions = _as_region_set(regions)
-    numbering = regions if numbering is None else _as_region_set(numbering)
-    tris, b, c, area = _region_elements(mesh, numbering)
-    sel = np.isin(mesh.tri_region[mesh.region_triangles(numbering)], sorted(regions))
-    tris, b, c, area = tris[sel], b[sel], c[sel], area[sel]
+def stiffness_matrix(mesh: Mesh, regions) -> sp.csc_matrix:
+    """Region Laplace stiffness on ``region_nodes(regions)`` numbering."""
+    tris, b, c, area = _region_elements(mesh, regions)
     local = _element_stiffness(b, c, area).astype(complex)
-    return _scatter(tris, local, len(mesh.region_nodes(numbering)))
+    return _scatter(tris, local, len(mesh.region_nodes(regions)))
+
+
+def renumber(mesh: Mesh, A: sp.csc_matrix, regions, numbering) -> sp.csc_matrix:
+    """``A``, on ``region_nodes(regions)``, placed on ``region_nodes(numbering)``.
+
+    ``numbering`` is a region set containing ``regions``.  Both node lists are
+    sorted, so each row and column keeps its order: the entries are moved,
+    never summed or re-sorted.
+    """
+    pos = mesh.region_pos(numbering)[mesh.region_nodes(regions)]
+    n = len(mesh.region_nodes(numbering))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[pos + 1] = np.diff(A.indptr)
+    return sp.csc_matrix((A.data, pos[A.indices], np.cumsum(indptr)), shape=(n, n))
 
 
 def _boundary_mass(mesh: Mesh, regions, tag: Bnd) -> sp.csc_matrix:
@@ -440,10 +454,7 @@ class LinearSystem:
         tags = frozenset(Bnd(t) for t in tags)
         block = self._blocks.get(tags)
         if block is None:
-            fixed = np.zeros(len(self.nodes), dtype=bool)
-            for tag in tags:
-                fixed[self.local_boundary(tag)] = True
-            free_idx, fixed_idx = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+            free_idx, fixed_idx = split_nodes(self.mesh, self.regions, tags)
             block = self._blocks[tags] = DirichletBlock(
                 free_idx, fixed_idx, self.A[np.ix_(free_idx, free_idx)].tocsc(),
                 self.A[np.ix_(free_idx, fixed_idx)])
@@ -601,8 +612,7 @@ def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
     :class:`SolveRecord` as one from :func:`solve`.
     """
     free = np.ones(len(system.nodes), dtype=bool)
-    for tag in dirichlet:
-        free[system.local_boundary(Bnd(tag))] = False
+    free[split_nodes(system.mesh, system.regions, dirichlet)[1]] = False
     Au = system.A @ values
     b_free = rhs[free] - (system.A @ np.where(free, 0.0, values))[free]
     norm = float((abs(system.A) @ free)[free].max(initial=0.0))   # ||A_ff||_inf
@@ -784,9 +794,9 @@ def _real_form(A: sp.csr_matrix, x: np.ndarray) -> float:
 def _norm_forms(field: ScalarField, window) -> _NormForms:
     """The :class:`_NormForms` of the field's regions and ``window``.
 
-    Kept in :meth:`Mesh.cached` under ``("norm forms", field.regions)`` with
-    the normalized window as key; a build that finds the window empty
-    raises EMPTY_WINDOW and keeps nothing.
+    Kept in :meth:`Mesh.cached` under ``("norm forms", field.regions,
+    window)``, the window normalized, so every window keeps its own forms; a
+    build that finds the window empty raises EMPTY_WINDOW and keeps nothing.
     """
     mesh, regions, key = field.mesh, field.regions, _window_key(window)
 
@@ -800,7 +810,7 @@ def _norm_forms(field: ScalarField, window) -> _NormForms:
         w = hat / hat.sum()
         w.setflags(write=False)
         return _NormForms(K, M, w)
-    return mesh.cached(("norm forms", regions), key, build)
+    return mesh.cached(("norm forms", regions, key), None, build)
 
 
 def h1_l2_norms(field: ScalarField, window=None) -> tuple[float, float]:
@@ -957,13 +967,9 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd) -> tuple[np.ndarray, c
     adj = (_scatter(tris, np.ones((len(tris), 3, 3)), n)
            + sp.identity(n, format="csc")).tocsr()
     bn = mesh.boundary_nodes(tag)
-    edges = mesh.boundary_edges[tag]
     normals = mesh.boundary_normals[tag]
-    node_normal = {}
-    for (i, _), nv in zip(edges, normals):
-        node_normal.setdefault(int(i), []).append(nv)
-    for (_, j), nv in zip(edges, normals):
-        node_normal.setdefault(int(j), []).append(nv)
+    # node i of the loop starts edge i and ends edge i - 1
+    node_normals = np.mean([normals, np.roll(normals, 1, axis=0)], axis=0)
     deriv = np.zeros(len(bn), dtype=complex)
     for idx, n0 in enumerate(bn):
         pl = loc[idx:idx + 1]   # one ring, then up to two more below 10 nodes
@@ -978,8 +984,7 @@ def recovered_boundary_flux(field: ScalarField, tag: Bnd) -> tuple[np.ndarray, c
         X = np.column_stack([np.ones(len(pl)), d[:, 0], d[:, 1],
                              d[:, 0] ** 2, d[:, 0] * d[:, 1], d[:, 1] ** 2])
         coef, *_ = np.linalg.lstsq(X, field.values[pl], rcond=None)
-        nv = np.mean(node_normal[int(n0)], axis=0)
-        nv = nv / np.linalg.norm(nv)
+        nv = node_normals[idx] / np.linalg.norm(node_normals[idx])
         deriv[idx] = (coef[1] * nv[0] + coef[2] * nv[1]) / scale
     weights = mesh.boundary_lumped_lengths(tag)
     return deriv, complex(np.dot(weights, deriv))
@@ -1004,7 +1009,7 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
+    il = split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]
     K = stiffness_matrix(mesh, Region.DOPANT).real.tocsc()
     M = mass_matrix(mesh, Region.DOPANT).real.tocsc()
     K_ii = K[np.ix_(il, il)].tocsc()

@@ -19,7 +19,7 @@ import numpy as np
 from .auxiliary import AuxiliarySet, PhysicsConfig
 from .errors import EmptyWindow
 from .fem import (ScalarField, _local_boundary, _p1_geometry,
-                  _tri_values_and_grads, curve_sign)
+                  _tri_values_and_grads, curve_sign, split_nodes)
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
 
@@ -98,8 +98,7 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
     mesh = s_limit.mesh
     f = s_limit.restrict(Region.ENZ)
     tri_nodes, b, c, area = _p1_geometry(mesh, f.tri_index)
-    pos = mesh.region_pos(Region.ENZ)
-    tris = pos[tri_nodes]
+    tris = mesh.region_pos(Region.ENZ)[tri_nodes]
     n = len(mesh.region_nodes(Region.ENZ))
     div_acc = np.zeros(n, dtype=complex)
     curl_acc = np.zeros(n, dtype=complex)
@@ -113,7 +112,7 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
     for loc in range(3):
         np.add.at(m_vec, tris[:, loc], area / 3.0)
     const = 1j * cfg.omega * complex(cfg.mu) * abs(aux.c_star) ** 2 / 2.0
-    interior = pos[mesh.interior_nodes(Region.ENZ)]
+    interior = split_nodes(mesh, Region.ENZ, [Bnd.GAMMA_D, Bnd.GAMMA_OMEGA])[0]
     scale = max(float(np.abs(div_acc[interior]).max(initial=0.0)),
                 abs(const) * float(m_vec[interior].max(initial=0.0)), 1e-300)
     div_res = float(np.abs(div_acc[interior] + const * m_vec[interior]).max(initial=0.0)) / scale

@@ -367,13 +367,6 @@ class Mesh:
             return pos
         return self.cached(("pos", regions), None, build)
 
-    def interior_nodes(self, regions) -> np.ndarray:
-        """Sorted nodes of ``region_nodes(regions)`` on no tagged boundary."""
-        regions = _as_region_set(regions)
-        return self.cached(("interior", regions), None, lambda: np.setdiff1d(
-            self.region_nodes(regions),
-            np.concatenate([e.ravel() for e in self.boundary_edges.values()])))
-
     def boundary_nodes(self, tag: Bnd) -> np.ndarray:
         """Boundary nodes in loop order (first node of each directed edge)."""
         if tag not in self.boundary_edges:

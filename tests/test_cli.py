@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -321,9 +322,12 @@ def test_oracle_check_and_convergence_table(cfg_file, tmp_path):
 
 def test_console_entry_point_runs(cfg_file, tmp_path):
     out = tmp_path / "out_cli"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "enzlab.cli", "radius", str(cfg_file),
-         "--out", str(out)], capture_output=True, text=True)
+         "--out", str(out)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     data = json.loads((out / "radius.json").read_text())
     assert data["rho_hat"] > 0

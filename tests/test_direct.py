@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from enzlab import auxiliary, direct, fem, oracle
 from enzlab.auxiliary import PhysicsConfig, exterior_regions
@@ -14,7 +15,7 @@ from enzlab.direct import (PHYSICAL_REGIONS, compare_fields, enz_absorption,
 from enzlab.errors import SingularSystem, ValidationError
 from enzlab.fem import (RadiationSpec, ScalarField, dirichlet_eigs, h1_norm, h1_seminorm,
                         l2_norm)
-from enzlab.geometry import Bnd, Region, SourceRing, SourceSpec, build_mesh
+from enzlab.geometry import Bnd, Region, SourceRing, SourceSpec, _as_region_set, build_mesh
 from enzlab.oracle import j0_zero
 
 from conftest import CANONICAL_SPEC, DISK_SOURCE, GENERIC_SPEC, RING_SOURCE
@@ -171,8 +172,9 @@ def test_memo_dies_with_its_mesh(cfg_ring):
         compare_fields(u, v)
         engine.state_norm(engine.seed_state())
         assert {"exterior", "dopant", "transmission operator", "condensed load",
-                ("load", u.regions), ("norm forms", u.regions),
-                ("norm forms", frozenset({int(Region.ENZ)}))} <= set(mesh._memo)
+                ("load", exterior_regions(mesh, cfg_ring)),
+                ("norm forms", u.regions, PHYSICAL_REGIONS),
+                ("norm forms", frozenset({int(Region.ENZ)}), None)} <= set(mesh._memo)
         ref = weakref.ref(mesh)
         del mesh, engine, hier, u, v
         assert ref() is None
@@ -260,3 +262,59 @@ def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
     assert counts == {"exterior Dirichlet block": 1, "interface-last exterior": 1,
                       "Omega": 3, "transmission block": 0}
     assert len(system.nodes) not in factored
+
+
+def test_engine_and_direct_solves_assemble_and_load_the_exterior_once(monkeypatch, cfg_ring):
+    calls = {"exterior elements": 0, "load": 0}
+    region_elements, integrate = fem._region_elements, fem._integrate_sources
+
+    def elements(mesh, regions):
+        calls["exterior elements"] += int(Region.EXTERIOR) in _as_region_set(regions)
+        return region_elements(mesh, regions)
+
+    def load(*args):
+        calls["load"] += 1
+        return integrate(*args)
+
+    monkeypatch.setattr(fem, "_region_elements", elements)
+    monkeypatch.setattr(fem, "_integrate_sources", load)
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    CorrectorEngine(mesh, cfg_ring)
+    for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
+        solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
+    assert calls == {"exterior elements": 1, "load": 1}
+
+
+def test_condensed_operator_is_omega_plus_exterior_schur_complement(mesh_coarse, cfg_ring):
+    solve_transmission(mesh_coarse, cfg_ring)
+    C_1 = direct._affine_operator(mesh_coarse, cfg_ring).C_1
+    k = cfg_ring.k
+    A_om = fem.assemble(mesh_coarse, direct.OMEGA_REGIONS, {Region.DOPANT: 1.0, Region.ENZ: 1.0},
+                        {Region.DOPANT: k * k, Region.ENZ: k * k}).A
+    D = (C_1 - A_om).toarray()
+    gamma = fem._local_boundary(mesh_coarse, direct.OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
+    off = np.ones(D.shape, dtype=bool)
+    off[np.ix_(gamma, gamma)] = False
+    assert not D[off].any()
+    # S_e by column solves on the exterior system, as in tests/test_fem.py
+    ext = auxiliary.exterior_system(mesh_coarse, cfg_ring)
+    free = ext.dirichlet_block(auxiliary.exterior_dirichlet(mesh_coarse, cfg_ring, 0.0)).free
+    g = ext.local_boundary(Bnd.GAMMA_OMEGA)
+    X = spla.splu(ext.A[np.ix_(free, free)].tocsc()).solve(ext.A[np.ix_(free, g)].toarray())
+    S_e = ext.A[np.ix_(g, g)].toarray() - ext.A[np.ix_(g, free)] @ X
+    assert np.abs(D[np.ix_(gamma, gamma)] - S_e).max() <= 1e-13 * np.abs(S_e).max()
+
+
+def test_alternating_norm_windows_build_each_form_once(monkeypatch, mesh_coarse, cfg_ring):
+    u = solve_transmission(mesh_coarse, cfg_ring)
+    v = solve_transmission(mesh_coarse, dataclasses.replace(cfg_ring, delta=2e-2 + 1e-3j))
+    first = (compare_fields(u, v), enz_absorption(u, cfg_ring))
+    scatter, builds = fem._scatter, []
+
+    def counted(*args):
+        builds.append(args[2])
+        return scatter(*args)
+
+    monkeypatch.setattr(fem, "_scatter", counted)
+    assert (compare_fields(u, v), enz_absorption(u, cfg_ring)) == first
+    assert builds == []

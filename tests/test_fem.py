@@ -351,24 +351,28 @@ def test_region_operators_equal_sliced_global_ones(annulus_mesh, monkeypatch):
     def operator(system):
         return system.A, system.regions
 
-    def transmission():
+    def exterior(mesh, cfg):
         # assemble anew, so the patched kernels build it too, not the memo
-        annulus_mesh._memo.pop("transmission operator", None)
-        return operator(direct.transmission_system(annulus_mesh, cfg_pml))
+        mesh._memo.pop("exterior", None)
+        return operator(exterior_system(mesh, cfg))
 
-    def exterior():
-        robin_mesh._memo.pop("exterior", None)   # likewise
-        return operator(exterior_system(robin_mesh, cfg_robin))
+    def omega():
+        k = cfg_pml.k
+        return operator(assemble(annulus_mesh, direct.OMEGA_REGIONS,
+                                 {Region.DOPANT: 1.0, Region.ENZ: 1.0},
+                                 {Region.DOPANT: k * k, Region.ENZ: k * k}))
 
     robin_mesh = build_mesh(NO_COLLAR, 0.1)
     cfg_pml = PhysicsConfig(mu=1.0 + 0.1j)
     cfg_robin = PhysicsConfig(radiation=fem.RadiationSpec("robin"))
-    cases = [(annulus_mesh, transmission), (robin_mesh, exterior)]
+    cases = [(annulus_mesh, lambda: exterior(annulus_mesh, cfg_pml)), (annulus_mesh, omega),
+             (robin_mesh, lambda: exterior(robin_mesh, cfg_robin))]
     cases += [(annulus_mesh, lambda op=op, r=r: (op(annulus_mesh, r), r))
               for r in (Region.ENZ, Region.DOPANT) for op in (stiffness_matrix, mass_matrix)]
     for mesh, build in cases:
         new, _ = build()
         _assert_same_csc(new, _sliced_from_global(monkeypatch, mesh, build))
+    annulus_mesh._memo.pop("exterior")   # the one assembled on global numbering
 
 
 def test_robin_outside_system_rejected(annulus_mesh):

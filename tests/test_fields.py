@@ -6,10 +6,10 @@ import pytest
 
 from enzlab.auxiliary import PhysicsConfig
 from enzlab.direct import solve_transmission
-from enzlab.fem import ScalarField, _tri_values_and_grads
+from enzlab.fem import ScalarField, _tri_values_and_grads, split_nodes
 from enzlab.fields import (PiecewiseVectorField, compute_poynting,
                            ideal_fluid_residuals, poynting_gap, poynting_limit)
-from enzlab.geometry import Region, SourceSpec, structured_rectangle_mesh
+from enzlab.geometry import Bnd, Region, SourceSpec, structured_rectangle_mesh
 
 
 def test_constant_field_zero_poynting(mesh_coarse, cfg_ring):
@@ -88,8 +88,7 @@ def test_potential_split_weak_laplacians(engine_coarse, hier8, cfg_ring, mesh_co
     factor = np.conj(c_star) / (2j * cfg_ring.omega)
     const = 1j * cfg_ring.omega * complex(cfg_ring.mu) * abs(c_star) ** 2 / 2.0
     ns = engine_coarse.neumann
-    interior = mesh_coarse.interior_nodes(Region.ENZ)
-    loc = mesh_coarse.region_pos(Region.ENZ)[interior]
+    loc = split_nodes(mesh_coarse, Region.ENZ, [Bnd.GAMMA_D, Bnd.GAMMA_OMEGA])[0]
     for part in (np.real, np.imag):
         w_vals = part(factor * phi0.values).astype(complex)
         resid = (ns.K @ w_vals)[loc] + part(const) * ns.m_vec[loc]

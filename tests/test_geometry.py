@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enzlab.errors import GeometryInvalid, MeshFailure
+from enzlab.fem import split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
                              SourceDisk, SourceSpec, build_mesh, load_mesh,
                              region_measures, save_mesh,
@@ -107,9 +108,12 @@ def test_topology_queries_memoized_and_read_only():
     assert (pos[nodes] == np.arange(len(nodes))).all() and (pos >= 0).sum() == len(nodes)
     on_bnd = {int(x) for e in mesh.boundary_edges.values() for x in e.ravel()}
     for reg in Region:
-        want = [n for n in mesh.region_nodes(reg).tolist() if n not in on_bnd]
-        assert mesh.interior_nodes(reg).tolist() == want
-    for arr in (nodes, pos, mesh.region_triangles(Region.ENZ), mesh.interior_nodes(Region.ENZ)):
+        reg_nodes = mesh.region_nodes(reg)
+        tags = [t for t in Bnd if set(mesh.boundary_nodes(t)) <= set(reg_nodes)]
+        off, on = split_nodes(mesh, reg, tags)
+        assert reg_nodes[off].tolist() == [n for n in reg_nodes.tolist() if n not in on_bnd]
+        assert reg_nodes[on].tolist() == [n for n in reg_nodes.tolist() if n in on_bnd]
+    for arr in (nodes, pos, mesh.region_triangles(Region.ENZ)):
         assert not arr.flags.writeable
 
 

@@ -201,7 +201,7 @@ def test_deflated_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
 def _deflated_reference(mesh, lambda_star, cluster, trace, volume=None):
     """The deflated solve built from the interior node split by hand."""
     from enzlab import fem
-    il = mesh.region_pos(Region.DOPANT)[mesh.interior_nodes(Region.DOPANT)]
+    il = fem.split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]
     M = fem.mass_matrix(mesh, Region.DOPANT)
     A = (fem.stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc()
     B = np.column_stack([(M @ u.values)[il] for _, u in cluster])
