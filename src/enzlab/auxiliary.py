@@ -67,9 +67,6 @@ class PhysicsConfig:
         """Configuration with unit frequency and mu = k^2."""
         return cls(omega=1.0, mu=complex(k) ** 2, **kwargs)
 
-    def with_sources(self, sources: SourceSpec) -> "PhysicsConfig":
-        return replace(self, sources=sources)
-
 
 # ---------------------------------------------------------------------------
 # systems

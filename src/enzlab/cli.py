@@ -30,28 +30,27 @@ from .geometry import Circle, build_mesh
 from .oracle import RadialLayers, axisym_solution
 from .resonance import gamma_sweep
 
-_FMT = "{:.12e}"
+def _write_csv(path: Path, header: list, columns) -> None:
+    """One table from equal-length 1-D columns.
 
-
-def _fmt(x) -> str:
-    return _FMT.format(float(x))
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
+    Integer columns are written as ``%d``, every other column as ``%.12e``;
+    the whole table is formatted by one ``%`` over one flat tuple.
+    """
+    columns = [np.asarray(c) for c in columns]
+    width, rows = len(columns), len(columns[0])
+    flat = [None] * (width * rows)
+    for j, col in enumerate(columns):
+        flat[j::width] = col.tolist()   # raises on a column of another length
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.12e" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(",".join(header) + "\n" + line * rows % tuple(flat))
 
 
-def _write_field_csv(path: Path, field: ScalarField) -> None:
-    mesh = field.mesh
-    rows = [(int(n), mesh.nodes[n, 0], mesh.nodes[n, 1], v.real, v.imag)
-            for n, v in zip(field.nodes, field.values)]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("node_index,x,y,re,im\n")
-        for n, x, y, re, im in rows:
-            f.write(f"{n},{_fmt(x)},{_fmt(y)},{_fmt(re)},{_fmt(im)}\n")
+def _field_table(field: ScalarField):
+    """Header and columns of a nodal field's CSV."""
+    xy = field.mesh.nodes[field.nodes]
+    return (["node_index", "x", "y", "re", "im"],
+            [field.nodes, xy[:, 0], xy[:, 1], field.values.real, field.values.imag])
 
 
 def _write_json(path: Path, data) -> None:
@@ -113,13 +112,12 @@ def run_aux(spec, cfg, opts, outdir: Path) -> None:
     mesh = build_mesh(spec, opts.h)
     aux = solve_auxiliary_set(mesh, cfg)
     rres = rellich_residual(mesh, cfg, aux.psi_e, aux.flux_psi_e)
-    k, d = complex(cfg.k), complex(cfg.delta)
+    row = np.append(np.array([cfg.k, cfg.delta, aux.beta, aux.c_star, aux.mu_eff],
+                             dtype=complex).view(float), rres)
     _write_csv(outdir / "aux.csv",
                ["k_re", "k_im", "delta_re", "delta_im", "beta_re", "beta_im",
                 "cstar_re", "cstar_im", "mueff_re", "mueff_im", "rellich_residual"],
-               [(k.real, k.imag, d.real, d.imag, aux.beta.real, aux.beta.imag,
-                 aux.c_star.real, aux.c_star.imag, aux.mu_eff.real,
-                 aux.mu_eff.imag, rres)])
+               row[:, None])   # one row: eleven one-entry columns
 
 
 def run_expand(spec, cfg, opts, outdir: Path) -> None:
@@ -128,14 +126,10 @@ def run_expand(spec, cfg, opts, outdir: Path) -> None:
     engine = CorrectorEngine(mesh, cfg)
     hier = engine.build_hierarchy(max(order, 1))
     field = engine.assemble_expansion(hier, delta, order=order)
-    _write_field_csv(outdir / "expand_field.csv", field)
-    summary = {
-        "c_star": [hier.c_star.real, hier.c_star.imag],
-        "e": [[v.real, v.imag] for v in hier.e],
-        "c_delta": [hier.c_delta(delta, order - 1).real,
-                    hier.c_delta(delta, order - 1).imag],
-    }
-    _write_json(outdir / "expand_summary.json", summary)
+    _write_csv(outdir / "expand_field.csv", *_field_table(field))
+    _write_json(outdir / "expand_summary.json",
+                {"c_star": hier.c_star, "e": list(hier.e),
+                 "c_delta": hier.c_delta(delta, order - 1)})
 
 
 def run_direct(spec, cfg, opts, outdir: Path) -> None:
@@ -143,7 +137,7 @@ def run_direct(spec, cfg, opts, outdir: Path) -> None:
         raise ValidationError("delta must be nonzero for a direct run")
     mesh = build_mesh(spec, opts.h)
     u = solve_transmission(mesh, cfg)
-    _write_field_csv(outdir / "direct_field.csv", u)
+    _write_csv(outdir / "direct_field.csv", *_field_table(u))
 
 
 def run_sweep_delta(spec, cfg, opts, outdir: Path) -> None:
@@ -153,20 +147,17 @@ def run_sweep_delta(spec, cfg, opts, outdir: Path) -> None:
     engine = CorrectorEngine(mesh, cfg)
     hier = engine.build_hierarchy(2)
 
-    def one(delta):
-        cfg_d = dataclasses.replace(cfg, delta=complex(delta))
-        u = solve_transmission(mesh, cfg_d)
-        errs = []
-        for j in (0, 1, 2):
-            v = engine.assemble_expansion(hier, complex(delta), order=j)
-            errs.append(compare_fields(u, v, window=opts.window).h1_error)
-        d = complex(delta)
-        return (abs(d), math.atan2(d.imag, d.real), errs[0], errs[1], errs[2])
+    def errors(delta):
+        u = solve_transmission(mesh, dataclasses.replace(cfg, delta=delta))
+        return [compare_fields(u, engine.assemble_expansion(hier, delta, order=j),
+                               window=opts.window).h1_error for j in (0, 1, 2)]
 
-    rows = [one(delta) for delta in opts.deltas]
+    deltas = [complex(d) for d in opts.deltas]
+    errs = np.array([errors(d) for d in deltas]).T
     _write_csv(outdir / "sweep_delta.csv",
                ["delta_abs", "delta_arg", "h1_err_J0", "h1_err_J1", "h1_err_J2"],
-               rows)
+               [[abs(d) for d in deltas], [math.atan2(d.imag, d.real) for d in deltas],
+                *errs])
 
 
 def run_oracle_check(spec, cfg, opts, outdir: Path) -> None:
@@ -174,12 +165,10 @@ def run_oracle_check(spec, cfg, opts, outdir: Path) -> None:
     radii = np.linspace(1e-3, spec.truncation_radius - spec.pml_thickness, 400)
     vals = sol(radii)
     _write_csv(outdir / "oracle_profile.csv", ["r", "u_re", "u_im"],
-               [(r, v.real, v.imag) for r, v in zip(radii, vals)])
-    s = sol.scalars
-    summary = {key: [s[key].real, s[key].imag] if isinstance(s[key], complex)
-               else s[key] for key in ("beta", "c_star", "mu_eff", "flux_psi_e",
-                                       "flux_psi_d", "int_psi_d", "flux_s")}
-    _write_json(outdir / "oracle_summary.json", summary)
+               [radii, vals.real, vals.imag])
+    _write_json(outdir / "oracle_summary.json",
+                {key: sol.scalars[key] for key in ("beta", "c_star", "mu_eff", "flux_psi_e",
+                                                   "flux_psi_d", "int_psi_d", "flux_s")})
 
 
 def run_radius(spec, cfg, opts, outdir: Path) -> None:
@@ -201,20 +190,18 @@ def run_resonance_sweep(spec, cfg, opts, outdir: Path) -> None:
         target = (j0_zero(1) / spec.dopant.radius) ** 2
     gammas = opts.gammas or tuple(10.0 ** (-x) for x in np.arange(1.0, 3.1, 0.25))
     study = gamma_sweep(mesh, cfg, target, gammas)
-    rows = [(r.gamma.real, r.gamma.imag, abs(r.c_star), abs(r.mu_eff), r.phi_gap)
-            for r in study.records]
+    recs = study.records
     _write_csv(outdir / "resonance_sweep.csv",
                ["gamma_re", "gamma_im", "cstar_abs", "mueff_abs", "phi_gap_h1"],
-               rows)
-    summary = {
+               [study.gammas.real, study.gammas.imag, [abs(r.c_star) for r in recs],
+                [abs(r.mu_eff) for r in recs], [r.phi_gap for r in recs]])
+    _write_json(outdir / "resonance_summary.json", {
         "lambda_star": study.lambda_star,
         "classification": study.classification,
-        "c_bar": [study.c_bar.real, study.c_bar.imag],
-        "c_bar_extrapolated": [study.c_bar_extrapolated.real,
-                               study.c_bar_extrapolated.imag],
+        "c_bar": study.c_bar,
+        "c_bar_extrapolated": study.c_bar_extrapolated,
         "cluster_size": len(study.cluster),
-    }
-    _write_json(outdir / "resonance_summary.json", summary)
+    })
 
 
 def run_poynting(spec, cfg, opts, outdir: Path) -> None:
@@ -223,35 +210,29 @@ def run_poynting(spec, cfg, opts, outdir: Path) -> None:
     mesh = build_mesh(spec, opts.h)
     u = solve_transmission(mesh, cfg)
     s = compute_poynting(u, cfg)
-    cen = mesh.tri_centroids[s.tri_index]
-    rows = [(cen[i, 0], cen[i, 1], s.vectors[i, 0].real, s.vectors[i, 0].imag,
-             s.vectors[i, 1].real, s.vectors[i, 1].imag, int(s.region[i]))
-            for i in range(len(s.tri_index))]
+    cen, vec = mesh.tri_centroids[s.tri_index], s.vectors
     _write_csv(outdir / "poynting.csv",
                ["tri_centroid_x", "tri_centroid_y", "S1_re", "S1_im",
-                "S2_re", "S2_im", "region"], rows)
+                "S2_re", "S2_im", "region"],
+               [cen[:, 0], cen[:, 1], vec[:, 0].real, vec[:, 0].imag,
+                vec[:, 1].real, vec[:, 1].imag, s.region.astype(float)])
 
 
 def run_convergence_table(spec, cfg, opts, outdir: Path) -> None:
-    sol = _oracle_reference(spec, cfg)
-    ref = sol.scalars
+    ref = _oracle_reference(spec, cfg).scalars
     hs = [opts.h * 2.0, opts.h, opts.h / 2.0]
-    rows = []
+    errs = []
     for h in hs:
-        mesh = build_mesh(spec, h)
-        aux = solve_auxiliary_set(mesh, cfg)
-        rows.append((h,
-                     abs(aux.beta - ref["beta"]) / abs(ref["beta"]),
+        aux = solve_auxiliary_set(build_mesh(spec, h), cfg)
+        errs.append([abs(aux.beta - ref["beta"]) / abs(ref["beta"]),
                      abs(aux.c_star - ref["c_star"]) / max(abs(ref["c_star"]), 1e-300),
-                     abs(aux.mu_eff - ref["mu_eff"]) / abs(ref["mu_eff"])))
-    out = []
-    for i, row in enumerate(rows):
-        rates = [math.log2(rows[i - 1][j] / row[j]) if i > 0 and row[j] > 0 else float("nan")
-                 for j in (1, 2, 3)]
-        out.append(row + tuple(rates))
+                     abs(aux.mu_eff - ref["mu_eff"]) / abs(ref["mu_eff"])])
+    errs = np.array(errs).T   # one row per constant, one entry per h
+    rates = [[math.nan] + [math.log2(p / e) if e > 0 else math.nan for p, e in zip(err, err[1:])]
+             for err in errs]
     _write_csv(outdir / "convergence_table.csv",
                ["h", "beta_rel_err", "cstar_rel_err", "mueff_rel_err",
-                "beta_rate", "cstar_rate", "mueff_rate"], out)
+                "beta_rate", "cstar_rate", "mueff_rate"], [hs, *errs, *rates])
 
 
 _SUBCOMMANDS = {

@@ -517,19 +517,20 @@ class _Builder:
         Rings of the same label family are merged by their exact labels (this
         keeps the stitch equivariant under the quarter-turn symmetry of
         concentric grids); otherwise geometric angles are used.
+
+        Each step advances the ring whose next label is smaller, ring a on a
+        tie (past the last node the next label is the first one + 1).  Both
+        key lists are sorted, so a stable sort of the two, a first, orders
+        the steps; the counts of earlier steps on each ring give (i, j).
         """
         (a, ta), (b, tb) = self._merge_coords(ring_in, ring_out, center)
         na, nb = len(a), len(b)
-        i = j = 0
-        while i < na or j < nb:
-            pa = ta[(i + 1) % na] + (1.0 if i + 1 >= na else 0.0) if i < na else math.inf
-            pb = tb[(j + 1) % nb] + (1.0 if j + 1 >= nb else 0.0) if j < nb else math.inf
-            if pa <= pb:
-                self.tris.append((a[i % na], b[j % nb], a[(i + 1) % na]))
-                i += 1
-            else:
-                self.tris.append((a[i % na], b[j % nb], b[(j + 1) % nb]))
-                j += 1
+        keys = np.concatenate((ta[1:], [ta[0] + 1.0], tb[1:], [tb[0] + 1.0]))
+        step_a = np.argsort(keys, kind="stable") < na
+        i = np.cumsum(step_a) - step_a
+        j = np.arange(na + nb) - i
+        third = np.where(step_a, a[(i + 1) % na], b[(j + 1) % nb])
+        self.tris.append(np.column_stack((a[i % na], b[j % nb], third)))
 
 
 def _param_offset(curve_in: Shape, curve_out: Shape) -> float:
@@ -600,9 +601,8 @@ def _disk_fan(builder: _Builder, curve: Shape, h: float) -> _Ring:
         pts = (1.0 - tau) * center + tau * curve.points(params)
         ring = builder.add_ring(pts, params, _family(curve))
         if prev is None:
-            n = len(ring.idx)
-            for j in range(n):
-                builder.tris.append((c_idx, ring.idx[j], ring.idx[(j + 1) % n]))
+            builder.tris.append(np.column_stack(
+                (np.full(len(ring.idx), c_idx), ring.idx, np.roll(ring.idx, -1))))
         else:
             builder.merge_band(prev, ring, center)
         prev = ring
@@ -660,7 +660,7 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
         inf_ring = _homotopy_band(builder, spec.outer, trunc_circle, outer_ring, target_h)
 
     nodes = np.vstack(builder.points)
-    triangles = np.asarray(builder.tris, dtype=np.int32)
+    triangles = np.concatenate(builder.tris).astype(np.int32)
     centroids = nodes[triangles].mean(axis=1)
     region = _classify_regions(spec, centroids)
 

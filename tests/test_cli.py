@@ -4,12 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from enzlab.cli import main
+from enzlab.cli import _write_csv, main
 from enzlab.config import parse_config
+from enzlab.direct import solve_transmission
 from enzlab.errors import ParseError, ValidationError
 from enzlab.fem import dirichlet_eigs
+from enzlab.fields import compute_poynting
+from enzlab.geometry import build_mesh
 from enzlab.oracle import RadialLayers, axisym_solution, j0_zero
 
 CANONICAL_CFG = """
@@ -308,6 +312,42 @@ def test_sweep_delta_csv_shape(cfg_file, tmp_path):
     first = [float(v) for v in lines[1].split(",")]
     second = [float(v) for v in lines[2].split(",")]
     assert first[2] > second[2]  # larger delta, larger order-0 error
+
+
+def _ref_line(ints, floats) -> str:
+    """One CSV line as the artifacts are specified: %d integers, then %.12e floats."""
+    return ",".join([str(int(v)) for v in ints] + ["{:.12e}".format(float(v)) for v in floats])
+
+
+def test_csv_writer_format_contract(tmp_path):
+    ints = np.array([0, 7, -3, 2**40, 31989, 12, 1])
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, 1e308])
+    plain = [1.0, -2.5, 0.1, 1 / 3, 6.02214076e23, -1e-7, 2.0]
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["n", "special", "plain"], [ints, specials, plain])
+    expected = ["n,special,plain"] + [_ref_line([i], [a, b])
+                                      for i, a, b in zip(ints, specials, plain)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+def test_direct_field_and_poynting_csv_contents(cfg_file, tmp_path):
+    out = tmp_path / "out_fields"
+    assert main(["direct", str(cfg_file), "--out", str(out)]) == 0
+    assert main(["poynting", str(cfg_file), "--out", str(out)]) == 0
+    spec, cfg, opts = parse_config(cfg_file)
+    mesh = build_mesh(spec, opts.h)
+    u = solve_transmission(mesh, cfg)
+    field = ["node_index,x,y,re,im"] + [
+        _ref_line([n], [*mesh.nodes[n], v.real, v.imag]) for n, v in zip(u.nodes, u.values)]
+    assert (out / "direct_field.csv").read_text().splitlines() == field
+    s = compute_poynting(u, cfg)
+    cen = mesh.tri_centroids[s.tri_index]
+    flow = ["tri_centroid_x,tri_centroid_y,S1_re,S1_im,S2_re,S2_im,region"] + [
+        _ref_line([], [*c, v[0].real, v[0].imag, v[1].real, v[1].imag, r])
+        for c, v, r in zip(cen, s.vectors, s.region)]
+    lines = (out / "poynting.csv").read_text().splitlines()
+    assert lines == flow
+    assert "2.000000000000e+00" in {line.rsplit(",", 1)[1] for line in lines[1:]}   # a float
 
 
 def test_oracle_check_and_convergence_table(cfg_file, tmp_path):

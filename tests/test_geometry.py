@@ -6,8 +6,8 @@ import pytest
 from enzlab.errors import GeometryInvalid, MeshFailure
 from enzlab.fem import split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
-                             SourceDisk, SourceSpec, build_mesh, load_mesh,
-                             region_measures, save_mesh,
+                             SourceDisk, SourceSpec, _Builder, build_mesh,
+                             load_mesh, region_measures, save_mesh,
                              structured_rectangle_mesh)
 
 CANONICAL = DomainSpec(outer=Circle((0.0, 0.0), 1.0),
@@ -153,6 +153,43 @@ def test_polygonal_dopant():
     m = region_measures(mesh)
     assert m["areas"][Region.DOPANT] == pytest.approx(0.25, rel=2e-2)
     assert m["lengths"][Bnd.GAMMA_D] == pytest.approx(2.0, rel=1e-6)
+
+
+def _merge_band_loop(self, ring_in, ring_out, center):
+    """The ring merge as a sweep over both rings, one triangle per step."""
+    (a, ta), (b, tb) = self._merge_coords(ring_in, ring_out, center)
+    na, nb = len(a), len(b)
+    tris = []
+    i = j = 0
+    while i < na or j < nb:
+        pa = ta[(i + 1) % na] + (1.0 if i + 1 >= na else 0.0) if i < na else math.inf
+        pb = tb[(j + 1) % nb] + (1.0 if j + 1 >= nb else 0.0) if j < nb else math.inf
+        if pa <= pb:
+            tris.append((a[i % na], b[j % nb], a[(i + 1) % na]))
+            i += 1
+        else:
+            tris.append((a[i % na], b[j % nb], b[(j + 1) % nb]))
+            j += 1
+    self.tris.append(np.array(tris))
+
+
+@pytest.mark.parametrize("spec", [
+    CANONICAL,
+    DomainSpec(outer=Circle((0.0, 0.0), 1.0), dopant=Circle((0.3, 0.0), 0.2),
+               truncation_radius=4.0, pml_thickness=1.0),
+    DomainSpec(outer=Polygon(((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))),
+               dopant=Circle((0.0, 0.0), 0.3), truncation_radius=4.0, pml_thickness=0.0),
+], ids=["canonical", "offcentre", "square_no_collar"])
+def test_merge_band_matches_sweep_loop(monkeypatch, spec):
+    mesh = build_mesh(spec, 0.1)
+    monkeypatch.setattr(_Builder, "merge_band", _merge_band_loop)
+    ref = build_mesh(spec, 0.1)
+    assert np.array_equal(mesh.nodes, ref.nodes)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert np.array_equal(mesh.tri_region, ref.tri_region)
+    assert mesh.boundary_edges.keys() == ref.boundary_edges.keys()
+    for tag, edges in ref.boundary_edges.items():
+        assert np.array_equal(mesh.boundary_edges[tag], edges)
 
 
 def test_too_coarse_h_rejected():
