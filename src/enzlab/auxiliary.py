@@ -119,19 +119,17 @@ def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
 
 
 def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 12) -> float:
-    """sigma_min(A_ff) / ||A_ff||_1, via inverse iteration on the LU factors."""
-    import scipy.sparse.linalg as spla
+    """sigma_min(A_ff) / ||A_ff||_1, by inverse iteration with :meth:`fem.Factored.lu_solve`."""
     block = system.dirichlet_block(fixed_tags)
     x = np.ones(len(block.free), dtype=complex) / math.sqrt(len(block.free))
     lam = 0.0
     for _ in range(iters):
-        y = block.ff.lu.solve(x, trans="H")
-        w = block.ff.lu.solve(y, trans="N")
+        y = block.ff.lu_solve(x, trans="H")
+        w = block.ff.lu_solve(y)
         lam = float(np.linalg.norm(w))
         x = w / lam
     sigma_min = 1.0 / math.sqrt(lam)
-    norm_a = float(spla.onenormest(block.A_ff))
-    return sigma_min / norm_a
+    return sigma_min / fem.inf_norm(block.A_ff.T)
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,23 @@ dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
 ``S_e`` is read, per mesh and (k, radiation), off one factorization of the
-exterior system with Gamma_Omega ordered last (:func:`fem.interface_last`),
-and kept only inside ``C_1``.  That LU serves the call that builds ``C_1``
-and is then dropped: reading ``S_e`` off its factors makes SuperLU keep
-copies of both on it (at h = 0.025 a kept one raised the resident set from
-426 to 668 MB).  Later calls back-substitute on the exterior's Dirichlet
-block instead, which :func:`auxiliary.exterior_system` shares with the
-auxiliary set and the corrector engine.
+exterior system (:func:`fem.interface_last`) in the order of
+:func:`fem.node_order`: the exterior's free nodes in the order its Dirichlet
+block is factored in, then Gamma_Omega.  It is kept only inside ``C_1``.
+That LU serves the call that builds ``C_1`` and is then dropped: reading
+``S_e`` off its factors makes SuperLU keep copies of both on it (at
+h = 0.025 a kept one raised the resident set from 426 to 668 MB).  Later
+calls back-substitute on the exterior's Dirichlet block instead, which
+:func:`auxiliary.exterior_system` shares with the auxiliary set and the
+corrector engine.  Each delta factors Omega's operator in Omega's node
+order with Gamma_Omega last, since ``S_e`` is a dense block there.
 
 Two entries of :meth:`Mesh.cached` hold what does not depend on delta: the
-affine operator of the latest (k, radiation), with ``C_1`` filled in by its
-first solve, and the load term of the latest (k, radiation, sources), solved
-on whichever exterior LU that solve has at hand.
+affine operator of the latest (k, radiation), with ``K_ENZ`` on Omega and
+``C_1`` (filled in by its first solve) kept in Omega's order as well, and
+the load term of the latest (k, radiation, sources), solved on whichever
+exterior LU that solve has at hand.  The node orders are the mesh's own,
+so a new k or delta reorders nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +70,10 @@ class _AffineOperator:
     exterior: np.ndarray       # the exterior's nodes, as positions in A(delta)
     A_om: sp.csc_matrix        # Omega's operator at unit ENZ coefficient, on Omega
     K_om: sp.csc_matrix        # K_ENZ on Omega
+    order: np.ndarray          # Omega's node order, Gamma_Omega last
+    K_om_ordered: sp.csc_matrix            # K_om in that order
     C_1: sp.csc_matrix | None = None   # A_om plus S_e on Gamma_Omega, set by the first solve
+    C_1_ordered: sp.csc_matrix | None = None   # C_1 in Omega's order, set with it
 
 
 def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
@@ -78,8 +86,10 @@ def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
         K_om = renumber(mesh, stiffness_matrix(mesh, Region.ENZ), Region.ENZ, OMEGA_REGIONS)
         A_1 = renumber(mesh, ext.A, ext.regions, regs) + renumber(mesh, A_om, OMEGA_REGIONS, regs)
         pos = mesh.region_pos(regs)
+        order = fem.node_order(mesh, OMEGA_REGIONS, (), [Bnd.GAMMA_OMEGA])
         return _AffineOperator(regs, A_1, renumber(mesh, K_om, OMEGA_REGIONS, regs),
-                               pos[mesh.region_nodes(OMEGA_REGIONS)], pos[ext.nodes], A_om, K_om)
+                               pos[mesh.region_nodes(OMEGA_REGIONS)], pos[ext.nodes], A_om, K_om,
+                               order, K_om[order][:, order])
     return mesh.cached("transmission operator", (complex(cfg.k), cfg.radiation), build)
 
 
@@ -104,18 +114,21 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
 
 
 def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator, ext: LinearSystem):
-    """``C_1``, and the interface-last LU of the exterior system it came from.
+    """``C_1``, and the interface-last exterior system it came from.
 
-    The LU is of the exterior system on its free nodes, then Gamma_Omega, so
-    its trailing Schur complement is ``S_e``.
+    That system is the exterior's on ``keep``, its nodes off the collar's
+    fixed outer boundary, factored in the exterior free order with
+    Gamma_Omega last, so that its trailing Schur complement is ``S_e``.
+    Returns ``C_1`` and the triple (factored system, ``S_e`` dense, ``keep``).
     """
-    free = fem.split_nodes(mesh, ext.regions, exterior_dirichlet(mesh, cfg, 0.0))[0]
-    schur = fem.interface_last(ext.A, free, ext.local_boundary(Bnd.GAMMA_OMEGA))
+    fixed = [tag for tag in exterior_dirichlet(mesh, cfg, 0.0) if tag != Bnd.GAMMA_OMEGA]
+    keep = fem.split_nodes(mesh, ext.regions, fixed)[0]
     gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
     n_g, n = len(gamma), op.A_om.shape[0]
-    S_e = sp.csc_matrix((schur[2].ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))),
-                        shape=(n, n))
-    return (op.A_om + S_e).tocsc(), schur
+    B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(),
+                              fem.node_order(mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA]), n_g)
+    S_e = sp.csc_matrix((S.ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))), shape=(n, n))
+    return (op.A_om + S_e).tocsc(), (B, S, keep)
 
 
 def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
@@ -145,17 +158,19 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
         schur = None
         if op.C_1 is None:
             op.C_1, schur = _condense(mesh, cfg, op, ext)
+            op.C_1_ordered = op.C_1[op.order][:, op.order]
         if schur is not None:
-            B, order, S = schur
-            n_f = len(order) - len(S)
-            b_f = b_ext[order[:n_f]]
+            B, S, keep = schur
+            g = B.order[len(keep) - len(S):]   # Gamma_Omega, as positions in keep
+            r = b_ext[keep]
+            r[g] = 0.0
 
         def load_term():
             if schur is not None:
                 # with z = A_gf A_ff^-1 b_f,
                 # B [x; y] = [b_f; 0] has S_e y = -z, and
                 # B [x; y] = [b_f; z + S_e t] has y = t and x = A_ff^-1 (b_f - A_fg t)
-                return -S @ B.solve(np.concatenate([b_f, np.zeros(len(S))]))[n_f:]
+                return -S @ B.solve(r)[g]
             # the exterior field of zero trace is A_ff^-1 b_f
             s = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, 0.0))
             return (ext.A @ s.values)[ext.local_boundary(Bnd.GAMMA_OMEGA)]
@@ -164,11 +179,13 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
         gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
         b_om = rhs[op.omega]
         b_om[gamma] -= z
-        u_om = fem.Factored(op.C_1 + (1.0 / complex(cfg.delta) - 1.0) * op.K_om).solve(b_om)
+        c = 1.0 / complex(cfg.delta) - 1.0
+        u_om = fem.Factored(op.C_1 + c * op.K_om, op.order,
+                            op.C_1_ordered + c * op.K_om_ordered).solve(b_om)
         trace = u_om[gamma]
         if schur is not None:
-            x = B.solve(np.concatenate([b_f, z + S @ trace]))
-            u[op.exterior[order[:n_f]]] = x[:n_f]
+            r[g] = z + S @ trace
+            u[op.exterior[keep]] = B.solve(r)   # Gamma_Omega takes u_om below
         else:
             u[op.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace)).values
         u[op.omega] = u_om

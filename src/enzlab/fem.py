@@ -14,18 +14,20 @@ recovered higher-order boundary fluxes, windowed discrete norms, and
 Dirichlet eigenpairs of sub-regions.
 
 Every factorization goes through one SuperLU routine, :func:`factor`, whose
-breakdown raises SINGULAR_SYSTEM.  The matrices all have a structurally
-symmetric FEM pattern, so the columns are ordered by minimum degree on
-``A + A^T`` and SuperLU runs in symmetric mode, pivoting on the diagonal
-whenever the diagonal entry is at least 0.1 of its column's largest.  That
-skips the column search of partial pivoting at the same fill and cuts the
-factor time by a quarter to a half.  The threshold is 0.1, not 0, because
-the bordered (Neumann and deflated) systems need the pivoting fallback: with
-0 they take roundoff-sized pivots and solve wrongly without a breakdown.
-A :class:`Factored` matrix holds its norm and its LU, and every solve on a
-factorization, bordered ones included, goes through its one residual
-contract, :meth:`Factored.solve`: a normwise backward error above 1e-10
-raises SINGULAR_SYSTEM.
+breakdown raises SINGULAR_SYSTEM, and takes its order from one function,
+:func:`node_order`: the geometric nested dissection of a node set's triangle
+edges, computed once per mesh and node set and kept in :meth:`Mesh.cached`,
+so that no new k or delta reorders.  SuperLU factors the ordered matrix as
+it comes, in symmetric mode, pivoting on the diagonal whenever the diagonal
+entry is at least 0.1 of its column's largest.  That skips the column
+search of partial pivoting at the same fill and cuts the factor time by a
+quarter to a half.  The threshold is 0.1, not 0, because the bordered
+(Neumann and deflated) systems need the pivoting fallback: with 0 they take
+roundoff-sized pivots and solve wrongly without a breakdown.  A
+:class:`Factored` matrix holds its norm, its order and its LU, and every
+solve on a factorization, bordered ones included, goes through its one
+residual contract, :meth:`Factored.solve`: a normwise backward error above
+1e-10 raises SINGULAR_SYSTEM.
 
 Flux conventions: :func:`flux_extract` returns the weak residual paired
 against boundary traces, i.e. the flux with respect to the *solve domain's*
@@ -288,85 +290,201 @@ def _boundary_mass(mesh: Mesh, regions, tag: Bnd) -> sp.csc_matrix:
 
 
 # ---------------------------------------------------------------------------
-# system assembly
+# the fill-reducing order and factorization
 
 
-def factor(A: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
-    """SuperLU factorization of a square CSC matrix.
+# Parts of at most this many nodes are not bisected again; they keep their
+# natural (increasing) node order.
+_ND_LEAF = 32
 
+# The side of a node whose place in the order is final.  Between the sides
+# lower (0), upper (1) and this, a difference is -1 only for a lower-upper
+# pair and 1 only for an upper-lower one.
+_PLACED = -100
+
+
+def node_order(mesh: Mesh, regions, fixed_tags=(), last_tags=()) -> np.ndarray:
+    """The fill-reducing order of the nodes of ``regions`` off ``fixed_tags``.
+
+    The order is of positions in ``split_nodes(mesh, regions, fixed_tags)[0]``,
+    the numbering of the Dirichlet block with those tags fixed.  The nodes on
+    neither the fixed nor the ``last_tags`` curves come first, in the
+    geometric nested-dissection order of :func:`_nested_dissection` on the
+    regions' triangle edges; the nodes of each last curve follow, in boundary
+    order.  The last curves are disjoint and not fixed.
+
+    The order depends on the node set only, never on the coefficients: it is
+    kept in :meth:`Mesh.cached` under ``("order", regions, fixed, last)`` with
+    key None, so a new k or delta never reorders, and an order with last tags
+    reuses the one that has those tags fixed.
+    """
+    regions = _as_region_set(regions)
+    fixed = frozenset(Bnd(t) for t in fixed_tags)
+    last = tuple(Bnd(t) for t in last_tags)
+
+    def build():
+        keep = split_nodes(mesh, regions, fixed)[0]
+        if last:
+            held = fixed | set(last)
+            head = split_nodes(mesh, regions, held)[0][node_order(mesh, regions, held)]
+            tail = [_local_boundary(mesh, regions, tag) for tag in last]
+            return np.searchsorted(keep, np.concatenate([head, *tail]))
+        pos = np.full(len(mesh.region_nodes(regions)), -1)
+        pos[keep] = np.arange(len(keep))
+        tris = pos[mesh.region_pos(regions)[mesh.triangles[mesh.region_triangles(regions)]]]
+        ea, eb = tris.ravel(), tris[:, [1, 2, 0]].ravel()   # every triangle edge
+        both = (ea >= 0) & (eb >= 0)
+        return _nested_dissection(mesh.nodes[mesh.region_nodes(regions)[keep]], ea[both], eb[both])
+    return mesh.cached(("order", regions, fixed, last), None, build)
+
+
+def _nested_dissection(xy: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """Geometric nested-dissection order of points ``xy`` joined by edges ``(ea, eb)``.
+
+    A part of more than ``_ND_LEAF`` points is bisected at the median of its
+    longer coordinate extent (George, SIAM J. Numer. Anal. 10, 1973).  The
+    separator is every lower-half point with an upper-half neighbour, so no
+    edge joins what is left of the two halves, and the part is ordered as
+    lower half less separator, upper half, separator.  Both halves are then
+    bisected in turn.  A separator stays in coordinate order and a leaf in
+    index order.
+
+    One level of the recursion bisects every part at once: one sort of
+    (part, coordinate rank) orders each part along its axis, the two
+    coordinate ranks computed once with ties broken by index, so the order
+    is deterministic.  Two parts are never joined by an edge, so the edges
+    need no sorting into parts.  Returns the point indices in elimination
+    order.
+    """
+    n = len(xy)
+    by_rank = np.argsort(xy.T, axis=1, kind="stable")    # the points by x, then by y
+    rank = np.empty_like(by_rank)
+    np.put_along_axis(rank, by_rank, np.arange(n)[None, :], axis=1)
+    by_rank, rank = by_rank.ravel(), rank.ravel()
+    x_all, y_all = xy[:, 0].copy(), xy[:, 1].copy()
+    order = np.arange(n)
+    side = np.zeros(n, dtype=np.int8)     # 0 lower, 1 upper half, or _PLACED
+    starts, sizes = np.zeros(1, dtype=np.intp), np.array([n])   # parts, as spans of order
+    leaves = []
+    while True:
+        small = sizes <= _ND_LEAF
+        leaves.append((starts[small], sizes[small]))
+        side[order[_spans(starts[small], sizes[small])]] = _PLACED
+        starts, sizes = starts[~small], sizes[~small]
+        if not len(sizes):
+            break
+        first = np.cumsum(sizes) - sizes
+        pos = _spans(starts, sizes)
+        nodes = order[pos]
+        x, y = x_all[nodes], y_all[nodes]
+        tall = (np.maximum.reduceat(y, first) - np.minimum.reduceat(y, first)
+                > np.maximum.reduceat(x, first) - np.minimum.reduceat(x, first))
+        axis = np.repeat(tall * n, sizes)     # where the part's axis starts in rank
+        key = np.sort(np.repeat(np.arange(len(sizes)) * 2 * n, sizes) + axis + rank[axis + nodes])
+        nodes = by_rank[key % (2 * n)]
+        half = sizes // 2
+        side[nodes] = pos >= np.repeat(starts + half, sizes)
+        lower_upper = side[ea] - side[eb]
+        side[ea[lower_upper == -1]] = _PLACED
+        side[eb[lower_upper == 1]] = _PLACED
+        sep = side[nodes] == _PLACED
+        before = np.cumsum(sep) - sep
+        base = before[first]                                 # separator points before each part
+        n_sep = before[first + sizes - 1] + sep[first + sizes - 1] - base
+        # lower half less separator, upper half, separator
+        dest = pos - before + np.repeat(base, sizes)
+        at = np.flatnonzero(sep)
+        part = np.searchsorted(first, at, side="right") - 1
+        dest[at] = (starts + sizes - n_sep - base)[part] + before[at]
+        order[dest] = nodes
+        starts = np.stack([starts, starts + half - n_sep], axis=1).ravel()
+        sizes = np.stack([half - n_sep, sizes - half], axis=1).ravel()
+    starts, sizes = (np.concatenate(spans) for spans in zip(*leaves))
+    at = _spans(starts, sizes)
+    order[at] = np.sort(np.repeat(np.arange(len(sizes)), sizes) * n + order[at]) % n
+    return order
+
+
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``[start, start + size)``, one after another."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def factor(A: sp.csc_matrix):
+    """SuperLU factorization of a square CSC matrix, in the order given.
+
+    The caller has already permuted ``A`` into a :func:`node_order` (see
+    :class:`Factored`), so the columns are kept as they come
+    (``permc_spec="NATURAL"``; symmetric mode does not postorder them).
     Every matrix factored here is structurally symmetric (P1 stiffness and
     mass, Dirichlet blocks of them, and their bordered Neumann and deflated
     forms), and the transmission, exterior and dopant blocks are complex
     symmetric as well.  Two choices follow from that:
 
-    - Columns are ordered by multiple minimum degree on the pattern of
-      ``A + A^T``, which fills less than SuperLU's default COLAMD: nnz(L + U)
-      of the exterior Dirichlet block at h = 0.025 drops from 18.85M to
-      11.48M, and of the transmission block at h = 0.05 from 4.06M to 2.52M.
+    - The order is nested dissection on the node graph, which is the graph
+      of ``A + A^T``.  Against the minimum degree on ``A + A^T`` that SuperLU
+      computed on every call before (medians of 5 in each of two sessions
+      on a 2-core host with one BLAS thread): the exterior Dirichlet block
+      at h = 0.025 (117,328 nodes) factors in 1.07-1.13 s, after a 0.22 s
+      order made once per mesh, against 1.83-2.20 s, with nnz(L + U) 10.61M
+      against 11.48M (COLAMD: 18.85M); at h = 0.05 order and factorization
+      take 0.29 s against 0.29-0.34 s.  The bordered Neumann system at
+      h = 0.025 factors in 0.041-0.044 s against 0.12-0.16 s, and SuperLU
+      stores 455k entries of its factors against 888k, though nnz(L + U) is
+      454k against 411k: minimum degree without the postorder that
+      symmetric mode skips pads the supernodes.  Omega's per-delta operator
+      at h = 0.05 factors in 14.5-14.8 ms against 18.4-19.3 ms.
     - SuperLU runs in symmetric mode: rows are permuted like the columns and
       a diagonal entry is the pivot whenever its modulus is at least 0.1 of
       the largest in its column, so the column search of partial pivoting is
-      skipped and the fill stays the same.  Medians of 3-5 factorizations
-      on a 2-core host with one BLAS thread, partial pivoting against
-      symmetric mode: transmission block 0.57-0.64 s to 0.35-0.38 s at
-      h = 0.05 (four deltas) and 4.95 s to 2.48 s at h = 0.025; exterior
+      skipped and the fill stays that of the order.  Medians of 3-5
+      factorizations under the minimum-degree order, partial pivoting
+      against symmetric mode: transmission block 0.57-0.64 s to 0.35-0.38 s
+      at h = 0.05 (four deltas) and 4.95 s to 2.48 s at h = 0.025; exterior
       block 0.51 s to 0.31 s at h = 0.05 and 3.1 s to 2.3 s at h = 0.025;
-      triangular solves equal or faster.  The threshold is not 0:
-      the bordered Neumann and deflated systems have a zero border diagonal
+      triangular solves equal or faster.  The threshold is not 0: the
+      bordered Neumann and deflated systems have a zero border diagonal
       next to a (near-)singular block.  With threshold 0 they take a
       roundoff-sized diagonal pivot and, without any breakdown, solve with a
       backward error of 1e-4 to 1e-3 (canonical mesh, h = 0.1); 0.1 falls
       back to an off-diagonal pivot there.
 
-    ``permc_spec="NATURAL"`` keeps the columns as given; symmetric mode does
-    not postorder them.  :func:`interface_last` uses it to factor a matrix
-    it has ordered itself, and reads a Schur complement off the trailing
-    block of the factors.  Reading ``lu.L`` and ``lu.U`` makes SuperLU build
-    CSC copies of both factors and keep them on the LU for its whole life
-    (at h = 0.025 an exterior kept that way raised the resident set from
-    426 to 668 MB), so such an LU is dropped after the call that reads it.
+    :func:`interface_last` reads a Schur complement off the trailing block
+    of the factors.  Reading ``lu.L`` and ``lu.U`` makes SuperLU build CSC
+    copies of both factors and keep them on the LU for its whole life (at
+    h = 0.025 an exterior kept that way raised the resident set from 426 to
+    668 MB), so such an LU is dropped after the call that reads it.
 
     A breakdown (an exactly singular pivot) raises SINGULAR_SYSTEM.
     """
     try:
-        return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.1,
+        return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystem(f"factorization failed: {exc}") from exc
 
 
-def interface_last(A: sp.csc_matrix, lead: np.ndarray, trail: np.ndarray):
-    """Factor ``A`` on ``lead`` then ``trail`` and read off its Schur complement.
+def interface_last(A: sp.csc_matrix, order: np.ndarray, n_last: int):
+    """Factor ``A`` in ``order`` and read off the Schur complement of its tail.
 
-    ``lead`` is put in the minimum-degree order :func:`factor` would give
-    ``A[lead, lead]`` (SuperLU's incomplete factorization with every entry
-    dropped returns that order without factoring), ``trail`` follows in the
-    given order, and the permuted matrix is factored with
-    ``permc_spec="NATURAL"``.  The trailing block of the factors is then
-    ``S = A_tt - A_tl A_ll^-1 A_lt``, as long as threshold pivoting kept
-    every trailing row in the trailing block; SINGULAR_SYSTEM otherwise.
+    ``order`` is a :func:`node_order` with last tags, whose final ``n_last``
+    entries are the trailing nodes.  The trailing block of the factors of
+    ``A`` in that order is then ``S = A_tt - A_tl A_ll^-1 A_lt``, as long as
+    threshold pivoting kept every trailing row in the trailing block;
+    SINGULAR_SYSTEM otherwise.
 
-    Returns the permuted matrix as a :class:`Factored`, the order (indices
-    into ``A``), and ``S`` as a dense array on ``trail``'s order.  The LU
-    holds copies of both factors from here on (see :func:`factor`); drop
-    it when its solves are done.
+    Returns ``A`` as a :class:`Factored`, and ``S`` as a dense array on the
+    tail's order.  The LU holds copies of both factors from here on (see
+    :func:`factor`); drop it when its solves are done.
     """
-    lead, trail = np.asarray(lead), np.asarray(trail)
-    try:
-        perm_c = spla.spilu(A[np.ix_(lead, lead)].tocsc(), drop_tol=1e30, fill_factor=1,
-                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                            options=dict(SymmetricMode=True)).perm_c
-    except RuntimeError as exc:
-        raise SingularSystem(f"ordering failed: {exc}") from exc
-    order = np.concatenate([lead[np.argsort(perm_c)], trail])
-    B = Factored(A[np.ix_(order, order)].tocsc())
-    lu = B.lu = factor(B.A, permc_spec="NATURAL")
-    m = len(lead)
+    B = Factored(A, order)
+    lu = B.lu
+    m = len(order) - n_last
     if not (lu.perm_r[m:] >= m).all():
         raise SingularSystem("pivoting moved an interface row into the eliminated block")
     # rows of the trailing block come out in perm_r's order; put them back
     S = (lu.L[m:, m:] @ lu.U[m:, m:]).toarray()[lu.perm_r[m:] - m]
-    return B, order, S
+    return B, S
 
 
 # Largest accepted normwise backward error ||Ax-b|| / (||A|| ||x|| + ||b||).
@@ -379,28 +497,46 @@ def inf_norm(A: sp.spmatrix) -> float:
 
 
 class Factored:
-    """A square CSC matrix with its infinity norm and its :func:`factor` LU.
+    """A square CSC matrix with its infinity norm, and its LU in a fill-reducing order.
 
-    The LU is built on first use.  :meth:`solve` is the residual contract
-    every solve on a factorization goes through.
+    ``order`` is a :func:`node_order`, with any border indices appended.  The
+    LU, built on first use, is the :func:`factor` of ``A[order][:, order]``;
+    a caller that composes that matrix from parts it permuted once passes it
+    as ``permuted``.  Every solve reads ``b`` and returns ``x`` in ``A``'s
+    own numbering, and :meth:`solve` is the residual contract every solve on
+    a factorization goes through, checked against ``A`` itself.
     """
 
-    def __init__(self, A: sp.csc_matrix):
+    def __init__(self, A: sp.csc_matrix, order: np.ndarray,
+                 permuted: sp.csc_matrix | None = None):
         self.A = A
+        self.order = order
         self.norm = inf_norm(A)
+        self._permuted = permuted
 
     @cached_property
     def lu(self):
-        return factor(self.A)
+        P = self._permuted
+        self._permuted = None
+        if P is None:
+            P = self.A[self.order][:, self.order]
+        return factor(P.tocsc())
+
+    def lu_solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """``A^-1 b``, or ``A^-H b`` with ``trans="H"``, off the LU; unchecked."""
+        y = self.lu.solve(b[self.order], trans=trans)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
     def solve(self, b: np.ndarray, rtol: float = BACKWARD_RTOL) -> np.ndarray:
-        """``lu.solve(b)``, checked against ``A``.
+        """:meth:`lu_solve`, checked against ``A``.
 
         Raises SINGULAR_SYSTEM if the solution is not finite or its normwise
         backward error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``rtol``: a
         bad pivot then shows as an error, not as a wrong field.
         """
-        x = self.lu.solve(b)
+        x = self.lu_solve(b)
         _check_backward_error(self.A @ x - b, self.norm, x, b, rtol)
         return x
 
@@ -418,6 +554,10 @@ def _check_backward_error(resid: np.ndarray, norm: float, x: np.ndarray,
             "system is numerically singular")
 
 
+# ---------------------------------------------------------------------------
+# system assembly
+
+
 def bordered(A: sp.spmatrix, B: np.ndarray) -> sp.csc_matrix:
     """The saddle-point matrix ``[[A, B], [B^H, 0]]`` for constraint columns ``B``."""
     B = sp.csc_matrix(B)
@@ -432,11 +572,12 @@ class DirichletBlock:
     fixed: np.ndarray          # local indices of the constrained nodes
     A_ff: sp.csc_matrix
     A_fd: sp.csc_matrix
+    order: np.ndarray          # :func:`node_order` of the free nodes, positions in ``free``
 
     @cached_property
     def ff(self) -> Factored:
-        """``A_ff`` with its norm and LU, built on first use."""
-        return Factored(self.A_ff)
+        """``A_ff`` with its norm and LU in ``order``, built on first use."""
+        return Factored(self.A_ff, self.order)
 
 
 @dataclass(eq=False)
@@ -457,7 +598,7 @@ class LinearSystem:
             free_idx, fixed_idx = split_nodes(self.mesh, self.regions, tags)
             block = self._blocks[tags] = DirichletBlock(
                 free_idx, fixed_idx, self.A[np.ix_(free_idx, free_idx)].tocsc(),
-                self.A[np.ix_(free_idx, fixed_idx)])
+                self.A[np.ix_(free_idx, fixed_idx)], node_order(self.mesh, self.regions, tags))
         return block
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
@@ -669,7 +810,8 @@ class NeumannSystem:
     @cached_property
     def _bordered(self) -> Factored:
         """``K`` bordered by the mean-value row."""
-        return Factored(bordered(self.K, self.m_vec.real[:, None]))
+        return Factored(bordered(self.K, self.m_vec.real[:, None]),
+                        np.append(node_order(self.mesh, self.regions), len(self.nodes)))
 
     def solve(self, volume: np.ndarray | None, fluxes: dict) -> ScalarField:
         """Solve -Lap(u) = volume data with prescribed boundary fluxes.
@@ -1010,20 +1152,21 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     il = split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]
+    order = node_order(mesh, Region.DOPANT, [Bnd.GAMMA_D])
     K = stiffness_matrix(mesh, Region.DOPANT).real.tocsc()
     M = mass_matrix(mesh, Region.DOPANT).real.tocsc()
     K_ii = K[np.ix_(il, il)].tocsc()
     M_ii = M[np.ix_(il, il)].tocsc()
     v0 = np.ones(len(il)) / math.sqrt(len(il))
-    shifted = Factored((K_ii - target * M_ii).tocsc())
+    shifted = Factored((K_ii - target * M_ii).tocsc(), order)
     op_inv = spla.LinearOperator(shifted.A.shape, dtype=float, matvec=shifted.solve)
     try:
         vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=target, v0=v0,
                                 OPinv=op_inv)
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(f"eigen iteration did not converge: {exc}") from exc
-    order = np.argsort(np.abs(vals - target))
-    vals, vecs = vals[order], vecs[:, order]
+    nearest = np.argsort(np.abs(vals - target))
+    vals, vecs = vals[nearest], vecs[:, nearest]
     # re-orthonormalize in the M inner product (defensive; ARPACK is close)
     G = vecs.T @ (M_ii @ vecs)
     L = np.linalg.cholesky(G)

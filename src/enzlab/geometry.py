@@ -122,11 +122,11 @@ class Polygon:
         lens = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
         cum = np.concatenate(([0.0], np.cumsum(lens)))
         total = cum[-1]
-        params = []
+        parts = []
         for e, le in enumerate(lens):
             m = max(1, int(math.ceil(le / spacing)))
-            params.extend((cum[e] + le * k / m) / total for k in range(m))
-        return np.asarray(params)
+            parts.append((cum[e] + le * np.arange(m) / m) / total)
+        return np.concatenate(parts)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         v = self._v()
@@ -291,9 +291,9 @@ class Mesh:
 
     Topology queries are memoized per normalized region set and return
     read-only arrays shared by every caller.  :meth:`cached` is the one
-    per-mesh cache: topology, source loads, the exterior and dopant systems,
-    the transmission operator with its condensed load, and the norm forms
-    all live in it.
+    per-mesh cache: topology, the node orders of the factorizations, source
+    loads, the exterior and dopant systems, the transmission operator with
+    its condensed load, and the norm forms all live in it.
     """
 
     nodes: np.ndarray                       # (N, 2) float64
@@ -551,14 +551,13 @@ def _family(shape: Shape) -> tuple:
     return ("circle",)
 
 
-def _blend_params(curve_in: Shape, curve_out: Shape, tau: float, spacing: float):
+def _blend_params(curve_in: Shape, curve_out: Shape, tau: float, spacing: float, off: float):
     """Ring parameters, per-curve offsets, and label family for one blend.
 
     The grid comes from whichever curve carries corners (polygons) so that
-    interface rings conform to them exactly; the offset rotates the other
-    curve so the blend does not twist.
+    interface rings conform to them exactly; the offset ``off``, the band's
+    :func:`_param_offset`, rotates the other curve so the blend does not twist.
     """
-    off = _param_offset(curve_in, curve_out)
     if isinstance(curve_out, Polygon) and not isinstance(curve_in, Polygon):
         ref, in_off, out_off = curve_out, -off, 0.0
     elif isinstance(curve_in, Polygon):
@@ -577,9 +576,10 @@ def _homotopy_band(builder: _Builder, curve_in: Shape, curve_out: Shape,
     t = np.arange(256) / 256
     gap = float(np.linalg.norm(curve_out.points(t) - curve_in.points(t), axis=1).max())
     center = curve_in.centroid()
+    off = _param_offset(curve_in, curve_out)
     prev = ring_in
     for tau in _layer_taus(curve_in.perimeter(), curve_out.perimeter(), gap, h):
-        params, in_off, out_off, family = _blend_params(curve_in, curve_out, tau, _ANG * h)
+        params, in_off, out_off, family = _blend_params(curve_in, curve_out, tau, _ANG * h, off)
         pts = ((1.0 - tau) * curve_in.points((params + in_off) % 1.0)
                + tau * curve_out.points((params + out_off) % 1.0))
         ring = builder.add_ring(pts, params, family)

@@ -201,7 +201,8 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
     rhs = -(block.A_fd @ vals[block.fixed])
     if volume is not None:
         rhs = rhs + volume[block.free]
-    x = Factored(bordered(block.A_ff, B)).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
+    order = np.concatenate([block.order, len(block.free) + np.arange(B.shape[1])])
+    x = Factored(bordered(block.A_ff, B), order).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
     vals[block.free] = x[:len(block.free)]
     return ScalarField(mesh, Region.DOPANT, vals)
 

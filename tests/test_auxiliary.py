@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from enzlab import oracle
+from enzlab import auxiliary, oracle
 from enzlab.auxiliary import (PhysicsConfig, compute_beta, compute_cstar,
                               compute_mueff, exterior_system, rellich_residual,
                               solve_auxiliary_set, solve_psi_d, solve_psi_e,
@@ -14,7 +15,7 @@ from enzlab.fem import l2_norm
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, SourceRing,
                              SourceSpec, build_mesh)
 
-from conftest import CANONICAL_SPEC, DISK_SOURCE, RING_SOURCE
+from conftest import CANONICAL_SPEC, DISK_SOURCE, GENERIC_SPEC, RING_SOURCE
 
 
 def _oracle_scalars(delta=1e-2, k=1.0):
@@ -132,6 +133,30 @@ def test_resonant_dopant_guard(mesh_coarse):
     cfg = PhysicsConfig.from_k(math.sqrt(lam) + 0j, sources=RING_SOURCE)
     with pytest.raises(ResonantDopant):
         solve_psi_d(mesh_coarse, cfg)
+
+
+def _singular_ratio_by_splu(A_ff, iters=12):
+    """``_smallest_singular_ratio`` on SuperLU's default LU of ``A_ff`` as it stands."""
+    lu = spla.splu(A_ff)
+    x = np.ones(A_ff.shape[0], dtype=complex) / math.sqrt(A_ff.shape[0])
+    for _ in range(iters):
+        w = lu.solve(lu.solve(x, trans="H"))
+        lam = float(np.linalg.norm(w))
+        x = w / lam
+    return 1.0 / math.sqrt(lam) / spla.norm(A_ff, 1)
+
+
+@pytest.mark.parametrize("spec", [CANONICAL_SPEC, GENERIC_SPEC], ids=["canonical", "offcentre"])
+def test_singular_ratio_is_taken_in_the_blocks_own_numbering(spec, cfg_ring):
+    # the block's LU is of A_ff in its node order; the inverse iteration
+    # must still run on A_ff itself (at most 5e-16 relative seen)
+    mesh = build_mesh(spec, 0.1)
+    systems = [(auxiliary.dopant_system(mesh, cfg_ring), [Bnd.GAMMA_D]),
+               (exterior_system(mesh, cfg_ring), [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])]
+    for system, tags in systems:
+        got = auxiliary._smallest_singular_ratio(system, tags)
+        ref = _singular_ratio_by_splu(system.dirichlet_block(tags).A_ff)
+        assert abs(got - ref) <= 1e-8 * ref
 
 
 def test_beta_source_independent(mesh_coarse):

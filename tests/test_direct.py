@@ -264,6 +264,46 @@ def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
     assert len(system.nodes) not in factored
 
 
+def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
+    built, factored = [], []
+    dissect, factor = fem._nested_dissection, fem.factor
+
+    def counted(xy, *edges):
+        built.append(len(xy))
+        return dissect(xy, *edges)
+
+    def counted_factor(A):
+        factored.append(A.shape[0])
+        return factor(A)
+
+    monkeypatch.setattr(fem, "_nested_dissection", counted)
+    monkeypatch.setattr(fem, "factor", counted_factor)
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    CorrectorEngine(mesh, cfg_ring).build_hierarchy(1)
+    for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
+        solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
+    ext = auxiliary.exterior_system(mesh, cfg_ring)
+    block = ext.dirichlet_block(auxiliary.exterior_dirichlet(mesh, cfg_ring, 0.0))
+    n_omega = len(mesh.region_nodes(direct.OMEGA_REGIONS))
+    sizes = {"exterior free": len(block.free),
+             "Omega less Gamma_Omega": n_omega - len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA)),
+             "dopant free": len(fem.split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]),
+             "ENZ": len(mesh.region_nodes(Region.ENZ))}
+    assert len(set(sizes.values())) == len(sizes)
+    assert sorted(built) == sorted(sizes.values())
+    # the interface-last exterior leads with the Dirichlet block's order
+    keep = fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_INF])[0]
+    last = fem.node_order(mesh, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
+    assert np.array_equal(keep[last[:len(block.free)]], block.free[block.order])
+    # a second k on the same mesh factors everything anew and orders nothing
+    cfg_k = dataclasses.replace(cfg_ring, mu=1.7 + 0.0j)
+    n_factored = len(factored)
+    CorrectorEngine(mesh, cfg_k).build_hierarchy(1)
+    solve_transmission(mesh, cfg_k)
+    assert len(factored) == 2 * n_factored - 2   # all but the second and third Omega
+    assert len(built) == len(sizes)
+
+
 def test_engine_and_direct_solves_assemble_and_load_the_exterior_once(monkeypatch, cfg_ring):
     calls = {"exterior elements": 0, "load": 0}
     region_elements, integrate = fem._region_elements, fem._integrate_sources

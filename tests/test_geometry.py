@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from enzlab import geometry
 from enzlab.errors import GeometryInvalid, MeshFailure
 from enzlab.fem import split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
@@ -173,23 +174,56 @@ def _merge_band_loop(self, ring_in, ring_out, center):
     self.tris.append(np.array(tris))
 
 
-@pytest.mark.parametrize("spec", [
+BAND_SPECS = pytest.mark.parametrize("spec", [
     CANONICAL,
     DomainSpec(outer=Circle((0.0, 0.0), 1.0), dopant=Circle((0.3, 0.0), 0.2),
                truncation_radius=4.0, pml_thickness=1.0),
     DomainSpec(outer=Polygon(((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))),
                dopant=Circle((0.0, 0.0), 0.3), truncation_radius=4.0, pml_thickness=0.0),
 ], ids=["canonical", "offcentre", "square_no_collar"])
-def test_merge_band_matches_sweep_loop(monkeypatch, spec):
-    mesh = build_mesh(spec, 0.1)
-    monkeypatch.setattr(_Builder, "merge_band", _merge_band_loop)
-    ref = build_mesh(spec, 0.1)
+
+
+def _assert_same_mesh(mesh, ref):
     assert np.array_equal(mesh.nodes, ref.nodes)
     assert np.array_equal(mesh.triangles, ref.triangles)
     assert np.array_equal(mesh.tri_region, ref.tri_region)
     assert mesh.boundary_edges.keys() == ref.boundary_edges.keys()
     for tag, edges in ref.boundary_edges.items():
         assert np.array_equal(mesh.boundary_edges[tag], edges)
+
+
+@BAND_SPECS
+def test_merge_band_matches_sweep_loop(monkeypatch, spec):
+    mesh = build_mesh(spec, 0.1)
+    monkeypatch.setattr(_Builder, "merge_band", _merge_band_loop)
+    _assert_same_mesh(mesh, build_mesh(spec, 0.1))
+
+
+def _param_grid_loop(self, spacing):
+    """The polygon grid one parameter at a time."""
+    v = self._v()
+    lens = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(lens)))
+    total = cum[-1]
+    params = []
+    for e, le in enumerate(lens):
+        m = max(1, int(math.ceil(le / spacing)))
+        params.extend((cum[e] + le * k / m) / total for k in range(m))
+    return np.asarray(params)
+
+
+@BAND_SPECS
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_band_parameters_match_per_ring_loop(monkeypatch, spec, h):
+    # the band's parameter offset once per band and the polygon grid per
+    # edge give the mesh of an offset found again for every ring and a grid
+    # built one parameter at a time
+    mesh = build_mesh(spec, h)
+    blend = geometry._blend_params
+    monkeypatch.setattr(geometry, "_blend_params", lambda c_in, c_out, tau, spacing, off: blend(
+        c_in, c_out, tau, spacing, geometry._param_offset(c_in, c_out)))
+    monkeypatch.setattr(Polygon, "param_grid", _param_grid_loop)
+    _assert_same_mesh(mesh, build_mesh(spec, h))
 
 
 def test_too_coarse_h_rejected():
