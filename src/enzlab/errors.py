@@ -19,6 +19,12 @@ reached by any config tried: 13 (BETA_NEAR_ZERO; mu from 1e-30 to 2500,
 mu = -1 and -100, i.e. k = i and 10i) and 14 (NO_CONVERGENCE; ``radius``
 over the same wavenumbers and ``rho_iters = 10``, ``resonance-sweep`` with
 targets -5 and 1e9 and dopant radii 0.1 and 0.15).
+
+13 has two sources.  :func:`enzlab.auxiliary.compute_beta` raises it when
+|beta| is below 1e-10 of the scale of its three terms.
+:func:`enzlab.auxiliary.solve_auxiliary_set` also raises it when the
+volume and variational-flux values of mu_eff differ by more than 1e-8
+relative.  That second check is about flux consistency, not about beta.
 """
 
 

@@ -105,9 +105,9 @@ def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,
     # int_T S.grad(v_i) = S.(b_i, c_i)/2 ; rotated gradient for the curl
     for loc in range(3):
         np.add.at(div_acc, tris[:, loc],
-                  0.5 * (f.vectors[:, 0] * b[:, loc] + f.vectors[:, 1] * c[:, loc]))
+                  0.5 * (f.vectors[:, 0] * b[loc] + f.vectors[:, 1] * c[loc]))
         np.add.at(curl_acc, tris[:, loc],
-                  0.5 * (-f.vectors[:, 0] * c[:, loc] + f.vectors[:, 1] * b[:, loc]))
+                  0.5 * (-f.vectors[:, 0] * c[loc] + f.vectors[:, 1] * b[loc]))
     m_vec = np.zeros(n, dtype=float)
     for loc in range(3):
         np.add.at(m_vec, tris[:, loc], area / 3.0)

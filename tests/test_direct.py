@@ -172,6 +172,7 @@ def test_memo_dies_with_its_mesh(cfg_ring):
         compare_fields(u, v)
         engine.state_norm(engine.seed_state())
         assert {"exterior", "dopant", "transmission operator", "condensed load",
+                ("neumann", frozenset({int(Region.ENZ)})),
                 ("load", exterior_regions(mesh, cfg_ring)),
                 ("norm forms", u.regions, PHYSICAL_REGIONS),
                 ("norm forms", frozenset({int(Region.ENZ)}), None)} <= set(mesh._memo)
@@ -295,12 +296,13 @@ def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
     keep = fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_INF])[0]
     last = fem.node_order(mesh, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
     assert np.array_equal(keep[last[:len(block.free)]], block.free[block.order])
-    # a second k on the same mesh factors everything anew and orders nothing
+    # a second k on the same mesh orders nothing and factors everything anew
+    # but the k-independent ENZ Neumann system
     cfg_k = dataclasses.replace(cfg_ring, mu=1.7 + 0.0j)
     n_factored = len(factored)
     CorrectorEngine(mesh, cfg_k).build_hierarchy(1)
     solve_transmission(mesh, cfg_k)
-    assert len(factored) == 2 * n_factored - 2   # all but the second and third Omega
+    assert len(factored) == 2 * n_factored - 3   # all but Neumann and the second and third Omega
     assert len(built) == len(sizes)
 
 

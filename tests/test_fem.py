@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzlab import direct, fem
@@ -15,7 +16,7 @@ from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
                         l2_norm, mass_matrix, recovered_boundary_flux, solve,
                         stiffness_matrix)
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, SourceDisk,
-                             SourceSpec, build_mesh, structured_rectangle_mesh)
+                             SourceRing, SourceSpec, build_mesh, structured_rectangle_mesh)
 
 from conftest import GENERIC_SPEC, RING_SOURCE
 
@@ -118,7 +119,6 @@ def test_enz_contrast_scales_assembly(annulus_mesh):
     enz_lift = enz_only.A.tocoo()
     rows = pos[enz_only.nodes[enz_lift.row]]
     cols = pos[enz_only.nodes[enz_lift.col]]
-    import scipy.sparse as sp
     enz_on_base = sp.coo_matrix((enz_lift.data, (rows, cols)), shape=lift.shape).tocsc()
     assert abs(lift - expect * enz_on_base).max() < 1e-9 / delta
 
@@ -327,8 +327,8 @@ def _sliced_from_global(monkeypatch, mesh, build):
 
     def boundary_mass(mesh_, regions, tag):
         lens = mesh_.boundary_edge_lengths(tag)
-        local = lens[:, None, None] * (np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0)
-        return scatter(mesh_.boundary_edges[tag], local, mesh_.num_nodes)
+        entries = np.outer(np.array([2.0, 1.0, 2.0]) / 6.0, lens)   # (0, 0), (0, 1), (1, 1)
+        return scatter(mesh_.boundary_edges[tag], entries, mesh_.num_nodes)
 
     with monkeypatch.context() as m:
         m.setattr(fem, "_region_elements", lambda mesh_, regions: fem._p1_geometry(
@@ -391,6 +391,87 @@ def test_system_is_complex_symmetric(annulus_mesh):
     asym = abs(sys_.A - sys_.A.T)
     assert asym.max() < 1e-12
     assert abs(sys_.A.imag).max() > 0  # genuinely complex from the collar
+
+
+def _broadcast_assembly(mesh, regions, diffusion, reaction, radiation=None, k=None):
+    """Reference operator: full 3 x 3 element matrices by broadcasting, summed by COO."""
+    regions = frozenset(int(r) for r in regions)
+    tri_idx = np.flatnonzero(mesh.region_triangles(regions))
+    tris = mesh.triangles[tri_idx]
+    p = mesh.nodes[tris]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = mesh.tri_areas[tri_idx]
+    reg = mesh.tri_region[tri_idx]
+    a_t = np.array([complex(diffusion[Region(r)]) for r in reg])
+    c_t = np.array([complex(reaction.get(Region(r), 0.0)) for r in reg])
+    g11, g12, g22 = a_t.copy(), np.zeros_like(a_t), a_t.copy()
+    if radiation is not None and radiation.mode == "pml":
+        sel = reg == int(Region.PML)
+        p11, p12, p22, react = fem._pml_coefficients(mesh, tri_idx[sel], k, radiation)
+        g11[sel], g12[sel], g22[sel] = a_t[sel] * p11, a_t[sel] * p12, a_t[sel] * p22
+        c_t[sel] = c_t[sel] * react
+    f = 1.0 / (4.0 * area)
+    stiff = f[:, None, None] * (
+        g11[:, None, None] * b[:, :, None] * b[:, None, :]
+        + g12[:, None, None] * (b[:, :, None] * c[:, None, :] + c[:, :, None] * b[:, None, :])
+        + g22[:, None, None] * c[:, :, None] * c[:, None, :])
+    ca = (c_t * area)[:, None, None]
+    mass = ((1.0 - fem.MASS_LUMP_FRACTION) * ca * (np.ones((3, 3)) + np.eye(3)) / 12.0
+            + fem.MASS_LUMP_FRACTION * ca * np.eye(3) / 3.0)
+    pos = mesh.region_pos(regions)[tris]
+    n = len(mesh.region_nodes(regions))
+    A = sp.coo_matrix(((stiff - mass).ravel(), (np.repeat(pos, 3, axis=1).ravel(),
+                                                 np.tile(pos, (1, 3)).ravel())), shape=(n, n))
+    if radiation is not None and radiation.mode == "robin":
+        edges = mesh.region_pos(regions)[mesh.boundary_edges[Bnd.GAMMA_INF]]
+        lens = mesh.boundary_edge_lengths(Bnd.GAMMA_INF)
+        q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 0.5 / mesh.truncation_radius)
+        local = q * lens[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        A = A - sp.coo_matrix((local.ravel(), (np.repeat(edges, 2, axis=1).ravel(),
+                                               np.tile(edges, (1, 2)).ravel())), shape=(n, n))
+    return A.tocsc()
+
+
+def test_element_kernel_matches_broadcast_reference(mesh_coarse):
+    k = 1.3 + 0.1j
+    pml, robin = fem.RadiationSpec("pml"), fem.RadiationSpec("robin")
+    everywhere = {Region(r): 1.0 for r in Region}
+    complex_diffusion = {Region.DOPANT: 0.5 + 0.2j, Region.ENZ: 1.0 / (0.02 - 0.01j),
+                         Region.EXTERIOR: 1.0, Region.PML: 1.0}
+    reaction = {Region(r): k * k for r in Region}
+    exterior = [Region.EXTERIOR, Region.PML]
+    cases = [(mesh_coarse, exterior, everywhere, reaction, pml),
+             (mesh_coarse, list(Region), complex_diffusion, reaction, pml),
+             (mesh_coarse, [Region.DOPANT, Region.ENZ], complex_diffusion,
+              {Region.DOPANT: 2.0 - 0.5j, Region.ENZ: -1.5j}, None),
+             (build_mesh(NO_COLLAR, 0.1), [Region.EXTERIOR], {Region.EXTERIOR: 0.7 - 0.3j},
+              reaction, robin)]
+    for mesh, regions, diffusion, react, rad in cases:
+        new = assemble(mesh, regions, diffusion, react, radiation=rad, k=k).A
+        ref = _broadcast_assembly(mesh, regions, diffusion, react, radiation=rad, k=k)
+        assert np.array_equal(new.indptr, ref.indptr)
+        assert np.array_equal(new.indices, ref.indices)
+        assert np.abs(new.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def test_certify_lifts_nonzero_dirichlet_values(mesh_coarse, cfg_ring):
+    # psi_e's problem: no load, unit trace on the scatterer.  Its free load is
+    # the lift of that trace alone, so a certify that skipped the lift would
+    # see a zero load and reject the solved field as amplified.
+    ext = exterior_system(mesh_coarse, cfg_ring)
+    bc = exterior_dirichlet(mesh_coarse, cfg_ring, 1.0)
+    rhs = np.zeros(len(ext.nodes), dtype=complex)
+    u = solve(ext, rhs, bc)
+    v = fem.certify(ext, rhs, bc, u.values)
+    assert np.array_equal(v.values, u.values) and v.record.rhs is rhs
+    free = ext.dirichlet_block(bc).free
+    rng = np.random.default_rng(5)
+    bad = u.values.copy()
+    bad[free] += 1e-6 * np.abs(u.values).max() * rng.standard_normal(len(free))
+    with pytest.raises(SingularSystem):
+        fem.certify(ext, rhs, bc, bad)
 
 
 def test_factor_uses_fill_reducing_ordering(mesh_coarse, cfg_ring):
@@ -492,7 +573,7 @@ def test_factor_pivots_on_diagonal(mesh_coarse):
     assert backward <= 1e-14   # 7.3e-17 seen; 2.6e-4 with threshold 0
 
 
-def test_neumann_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
+def test_neumann_solve_holds_backward_error_contract(monkeypatch):
     # threshold 0 accepts a roundoff-sized diagonal pivot in the singular
     # stiffness block; the wrong field must raise instead of being returned
     def diagonal_only(A):
@@ -500,25 +581,26 @@ def test_neumann_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
                          options=dict(SymmetricMode=True))
 
     monkeypatch.setattr(fem, "factor", diagonal_only)
-    ns = NeumannSystem(mesh_coarse, Region.ENZ)
-    w_om = mesh_coarse.boundary_lumped_lengths(Bnd.GAMMA_OMEGA)
-    w_d = mesh_coarse.boundary_lumped_lengths(Bnd.GAMMA_D)
+    # a mesh of its own: the factorization is kept per mesh, and this one
+    # must come from the patched factor and die with the test
+    mesh = build_mesh(CANONICAL, 0.1)
+    ns = NeumannSystem(mesh, Region.ENZ)
+    w_om = mesh.boundary_lumped_lengths(Bnd.GAMMA_OMEGA)
+    w_d = mesh.boundary_lumped_lengths(Bnd.GAMMA_D)
     # balanced up to 5e-7 of the data, inside the 1e-6 compatibility tolerance
-    h_om = BoundaryFunctional(mesh_coarse, Bnd.GAMMA_OMEGA, (1 + 5e-7) * w_om / w_om.sum())
-    h_d = BoundaryFunctional(mesh_coarse, Bnd.GAMMA_D, w_d / w_d.sum())
+    h_om = BoundaryFunctional(mesh, Bnd.GAMMA_OMEGA, (1 + 5e-7) * w_om / w_om.sum())
+    h_d = BoundaryFunctional(mesh, Bnd.GAMMA_D, w_d / w_d.sum())
     with pytest.raises(SingularSystem):   # backward error 4.3e-10 seen
         ns.solve(None, {Bnd.GAMMA_OMEGA: h_om, Bnd.GAMMA_D: h_d})
 
 
 def test_factor_breakdown_is_singular_system():
-    import scipy.sparse as sp
     A = sp.csc_matrix(np.array([[1, 1, 0], [1, 1, 0], [0, 0, 2]], dtype=complex))
     with pytest.raises(SingularSystem):
         fem.factor(A)
 
 
 def test_interface_last_under_threshold_pivoting():
-    import scipy.sparse as sp
     # the leading diagonal 1e-3 is below 0.1 of the interface entry under it,
     # so threshold pivoting takes the interface row first
     A = sp.csc_matrix(np.array([[1e-3, 0.0, 1.0], [0.0, 2.0, 0.5], [1.0, 0.5, 3.0]],
@@ -597,6 +679,22 @@ def test_source_load_matches_per_triangle_reference(mesh_coarse):
         for sources in (RING_SOURCE, disk):
             load = fem.source_load(mesh, regions, sources)
             assert np.array_equal(load, _per_triangle_source_load(mesh, regions, sources))
+
+
+def test_source_load_where_an_edge_dips_into_the_support():
+    # every vertex of these triangles lies outside the disk, or inside the
+    # ring's inner circle, yet an edge crosses it: only the exact distance
+    # to the triangle finds the cut
+    cases = [(structured_rectangle_mesh(8, 8),
+              SourceSpec((SourceDisk((0.5625, -0.05), 0.055, 1.0 - 0.5j),))),
+             (structured_rectangle_mesh(8, 8, origin=(-0.5625, 1.0)),
+              SourceSpec((SourceRing(1.001, 3.0, 2.0),)))]
+    for mesh, sources in cases:
+        load = fem.source_load(mesh, Region.EXTERIOR, sources)
+        ref = _per_triangle_source_load(mesh, frozenset({int(Region.EXTERIOR)}), sources)
+        assert np.array_equal(load, ref)
+        bottom = np.flatnonzero(mesh.nodes[:, 1] == mesh.nodes[:, 1].min())
+        assert load[bottom].any()
 
 
 def test_source_load_is_kept_read_only(mesh_coarse):

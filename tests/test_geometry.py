@@ -231,6 +231,46 @@ def test_too_coarse_h_rejected():
         build_mesh(CANONICAL, 0.5)
 
 
+def test_build_evaluates_the_interface_gap_once(monkeypatch):
+    calls = []
+    gap = DomainSpec.interface_gap
+
+    def counted(spec):
+        calls.append(spec)
+        return gap(spec)
+
+    monkeypatch.setattr(DomainSpec, "interface_gap", counted)
+    build_mesh(CANONICAL, 0.2)
+    assert calls == [CANONICAL]
+    # the gap is the old pairwise minimum over 512 samples of each curve
+    a = geometry._curve_samples(CANONICAL.dopant, 512)
+    b = geometry._curve_samples(CANONICAL.outer, 512)
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    assert gap(CANONICAL) == float(np.sqrt(d2.min()))
+
+
+def _min_angle_every_corner(mesh):
+    """The smallest corner angle in degrees, an arccos at every corner."""
+    p = mesh.nodes[mesh.triangles]
+    lens = np.linalg.norm(np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]),
+                          axis=2)
+    a, b, c = lens
+    cosines = [(s1**2 + s2**2 - opp**2) / (2 * s1 * s2)
+               for opp, s1, s2 in ((a, b, c), (b, c, a), (c, a, b))]
+    return min(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min() for cos in cosines)
+
+
+@BAND_SPECS
+def test_quality_floor_is_the_true_minimum_angle(monkeypatch, spec):
+    true_min = _min_angle_every_corner(build_mesh(spec, 0.1))
+    monkeypatch.setattr(geometry, "QUALITY_MIN_ANGLE_DEG", true_min + 1e-9)
+    message = f"^minimum angle {true_min:.2f} deg below quality floor$"
+    with pytest.raises(MeshFailure, match=message):
+        build_mesh(spec, 0.1)
+    monkeypatch.setattr(geometry, "QUALITY_MIN_ANGLE_DEG", true_min - 1e-9)
+    build_mesh(spec, 0.1)
+
+
 def test_source_validation():
     SourceSpec((SourceDisk((2.5, 0.0), 0.2),)).validate(CANONICAL)
     with pytest.raises(GeometryInvalid):
