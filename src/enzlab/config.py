@@ -85,10 +85,15 @@ def _parse_order(text: str, where: str) -> int:
 
 
 def _parse_window(kind: str, numbers: list, where: str) -> tuple:
-    """Disk window ``(cx, cy, r)`` from its kind and its three numbers."""
+    """Disk window ``(cx, cy, r)`` from its kind and its three numbers;
+    VALIDATION_ERROR unless ``r > 0``."""
     try:
         if kind == "disk" and len(numbers) == 3:
-            return tuple(_floats(numbers, where))
+            cx, cy, r = _floats(numbers, where)
+            if r <= 0:
+                raise ValidationError(f"{where}: window radius must be positive, "
+                                      f"got {numbers[2]!r}")
+            return cx, cy, r
     except ValueError:
         pass
     raise ParseError(f"{where}: expected a disk window 'disk cx cy r'")
@@ -246,6 +251,10 @@ def parse_config(path):
     )
     if opts.rho_iters < 10:
         raise ValidationError("rho_iters must be at least 10")
+    if opts.seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if len(opts.gammas) == 1:
         raise ValidationError("gammas needs at least two values for a detuning sweep")
+    if len(set(opts.gammas)) < len(opts.gammas):
+        raise ValidationError("gammas must be distinct for a detuning sweep")
     return spec, cfg, opts

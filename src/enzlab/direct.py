@@ -35,11 +35,12 @@ corrector engine.  Each delta factors Omega's operator in Omega's node
 order with Gamma_Omega last, since ``S_e`` is a dense block there.
 
 Two entries of :meth:`Mesh.cached` hold what does not depend on delta: the
-affine operator of the latest (k, radiation), with ``K_ENZ`` on Omega and
-``C_1`` (filled in by its first solve) kept in Omega's order as well, and
+affine operator of the latest (k, radiation), with ``K_ENZ`` and ``C_1``
+(filled in by its first solve) in Omega's numbering only, so that each delta
+forms one sum, which :class:`fem.Factored` permutes into Omega's order; and
 the load term of the latest (k, radiation, sources), solved on whichever
-exterior LU that solve has at hand.  The node orders are the mesh's own,
-so a new k or delta reorders nothing.
+exterior LU that solve has at hand.  The node orders are the mesh's own, so
+a new k or delta reorders nothing.
 """
 
 from __future__ import annotations
@@ -71,9 +72,7 @@ class _AffineOperator:
     A_om: sp.csc_matrix        # Omega's operator at unit ENZ coefficient, on Omega
     K_om: sp.csc_matrix        # K_ENZ on Omega
     order: np.ndarray          # Omega's node order, Gamma_Omega last
-    K_om_ordered: sp.csc_matrix            # K_om in that order
     C_1: sp.csc_matrix | None = None   # A_om plus S_e on Gamma_Omega, set by the first solve
-    C_1_ordered: sp.csc_matrix | None = None   # C_1 in Omega's order, set with it
 
 
 def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
@@ -86,10 +85,9 @@ def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
         K_om = renumber(mesh, stiffness_matrix(mesh, Region.ENZ), Region.ENZ, OMEGA_REGIONS)
         A_1 = renumber(mesh, ext.A, ext.regions, regs) + renumber(mesh, A_om, OMEGA_REGIONS, regs)
         pos = mesh.region_pos(regs)
-        order = fem.node_order(mesh, OMEGA_REGIONS, (), [Bnd.GAMMA_OMEGA])
         return _AffineOperator(regs, A_1, renumber(mesh, K_om, OMEGA_REGIONS, regs),
                                pos[mesh.region_nodes(OMEGA_REGIONS)], pos[ext.nodes], A_om, K_om,
-                               order, K_om[order][:, order])
+                               fem.node_order(mesh, OMEGA_REGIONS, (), [Bnd.GAMMA_OMEGA]))
     return mesh.cached("transmission operator", (complex(cfg.k), cfg.radiation), build)
 
 
@@ -158,7 +156,6 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
         schur = None
         if op.C_1 is None:
             op.C_1, schur = _condense(mesh, cfg, op, ext)
-            op.C_1_ordered = op.C_1[op.order][:, op.order]
         if schur is not None:
             B, S, keep = schur
             g = B.order[len(keep) - len(S):]   # Gamma_Omega, as positions in keep
@@ -180,8 +177,7 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
         b_om = rhs[op.omega]
         b_om[gamma] -= z
         c = 1.0 / complex(cfg.delta) - 1.0
-        u_om = fem.Factored(op.C_1 + c * op.K_om, op.order,
-                            op.C_1_ordered + c * op.K_om_ordered).solve(b_om)
+        u_om = fem.Factored(op.C_1 + c * op.K_om, op.order).solve(b_om)
         trace = u_om[gamma]
         if schur is not None:
             r[g] = z + S @ trace

@@ -24,10 +24,12 @@ search of partial pivoting at the same fill and cuts the factor time by a
 quarter to a half.  The threshold is 0.1, not 0, because the bordered
 (Neumann and deflated) systems need the pivoting fallback: with 0 they take
 roundoff-sized pivots and solve wrongly without a breakdown.  A
-:class:`Factored` matrix holds its norm, its order and its LU, and every
-solve on a factorization, bordered ones included, goes through its one
-residual contract, :meth:`Factored.solve`: a normwise backward error above
-1e-10 raises SINGULAR_SYSTEM.
+:class:`Factored` matrix holds its norm, its order and its LU.  Every solve
+meets one residual contract: a normwise backward error above 1e-10 raises
+SINGULAR_SYSTEM.  A bare factorization, bordered ones included, is checked
+by :meth:`Factored.solve`; a Dirichlet-constrained field, from :func:`solve`
+or :func:`certify`, by one check that forms its residual ``A u - rhs`` once
+over every node, tests the free rows and keeps it for :func:`flux_extract`.
 
 Flux conventions: :func:`flux_extract` returns the weak residual paired
 against boundary traces, i.e. the flux with respect to the *solve domain's*
@@ -545,27 +547,20 @@ class Factored:
     """A square CSC matrix with its infinity norm, and its LU in a fill-reducing order.
 
     ``order`` is a :func:`node_order`, with any border indices appended.  The
-    LU, built on first use, is the :func:`factor` of ``A[order][:, order]``;
-    a caller that composes that matrix from parts it permuted once passes it
-    as ``permuted``.  Every solve reads ``b`` and returns ``x`` in ``A``'s
-    own numbering, and :meth:`solve` is the residual contract every solve on
-    a factorization goes through, checked against ``A`` itself.
+    LU, built on first use, is the :func:`factor` of ``A[order][:, order]``.
+    Every solve reads ``b`` and returns ``x`` in ``A``'s own numbering, and
+    :meth:`solve` is the residual contract of a bare factorization, checked
+    against ``A`` itself; a Dirichlet block is checked by :func:`solve`.
     """
 
-    def __init__(self, A: sp.csc_matrix, order: np.ndarray,
-                 permuted: sp.csc_matrix | None = None):
+    def __init__(self, A: sp.csc_matrix, order: np.ndarray):
         self.A = A
         self.order = order
         self.norm = inf_norm(A)
-        self._permuted = permuted
 
     @cached_property
     def lu(self):
-        P = self._permuted
-        self._permuted = None
-        if P is None:
-            P = self.A[self.order][:, self.order]
-        return factor(P.tocsc())
+        return factor(self.A[self.order][:, self.order].tocsc())
 
     def lu_solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """``A^-1 b``, or ``A^-H b`` with ``trans="H"``, off the LU; unchecked."""
@@ -735,8 +730,11 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
 
 @dataclass
 class SolveRecord:
+    """The system, load and residual of a field that passed :func:`solve`'s check."""
+
     system: LinearSystem
     rhs: np.ndarray            # full right-hand side on active nodes
+    resid: np.ndarray          # system.A @ u - rhs, formed once by the field's check
 
 
 # Solutions amplified beyond this (relative to ||b|| / ||A||) indicate a
@@ -749,12 +747,13 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     """Direct sparse solve with a residual contract.
 
     ``rhs`` is a dual vector aligned with ``system.nodes``.  ``dirichlet``
-    maps boundary tags to trace values (scalar or per-node array).  Raises
-    SINGULAR_SYSTEM if factorization breaks down, the normwise backward
-    error exceeds ``rtol`` (:meth:`Factored.solve`), or the solution is
-    amplified at the working-precision singularity level (the strongly
-    scaled shell block makes a plain ||Ax-b|| <= rtol ||b|| test unattainable
-    in double precision while the solve is still perfectly reliable).
+    maps boundary tags to trace values (scalar or per-node array).  The free
+    block is solved off its LU and checked as :func:`certify` checks, on the
+    block's norm: SINGULAR_SYSTEM if factorization breaks down, the normwise
+    backward error exceeds ``rtol``, or the solution is amplified at the
+    working-precision singularity level (the strongly scaled shell block
+    makes a plain ||Ax-b|| <= rtol ||b|| test unattainable in double
+    precision while the solve is still perfectly reliable).
     """
     rhs = np.asarray(rhs, dtype=complex)
     dirichlet = dict(dirichlet or {})
@@ -762,21 +761,29 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     u = np.zeros(len(system.nodes), dtype=complex)
     for tag, val in dirichlet.items():
         u[system.local_boundary(Bnd(tag))] = val
-    if len(block.free):
-        b_free = rhs[block.free] - block.A_fd @ u[block.fixed]
-        scale = np.linalg.norm(b_free)
-        if scale != 0.0:
-            x = block.ff.solve(b_free, rtol)
-            _check_amplification(block.ff.norm, x, scale)
-            u[block.free] = x
-    field = ScalarField(system.mesh, system.regions, u)
-    field.record = SolveRecord(system, rhs)
-    return field
+    b_free = rhs[block.free] - block.A_fd @ u[block.fixed]
+    if np.linalg.norm(b_free) == 0.0:     # the free values stay zero
+        return _checked_field(system, rhs, u)
+    u[block.free] = block.ff.lu_solve(b_free)
+    return _checked_field(system, rhs, u, block.free, block.ff.norm, b_free, rtol)
 
 
-def _check_amplification(norm: float, x: np.ndarray, scale: float) -> None:
-    if norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * scale:
-        raise SingularSystem("solution amplification at working-precision singularity level")
+def _checked_field(system: LinearSystem, rhs: np.ndarray, u: np.ndarray, free=None,
+                   norm: float = 0.0, b_free=None, rtol: float = BACKWARD_RTOL) -> ScalarField:
+    """``u`` as a field of ``system``, with its residual ``A u - rhs`` formed once.
+
+    Unless ``free`` is None, the residual's ``free`` rows are checked against
+    the free block, of infinity norm ``norm`` and load ``b_free``:
+    SINGULAR_SYSTEM if the normwise backward error exceeds ``rtol`` or
+    ``u[free]`` is amplified at the singularity level.
+    """
+    resid = system.A @ u - rhs
+    if free is not None:
+        x = u[free]
+        _check_backward_error(resid[free], norm, x, b_free, rtol)
+        if norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * np.linalg.norm(b_free):
+            raise SingularSystem("solution amplification at working-precision singularity level")
+    return ScalarField(system.mesh, system.regions, u, SolveRecord(system, rhs, resid))
 
 
 def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
@@ -784,28 +791,20 @@ def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
     """A field solved without factoring ``system``, held to :func:`solve`'s contract.
 
     ``values`` must carry the ``dirichlet`` values on the fixed nodes.  The
-    free rows are checked as :func:`solve` checks the factored Dirichlet
-    block: normwise backward error at most ``BACKWARD_RTOL`` against that
-    block and no amplification at the singularity level, or SINGULAR_SYSTEM.  The
-    block's norm and residual are read off ``system.A`` through a mask, so
-    nothing is sliced or factored.  The field carries the same
-    :class:`SolveRecord` as one from :func:`solve`.  With every fixed value
-    zero, as in the direct solve, the free load is ``rhs`` itself, so only
-    nonzero values cost the second matvec that lifts them.
+    free rows go through :func:`solve`'s check at ``BACKWARD_RTOL``, with
+    the block's norm read off ``system.A`` through a mask, so nothing is
+    sliced or factored, and the field carries the same :class:`SolveRecord`
+    as one from :func:`solve`.  With every fixed value zero, as in the
+    direct solve, the free load is ``rhs`` itself, so only nonzero values
+    cost the second matvec that lifts them.
     """
     free = np.ones(len(system.nodes), dtype=bool)
     free[split_nodes(system.mesh, system.regions, dirichlet)[1]] = False
-    Au = system.A @ values
     b_free = rhs[free]
     if values[~free].any():
         b_free = b_free - (system.A @ np.where(free, 0.0, values))[free]
     norm = float((abs(system.A) @ free)[free].max(initial=0.0))   # ||A_ff||_inf
-    x = values[free]
-    _check_backward_error(Au[free] - rhs[free], norm, x, b_free, BACKWARD_RTOL)
-    _check_amplification(norm, x, np.linalg.norm(b_free))
-    field = ScalarField(system.mesh, system.regions, values)
-    field.record = SolveRecord(system, rhs)
-    return field
+    return _checked_field(system, rhs, values, free, norm, b_free)
 
 
 def flux_extract(fieldval: ScalarField, system: LinearSystem, tag: Bnd,
@@ -816,13 +815,13 @@ def flux_extract(fieldval: ScalarField, system: LinearSystem, tag: Bnd,
     ``a(u, Eg) - l(Eg)`` for the nodal extension E of g; pairing with the
     constant trace gives the total flux through the boundary with respect to
     the domain's outward normal (``orientation="domain"``) or the enclosed
-    curve's outward normal (``orientation="canonical"``).
+    curve's outward normal (``orientation="canonical"``).  It is read off the
+    residual the field's check kept (:class:`SolveRecord`).
     """
     rec = fieldval.record
     if rec is None or rec.system is not system:
         raise TagMismatch("field does not carry a solve record for this system")
-    resid = system.A @ fieldval.values - rec.rhs
-    coeffs = resid[system.local_boundary(Bnd(tag))]
+    coeffs = rec.resid[system.local_boundary(Bnd(tag))]
     if orientation == "canonical":
         coeffs = coeffs * curve_sign(system.regions, Bnd(tag))
     elif orientation != "domain":
@@ -909,15 +908,18 @@ def _window_key(window):
     """The one normal form of a norm window: None, a disk, or a region set.
 
     A window is a disk ``(cx, cy, r)`` only if it is a 3-tuple none of whose
-    members is a :class:`Region`; anything else names regions.  The result
-    is a window again, so normalizing twice changes nothing, and it keys
-    the cached norm forms.
+    members is a :class:`Region`; anything else names regions.  A disk needs
+    ``r > 0`` (ValueError otherwise).  The result is a window again, so
+    normalizing twice changes nothing, and it keys the cached norm forms.
     """
     if window is None:
         return None
     if (isinstance(window, tuple) and len(window) == 3
             and not any(isinstance(w, Region) for w in window)):
-        return tuple(float(w) for w in window)
+        disk = tuple(float(w) for w in window)
+        if not disk[2] > 0:
+            raise ValueError(f"disk window radius must be positive, got {disk[2]!r}")
+        return disk
     return _as_region_set(window)
 
 

@@ -129,6 +129,8 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     gammas = list(gammas)
     if len(gammas) < 2:
         raise ValueError("detuning sweep needs at least two gamma values")
+    if len({complex(g) for g in gammas}) < len(gammas):
+        raise ValueError("detuning sweep needs distinct gamma values")
     lam_star, cluster = resonant_cluster(mesh, target)
     means = eigen_means(mesh, cluster)
     classification = classify_eigenpairs(mesh, cluster)

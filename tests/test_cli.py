@@ -173,6 +173,20 @@ def test_single_gamma_exits_4(tmp_path):
     assert _exit_code(tmp_path, text, sub="resonance-sweep") == 4   # VALIDATION_ERROR
 
 
+@pytest.mark.parametrize("subcommand, new, flags", [
+    ("resonance-sweep", "seed = 0\ngammas = 0.1 0.1 0.5", []),   # was a ZeroDivisionError
+    ("radius", "seed = -3", []),                                 # was a ValueError of default_rng
+    ("sweep-delta", "seed = 0\ndeltas = 0.1,0\nwindow = disk 0 0 -1", []),   # ran radius 1
+    ("sweep-delta", "seed = 0\ndeltas = 0.1,0", ["--window", "disk:0,0,-1"]),
+])
+def test_values_that_ended_in_a_traceback_exit_4(tmp_path, capsys, subcommand, new, flags):
+    path = tmp_path / "case.cfg"
+    path.write_text(CANONICAL_CFG.replace("seed = 0", new))
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out"), *flags]) == 4
+    assert capsys.readouterr().err.startswith("error [VALIDATION_ERROR]: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_direct_with_reciprocal_underflow_exits_7(tmp_path):
     # delta is finite, but 1/delta rounds to 0 in the ENZ coefficient
     text = CANONICAL_CFG.replace("delta = 0.01,0", "delta = 1e308,1e308")

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from enzlab import direct, fem
+from enzlab import auxiliary, direct, fem
 from enzlab.auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
 from enzlab.correctors import CorrectorEngine
 from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
@@ -474,6 +474,42 @@ def test_certify_lifts_nonzero_dirichlet_values(mesh_coarse, cfg_ring):
         fem.certify(ext, rhs, bc, bad)
 
 
+def test_flux_extract_is_the_checked_residual(mesh_coarse, cfg_ring):
+    # the source field, both lifts and a certified direct field: the flux is
+    # the tag's rows of A u - rhs, bit for bit, with no matvec of its own
+    ext = exterior_system(mesh_coarse, cfg_ring)
+    dop = auxiliary.dopant_system(mesh_coarse, cfg_ring)
+    cases = [(auxiliary.solve_s(mesh_coarse, cfg_ring, system=ext)[0], ext, Bnd.GAMMA_OMEGA),
+             (auxiliary.solve_psi_e(mesh_coarse, cfg_ring, system=ext)[0], ext, Bnd.GAMMA_OMEGA),
+             (auxiliary.solve_psi_d(mesh_coarse, cfg_ring, system=dop)[0], dop, Bnd.GAMMA_D)]
+    u = direct.solve_transmission(mesh_coarse, cfg_ring)
+    cases += [(u, u.record.system, tag) for tag in (Bnd.GAMMA_OMEGA, Bnd.GAMMA_D)]
+    for field, system, tag in cases:
+        ref = (system.A @ field.values - field.record.rhs)[system.local_boundary(tag)]
+        assert np.abs(ref).max() > 0
+        assert np.array_equal(flux_extract(field, system, tag).values, ref)
+
+
+def test_dirichlet_solve_checks_the_field_it_returns(mesh_coarse, monkeypatch):
+    # the Dirichlet block is solved off its LU unchecked; the contract lives in
+    # the one field check, so a solution perturbed by 1e-6 relative is refused
+    sys_ = assemble(mesh_coarse, Region.DOPANT, {Region.DOPANT: 1.0}, {Region.DOPANT: 2.0})
+    bc = {Bnd.GAMMA_D: 1.0}
+    rhs = np.zeros(len(sys_.nodes), dtype=complex)
+    good = solve(sys_, rhs, bc)
+    lu_solve = fem.Factored.lu_solve
+    rng = np.random.default_rng(7)
+
+    def perturbed(self, b, trans="N"):
+        x = lu_solve(self, b, trans)
+        return x + 1e-6 * np.abs(x).max() * rng.standard_normal(len(x))
+    monkeypatch.setattr(fem.Factored, "lu_solve", perturbed)
+    with pytest.raises(SingularSystem):
+        solve(sys_, rhs, bc)
+    monkeypatch.undo()
+    assert np.array_equal(solve(sys_, rhs, bc).values, good.values)
+
+
 def test_factor_uses_fill_reducing_ordering(mesh_coarse, cfg_ring):
     blocks = [direct.transmission_system(mesh_coarse, cfg_ring).dirichlet_block([Bnd.GAMMA_INF]),
               exterior_system(mesh_coarse, cfg_ring).dirichlet_block(
@@ -771,6 +807,15 @@ def test_region_tuple_is_not_a_disk(mesh_coarse, cfg_ring):
     ref = _elementwise_norms(u, _disk_mask(u, *disk))[0]
     assert h1_norm(u, disk) == pytest.approx(ref, rel=1e-13, abs=0.0)
     assert h1_norm(u, (0, 1, 2)) == h1_norm(u, disk) != norms.pop()
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, math.nan])
+def test_disk_window_needs_a_positive_radius(mesh_coarse, r):
+    # (0, 0, -1) would otherwise select the disk of radius 1
+    field = ScalarField(mesh_coarse, Region.ENZ,
+                        np.ones(len(mesh_coarse.region_nodes(Region.ENZ)), dtype=complex))
+    with pytest.raises(ValueError):
+        h1_norm(field, window=(0.0, 0.0, r))
 
 
 def test_empty_window_raises_and_caches_nothing():

@@ -77,6 +77,14 @@ def test_gamma_sweep_requires_excited(mesh_fine):
         gamma_sweep(mesh_fine, cfg, LAM_ANGULAR, [1e-2, 1e-3])
 
 
+@pytest.mark.parametrize("gammas", [[0.1], [0.1, 0.1, 0.5], [0.01, 0.01j, 0.01 + 0j]])
+def test_gamma_sweep_needs_distinct_gammas(mesh_coarse, gammas):
+    # the extrapolation divides by the difference of the two smallest
+    with pytest.raises(ValueError):
+        gamma_sweep(mesh_coarse, PhysicsConfig.from_k(1.0, sources=RING_SOURCE),
+                    LAM_RADIAL, gammas)
+
+
 def test_cstar_and_mueff_scalings(study):
     ga = np.abs(study.gammas)
     cs = np.array([abs(r.c_star) for r in study.records])
