@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BetaNearZero, ResonantDopant
+from .errors import BetaNearZero, IncompatibleData, ResonantDopant
 from . import fem
 from .fem import (BoundaryFunctional, RadiationSpec, ScalarField,
                   _tri_values_and_grads, assemble, flux_extract, h1_seminorm,
@@ -98,15 +98,14 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     def build():
         k = cfg.k
         regs = exterior_regions(mesh, cfg)
-        diffusion = {Region(r): 1.0 + 0.0j for r in regs}
-        reaction = {Region(r): k * k for r in regs}
-        return assemble(mesh, regs, diffusion, reaction, radiation=cfg.radiation, k=k)
+        return assemble(mesh, regs, dict.fromkeys(regs, 1.0 + 0.0j), dict.fromkeys(regs, k * k),
+                        radiation=cfg.radiation, k=k)
     return _memoized_system(mesh, "exterior", (complex(cfg.k), cfg.radiation), build)
 
 
 def exterior_dirichlet(mesh: Mesh, cfg: PhysicsConfig, trace_omega) -> dict:
     bc = {Bnd.GAMMA_OMEGA: trace_omega}
-    if int(Region.PML) in exterior_regions(mesh, cfg):
+    if Region.PML in exterior_regions(mesh, cfg):
         bc[Bnd.GAMMA_INF] = 0.0
     return bc
 
@@ -273,7 +272,7 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
     mu_eff = compute_mueff(mesh, psi_d, cfg)
     mu_eff_flux = compute_mueff(mesh, psi_d, cfg, flux_psi_d, method="flux")
     if abs(mu_eff - mu_eff_flux) > 1e-8 * max(1.0, abs(mu_eff)):
-        raise BetaNearZero(
+        raise IncompatibleData(
             "volume and variational-flux permeability evaluations disagree; "
             "flux extraction is inconsistent")
     return AuxiliarySet(mesh, cfg, s, psi_e, psi_d, flux_s, flux_psi_e,
@@ -291,12 +290,12 @@ def _physical_rim(mesh: Mesh, cfg: PhysicsConfig):
     Returns the rim edges that have an exterior side, in rim order, and for
     each its exterior triangle (the later one if both sides are exterior).
     """
-    if int(Region.PML) in exterior_regions(mesh, cfg):
+    if Region.PML in exterior_regions(mesh, cfg):
         edges = mesh.interface_edges(Region.EXTERIOR, Region.PML)
     else:
         edges = mesh.boundary_edges[Bnd.GAMMA_INF]
     owners = mesh.edge_triangles(edges)
-    ext = np.append(mesh.tri_region, -1)[owners] == int(Region.EXTERIOR)
+    ext = np.append(mesh.tri_region, -1)[owners] == Region.EXTERIOR
     side = np.where(ext[:, 1], owners[:, 1], owners[:, 0])
     keep = ext.any(axis=1)
     return edges[keep], side[keep]

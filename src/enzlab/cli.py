@@ -26,7 +26,7 @@ from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
 from .fem import ScalarField
 from .fields import compute_poynting
-from .geometry import Circle, build_mesh
+from .geometry import Circle, SourceRing, build_mesh
 from .oracle import RadialLayers, axisym_solution
 from .resonance import gamma_sweep
 
@@ -84,7 +84,7 @@ def _require_concentric(spec, cfg):
     k = complex(cfg.k)
     if abs(k.imag) > 0 or k.real <= 0:
         raise ValidationError("oracle comparison requires a real positive wavenumber")
-    ring = [s for s in cfg.sources.disks if hasattr(s, "r1")]
+    ring = [s for s in cfg.sources.disks if isinstance(s, SourceRing)]
     if len(cfg.sources.disks) != len(ring):
         raise ValidationError("oracle comparison requires ring sources only")
     return ring

@@ -31,7 +31,7 @@ class RunOptions:
     rho_iters: int = 30
     seed: int = 0
     deltas: tuple = ()
-    window: tuple | None = None          # (cx, cy, r) or None
+    window: Circle | None = None          # a disk window, or None
     gammas: tuple = ()
     resonance_target: float | None = None
     out: str = "out"
@@ -84,8 +84,8 @@ def _parse_order(text: str, where: str) -> int:
     return order
 
 
-def _parse_window(kind: str, numbers: list, where: str) -> tuple:
-    """Disk window ``(cx, cy, r)`` from its kind and its three numbers;
+def _parse_window(kind: str, numbers: list, where: str) -> Circle:
+    """Disk window ``Circle((cx, cy), r)`` from its kind and its three numbers;
     VALIDATION_ERROR unless ``r > 0``."""
     try:
         if kind == "disk" and len(numbers) == 3:
@@ -93,7 +93,7 @@ def _parse_window(kind: str, numbers: list, where: str) -> tuple:
             if r <= 0:
                 raise ValidationError(f"{where}: window radius must be positive, "
                                       f"got {numbers[2]!r}")
-            return cx, cy, r
+            return Circle((cx, cy), r)
     except ValueError:
         pass
     raise ParseError(f"{where}: expected a disk window 'disk cx cy r'")

@@ -79,9 +79,9 @@ def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
     def build():
         k = cfg.k
         ext = exterior_system(mesh, cfg)
-        regs = _as_region_set(OMEGA_REGIONS | ext.regions)
-        A_om = assemble(mesh, OMEGA_REGIONS, {Region(r): 1.0 + 0.0j for r in OMEGA_REGIONS},
-                        {Region(r): k * k for r in OMEGA_REGIONS}).A
+        regs = OMEGA_REGIONS | ext.regions
+        A_om = assemble(mesh, OMEGA_REGIONS, dict.fromkeys(OMEGA_REGIONS, 1.0 + 0.0j),
+                        dict.fromkeys(OMEGA_REGIONS, k * k)).A
         K_om = renumber(mesh, stiffness_matrix(mesh, Region.ENZ), Region.ENZ, OMEGA_REGIONS)
         A_1 = renumber(mesh, ext.A, ext.regions, regs) + renumber(mesh, A_om, OMEGA_REGIONS, regs)
         pos = mesh.region_pos(regs)
@@ -150,7 +150,7 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     b_ext = source_load(mesh, ext.regions, cfg.sources)
     rhs = np.zeros(len(system.nodes), dtype=complex)
     rhs[op.exterior] = b_ext
-    bc = {Bnd.GAMMA_INF: 0.0} if int(Region.PML) in system.regions else {}
+    bc = {Bnd.GAMMA_INF: 0.0} if Region.PML in system.regions else {}
     u = np.zeros(len(system.nodes), dtype=complex)
     if b_ext.any():
         schur = None
@@ -194,7 +194,7 @@ class Comparison:
     l2_error: float
 
 
-PHYSICAL_REGIONS = frozenset({int(Region.DOPANT), int(Region.ENZ), int(Region.EXTERIOR)})
+PHYSICAL_REGIONS = _as_region_set({Region.DOPANT, Region.ENZ, Region.EXTERIOR})
 
 
 def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
@@ -208,7 +208,7 @@ def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
 
 
 def _restrict(field: ScalarField, regions) -> ScalarField:
-    if field.regions == _as_region_set(regions):
+    if field.regions == regions:
         return field
     mesh = field.mesh
     return ScalarField(mesh, regions,

@@ -15,16 +15,17 @@ a ``resonance_target`` at an eigenvalue pair of zero mean.
 
 Not reachable from the CLI: 15 (DIVERGENT_SERIES), because every CLI
 expansion has an explicit order and only a full sum is certified.  Not
-reached by any config tried: 13 (BETA_NEAR_ZERO; mu from 1e-30 to 2500,
-mu = -1 and -100, i.e. k = i and 10i) and 14 (NO_CONVERGENCE; ``radius``
-over the same wavenumbers and ``rho_iters = 10``, ``resonance-sweep`` with
-targets -5 and 1e9 and dopant radii 0.1 and 0.15).
+reached by any config tried: 13 (BETA_NEAR_ZERO, raised only by
+:func:`enzlab.auxiliary.compute_beta` when |beta| is below 1e-10 of the
+scale of its three terms; mu from 1e-30 to 2500, mu = -1 and -100, i.e.
+k = i and 10i) and 14 (NO_CONVERGENCE; ``radius`` over the same
+wavenumbers and ``rho_iters = 10``, ``resonance-sweep`` with targets -5 and
+1e9 and dopant radii 0.1 and 0.15).
 
-13 has two sources.  :func:`enzlab.auxiliary.compute_beta` raises it when
-|beta| is below 1e-10 of the scale of its three terms.
-:func:`enzlab.auxiliary.solve_auxiliary_set` also raises it when the
-volume and variational-flux values of mu_eff differ by more than 1e-8
-relative.  That second check is about flux consistency, not about beta.
+9 (INCOMPATIBLE_DATA) is reached through the CLI only with a patched
+flux-method mu_eff: :func:`enzlab.auxiliary.solve_auxiliary_set` raises it
+when that and the volume value differ by more than 1e-8 relative, since the
+dopant flux then breaks the discrete balance flux = -k^2 int psi_d.
 """
 
 
@@ -64,7 +65,8 @@ class SingularSystem(EnzLabError):
 
 
 class IncompatibleData(EnzLabError):
-    """Pure-Neumann data violates the discrete compatibility condition."""
+    """Flux data break a discrete balance: unbalanced pure-Neumann data, or a
+    variational flux that disagrees with the volume integral it must equal."""
 
     name = "INCOMPATIBLE_DATA"
     exit_code = 9

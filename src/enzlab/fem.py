@@ -39,15 +39,17 @@ interface, scatterer normal on the scatterer interface), which is the
 convention used by every balance constant in :mod:`enzlab.auxiliary`.
 
 Windowed norms are quadratic forms.  For a field's region set and a window
-(None, a disk ``(cx, cy, r)`` or regions), the P1 stiffness ``K``, the
-consistent mass ``M`` (area/12 (ones + eye) per triangle) and the window's
-normalized hat integrals ``w`` are assembled once on the window's triangles
-and kept in :meth:`Mesh.cached` under ``("norm forms", regions, window)``,
-the window normalized.  Each norm is then ``Re x^H M x`` and
-``Re xs^H K xs`` with ``xs = x - w.x``: two sparse matvecs and no element
-geometry.  The mean shift is needed, not cosmetic: on the near-constant ENZ
-field an unshifted ``x^H K x`` loses more digits the smaller delta is
-(8.8e-5 relative at delta = 1e-5 and h = 0.05, against 5.8e-12 shifted).
+(None, a disk as a :class:`~enzlab.geometry.Circle`, or regions in any form
+``_as_region_set`` reads, so a tuple of region codes is never a disk), the
+P1 stiffness ``K``, the consistent mass ``M`` (area/12 (ones + eye) per
+triangle) and the window's normalized hat integrals ``w`` are assembled once
+on the window's triangles and kept in :meth:`Mesh.cached` under
+``("norm forms", regions, window)``, the window normalized.  Each norm is
+then ``Re x^H M x`` and ``Re xs^H K xs`` with ``xs = x - w.x``: two sparse
+matvecs and no element geometry.  The mean shift is needed, not cosmetic: on
+the near-constant ENZ field an unshifted ``x^H K x`` loses more digits the
+smaller delta is (8.8e-5 relative at delta = 1e-5 and h = 0.05, against
+5.8e-12 shifted).
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (EmptyWindow, IncompatibleData, NoConvergence,
                      SingularSystem, TagMismatch, ZeroCoefficient)
-from .geometry import Bnd, Mesh, Region, SourceSpec, _as_region_set, _corners
+from .geometry import (Bnd, Circle, Mesh, Region, SourceRing, SourceSpec,
+                       _as_region_set, _corners)
 
 # Fraction of row-sum lumping mixed into every mass matrix.  One half cancels
 # the leading dispersion error of the consistent mass on near-uniform meshes;
@@ -226,8 +229,7 @@ def curve_sign(regions, tag: Bnd) -> float:
     Multiplying a flux taken along the regions' outward normal by this sign
     gives the flux along the curve's canonical (outward) normal.
     """
-    inside = {Bnd.GAMMA_D: {int(Region.DOPANT)},
-              Bnd.GAMMA_OMEGA: {int(Region.DOPANT), int(Region.ENZ)}}
+    inside = {Bnd.GAMMA_D: {Region.DOPANT}, Bnd.GAMMA_OMEGA: {Region.DOPANT, Region.ENZ}}
     if tag == Bnd.GAMMA_INF:
         return 1.0
     return 1.0 if inside[tag] & _as_region_set(regions) else -1.0
@@ -693,17 +695,17 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
         sel = reg == r
         if not sel.any():
             continue
-        a_val = complex(diffusion[Region(r)])
+        a_val = complex(diffusion[r])
         if a_val == 0:
-            raise ZeroCoefficient(f"zero diffusion coefficient on region {Region(r).name}")
+            raise ZeroCoefficient(f"zero diffusion coefficient on region {r.name}")
         a_t[sel] = a_val
-        c_t[sel] = complex(reaction.get(Region(r), 0.0))
+        c_t[sel] = complex(reaction.get(r, 0.0))
 
     local = a_t * _stiffness_entries(b, c, area) - c_t * _mass_entries(area, MASS_LUMP_FRACTION)
-    if radiation is not None and radiation.mode == "pml" and int(Region.PML) in regions:
+    if radiation is not None and radiation.mode == "pml" and Region.PML in regions:
         if k is None:
             raise ValueError("PML assembly needs the wavenumber k")
-        collar = np.flatnonzero(reg == int(Region.PML))
+        collar = np.flatnonzero(reg == Region.PML)
         if len(collar):
             p11, p12, p22, react = _pml_coefficients(mesh, np.flatnonzero(mask)[collar], k,
                                                      radiation)
@@ -905,35 +907,34 @@ class NeumannSystem:
 
 
 def _window_key(window):
-    """The one normal form of a norm window: None, a disk, or a region set.
+    """The one normal form of a norm window: None, a :class:`Circle`, or a region set.
 
-    A window is a disk ``(cx, cy, r)`` only if it is a 3-tuple none of whose
-    members is a :class:`Region`; anything else names regions.  A disk needs
-    ``r > 0`` (ValueError otherwise).  The result is a window again, so
+    A disk is a Circle, with float centre and radius, and needs a positive
+    radius (ValueError otherwise); anything else names regions, as
+    :func:`_as_region_set` reads them.  The result is a window again, so
     normalizing twice changes nothing, and it keys the cached norm forms.
     """
     if window is None:
         return None
-    if (isinstance(window, tuple) and len(window) == 3
-            and not any(isinstance(w, Region) for w in window)):
-        disk = tuple(float(w) for w in window)
-        if not disk[2] > 0:
-            raise ValueError(f"disk window radius must be positive, got {disk[2]!r}")
-        return disk
+    if isinstance(window, Circle):
+        if not window.radius > 0:
+            raise ValueError(f"disk window radius must be positive, got {window.radius!r}")
+        return Circle(tuple(map(float, window.center)), float(window.radius))
     return _as_region_set(window)
 
 
 def _window_tri_mask(field: ScalarField, window) -> np.ndarray:
     """Triangles of the field inside ``window``; EMPTY_WINDOW if there are none.
 
-    ``window`` is None, a disk ``(cx, cy, r)`` tested at centroids, or regions
-    (see :func:`_window_key`).
+    ``window`` is None, a :class:`Circle` or regions (see :func:`_window_key`).
+    A triangle is in a Circle when its centroid is, the rim included, which
+    :meth:`Circle.contains` leaves out.
     """
     mesh = field.mesh
     window = _window_key(window)
     mask = mesh.region_triangles(field.regions)
-    if isinstance(window, tuple):
-        cx, cy, r = window
+    if isinstance(window, Circle):
+        (cx, cy), r = window.center, window.radius
         cen = mesh.tri_centroids
         mask = mask & ((cen[:, 0] - cx) ** 2 + (cen[:, 1] - cy) ** 2 <= r * r)
     elif window is not None:
@@ -1083,7 +1084,7 @@ def _integrate_sources(mesh: Mesh, regions, sources: SourceSpec) -> np.ndarray:
     for src in sources.disks:
         if src.amplitude == 0:
             continue
-        ring = hasattr(src, "r1")   # axisymmetric ring
+        ring = isinstance(src, SourceRing)   # axisymmetric
         cx, cy = ctr = np.zeros(2) if ring else np.asarray(src.center, dtype=float)
         vertex = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
         d_max = vertex.max(axis=0)

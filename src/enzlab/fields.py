@@ -50,16 +50,13 @@ def compute_poynting(u: ScalarField, cfg: PhysicsConfig) -> PiecewiseVectorField
     in-plane reduction of (1/2) E x conj(H).
     """
     mesh = u.mesh
-    eps_by_region = {int(Region.DOPANT): 1.0 + 0.0j,
-                     int(Region.ENZ): complex(cfg.delta),
-                     int(Region.EXTERIOR): 1.0 + 0.0j}
-    keep = sorted(set(int(r) for r in u.regions) & set(eps_by_region))
-    mask = mesh.region_triangles(keep)
+    eps = np.ones(len(Region), dtype=complex)   # indexed by region; the collar is skipped
+    eps[Region.ENZ] = cfg.delta
+    mask = mesh.region_triangles(u.regions - {Region.PML})
     vals, gx, gy, _ = _tri_values_and_grads(u, mask)
     u_cen = vals.mean(axis=1)
     reg = mesh.tri_region[mask]
-    eps = np.array([eps_by_region[int(r)] for r in reg])
-    factor = np.conj(u_cen) / (2j * cfg.omega * eps)
+    factor = np.conj(u_cen) / (2j * cfg.omega * eps[reg])
     return PiecewiseVectorField(mesh, np.where(mask)[0],
                                 factor[:, None] * np.column_stack([gx, gy]),
                                 reg.astype(np.int16))

@@ -468,10 +468,12 @@ def _centroids(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return np.column_stack(((x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3))
 
 
-def _as_region_set(regions) -> frozenset:
-    if isinstance(regions, (Region, int)):
-        return frozenset({int(regions)})
-    return frozenset(int(r) for r in regions)
+def _as_region_set(regions) -> frozenset[Region]:
+    """One region or an iterable of them, Regions or codes, as a frozenset of
+    :class:`Region`; ValueError on an unknown code.  It equals its set of codes."""
+    if isinstance(regions, (int, np.integer)):
+        regions = (regions,)
+    return frozenset(Region(r) for r in regions)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +646,13 @@ def _disk_fan(builder: _Builder, curve: Shape, h: float) -> _Ring:
 def _classify_regions(spec: DomainSpec, centroids: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(centroids, axis=1)
     physical_outer = spec.truncation_radius - spec.pml_thickness
-    region = np.full(len(centroids), int(Region.EXTERIOR), dtype=np.int16)
+    region = np.full(len(centroids), Region.EXTERIOR, dtype=np.int16)
     in_outer = spec.outer.contains(centroids)
     in_dop = spec.dopant.contains(centroids)
-    region[in_outer] = int(Region.ENZ)
-    region[in_dop] = int(Region.DOPANT)
+    region[in_outer] = Region.ENZ
+    region[in_dop] = Region.DOPANT
     if spec.pml_thickness > 0:
-        region[(~in_outer) & (r > physical_outer)] = int(Region.PML)
+        region[(~in_outer) & (r > physical_outer)] = Region.PML
     return region
 
 
@@ -736,7 +738,7 @@ def _check_quality(mesh: Mesh, target_h: float) -> None:
 
 def region_measures(mesh: Mesh) -> dict:
     """Areas per region tag and lengths per boundary tag."""
-    areas = {r: float(mesh.tri_areas[mesh.tri_region == int(r)].sum()) for r in Region}
+    areas = {r: float(mesh.tri_areas[mesh.tri_region == r].sum()) for r in Region}
     lengths = {tag: float(mesh.boundary_edge_lengths(tag).sum())
                for tag in mesh.boundary_edges}
     return {"areas": areas, "lengths": lengths}

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import Degenerate, ResonantDopant, SingularSystem
 from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
+from .correctors import CorrectorEngine
 from .fem import (BoundaryFunctional, Factored, LinearSystem, NeumannSystem,
                   ScalarField, bordered, dirichlet_eigs, eigen_flux, h1_norm,
                   integrate, mass_matrix, stiffness_matrix)
@@ -137,7 +138,6 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     if classification != EXCITED:
         raise Degenerate("detuning sweep requires an excited resonance")
     study = ResonanceStudy(lam_star, cluster, means, classification, [])
-    neumann = NeumannSystem(mesh, Region.ENZ)
 
     # limit objects use the exterior problem exactly at the eigenvalue
     cfg_star = PhysicsConfig.from_k(_branch_sqrt(lam_star), sources=cfg.sources,
@@ -156,11 +156,8 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
         except SingularSystem as exc:
             raise ResonantDopant(
                 f"gamma {gamma} lands on another discrete eigenvalue") from exc
-        vol = k * k * aux.c_star * neumann.m_vec
-        phi0 = neumann.solve(vol, {
-            Bnd.GAMMA_OMEGA: aux.c_star * aux.flux_psi_e + aux.flux_s,
-            Bnd.GAMMA_D: aux.c_star * aux.flux_psi_d,
-        })
+        engine = CorrectorEngine(mesh, cfg_g, aux=aux)
+        phi0 = engine.enz_solve(engine.seed_state())   # the leading corrector
         rec = GammaRecord(complex(gamma), k, aux.beta, aux.c_star, aux.mu_eff, phi0)
         rec.phi_gap = h1_norm(phi0 - study.phi_hat0)
         study.records.append(rec)

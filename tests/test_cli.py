@@ -216,6 +216,23 @@ def test_empty_window_exits_11(tmp_path):
     assert _exit_code(tmp_path, text, sub="sweep-delta") == 11   # EMPTY_WINDOW
 
 
+def test_inconsistent_dopant_flux_exits_9(tmp_path, capsys, monkeypatch):
+    # the auxiliary set checks mu_eff from the variational dopant flux
+    # against mu_eff from the volume integral; make the first miss by 1e-6
+    from enzlab import auxiliary
+    compute_mueff = auxiliary.compute_mueff
+
+    def off(*args, method="volume", **kwargs):
+        val = compute_mueff(*args, method=method, **kwargs)
+        return val * (1.0 + 1e-6) if method == "flux" else val
+
+    monkeypatch.setattr(auxiliary, "compute_mueff", off)
+    assert _exit_code(tmp_path, CANONICAL_CFG) == 9   # INCOMPATIBLE_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error [INCOMPATIBLE_DATA]: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_oracle_beyond_bessel_range_exits_16(tmp_path):
     text = CANONICAL_CFG.replace("truncation_radius = 4", "truncation_radius = 400")
     assert _exit_code(tmp_path, text, sub="oracle-check") == 16   # DOMAIN
@@ -299,7 +316,7 @@ def test_manifest_records_flag_values(cfg_file, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     # the config sets no deltas; complex values are [re, im] pairs, as in "physics"
     assert manifest["run"]["deltas"] == [[0.05, 0.0], [0.002, 0.001]]
-    assert manifest["run"]["window"] == [0.0, 0.0, 3.0]
+    assert manifest["run"]["window"] == {"center": [0.0, 0.0], "radius": 3.0}
 
 
 def test_expand_estimates_no_radius(cfg_file, tmp_path, monkeypatch):

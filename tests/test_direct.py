@@ -15,7 +15,8 @@ from enzlab.direct import (PHYSICAL_REGIONS, compare_fields, enz_absorption,
 from enzlab.errors import SingularSystem, ValidationError
 from enzlab.fem import (RadiationSpec, ScalarField, dirichlet_eigs, h1_norm, h1_seminorm,
                         l2_norm)
-from enzlab.geometry import Bnd, Region, SourceRing, SourceSpec, _as_region_set, build_mesh
+from enzlab.geometry import (Bnd, Circle, Region, SourceRing, SourceSpec, _as_region_set,
+                             build_mesh)
 from enzlab.oracle import j0_zero
 
 from conftest import CANONICAL_SPEC, DISK_SOURCE, GENERIC_SPEC, RING_SOURCE
@@ -91,7 +92,7 @@ def test_loss_and_gain_absorption_signs(mesh_coarse, cfg_ring):
 def test_compare_fields_equals_separate_norms(mesh_coarse, cfg_ring):
     u = solve_transmission(mesh_coarse, cfg_ring)
     v = solve_transmission(mesh_coarse, dataclasses.replace(cfg_ring, delta=2e-2 + 1e-3j))
-    disk = (0.4, -0.2, 1.5)
+    disk = Circle((0.4, -0.2), 1.5)
     for window, norm_window in ((None, PHYSICAL_REGIONS), (disk, disk)):
         c = compare_fields(u, v, window=window)
         diff = u - v

@@ -16,7 +16,8 @@ from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
                         l2_norm, mass_matrix, recovered_boundary_flux, solve,
                         stiffness_matrix)
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, SourceDisk,
-                             SourceRing, SourceSpec, build_mesh, structured_rectangle_mesh)
+                             SourceRing, SourceSpec, _as_region_set, build_mesh,
+                             structured_rectangle_mesh)
 
 from conftest import GENERIC_SPEC, RING_SOURCE
 
@@ -279,11 +280,11 @@ def test_h1_norm_values_and_monotonicity():
     xfield = ScalarField(mesh, Region.EXTERIOR,
                          mesh.nodes[mesh.region_nodes(Region.EXTERIOR), 0].astype(complex))
     assert h1_norm(xfield) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
-    small = h1_norm(xfield, window=(0.5, 0.5, 0.25))
-    big = h1_norm(xfield, window=(0.5, 0.5, 0.5))
+    small = h1_norm(xfield, window=Circle((0.5, 0.5), 0.25))
+    big = h1_norm(xfield, window=Circle((0.5, 0.5), 0.5))
     assert small <= big <= h1_norm(xfield)
     with pytest.raises(EmptyWindow):
-        h1_norm(xfield, window=(10.0, 10.0, 0.1))
+        h1_norm(xfield, window=Circle((10.0, 10.0), 0.1))
 
 
 def test_dirichlet_eigs_disk(annulus_mesh_fine):
@@ -759,7 +760,8 @@ def _form_norms(field, window):
     return h1, l2, fem.h1_seminorm(field, window)
 
 
-def _disk_mask(field, cx, cy, r):
+def _disk_mask(field, disk):
+    (cx, cy), r = disk.center, disk.radius
     cen = field.mesh.tri_centroids
     return (field.mesh.region_triangles(field.regions)
             & ((cen[:, 0] - cx) ** 2 + (cen[:, 1] - cy) ** 2 <= r * r))
@@ -767,7 +769,7 @@ def _disk_mask(field, cx, cy, r):
 
 def test_norm_forms_match_elementwise_reference(mesh_coarse, cfg_ring):
     rng = np.random.default_rng(11)
-    disk = (0.2, -0.1, 1.5)
+    disk = Circle((0.2, -0.1), 1.5)
     for mesh in (mesh_coarse, build_mesh(GENERIC_SPEC, 0.1)):
         engine = CorrectorEngine(mesh, cfg_ring)
         hier = engine.build_hierarchy(1)
@@ -784,7 +786,7 @@ def test_norm_forms_match_elementwise_reference(mesh_coarse, cfg_ring):
             region_window = direct.PHYSICAL_REGIONS & field.regions
             for window, mask in ((region_window, mesh.region_triangles(region_window)
                                   & mesh.region_triangles(field.regions)),
-                                 (disk, _disk_mask(field, *disk))):
+                                 (disk, _disk_mask(field, disk))):
                 got, ref = _form_norms(field, window), _elementwise_norms(field, mask)
                 assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
@@ -800,13 +802,69 @@ def test_seminorm_of_near_constant_field(mesh_coarse, cfg_ring):
 def test_region_tuple_is_not_a_disk(mesh_coarse, cfg_ring):
     u = direct.solve_transmission(mesh_coarse, cfg_ring)
     physical = (Region.DOPANT, Region.ENZ, Region.EXTERIOR)
-    norms = {h1_norm(u, w) for w in (physical, list(physical), set(physical))}
+    # (0, 1, 2) are the codes of the same three regions
+    norms = {h1_norm(u, w) for w in (physical, list(physical), set(physical), (0, 1, 2))}
     assert norms == {h1_norm(u, direct.PHYSICAL_REGIONS)}
-    # a disk window read from a config is floats; one of ints is a disk too
-    disk = (0.0, 1.0, 2.0)
-    ref = _elementwise_norms(u, _disk_mask(u, *disk))[0]
+    # a disk is a Circle, of floats or of ints alike
+    disk = Circle((0.0, 1.0), 2.0)
+    ref = _elementwise_norms(u, _disk_mask(u, disk))[0]
     assert h1_norm(u, disk) == pytest.approx(ref, rel=1e-13, abs=0.0)
-    assert h1_norm(u, (0, 1, 2)) == h1_norm(u, disk) != norms.pop()
+    assert h1_norm(u, Circle((0, 1), 2)) == h1_norm(u, disk) != norms.pop()
+
+
+def test_region_codes_name_regions_in_every_container(aux_coarse):
+    # read as a disk, (1, 2, 3) was the disk of radius 3 about (1, 2)
+    windows = ((1, 2, 3), [1, 2, 3], {Region.ENZ, Region.EXTERIOR, Region.PML})
+    norms = {h1_norm(aux_coarse.s, w) for w in windows}
+    assert norms == {h1_norm(aux_coarse.s)}   # the source field lives on 2 and 3
+
+
+@pytest.mark.parametrize("code", [7, -1])
+def test_unknown_region_code_raises(mesh_coarse, code):
+    def field(regions):
+        return ScalarField(mesh_coarse, regions, np.zeros(0, dtype=complex))
+
+    for make in (_as_region_set, mesh_coarse.region_nodes, field):
+        for regions in (code, [Region.ENZ, code]):
+            with pytest.raises(ValueError):
+                make(regions)
+
+
+def test_disk_window_includes_its_rim():
+    mesh = structured_rectangle_mesh(8, 8)
+    x, y = mesh.nodes[mesh.region_nodes(Region.EXTERIOR)].T
+    field = ScalarField(mesh, Region.EXTERIOR, x * x + 2j * y)
+    cx, cy = mesh.tri_centroids[72]
+    disk = Circle((cx, cy / 2), cy / 2)   # halving is exact: the rim meets the centroid
+    assert not disk.contains(mesh.tri_centroids[72:73])[0]
+    assert _disk_mask(field, disk)[72]
+    got = fem.h1_l2_norms(field, disk)
+    assert np.allclose(got, _elementwise_norms(field, _disk_mask(field, disk))[:2],
+                       rtol=1e-13, atol=0.0)
+    # the norms of the same disk as the 3-tuple window (cx, cy / 2, cy / 2),
+    # when a tuple of three numbers was read as a disk
+    assert got == (1.1586881482935478, 0.34111865374592315)
+
+
+def test_every_form_of_a_region_set_gives_one_result(mesh_coarse):
+    groups = ((Region.ENZ, 1, np.int16(1), [1], {Region.ENZ}, frozenset({1})),
+              ([0, 1], {Region.DOPANT, 1}, frozenset({0, Region.ENZ}), (Region.ENZ, 0)))
+    rng = np.random.default_rng(3)
+    for group in groups:
+        nodes = mesh_coarse.region_nodes(group[0])
+        values = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
+        results = []
+        for regions in group:
+            A = assemble(mesh_coarse, regions, {Region.DOPANT: 1.0, 1: 2.0 + 1.0j},
+                         {0: 3.0, Region.ENZ: 0.5}).A.tocsr()
+            neumann = NeumannSystem(mesh_coarse, regions)
+            x = mesh_coarse.nodes[neumann.nodes, 0]
+            vol = neumann.m_vec * (x - neumann.m_vec @ x / neumann.area)
+            phi = neumann.solve(vol, {})
+            field = ScalarField(mesh_coarse, regions, values)
+            results.append((A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
+                            phi.values.tobytes(), h1_norm(field), h1_norm(field, regions)))
+        assert len(set(results)) == 1
 
 
 @pytest.mark.parametrize("r", [-1.0, 0.0, math.nan])
@@ -815,7 +873,7 @@ def test_disk_window_needs_a_positive_radius(mesh_coarse, r):
     field = ScalarField(mesh_coarse, Region.ENZ,
                         np.ones(len(mesh_coarse.region_nodes(Region.ENZ)), dtype=complex))
     with pytest.raises(ValueError):
-        h1_norm(field, window=(0.0, 0.0, r))
+        h1_norm(field, window=Circle((0.0, 0.0), r))
 
 
 def test_empty_window_raises_and_caches_nothing():
@@ -824,5 +882,5 @@ def test_empty_window_raises_and_caches_nothing():
                         np.ones(len(mesh.region_nodes(Region.EXTERIOR)), dtype=complex))
     for _ in range(2):
         with pytest.raises(EmptyWindow):
-            h1_norm(field, window=(10.0, 10.0, 0.1))
+            h1_norm(field, window=Circle((10.0, 10.0), 0.1))
     assert not any(name[0] == "norm forms" for name in mesh._memo if isinstance(name, tuple))

@@ -21,6 +21,19 @@ def test_constant_field_zero_poynting(mesh_coarse, cfg_ring):
     assert np.abs(s.vectors).max() < 1e-10
 
 
+def test_poynting_reads_each_triangles_permittivity(mesh_coarse, cfg_ring):
+    cfg = dataclasses.replace(cfg_ring, delta=0.02 + 0.01j)
+    u = solve_transmission(mesh_coarse, cfg)
+    s = compute_poynting(u, cfg)
+    keep = mesh_coarse.region_triangles([Region.DOPANT, Region.ENZ, Region.EXTERIOR])
+    assert np.array_equal(s.tri_index, np.flatnonzero(keep))   # the collar is skipped
+    vals, gx, gy, _ = _tri_values_and_grads(u, keep)
+    # reference: the permittivity looked up triangle by triangle
+    eps = np.array([cfg.delta if r == Region.ENZ else 1.0 for r in s.region], dtype=complex)
+    factor = np.conj(vals.mean(axis=1)) / (2j * cfg.omega * eps)
+    assert np.array_equal(s.vectors, factor[:, None] * np.column_stack([gx, gy]))
+
+
 def test_plane_wave_poynting():
     mesh = structured_rectangle_mesh(24, 24)
     k, omega = 2.0, 2.0   # mu = 1
