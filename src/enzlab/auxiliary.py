@@ -52,10 +52,9 @@ class PhysicsConfig:
     rtol: ClassVar[float] = fem.BACKWARD_RTOL   # every solve's backward-error bound
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.k == 0:
-            raise ValueError("wavenumber must be nonzero")
+        ksq = _omega_squared(self.omega) * complex(self.mu)
+        if ksq == 0 or not cmath.isfinite(ksq):
+            raise ValueError(f"k^2 = omega^2 mu must be finite and nonzero, got {ksq!r}")
 
     @property
     def k(self) -> complex:
@@ -64,8 +63,23 @@ class PhysicsConfig:
 
     @classmethod
     def from_k(cls, k: complex, **kwargs) -> "PhysicsConfig":
-        """Configuration with unit frequency and mu = k^2."""
-        return cls(omega=1.0, mu=complex(k) ** 2, **kwargs)
+        """Configuration with mu = k^2 / omega^2, omega checked before it divides."""
+        k = complex(k)
+        if not 0 <= cmath.phase(k) < math.pi:
+            raise ValueError("wavenumber must satisfy 0 <= arg k < pi")
+        omega = kwargs.pop("omega", cls.omega)
+        return cls(omega=omega, mu=k * k / _omega_squared(omega), **kwargs)
+
+
+def _omega_squared(omega: float) -> float:
+    """``omega**2``; ValueError unless omega and its square are finite and positive."""
+    try:
+        w2 = omega**2
+    except OverflowError:   # a float power raises where a product gives inf
+        w2 = math.inf
+    if not (omega > 0 and 0 < w2 < math.inf):
+        raise ValueError(f"omega and omega^2 must be finite and positive, got omega = {omega!r}")
+    return w2
 
 
 # ---------------------------------------------------------------------------

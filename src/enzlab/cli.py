@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import EnzLabError, ValidationError
 from .auxiliary import rellich_residual, solve_auxiliary_set
-from .config import _parse_complex, _parse_order, _parse_window, parse_config
+from .config import _parse_complex, _parse_int, _parse_window, parse_config
 from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
 from .fem import ScalarField
@@ -227,6 +227,7 @@ def run_convergence_table(spec, cfg, opts, outdir: Path) -> None:
         errs.append([abs(aux.beta - ref["beta"]) / abs(ref["beta"]),
                      abs(aux.c_star - ref["c_star"]) / max(abs(ref["c_star"]), 1e-300),
                      abs(aux.mu_eff - ref["mu_eff"]) / abs(ref["mu_eff"])])
+        del aux   # this level's mesh and factorizations, before the next level's are built
     errs = np.array(errs).T   # one row per constant, one entry per h
     rates = [[math.nan] + [math.log2(p / e) if e > 0 else math.nan for p, e in zip(err, err[1:])]
              for err in errs]
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
         spec, cfg, opts = parse_config(args.config)
         # flag values are checked like their config keys and replace them
         if getattr(args, "order", None) is not None:
-            opts = dataclasses.replace(opts, order=_parse_order(args.order, "--order"))
+            opts = dataclasses.replace(opts, order=_parse_int(args.order, "--order"))
         if getattr(args, "delta", None) is not None:
             cfg = dataclasses.replace(cfg, delta=_parse_complex(args.delta, "--delta"))
         if getattr(args, "deltas", None) is not None:

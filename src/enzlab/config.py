@@ -4,22 +4,21 @@ Complex numbers are written as ``re,im`` pairs; shapes as
 ``circle cx cy r`` or ``polygon x1 y1 x2 y2 ...``; sources as
 semicolon-separated ``disk cx cy r amp`` or ``ring r1 r2 amp`` entries.
 
-Defaults (documented here, applied in :func:`parse_config`):
-truncation radius 4x the scatterer circumradius, collar thickness one
-wavelength, mesh size one twentieth of a wavelength, expansion order 2,
-30 power iterations for the radius estimate, seed 0.
+A key a file leaves out takes its dataclass field's default, except the
+three scaled by the wavelength: truncation radius 4x the scatterer
+circumradius plus the collar, collar thickness one wavelength, mesh size one
+twentieth of a wavelength.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .fem import RadiationSpec
 from .geometry import Circle, DomainSpec, Polygon, SourceDisk, SourceRing, SourceSpec
-from .auxiliary import PhysicsConfig, _branch_sqrt
+from .auxiliary import PhysicsConfig
 
 _SECTIONS = ("domain", "physics", "run")
 
@@ -35,6 +34,19 @@ class RunOptions:
     gammas: tuple = ()
     resonance_target: float | None = None
     out: str = "out"
+
+    def __post_init__(self):
+        if not self.h > 0:
+            raise ValidationError("mesh size h must be positive")
+        if self.order < 0:
+            raise ValidationError("expansion order must be nonnegative")
+        if self.rho_iters < 10:
+            raise ValidationError("rho_iters must be at least 10")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
+        if len(self.gammas) == 1 or len(set(self.gammas)) < len(self.gammas):
+            raise ValidationError("gammas needs at least two values, all distinct, "
+                                  "for a detuning sweep")
 
 
 # Value parsers take the text and where it came from ("line 7" in a file, a
@@ -76,12 +88,16 @@ def _parse_int(text: str, where: str) -> int:
         raise ParseError(f"{where}: expected integer, got {text!r}") from None
 
 
-def _parse_order(text: str, where: str) -> int:
-    """Expansion order: an integer, VALIDATION_ERROR when negative."""
-    order = _parse_int(text, where)
-    if order < 0:
-        raise ValidationError("expansion order must be nonnegative")
-    return order
+def _parse_text(text: str, where: str) -> str:
+    return text.strip()
+
+
+def _parse_sigma0(text: str, where: str) -> float | None:
+    return None if text.strip() == "auto" else _parse_float(text, where)
+
+
+def _parse_complex_list(text: str, where: str) -> tuple:
+    return tuple(_parse_complex(v, where) for v in text.split())
 
 
 def _parse_window(kind: str, numbers: list, where: str) -> Circle:
@@ -97,6 +113,11 @@ def _parse_window(kind: str, numbers: list, where: str) -> Circle:
     except ValueError:
         pass
     raise ParseError(f"{where}: expected a disk window 'disk cx cy r'")
+
+
+def _parse_window_key(text: str, where: str) -> Circle:
+    kind, *numbers = text.split() or [""]
+    return _parse_window(kind, numbers, where)
 
 
 def _parse_shape(text: str, where: str):
@@ -154,107 +175,69 @@ def _read_sections(path) -> dict:
             if current is None:
                 raise ParseError(f"line {lineno}: key outside any section")
             key, val = (s.strip() for s in line.split("=", 1))
-            sections[current][key] = (val, lineno)
+            sections[current][key] = (val, f"line {lineno}")
     return sections
 
 
 def parse_config(path):
-    """Parse and validate a configuration file.
+    """Parse a configuration file into (DomainSpec, PhysicsConfig, RunOptions).
 
-    Returns (DomainSpec, PhysicsConfig, RunOptions).  Parse failures carry
-    line numbers; validation failures name the violated invariant.
+    Only the keys a file gives are read here; each dataclass holds every
+    other default and checks its own fields.  Parse failures carry line
+    numbers; validation failures name the violated invariant.
     """
     sec = _read_sections(path)
-    dom, phy, run = sec["domain"], sec["physics"], sec["run"]
 
-    def take(table, key, conv, default=None, required=False):
-        if key not in table:
-            if required:
-                raise ValidationError(f"missing required key {key!r}")
-            return default
-        val, lineno = table[key]
-        return conv(val, f"line {lineno}")
+    def read(section, **convs) -> dict:
+        """``{key: conv(text, where)}`` for each ``key=conv`` the section gives."""
+        given = sec[section]
+        return {key: conv(*given[key]) for key, conv in convs.items() if key in given}
 
-    outer = take(dom, "outer", _parse_shape, required=True)
-    dopant = take(dom, "dopant", _parse_shape, required=True)
-
-    omega = take(phy, "omega", _parse_float, default=1.0)
-    mu = take(phy, "mu", _parse_complex, default=1.0 + 0.0j)
-    k_override = take(phy, "k", _parse_complex, default=None)
-    if k_override is not None:
-        k = complex(k_override)
-        if k == 0:
-            raise ValidationError("wavenumber k must be nonzero")
-        if not (0 <= cmath.phase(k) < math.pi):
-            raise ValidationError("wavenumber must satisfy 0 <= arg k < pi")
-        mu = k * k / omega**2
-    delta = take(phy, "delta", _parse_complex, default=1e-2 + 0.0j)
-    sources = take(phy, "sources", _parse_sources, default=SourceSpec())
-    rad_mode = take(phy, "radiation", lambda v, n: v.strip(), default="pml")
-    sigma0 = take(phy, "pml_sigma0",
-                  lambda v, where: None if v.strip() == "auto" else _parse_float(v, where))
-    order_pml = take(phy, "pml_order", _parse_int, default=2)
+    dom = read("domain", outer=_parse_shape, dopant=_parse_shape, h=_parse_float,
+               truncation_radius=_parse_float, pml_thickness=_parse_float)
+    for key in ("outer", "dopant"):
+        if key not in dom:
+            raise ValidationError(f"missing required key {key!r}")
+    phy = read("physics", omega=_parse_float, mu=_parse_complex, k=_parse_complex,
+               delta=_parse_complex, sources=_parse_sources)
+    rad = read("physics", radiation=_parse_text, pml_sigma0=_parse_sigma0, pml_order=_parse_int)
     try:
-        radiation = RadiationSpec(rad_mode, sigma0, order_pml)
+        phy["radiation"] = RadiationSpec(**{field: rad[key] for key, field in (
+            ("radiation", "mode"), ("pml_sigma0", "sigma0"), ("pml_order", "stretch_order"))
+            if key in rad})
+        if "k" in phy:   # k replaces mu
+            phy.pop("mu", None)
+            cfg = PhysicsConfig.from_k(phy.pop("k"), **phy)
+        else:
+            cfg = PhysicsConfig(**phy)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
-    k_eff = _branch_sqrt(omega**2 * complex(mu))
-    wavelength = 2.0 * math.pi / max(abs(k_eff), 1e-12)
     # default truncation keeps a 4x-circumradius physical exterior and adds
     # the collar on top; an explicit truncation caps the default collar so
     # the physical annulus never collapses
-    default_collar = wavelength if radiation.mode == "pml" else 0.0
-    trunc = take(dom, "truncation_radius", _parse_float, default=None)
-    if trunc is None:
-        trunc = 4.0 * outer.circumradius() + default_collar
-        pml_t = take(dom, "pml_thickness", _parse_float, default=default_collar)
+    wavelength = 2.0 * math.pi / abs(cfg.k)
+    outer_r = dom["outer"].circumradius()
+    collar = wavelength if cfg.radiation.mode == "pml" else 0.0
+    if "truncation_radius" in dom:
+        collar = min(collar, max(0.5 * (dom["truncation_radius"] - outer_r), 0.0))
     else:
-        cap = 0.5 * (trunc - outer.circumradius())
-        pml_t = take(dom, "pml_thickness", _parse_float,
-                     default=min(default_collar, max(cap, 0.0)))
-    if radiation.mode == "robin" and pml_t > 0:
+        dom["truncation_radius"] = 4.0 * outer_r + collar
+    dom.setdefault("pml_thickness", collar)
+    h = dom.pop("h", wavelength / 20.0)
+    spec = DomainSpec(**dom)
+    if cfg.radiation.mode == "robin" and spec.pml_thickness > 0:
         # the Robin term lives on the truncation circle, which a collar
         # would take out of the exterior problem
         raise ValidationError("radiation = robin requires pml_thickness = 0")
-    h = take(dom, "h", _parse_float, default=wavelength / 20.0)
-    if h <= 0:
-        raise ValidationError("mesh size h must be positive")
-
-    spec = DomainSpec(outer=outer, dopant=dopant, truncation_radius=trunc,
-                      pml_thickness=pml_t)
     spec.validate()
-    sources.validate(spec)
-    try:
-        cfg = PhysicsConfig(omega=omega, mu=complex(mu), delta=complex(delta),
-                            sources=sources, radiation=radiation)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    cfg.sources.validate(spec)
 
-    def fclist(val, where):
-        return tuple(_parse_complex(v, where) for v in val.split())
-
-    def fwindow(val, where):
-        kind, *numbers = val.split() or [""]
-        return _parse_window(kind, numbers, where)
-
-    opts = RunOptions(
-        h=h,
-        order=take(run, "order", _parse_order, default=2),
-        rho_iters=take(run, "rho_iters", _parse_int, default=30),
-        seed=take(run, "seed", _parse_int, default=0),
-        deltas=take(run, "deltas", fclist, default=()),
-        window=take(run, "window", fwindow, default=None),
-        gammas=take(run, "gammas", fclist, default=()),
-        resonance_target=take(run, "resonance_target", _parse_float, default=None),
-        out=take(run, "out", lambda v, n: v.strip(), default="out"),
-    )
-    if opts.rho_iters < 10:
-        raise ValidationError("rho_iters must be at least 10")
-    if opts.seed < 0:
-        raise ValidationError("seed must be nonnegative")
-    if len(opts.gammas) == 1:
-        raise ValidationError("gammas needs at least two values for a detuning sweep")
-    if len(set(opts.gammas)) < len(opts.gammas):
-        raise ValidationError("gammas must be distinct for a detuning sweep")
+    opts = RunOptions(h=h, **read("run", order=_parse_int, rho_iters=_parse_int, seed=_parse_int,
+                                  deltas=_parse_complex_list, window=_parse_window_key,
+                                  gammas=_parse_complex_list, resonance_target=_parse_float,
+                                  out=_parse_text))
+    if abs(cfg.k) * h > math.pi:
+        raise ValidationError(f"mesh size h = {h:g} gives fewer than two points per "
+                              f"wavelength (|k| h = {abs(cfg.k) * h:.3g} > pi)")
     return spec, cfg, opts

@@ -62,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (EmptyWindow, IncompatibleData, NoConvergence,
+from .errors import (EmptyWindow, IncompatibleData, MeshFailure, NoConvergence,
                      SingularSystem, TagMismatch, ZeroCoefficient)
 from .geometry import (Bnd, Circle, Mesh, Region, SourceRing, SourceSpec,
                        _as_region_set, _corners)
@@ -1225,11 +1225,16 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
     via shift-invert Lanczos around ``target``; eigenvectors are returned
     mass-orthonormal as :class:`ScalarField` objects vanishing on the
     dopant boundary.  Every inverse application is a :meth:`Factored.solve`
-    on K - target M, so a singular shift raises SINGULAR_SYSTEM.
+    on K - target M, so a singular shift raises SINGULAR_SYSTEM.  MESH_FAILURE
+    when the dopant has no more interior nodes than ``count``: ARPACK needs
+    more unknowns than eigenpairs.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     il = split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]
+    if count >= len(il):
+        raise MeshFailure(f"{count} eigenpairs need more than the {len(il)} interior "
+                          "dopant nodes; refine h")
     order = node_order(mesh, Region.DOPANT, [Bnd.GAMMA_D])
     K = stiffness_matrix(mesh, Region.DOPANT).real.tocsc()
     M = mass_matrix(mesh, Region.DOPANT).real.tocsc()

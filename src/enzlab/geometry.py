@@ -30,6 +30,13 @@ from .errors import GeometryInvalid, MeshFailure, TagMismatch
 
 QUALITY_MIN_ANGLE_DEG = 15.0
 EDGE_LENGTH_FACTOR = 1.5
+# Largest mesh a build accepts.  At h = 0.025 an auxiliary set peaked at
+# about 3.4 kB per node and a direct solve at about 7.5 kB per node, and the
+# LU fill per node grows with the mesh: a million nodes ask for several GB.
+MAX_NODES = 1_000_000
+# Nodes per h^2 of truncation-disk area, below every mesh measured (1.58 to
+# 1.83 on circles from h = 0.2 to 0.025), so the estimate never overshoots.
+_NODES_PER_H2_AREA = 1.5
 
 
 class Region(IntEnum):
@@ -678,6 +685,9 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
     0.29-0.30 s with the interface gap evaluated twice per build, each time
     on a 512 x 512 x 2 temporary, an arccos at every corner, and every
     triangle's corners gathered as one (T, 3, 2) array.
+
+    MESH_FAILURE before anything is allocated when the truncation disk's
+    area asks for more than :data:`MAX_NODES` nodes at ``target_h``.
     """
     half_gap = 0.5 * spec.validate()
     if target_h <= 0:
@@ -685,6 +695,11 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
     if target_h >= half_gap:
         raise MeshFailure(f"target_h = {target_h:g} must be smaller than half the "
                           f"dopant-scatterer gap ({half_gap:g})")
+    ratio = spec.truncation_radius / target_h   # a product, so a tiny h gives inf, not an error
+    nodes = _NODES_PER_H2_AREA * math.pi * ratio * ratio
+    if nodes > MAX_NODES:
+        raise MeshFailure(f"target_h = {target_h:g} asks for about {nodes:.2g} nodes, "
+                          f"above the cap of {MAX_NODES:,}")
 
     builder = _Builder()
     dop_ring = _disk_fan(builder, spec.dopant, target_h)

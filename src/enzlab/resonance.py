@@ -161,6 +161,7 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
         rec = GammaRecord(complex(gamma), k, aux.beta, aux.c_star, aux.mu_eff, phi0)
         rec.phi_gap = h1_norm(phi0 - study.phi_hat0)
         study.records.append(rec)
+        del aux, engine   # this k's factorizations, before the next k's are built
 
     # first-order Richardson on the two smallest detunings
     order = np.argsort([abs(r.gamma) for r in study.records])

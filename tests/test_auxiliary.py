@@ -32,6 +32,35 @@ def test_branch_of_wavenumber():
     assert k.imag > 0 and k.real < 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(omega=1e200),                      # omega**2 overflows
+    dict(omega=1e-200),                     # omega**2 underflows to 0
+    dict(omega=0.0), dict(omega=-1.0), dict(omega=math.inf), dict(omega=math.nan),
+    dict(omega=1e154, mu=1e308 + 0j),       # k^2 overflows
+    dict(mu=0j), dict(mu=complex(math.nan, 1.0)),
+])
+def test_unusable_frequency_or_wavenumber_raises(kwargs):
+    with pytest.raises(ValueError):
+        PhysicsConfig(**kwargs)
+
+
+@pytest.mark.parametrize("k, omega", [
+    (1.0, 0.0), (1.0, 1e-200), (1.0, 1e200),   # ZeroDivisionError or OverflowError before
+    (1e200, 1.0), (0.0, 1.0), (-1.0, 1.0), (1 - 1j, 1.0),
+])
+def test_from_k_checks_omega_and_k(k, omega):
+    with pytest.raises(ValueError):
+        PhysicsConfig.from_k(k, omega=omega)
+
+
+@pytest.mark.parametrize("k", [1 + 0j, complex(1.0, -0.0), 0.5 + 0.1j, 2j])
+def test_from_k_forms_mu_as_k_k_over_omega_squared(k):
+    for kwargs, omega in (({}, 1.0), ({"omega": 0.5}, 0.5)):
+        cfg = PhysicsConfig.from_k(k, **kwargs)
+        assert repr(cfg.mu) == repr(k * k / omega**2)   # the sign of a zero part too
+        assert cfg.omega == omega and cfg.k == pytest.approx(k)
+
+
 def test_trivial_source_gives_zero_s(mesh_coarse):
     cfg = PhysicsConfig(sources=SourceSpec())
     s, flux = solve_s(mesh_coarse, cfg)

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +11,10 @@ import numpy as np
 import pytest
 
 from enzlab.cli import _write_csv, main
-from enzlab.config import parse_config
+from enzlab.auxiliary import PhysicsConfig
+from enzlab.config import RunOptions, parse_config
 from enzlab.direct import solve_transmission
-from enzlab.errors import ParseError, ValidationError
+from enzlab.errors import EnzLabError, ParseError, ValidationError
 from enzlab.fem import dirichlet_eigs
 from enzlab.fields import compute_poynting
 from enzlab.geometry import build_mesh
@@ -58,13 +62,15 @@ sources = disk 2.5 0 0.2 1,0
 [run]
 """)
     spec, cfg, opts = parse_config(path)
-    import math
     # 4x circumradius of physical exterior plus a one-wavelength collar
     assert spec.truncation_radius == pytest.approx(4.0 + 2 * math.pi)
     assert spec.pml_thickness == pytest.approx(2 * math.pi)
     assert opts.h == pytest.approx(2 * math.pi / 20.0)
     assert opts.order == 2 and opts.rho_iters == 30
     assert cfg.k == pytest.approx(1.0)
+    # every other value is its dataclass field's default
+    assert opts == RunOptions(h=opts.h)
+    assert cfg == PhysicsConfig.from_k(1.0, sources=cfg.sources)
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -173,18 +179,94 @@ def test_single_gamma_exits_4(tmp_path):
     assert _exit_code(tmp_path, text, sub="resonance-sweep") == 4   # VALIDATION_ERROR
 
 
+# A [physics] section after [run] replaces the canonical physics keys.
 @pytest.mark.parametrize("subcommand, new, flags", [
     ("resonance-sweep", "seed = 0\ngammas = 0.1 0.1 0.5", []),   # was a ZeroDivisionError
     ("radius", "seed = -3", []),                                 # was a ValueError of default_rng
     ("sweep-delta", "seed = 0\ndeltas = 0.1,0\nwindow = disk 0 0 -1", []),   # ran radius 1
     ("sweep-delta", "seed = 0\ndeltas = 0.1,0", ["--window", "disk:0,0,-1"]),
+    ("aux", "[physics]\nomega = 1e200", []),             # OverflowError of omega**2
+    ("aux", "[physics]\nomega = 1e308", []),
+    ("aux", "[physics]\nomega = 0\nk = 1,0", []),        # ZeroDivisionError of k k / omega**2
+    ("aux", "[physics]\nomega = 1e-200\nk = 1,0", []),
+    ("aux", "[physics]\nomega = 1e200\nk = 1,0", []),    # OverflowError of omega**2
 ])
 def test_values_that_ended_in_a_traceback_exit_4(tmp_path, capsys, subcommand, new, flags):
     path = tmp_path / "case.cfg"
     path.write_text(CANONICAL_CFG.replace("seed = 0", new))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out"), *flags]) == 4
-    assert capsys.readouterr().err.startswith("error [VALIDATION_ERROR]: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error [VALIDATION_ERROR]: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+_KEYS = {"domain": ["outer", "dopant", "truncation_radius", "pml_thickness", "h"],
+         "physics": ["omega", "mu", "k", "delta", "sources", "radiation", "pml_sigma0",
+                     "pml_order"],
+         "run": ["order", "rho_iters", "seed", "deltas", "window", "gammas",
+                 "resonance_target"]}
+_EDGE_VALUES = ["", "abc", "0", "-1", "1e-200", "1e200", "1e308", "1e400", "nan", "-inf",
+                "0,0", "-1,0", "1e308,1e308", "1e-200,0", "0.1 0.1", "circle 0 0 0",
+                "circle 0 0 -1", "polygon 0 0 1 0 1 0", "ring 2.7 2.3 1,0",
+                "disk 2.5 0 0.2 1e308,0", "disk 0 0 -1", "robin", "auto"]
+
+
+def test_every_edited_key_parses_or_raises_a_named_error(tmp_path):
+    # one key at a time, in a second copy of its section so that it wins
+    path = tmp_path / "edit.cfg"
+    for section, keys in _KEYS.items():
+        for key, value in itertools.product(keys, _EDGE_VALUES):
+            path.write_text(f"{CANONICAL_CFG}\n[{section}]\n{key} = {value}\n")
+            try:
+                parse_config(path)
+            except EnzLabError:
+                pass
+            except Exception as exc:   # anything but a named error is a defect
+                pytest.fail(f"{key} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("new", [
+    "mu = 1e308,0",     # exited 13 BETA_NEAR_ZERO with |beta| = inf
+    "omega = 1e154",    # the same k^2 = 1e308
+    "k = 1e200,0",      # exited 8 SINGULAR_SYSTEM; k^2 overflows
+])
+def test_wavenumber_the_mesh_cannot_resolve_exits_4(tmp_path, capsys, new):
+    text = CANONICAL_CFG.replace("seed = 0", f"seed = 0\n[physics]\n{new}")
+    assert _exit_code(tmp_path, text) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error [VALIDATION_ERROR]: ") and err.count("\n") == 1
+
+
+def test_mesh_needs_two_points_per_wavelength(tmp_path):
+    # h = 0.2 resolves |k| up to pi / 0.2, i.e. fewer than two points per wavelength above it
+    for k, ok in ((0.999 * math.pi / 0.2, True), (1.001 * math.pi / 0.2, False)):
+        path = tmp_path / "k.cfg"
+        path.write_text(CANONICAL_CFG.replace("mu = 1,0", f"k = {k!r},0"))
+        if ok:
+            assert parse_config(path)[1].k == k
+        else:
+            with pytest.raises(ValidationError, match="two points per wavelength"):
+                parse_config(path)
+
+
+@pytest.mark.parametrize("subcommand, old, new", [
+    # the dopant has one interior node: ARPACK raised TypeError (k >= N)
+    ("resonance-sweep", "dopant = circle 0 0 0.3", "dopant = circle 0 0 0.05"),
+    # about 7.5e9 nodes: refused before the mesh is allocated
+    ("aux", "h = 0.2", "h = 1e-4"),
+])
+def test_mesh_too_small_or_too_large_exits_6(tmp_path, capsys, subcommand, old, new):
+    assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new), sub=subcommand) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error [MESH_FAILURE]: ") and err.count("\n") == 1
+
+
+def test_run_options_check_their_fields():
+    opts = RunOptions(h=0.1)
+    for kwargs in (dict(h=0.0), dict(h=math.nan), dict(order=-1), dict(rho_iters=9),
+                   dict(seed=-1), dict(gammas=(0.1,)), dict(gammas=(0.1, 0.1))):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(opts, **kwargs)
 
 
 def test_direct_with_reciprocal_underflow_exits_7(tmp_path):

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from enzlab import auxiliary, direct, fem
 from enzlab.auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
 from enzlab.correctors import CorrectorEngine
-from enzlab.errors import (EmptyWindow, IncompatibleData, SingularSystem,
+from enzlab.errors import (EmptyWindow, IncompatibleData, MeshFailure, SingularSystem,
                            TagMismatch, ZeroCoefficient)
 from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
                         assemble, dirichlet_eigs, flux_extract, h1_norm,
@@ -131,6 +131,15 @@ def test_singular_at_discrete_eigenvalue(annulus_mesh):
                     {Region.DOPANT: lam})
     with pytest.raises(SingularSystem):
         solve(sys_, np.zeros(len(sys_.nodes)), {Bnd.GAMMA_D: 1.0})
+
+
+def test_eigenpairs_need_more_interior_dopant_nodes_than_asked():
+    # at h = 0.2 a dopant of radius 0.1 has 9 interior nodes; ARPACK finds at most 8
+    spec = dataclasses.replace(CANONICAL, dopant=Circle((0.0, 0.0), 0.1))
+    mesh = build_mesh(spec, 0.2)
+    assert len(dirichlet_eigs(mesh, 8, target=600.0)) == 8
+    with pytest.raises(MeshFailure, match="9 interior dopant nodes"):
+        dirichlet_eigs(mesh, 9, target=600.0)
 
 
 def test_mean_zero_neumann_zero_data(annulus_mesh):

@@ -231,6 +231,21 @@ def test_too_coarse_h_rejected():
         build_mesh(CANONICAL, 0.5)
 
 
+def test_node_cap_refuses_a_mesh_before_building_it(monkeypatch):
+    mesh = build_mesh(CANONICAL, 0.2)
+    # the estimate stays below the true count, so a cap at the true count passes
+    monkeypatch.setattr(geometry, "MAX_NODES", mesh.num_nodes)
+    build_mesh(CANONICAL, 0.2)
+    monkeypatch.setattr(geometry, "MAX_NODES", mesh.num_nodes // 2)
+    monkeypatch.setattr(geometry, "_Builder", None)   # nothing may be built
+    with pytest.raises(MeshFailure, match="above the cap"):
+        build_mesh(CANONICAL, 0.2)
+    monkeypatch.undo()
+    for h in (1e-4, 1e-300):   # 7.5e9 nodes; a count that overflows to inf
+        with pytest.raises(MeshFailure, match="above the cap of 1,000,000"):
+            build_mesh(CANONICAL, h)
+
+
 def test_build_evaluates_the_interface_gap_once(monkeypatch):
     calls = []
     gap = DomainSpec.interface_gap
