@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import EnzLabError, ValidationError
 from .auxiliary import rellich_residual, solve_auxiliary_set
-from .config import _parse_complex, _parse_int, _parse_window, parse_config
+from .config import _parse_complex, _parse_int, _parse_window, check_resolution, parse_config
 from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
 from .fem import ScalarField
@@ -219,6 +219,7 @@ def run_poynting(spec, cfg, opts, outdir: Path) -> None:
 
 
 def run_convergence_table(spec, cfg, opts, outdir: Path) -> None:
+    check_resolution(cfg.k, 2.0 * opts.h, "2h")   # the coarsest level
     ref = _oracle_reference(spec, cfg).scalars
     hs = [opts.h * 2.0, opts.h, opts.h / 2.0]
     errs = []

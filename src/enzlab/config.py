@@ -179,6 +179,13 @@ def _read_sections(path) -> dict:
     return sections
 
 
+def check_resolution(k: complex, h: float, name: str = "h") -> None:
+    """VALIDATION_ERROR, naming ``h`` as ``name``, unless |k| h <= pi: two points per wavelength."""
+    if abs(k) * h > math.pi:
+        raise ValidationError(f"mesh size {name} = {h:g} gives fewer than two points per "
+                              f"wavelength (|k| {name} = {abs(k) * h:.3g} > pi)")
+
+
 def parse_config(path):
     """Parse a configuration file into (DomainSpec, PhysicsConfig, RunOptions).
 
@@ -230,14 +237,11 @@ def parse_config(path):
         # the Robin term lives on the truncation circle, which a collar
         # would take out of the exterior problem
         raise ValidationError("radiation = robin requires pml_thickness = 0")
-    spec.validate()
     cfg.sources.validate(spec)
 
     opts = RunOptions(h=h, **read("run", order=_parse_int, rho_iters=_parse_int, seed=_parse_int,
                                   deltas=_parse_complex_list, window=_parse_window_key,
                                   gammas=_parse_complex_list, resonance_target=_parse_float,
                                   out=_parse_text))
-    if abs(cfg.k) * h > math.pi:
-        raise ValidationError(f"mesh size h = {h:g} gives fewer than two points per "
-                              f"wavelength (|k| h = {abs(cfg.k) * h:.3g} > pi)")
+    check_resolution(cfg.k, h)
     return spec, cfg, opts

