@@ -106,8 +106,8 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     """The radiating exterior operator, assembled once per mesh and (k, radiation).
 
     Every call with the same mesh and (k, radiation) shares the matrix and
-    its Dirichlet blocks, so the auxiliary set, the corrector engine and the
-    direct solve factor the scatterer's Dirichlet block once between them.
+    its Dirichlet blocks: the auxiliary set and the corrector engine factor
+    one between them, until a direct solve releases it (:mod:`enzlab.direct`).
     """
     def build():
         k = cfg.k

@@ -22,25 +22,23 @@ auxiliary source field reads, since no source reaches the scatterer.  The
 dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
-``S_e`` is read, per mesh and (k, radiation), off one factorization of the
-exterior system (:func:`fem.interface_last`) in the order of
-:func:`fem.node_order`: the exterior's free nodes in the order its Dirichlet
-block is factored in, then Gamma_Omega.  It is kept only inside ``C_1``.
-That LU serves the call that builds ``C_1`` and is then dropped: reading
-``S_e`` off its factors makes SuperLU keep copies of both on it (at
-h = 0.025 a kept one raised the resident set from 426 to 668 MB).  Later
-calls back-substitute on the exterior's Dirichlet block instead, which
-:func:`auxiliary.exterior_system` shares with the auxiliary set and the
-corrector engine.  Each delta factors Omega's operator in Omega's node
-order with Gamma_Omega last, since ``S_e`` is a dense block there.
+``S_e`` is read, per mesh and (k, radiation), off the one exterior
+factorization the direct solve keeps: ``B``, the exterior system in the
+order of :func:`fem.node_order` with Gamma_Omega last
+(:func:`fem.interface_last`).  Every delta back-substitutes on ``B``: the
+condensed load is ``-S_e`` times the Gamma_Omega part of ``B^-1 (b_f; 0)``,
+and the recovery is ``B^-1 (b_f; z + S_e t)`` for the trace ``t``.  The
+exterior's Dirichlet blocks are released before ``B`` is built, so no second
+exterior LU is alive beside it; a later Dirichlet solve on the exterior (the
+auxiliary set, the corrector engine) factors its block again.  Each delta
+factors Omega's operator with Gamma_Omega last, since ``S_e`` is dense there.
 
 Two entries of :meth:`Mesh.cached` hold what does not depend on delta: the
-affine operator of the latest (k, radiation), with ``K_ENZ`` and ``C_1``
-(filled in by its first solve) in Omega's numbering only, so that each delta
-forms one sum, which :class:`fem.Factored` permutes into Omega's order; and
-the load term of the latest (k, radiation, sources), solved on whichever
-exterior LU that solve has at hand.  The node orders are the mesh's own, so
-a new k or delta reorders nothing.
+affine operator of the latest (k, radiation), with ``K_ENZ`` and ``C_1`` in
+Omega's numbering only, so that each delta forms one sum, and ``B`` with
+``S_e`` (set by its first solve); and the load term of the latest
+(k, radiation, sources).  The node orders are the mesh's own, so a new k or
+delta reorders nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from . import fem
 from .errors import ValidationError, ZeroCoefficient
 from .auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
 from .fem import (LinearSystem, ScalarField, assemble, h1_l2_norms, h1_seminorm,
-                  renumber, solve, source_load, stiffness_matrix)
+                  renumber, source_load, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
 OMEGA_REGIONS = _as_region_set({Region.DOPANT, Region.ENZ})
@@ -72,7 +70,7 @@ class _AffineOperator:
     A_om: sp.csc_matrix        # Omega's operator at unit ENZ coefficient, on Omega
     K_om: sp.csc_matrix        # K_ENZ on Omega
     order: np.ndarray          # Omega's node order, Gamma_Omega last
-    C_1: sp.csc_matrix | None = None   # A_om plus S_e on Gamma_Omega, set by the first solve
+    condensed: tuple | None = None   # (C_1, B, S_e, keep) of _condense, set by the first solve
 
 
 def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
@@ -112,13 +110,13 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
 
 
 def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator, ext: LinearSystem):
-    """``C_1``, and the interface-last exterior system it came from.
+    """``C_1``, Omega's operator plus ``S_e``, and the exterior system ``B`` it came from.
 
-    That system is the exterior's on ``keep``, its nodes off the collar's
-    fixed outer boundary, factored in the exterior free order with
-    Gamma_Omega last, so that its trailing Schur complement is ``S_e``.
-    Returns ``C_1`` and the triple (factored system, ``S_e`` dense, ``keep``).
+    ``B`` is the exterior's on ``keep``, its nodes off the collar's fixed
+    outer boundary, factored in the exterior free order with Gamma_Omega
+    last, so that its trailing Schur complement is ``S_e``, returned dense.
     """
+    ext.release_blocks()   # no exterior Dirichlet LU stays alive beside B
     fixed = [tag for tag in exterior_dirichlet(mesh, cfg, 0.0) if tag != Bnd.GAMMA_OMEGA]
     keep = fem.split_nodes(mesh, ext.regions, fixed)[0]
     gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
@@ -126,7 +124,7 @@ def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator, ext: LinearSy
     B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(),
                               fem.node_order(mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA]), n_g)
     S_e = sp.csc_matrix((S.ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))), shape=(n, n))
-    return (op.A_om + S_e).tocsc(), (B, S, keep)
+    return (op.A_om + S_e).tocsc(), B, S, keep
 
 
 def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
@@ -139,51 +137,36 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     factorization of the Omega operator per delta and one exterior solve.
     The glued field is certified on the global system by
     :func:`fem.certify` and carries that system's :class:`fem.SolveRecord`.
-    The first call per mesh and (k, radiation) factors the exterior system
-    with Gamma_Omega last, solves on that LU and drops it; later calls solve
-    on the exterior's Dirichlet block, shared through
-    :func:`auxiliary.exterior_system`.
+    The first call per mesh and (k, radiation) releases the exterior's
+    Dirichlet blocks and factors the exterior with Gamma_Omega last, which
+    every call then solves on.
     """
-    system = transmission_system(mesh, cfg)
     op = _affine_operator(mesh, cfg)
     ext = exterior_system(mesh, cfg)
     b_ext = source_load(mesh, ext.regions, cfg.sources)
+    if b_ext.any() and op.condensed is None:   # first, so A(delta) is not alive while S_e is read
+        op.condensed = _condense(mesh, cfg, op, ext)
+    system = transmission_system(mesh, cfg)
     rhs = np.zeros(len(system.nodes), dtype=complex)
     rhs[op.exterior] = b_ext
     bc = {Bnd.GAMMA_INF: 0.0} if Region.PML in system.regions else {}
     u = np.zeros(len(system.nodes), dtype=complex)
     if b_ext.any():
-        schur = None
-        if op.C_1 is None:
-            op.C_1, schur = _condense(mesh, cfg, op, ext)
-        if schur is not None:
-            B, S, keep = schur
-            g = B.order[len(keep) - len(S):]   # Gamma_Omega, as positions in keep
-            r = b_ext[keep]
-            r[g] = 0.0
-
-        def load_term():
-            if schur is not None:
-                # with z = A_gf A_ff^-1 b_f,
-                # B [x; y] = [b_f; 0] has S_e y = -z, and
-                # B [x; y] = [b_f; z + S_e t] has y = t and x = A_ff^-1 (b_f - A_fg t)
-                return -S @ B.solve(r)[g]
-            # the exterior field of zero trace is A_ff^-1 b_f
-            s = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, 0.0))
-            return (ext.A @ s.values)[ext.local_boundary(Bnd.GAMMA_OMEGA)]
+        C_1, B, S, keep = op.condensed
+        g = B.order[len(keep) - len(S):]   # Gamma_Omega, as positions in keep
+        r = b_ext[keep]
+        r[g] = 0.0
+        # with z = A_gf A_ff^-1 b_f, B [x; y] = [b_f; 0] has S_e y = -z, and
+        # B [x; y] = [b_f; z + S_e t] has y = t and x = A_ff^-1 (b_f - A_fg t)
         z = mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
-                        load_term)
+                        lambda: -S @ B.solve(r)[g])
         gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
         b_om = rhs[op.omega]
         b_om[gamma] -= z
         c = 1.0 / complex(cfg.delta) - 1.0
-        u_om = fem.Factored(op.C_1 + c * op.K_om, op.order).solve(b_om)
-        trace = u_om[gamma]
-        if schur is not None:
-            r[g] = z + S @ trace
-            u[op.exterior[keep]] = B.solve(r)   # Gamma_Omega takes u_om below
-        else:
-            u[op.exterior] = solve(ext, b_ext, exterior_dirichlet(mesh, cfg, trace)).values
+        u_om = fem.Factored(C_1 + c * op.K_om, op.order).solve(b_om)
+        r[g] = z + S @ u_om[gamma]
+        u[op.exterior[keep]] = B.solve(r)   # Gamma_Omega takes u_om below
         u[op.omega] = u_om
     return fem.certify(system, rhs, bc, u)
 

@@ -498,11 +498,9 @@ def factor(A: sp.csc_matrix):
       backward error of 1e-4 to 1e-3 (canonical mesh, h = 0.1); 0.1 falls
       back to an off-diagonal pivot there.
 
-    :func:`interface_last` reads a Schur complement off the trailing block
-    of the factors.  Reading ``lu.L`` and ``lu.U`` makes SuperLU build CSC
-    copies of both factors and keep them on the LU for its whole life (at
-    h = 0.025 an exterior kept that way raised the resident set from 426 to
-    668 MB), so such an LU is dropped after the call that reads it.
+    :func:`interface_last` reads a Schur complement off the CSC copies of
+    both factors that reading ``lu.L`` and ``lu.U`` makes SuperLU keep on the
+    LU, and empties them once read, so a kept LU costs its own factors only.
 
     A breakdown (an exactly singular pivot) raises SINGULAR_SYSTEM.
     """
@@ -523,16 +521,20 @@ def interface_last(A: sp.csc_matrix, order: np.ndarray, n_last: int):
     SINGULAR_SYSTEM otherwise.
 
     Returns ``A`` as a :class:`Factored`, and ``S`` as a dense array on the
-    tail's order.  The LU holds copies of both factors from here on (see
-    :func:`factor`); drop it when its solves are done.
+    tail's order.  The CSC copies of ``lu.L`` and ``lu.U`` that SuperLU keeps
+    (see :func:`factor`) are then emptied in place into valid matrices with no
+    entries: the LU solves as before, and nothing may read them afterwards.
     """
     B = Factored(A, order)
     lu = B.lu
     m = len(order) - n_last
     if not (lu.perm_r[m:] >= m).all():
         raise SingularSystem("pivoting moved an interface row into the eliminated block")
+    L, U = lu.L, lu.U
     # rows of the trailing block come out in perm_r's order; put them back
-    S = (lu.L[m:, m:] @ lu.U[m:, m:]).toarray()[lu.perm_r[m:] - m]
+    S = (L[m:, m:] @ U[m:, m:]).toarray()[lu.perm_r[m:] - m]
+    for F in (L, U):   # cached on the LU; were they fresh copies, dropping L, U would free them
+        F.data, F.indices, F.indptr = F.data[:0].copy(), F.indices[:0].copy(), 0 * F.indptr
     return B, S
 
 
@@ -642,6 +644,10 @@ class LinearSystem:
                 free_idx, fixed_idx, self.A[np.ix_(free_idx, free_idx)].tocsc(),
                 self.A[np.ix_(free_idx, fixed_idx)], node_order(self.mesh, self.regions, tags))
         return block
+
+    def release_blocks(self) -> None:
+        """Drop the Dirichlet blocks and their LUs, shared by every copy; solves rebuild them."""
+        self._blocks.clear()
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
         return _local_boundary(self.mesh, self.regions, tag)

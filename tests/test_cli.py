@@ -280,8 +280,11 @@ def test_direct_with_reciprocal_underflow_exits_7(tmp_path):
     ("dopant = circle 0 0 0.3", "dopant = circle 0 0 0"),     # was a ValueError traceback
     ("dopant = circle 0 0 0.3", "dopant = circle 0 0 -0.3"),  # exited 6, inverted triangles
     ("outer = circle 0 0 1", "outer = circle 0 0 -1"),        # exited 6 the same way
+    ("outer = circle 0 0 1", "outer = polygon -1 -1 1 -1 1 -1 1 1 -1 1"),   # repeated vertex
+    ("dopant = circle 0 0 0.3",                               # a C shape: exited 6 at h = 0.05
+     "dopant = polygon -0.5 -0.5 0.5 -0.5 0.5 -0.3 -0.3 -0.3 -0.3 0.3 0.5 0.3 0.5 0.5 -0.5 0.5"),
 ], ids=["dopant_leaving_scatterer", "dopant_radius_0", "dopant_radius_negative",
-        "outer_radius_negative"])
+        "outer_radius_negative", "outer_repeated_vertex", "dopant_not_star_shaped"])
 def test_bad_geometry_exits_5(tmp_path, capsys, old, new):
     assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new)) == 5   # GEOMETRY_INVALID
     err = capsys.readouterr().err

@@ -204,8 +204,8 @@ def _condensed_gaps(mesh, cfgs):
 
 
 def test_condensed_solve_matches_monolithic_solve():
-    # on each ray the first delta builds the condensation and solves on the
-    # interface-last LU, the others on the exterior's Dirichlet block
+    # on each ray the first delta builds the condensation and the interface-last
+    # LU, and every delta solves on that LU
     worst = 0.0
     for spec in (CANONICAL_SPEC, GENERIC_SPEC):
         for mode, thickness in (("pml", spec.pml_thickness), ("robin", 0.0)):
@@ -261,9 +261,47 @@ def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
              "Omega": n_omega, "transmission block": n_global}
     assert len(set(sizes.values())) == len(sizes)
     counts = {name: factored.count(n) for name, n in sizes.items()}
+    # the engine factors the Dirichlet block, which the first direct solve
+    # releases; every delta then solves on the one interface-last LU
     assert counts == {"exterior Dirichlet block": 1, "interface-last exterior": 1,
                       "Omega": 3, "transmission block": 0}
     assert len(system.nodes) not in factored
+
+
+def test_direct_sweep_factors_the_exterior_once(monkeypatch, cfg_ring):
+    factored = []
+    factor = fem.factor
+
+    def counted(A):
+        factored.append(A.shape[0])
+        return factor(A)
+
+    monkeypatch.setattr(fem, "factor", counted)
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
+        solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
+    ext = auxiliary.exterior_system(mesh, cfg_ring)
+    n_free = len(fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_INF, Bnd.GAMMA_OMEGA])[0])
+    n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
+    assert factored.count(n_free + n_gamma) == 1   # the interface-last exterior
+    assert n_free not in factored                  # no exterior Dirichlet block
+    assert not ext._blocks
+
+
+def test_engine_steps_the_same_after_a_direct_solve(cfg_ring):
+    # the direct solve releases the exterior's Dirichlet block and its LU;
+    # the engine's next lift factors it again, to the same bits
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    engine = CorrectorEngine(mesh, cfg_ring)
+    seed = engine.seed_state()
+    before = engine.step(seed)
+    assert engine.ext_system._blocks
+    solve_transmission(mesh, cfg_ring)
+    assert not auxiliary.exterior_system(mesh, cfg_ring)._blocks
+    assert not engine.ext_system._blocks
+    after = engine.step(seed)
+    for a, b in zip((before.g, before.h_e, before.h_d), (after.g, after.h_e, after.h_d)):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
@@ -330,7 +368,7 @@ def test_engine_and_direct_solves_assemble_and_load_the_exterior_once(monkeypatc
 
 def test_condensed_operator_is_omega_plus_exterior_schur_complement(mesh_coarse, cfg_ring):
     solve_transmission(mesh_coarse, cfg_ring)
-    C_1 = direct._affine_operator(mesh_coarse, cfg_ring).C_1
+    C_1 = direct._affine_operator(mesh_coarse, cfg_ring).condensed[0]
     k = cfg_ring.k
     A_om = fem.assemble(mesh_coarse, direct.OMEGA_REGIONS, {Region.DOPANT: 1.0, Region.ENZ: 1.0},
                         {Region.DOPANT: k * k, Region.ENZ: k * k}).A

@@ -676,6 +676,25 @@ def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_r
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()   # 6.8e-16 seen
 
 
+def test_interface_last_empties_the_factor_copies_and_solves_the_same(mesh_coarse, cfg_ring):
+    ext = exterior_system(mesh_coarse, cfg_ring)
+    gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)
+    keep = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF])[0]
+    order = fem.node_order(mesh_coarse, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
+    A = ext.A[np.ix_(keep, keep)].tocsc()
+    B, S = fem.interface_last(A, order, len(gamma))
+    assert B.lu.L.nnz == B.lu.U.nnz == 0
+    # a second factorization of the same matrix, its copies read and kept
+    ref = fem.Factored(A, order)
+    m = len(order) - len(gamma)
+    L, U = ref.lu.L, ref.lu.U
+    assert L.nnz > 0 and U.nnz > 0
+    S_ref = (L[m:, m:] @ U[m:, m:]).toarray()[ref.lu.perm_r[m:] - m]
+    assert np.array_equal(S, S_ref)
+    b = np.random.default_rng(0).standard_normal((len(keep), 2)) @ np.array([1.0, 1.0j])
+    assert np.array_equal(B.solve(b), ref.solve(b))
+
+
 def _per_triangle_source_load(mesh, regions, sources):
     """Reference load: each cut triangle subdivided on its own, in turn."""
     pos = mesh.region_pos(regions)

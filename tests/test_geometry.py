@@ -63,6 +63,28 @@ def test_bad_values_are_refused_when_made(make):
         make()
 
 
+C_SHAPE = Polygon(((-0.5, -0.5), (0.5, -0.5), (0.5, -0.3), (-0.3, -0.3), (-0.3, 0.3),
+                   (0.5, 0.3), (0.5, 0.5), (-0.5, 0.5)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Polygon(((-1, -1), (1, -1), (1, -1), (1, 1), (-1, 1))),
+     r"repeats vertex \(1, -1\) as vertices 2 and 3"),
+    (lambda: Polygon(((-1, -1), (1, -1), (1, 1), (-1, 1), (-1, -1))),
+     r"repeats vertex \(-1, -1\) as vertices 5 and 1"),
+    (lambda: _spec(dopant=C_SHAPE), "star-shaped about its centroid"),
+], ids=["repeated-vertex", "last-repeats-first", "dopant-not-star-shaped"])
+def test_refusals_name_their_rule(make, message):
+    with pytest.raises(GeometryInvalid, match=message):
+        make()
+
+
+def test_clockwise_star_shaped_dopant_passes():
+    # given clockwise, the square is normalized to counterclockwise before
+    # its edges are checked against the centroid
+    _spec(dopant=Polygon(((-0.25, -0.25), (-0.25, 0.25), (0.25, 0.25), (0.25, -0.25))))
+
+
 def test_circles_and_disks_keep_float_fields():
     for obj in (Circle((0, 1), 2), SourceDisk((0, 1), 2)):
         assert obj.center == (0.0, 1.0) and obj.radius == 2.0
