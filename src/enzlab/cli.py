@@ -3,7 +3,7 @@
 Every subcommand reads one configuration file, writes UTF-8 CSV artifacts
 (with header rows) plus a JSON run manifest into the output directory, and
 exits with a distinct nonzero code per error class.  Identical inputs produce
-byte-identical CSVs; timing information lives only in the manifest.
+byte-identical CSVs; timings and the peak resident set live only in the manifest.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -59,6 +60,15 @@ def _write_json(path: Path, data) -> None:
         json.dump(data, f, indent=2, default=lambda z: [z.real, z.imag])
 
 
+def _peak_rss_mb() -> float:
+    """The whole process's peak resident set so far, in MB.
+
+    ``ru_maxrss`` counts bytes on macOS and kilobytes on Linux.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
     data = {
         "subcommand": name,
@@ -72,6 +82,7 @@ def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
         },
         "run": dataclasses.asdict(opts),
         "timings_s": timings,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(outdir / "manifest.json", data)
 

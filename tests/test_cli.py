@@ -413,6 +413,7 @@ def test_manifest_records_flag_values(cfg_file, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["physics"]["delta"] == [0.05, 0.0]
     assert manifest["run"]["order"] == 1
+    assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0
     assert main(["sweep-delta", str(cfg_file), "--out", str(out),
                  "--deltas", "0.05,0 0.002,0.001", "--window", "disk:0,0,3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())

@@ -288,6 +288,39 @@ def test_direct_sweep_factors_the_exterior_once(monkeypatch, cfg_ring):
     assert not ext._blocks
 
 
+def _trimmed_run(cfg, events):
+    """The auxiliary fields and two direct solves on a fresh mesh, and the events of each."""
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    aux = auxiliary.solve_auxiliary_set(mesh, cfg)
+    stages = [events[:]]
+    fields = [aux.s, aux.psi_e, aux.psi_d]
+    for delta in (1e-2, 3e-3 + 1e-3j):
+        events.clear()
+        fields.append(solve_transmission(mesh, dataclasses.replace(cfg, delta=delta)))
+        stages.append(events[:])
+    events.clear()
+    return fields, stages
+
+
+def test_heap_is_trimmed_before_each_large_factorization(monkeypatch, cfg_ring):
+    events = []
+    factor, trim = fem.factor, fem.trim_heap
+    monkeypatch.setattr(fem, "factor", lambda A: events.append("factor") or factor(A))
+    monkeypatch.setattr(fem, "trim_heap", lambda: events.append("trim") or trim())
+    fields, stages = _trimmed_run(cfg_ring, events)
+    # the auxiliary set: a trim right before each Dirichlet-block LU (exterior,
+    # dopant); the first delta: one before the interface-last exterior LU, none
+    # before Omega's; the second delta: Omega's LU only
+    assert stages == [["trim", "factor", "trim", "factor"], ["trim", "factor", "factor"],
+                      ["factor"]]
+    # without malloc_trim the helper does nothing, and nothing else changes
+    monkeypatch.setattr(fem, "_LIBC", object())
+    trim()
+    untrimmed, _ = _trimmed_run(cfg_ring, events)
+    for u, v in zip(fields, untrimmed):
+        assert np.array_equal(u.values, v.values)
+
+
 def test_engine_steps_the_same_after_a_direct_solve(cfg_ring):
     # the direct solve releases the exterior's Dirichlet block and its LU;
     # the engine's next lift factors it again, to the same bits

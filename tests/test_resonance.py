@@ -187,22 +187,25 @@ def test_deflated_solve_breakdown_is_singular_system(mesh_fine, angular_cluster)
 
 
 def test_deflated_solve_holds_backward_error_contract(mesh_coarse, monkeypatch):
-    # with threshold 0 SuperLU takes a roundoff-sized diagonal pivot in the
-    # near-singular block and returns a field with backward error 1.5e-3; the
-    # solve must raise instead of returning it
-    import scipy.sparse.linalg as spla
+    # the patched factorization is of the bordered matrix with its largest
+    # diagonal entry made 1e-3 larger, so every solve off it is wrong by
+    # construction; the solve must raise instead of returning the field
+    import scipy.sparse as sp
     from enzlab import fem
 
-    def diagonal_only(A):
-        return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
+    exact = fem.factor
+
+    def one_pivot_off(A):
+        i = np.argmax(np.abs(A.diagonal()))
+        E = sp.csc_matrix(([1e-3 * A[i, i]], ([i], [i])), shape=A.shape)
+        return exact((A + E).tocsc())
 
     lam_star, cluster = resonant_cluster(mesh_coarse, LAM_RADIAL)
     n_bnd = len(mesh_coarse.boundary_nodes(Bnd.GAMMA_D))
     trace = np.ones(n_bnd, dtype=complex)
     deflated_dirichlet_solve(mesh_coarse, lam_star, cluster, trace)
-    monkeypatch.setattr(fem, "factor", diagonal_only)
-    with pytest.raises(SingularSystem):
+    monkeypatch.setattr(fem, "factor", one_pivot_off)
+    with pytest.raises(SingularSystem):   # backward error 1.1e-5 seen
         deflated_dirichlet_solve(mesh_coarse, lam_star, cluster, trace)
 
 
