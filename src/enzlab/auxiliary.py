@@ -105,9 +105,9 @@ def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     """The radiating exterior operator, assembled once per mesh and (k, radiation).
 
-    Every call with the same mesh and (k, radiation) shares the matrix and
-    its Dirichlet blocks: the auxiliary set and the corrector engine factor
-    one between them, until a direct solve releases it (:mod:`enzlab.direct`).
+    Its one LU, which :meth:`Mesh.cached` holds and no copy of the system, is
+    the Dirichlet block with Gamma_Omega fixed until a caller asks for ``S_e``
+    (:func:`exterior_schur`), and ``B`` from then on.
     """
     def build():
         k = cfg.k
@@ -122,6 +122,59 @@ def exterior_dirichlet(mesh: Mesh, cfg: PhysicsConfig, trace_omega) -> dict:
     if Region.PML in exterior_regions(mesh, cfg):
         bc[Bnd.GAMMA_INF] = 0.0
     return bc
+
+
+def exterior_schur(mesh: Mesh, cfg: PhysicsConfig):
+    """``(B, S, keep, g)``: the exterior's one LU from now on, after the Dirichlet block's.
+
+    ``B`` is the exterior on ``keep``, off the collar's outer boundary, factored with
+    Gamma_Omega (``g`` in ``keep``) last; ``S`` is ``S_e = A_gg - A_gf A_ff^-1 A_fg``.
+    """
+    lu = mesh.cached("exterior LU", (complex(cfg.k), cfg.radiation), lambda: [None])
+    if not isinstance(lu[0], tuple):
+        lu[0] = None
+        ext = exterior_system(mesh, cfg)
+        fixed = [tag for tag in exterior_dirichlet(mesh, cfg, 0.0) if tag != Bnd.GAMMA_OMEGA]
+        keep = fem.split_nodes(mesh, ext.regions, fixed)[0]
+        n_g = len(ext.local_boundary(Bnd.GAMMA_OMEGA))
+        B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(),
+                                  fem.node_order(mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA]), n_g)
+        lu[0] = B, S, keep, B.order[len(keep) - n_g:]
+    return lu[0]
+
+
+def condensed_load(mesh: Mesh, cfg: PhysicsConfig) -> np.ndarray:
+    """``z = A_gf A_ff^-1 b_f`` for the load of ``cfg.sources``, per (k, radiation, sources)."""
+    B, S, keep, g = exterior_schur(mesh, cfg)
+    r = source_load(mesh, exterior_regions(mesh, cfg), cfg.sources)[keep]
+    r[g] = 0.0   # B [x; y] = [b_f; 0] has S_e y = -z
+    return mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
+                       lambda: -S @ B.lu_solve(r)[g])
+
+
+def exterior_values(mesh: Mesh, cfg: PhysicsConfig, rhs: np.ndarray, trace) -> np.ndarray:
+    """:func:`solve_exterior`'s values off ``B``, unchecked, by ``B [x; y] = [b_f; z + S_e t]``."""
+    B, S, keep, g = exterior_schur(mesh, cfg)
+    r = rhs[keep]
+    r[g] = (condensed_load(mesh, cfg) if rhs.any() else 0.0) + S @ np.broadcast_to(trace, len(g))
+    u = np.zeros(len(rhs), dtype=complex)
+    u[keep] = B.lu_solve(r)   # x = A_ff^-1 (b_f - A_fg t), and y = t to roundoff
+    u[keep[g]] = trace
+    return u
+
+
+def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray, trace):
+    """The exterior field of load ``rhs`` (zero or from ``cfg.sources``), ``trace`` on Gamma_Omega.
+
+    Solved on the exterior's one LU: the Dirichlet block, as :func:`fem.solve`
+    solves and checks, or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
+    """
+    bc = exterior_dirichlet(system.mesh, cfg, trace)
+    lu = system.mesh.cached("exterior LU", (complex(cfg.k), cfg.radiation), lambda: [None])
+    if isinstance(lu[0], tuple):
+        return fem.certify(system, rhs, bc, exterior_values(system.mesh, cfg, rhs, trace))
+    lu[0] = lu[0] or replace(system, _blocks={}).dirichlet_block(bc)   # no system copy holds it
+    return lu[0].solve(system, rhs, bc)
 
 
 def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
@@ -156,19 +209,15 @@ def solve_s(mesh: Mesh, cfg: PhysicsConfig, system=None):
     orientation).  A trivial source yields the zero field.
     """
     system = system or exterior_system(mesh, cfg)
-    rhs = source_load(mesh, system.regions, cfg.sources)
-    u = solve(system, rhs, exterior_dirichlet(mesh, cfg, 0.0))
-    flux = flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
-    return u, flux
+    u = solve_exterior(system, cfg, source_load(mesh, system.regions, cfg.sources), 0.0)
+    return u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
 
 
 def solve_psi_e(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """Exterior lifting field: unit trace on the scatterer, radiating."""
     system = system or exterior_system(mesh, cfg)
-    rhs = np.zeros(len(system.nodes), dtype=complex)
-    u = solve(system, rhs, exterior_dirichlet(mesh, cfg, 1.0))
-    flux = flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
-    return u, flux
+    u = solve_exterior(system, cfg, np.zeros(len(system.nodes), dtype=complex), 1.0)
+    return u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
 
 
 def solve_psi_d(mesh: Mesh, cfg: PhysicsConfig, system=None, guard: bool = True):

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentSeries, NoConvergence
-from .auxiliary import (AuxiliarySet, PhysicsConfig, exterior_dirichlet,
-                        solve_auxiliary_set)
+from .auxiliary import AuxiliarySet, PhysicsConfig, solve_auxiliary_set, solve_exterior
 from .fem import (BACKWARD_RTOL, BoundaryFunctional, NeumannSystem, ScalarField,
                   flux_extract, h1_norm, solve)
 from .geometry import Bnd, Mesh, Region
@@ -153,7 +152,7 @@ class CorrectorEngine:
     def lift(self, trace_e: np.ndarray, trace_d: np.ndarray):
         """Radiating exterior and interior dopant solves from interface traces."""
         rhs_e = np.zeros(len(self.ext_system.nodes), dtype=complex)
-        lam = solve(self.ext_system, rhs_e, exterior_dirichlet(self.mesh, self.cfg, trace_e))
+        lam = solve_exterior(self.ext_system, self.cfg, rhs_e, trace_e)
         rhs_d = np.zeros(len(self.dop_system.nodes), dtype=complex)
         chi = solve(self.dop_system, rhs_d, {Bnd.GAMMA_D: trace_d})
         return lam, chi

@@ -7,10 +7,8 @@ Omega's own operator at unit ENZ coefficient, Omega = ENZ + dopant, and
 ``K_ENZ`` is the annulus stiffness; each part is assembled on its own region
 set and placed on the global numbering by :func:`fem.renumber`.
 
-The exterior reaches a solve only through its Dirichlet-to-Neumann map on
-the scatterer boundary Gamma_Omega: ``S_e = A_gg - A_gf A_ff^-1 A_fg``, the
-Schur complement of the exterior system onto Gamma_Omega, with ``f`` the
-exterior's free nodes (Gamma_inf is fixed under the collar).
+The exterior reaches a solve only through its Dirichlet-to-Neumann map
+``S_e`` on the scatterer boundary Gamma_Omega (:func:`auxiliary.exterior_schur`).
 :func:`solve_transmission` therefore solves each delta on Omega alone, with
 ``C_1 + (1/delta - 1) K_ENZ``, where ``C_1`` is Omega's operator plus ``S_e``
 on Gamma_Omega, and the load less the condensed term ``A_gf A_ff^-1 b_f``.
@@ -22,23 +20,12 @@ auxiliary source field reads, since no source reaches the scatterer.  The
 dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
-``S_e`` is read, per mesh and (k, radiation), off the one exterior
-factorization the direct solve keeps: ``B``, the exterior system in the
-order of :func:`fem.node_order` with Gamma_Omega last
-(:func:`fem.interface_last`).  Every delta back-substitutes on ``B``: the
-condensed load is ``-S_e`` times the Gamma_Omega part of ``B^-1 (b_f; 0)``,
-and the recovery is ``B^-1 (b_f; z + S_e t)`` for the trace ``t``.  The
-exterior's Dirichlet blocks are released before ``B`` is built, so no second
-exterior LU is alive beside it; a later Dirichlet solve on the exterior (the
-auxiliary set, the corrector engine) factors its block again.  Each delta
-factors Omega's operator with Gamma_Omega last, since ``S_e`` is dense there.
-
-Two entries of :meth:`Mesh.cached` hold what does not depend on delta: the
-affine operator of the latest (k, radiation), with ``K_ENZ`` and ``C_1`` in
-Omega's numbering only, so that each delta forms one sum, and ``B`` with
-``S_e`` (set by its first solve); and the load term of the latest
-(k, radiation, sources).  The node orders are the mesh's own, so a new k or
-delta reorders nothing.
+``S_e``, the condensed load and the recovery come off the exterior's one LU
+in :mod:`enzlab.auxiliary`: the first call per mesh and (k, radiation) puts
+``B`` in the Dirichlet block's place, and the auxiliary set and the corrector
+engine then solve on ``B`` too.  Each delta factors Omega's operator, with
+Gamma_Omega last since ``S_e`` is dense there, as one sum of the kept ``C_1``
+and ``K_ENZ`` in Omega's numbering.  The node orders are the mesh's own.
 """
 
 from __future__ import annotations
@@ -50,7 +37,8 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import ValidationError, ZeroCoefficient
-from .auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
+from .auxiliary import (PhysicsConfig, condensed_load, exterior_schur, exterior_system,
+                        exterior_values)
 from .fem import (LinearSystem, ScalarField, assemble, h1_l2_norms, h1_seminorm,
                   renumber, source_load, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region, _as_region_set
@@ -70,7 +58,7 @@ class _AffineOperator:
     A_om: sp.csc_matrix        # Omega's operator at unit ENZ coefficient, on Omega
     K_om: sp.csc_matrix        # K_ENZ on Omega
     order: np.ndarray          # Omega's node order, Gamma_Omega last
-    condensed: tuple | None = None   # (C_1, B, S_e, keep) of _condense, set by the first solve
+    C_1: sp.csc_matrix | None = None   # A_om plus S_e on Gamma_Omega, set by the first solve
 
 
 def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
@@ -109,24 +97,6 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     return LinearSystem(mesh, op.regions, A, mesh.region_nodes(op.regions))
 
 
-def _condense(mesh: Mesh, cfg: PhysicsConfig, op: _AffineOperator, ext: LinearSystem):
-    """``C_1``, Omega's operator plus ``S_e``, and the exterior system ``B`` it came from.
-
-    ``B`` is the exterior's on ``keep``, its nodes off the collar's fixed
-    outer boundary, factored in the exterior free order with Gamma_Omega
-    last, so that its trailing Schur complement is ``S_e``, returned dense.
-    """
-    ext.release_blocks()   # no exterior Dirichlet LU stays alive beside B
-    fixed = [tag for tag in exterior_dirichlet(mesh, cfg, 0.0) if tag != Bnd.GAMMA_OMEGA]
-    keep = fem.split_nodes(mesh, ext.regions, fixed)[0]
-    gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
-    n_g, n = len(gamma), op.A_om.shape[0]
-    B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(),
-                              fem.node_order(mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA]), n_g)
-    S_e = sp.csc_matrix((S.ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))), shape=(n, n))
-    return (op.A_om + S_e).tocsc(), B, S, keep
-
-
 def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     """Solve the scattering problem at finite ENZ permittivity ``cfg.delta``.
 
@@ -137,36 +107,25 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     factorization of the Omega operator per delta and one exterior solve.
     The glued field is certified on the global system by
     :func:`fem.certify` and carries that system's :class:`fem.SolveRecord`.
-    The first call per mesh and (k, radiation) releases the exterior's
-    Dirichlet blocks and factors the exterior with Gamma_Omega last, which
-    every call then solves on.
     """
     op = _affine_operator(mesh, cfg)
-    ext = exterior_system(mesh, cfg)
-    b_ext = source_load(mesh, ext.regions, cfg.sources)
-    if b_ext.any() and op.condensed is None:   # first, so A(delta) is not alive while S_e is read
-        op.condensed = _condense(mesh, cfg, op, ext)
+    b_ext = source_load(mesh, exterior_system(mesh, cfg).regions, cfg.sources)
+    gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
+    if b_ext.any() and op.C_1 is None:   # first, so A(delta) is not alive while S_e is read
+        S, n_g = exterior_schur(mesh, cfg)[1], len(gamma)
+        op.C_1 = (op.A_om + sp.csc_matrix((S.ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))),
+                                          shape=op.A_om.shape)).tocsc()
     system = transmission_system(mesh, cfg)
     rhs = np.zeros(len(system.nodes), dtype=complex)
     rhs[op.exterior] = b_ext
     bc = {Bnd.GAMMA_INF: 0.0} if Region.PML in system.regions else {}
     u = np.zeros(len(system.nodes), dtype=complex)
     if b_ext.any():
-        C_1, B, S, keep = op.condensed
-        g = B.order[len(keep) - len(S):]   # Gamma_Omega, as positions in keep
-        r = b_ext[keep]
-        r[g] = 0.0
-        # with z = A_gf A_ff^-1 b_f, B [x; y] = [b_f; 0] has S_e y = -z, and
-        # B [x; y] = [b_f; z + S_e t] has y = t and x = A_ff^-1 (b_f - A_fg t)
-        z = mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
-                        lambda: -S @ B.solve(r)[g])
-        gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
         b_om = rhs[op.omega]
-        b_om[gamma] -= z
+        b_om[gamma] -= condensed_load(mesh, cfg)
         c = 1.0 / complex(cfg.delta) - 1.0
-        u_om = fem.Factored(C_1 + c * op.K_om, op.order).solve(b_om)
-        r[g] = z + S @ u_om[gamma]
-        u[op.exterior[keep]] = B.solve(r)   # Gamma_Omega takes u_om below
+        u_om = fem.Factored(op.C_1 + c * op.K_om, op.order).solve(b_om)
+        u[op.exterior] = exterior_values(mesh, cfg, b_ext, u_om[gamma])   # Gamma_Omega takes u_om
         u[op.omega] = u_om
     return fem.certify(system, rhs, bc, u)
 

@@ -324,8 +324,8 @@ class Mesh:
     Topology queries are memoized per normalized region set and return
     read-only arrays shared by every caller.  :meth:`cached` is the one
     per-mesh cache: topology, the node orders of the factorizations, source
-    loads, the exterior and dopant systems, the transmission operator with
-    its condensed load, and the norm forms all live in it.
+    loads, the exterior and dopant systems, the exterior's one LU and its
+    condensed load, the transmission operator, and the norm forms live in it.
     """
 
     nodes: np.ndarray                       # (N, 2) float64
@@ -738,8 +738,10 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
 
 
 def _check_quality(mesh: Mesh, target_h: float) -> None:
-    if (mesh.tri_areas <= 0).any():
-        raise MeshFailure("mesh contains inverted triangles")
+    inverted = mesh.tri_areas <= 0
+    if inverted.any():
+        where = ", ".join(Region(r).name for r in np.unique(mesh.tri_region[inverted]))
+        raise MeshFailure(f"mesh contains {inverted.sum()} inverted triangles, in {where}")
     x, y = _corners(mesh.nodes, mesh.triangles)
     ex, ey = x[[1, 2, 0]] - x, y[[1, 2, 0]] - y   # the edges p1 - p0, p2 - p1, p0 - p2
     lens = np.sqrt(ex * ex + ey * ey)

@@ -291,6 +291,34 @@ def test_bad_geometry_exits_5(tmp_path, capsys, old, new):
     assert err.startswith("error [GEOMETRY_INVALID]: ") and err.count("\n") == 1
 
 
+def test_folded_band_exits_6_naming_its_regions(tmp_path, capsys):
+    # a C-shaped scatterer folds the homotopy band between it and the dopant
+    text = (CANONICAL_CFG.replace("h = 0.2", "h = 0.05")
+            .replace("outer = circle 0 0 1",
+                     "outer = polygon -1 -1 1 -1 1 -0.6 -0.6 -0.6 -0.6 0.6 1 0.6 1 1 -1 1")
+            .replace("dopant = circle 0 0 0.3", "dopant = circle -0.8 0 0.1"))
+    assert _exit_code(tmp_path, text) == 6   # MESH_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error [MESH_FAILURE]: mesh contains ") and err.count("\n") == 1
+    assert "inverted triangles, in ENZ, EXTERIOR" in err   # 9896 of them
+
+
+def test_sweep_delta_factors_the_exterior_once(tmp_path, monkeypatch):
+    from enzlab import fem
+    from enzlab.geometry import Bnd, Region
+    factored = []
+    factor = fem.factor
+    monkeypatch.setattr(fem, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\ndeltas = 0.1,0 0.01,0.01")
+    assert _exit_code(tmp_path, text, sub="sweep-delta") == 0
+    mesh = build_mesh(parse_config(tmp_path / "case.cfg")[0], 0.2)
+    n_keep = (len(mesh.region_nodes([Region.EXTERIOR, Region.PML]))
+              - len(mesh.boundary_nodes(Bnd.GAMMA_INF)))
+    n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
+    assert factored.count(n_keep) == 1            # the interface-last exterior
+    assert factored.count(n_keep - n_gamma) == 0  # no exterior Dirichlet block
+
+
 def test_mesh_size_at_half_gap_exits_6(tmp_path):
     text = CANONICAL_CFG.replace("h = 0.2", "h = 0.35")   # gap is 0.7
     assert _exit_code(tmp_path, text) == 6   # MESH_FAILURE

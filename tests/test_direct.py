@@ -321,20 +321,44 @@ def test_heap_is_trimmed_before_each_large_factorization(monkeypatch, cfg_ring):
         assert np.array_equal(u.values, v.values)
 
 
-def test_engine_steps_the_same_after_a_direct_solve(cfg_ring):
-    # the direct solve releases the exterior's Dirichlet block and its LU;
-    # the engine's next lift factors it again, to the same bits
-    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
+    # the direct solve puts B in the place of the exterior's Dirichlet block;
+    # the engine's next step solves on B, factors nothing, and moves at roundoff
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
     engine = CorrectorEngine(mesh, cfg_ring)
     seed = engine.seed_state()
     before = engine.step(seed)
-    assert engine.ext_system._blocks
+    block = mesh._memo["exterior LU"][1][0]
+    assert isinstance(block, fem.DirichletBlock)
+    block_lu = weakref.ref(block.ff)
+    del block
     solve_transmission(mesh, cfg_ring)
-    assert not auxiliary.exterior_system(mesh, cfg_ring)._blocks
-    assert not engine.ext_system._blocks
+    factored = []
+    factor = fem.factor
+    monkeypatch.setattr(fem, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
     after = engine.step(seed)
+    assert factored == []
+    gc.collect()
+    assert block_lu() is None and isinstance(mesh._memo["exterior LU"][1][0], tuple)
+    assert not engine.ext_system._blocks
     for a, b in zip((before.g, before.h_e, before.h_d), (after.g, after.h_e, after.h_d)):
-        assert np.array_equal(a.values, b.values)
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
+
+
+@pytest.mark.parametrize("mode, thickness", [("pml", 1.0), ("robin", 0.0)])
+def test_exterior_schur_complement_maps_a_trace_to_its_flux(cfg_ring, mode, thickness):
+    # S_e t is the exterior flux on Gamma_Omega of the Dirichlet field of trace t
+    mesh = build_mesh(dataclasses.replace(CANONICAL_SPEC, pml_thickness=thickness), 0.1)
+    cfg = dataclasses.replace(cfg_ring, radiation=RadiationSpec(mode))
+    ext = auxiliary.exterior_system(mesh, cfg)
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal(len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))) + 1j
+    lam = auxiliary.solve_exterior(ext, cfg, np.zeros(len(ext.nodes), dtype=complex), t)
+    assert isinstance(mesh._memo["exterior LU"][1][0], fem.DirichletBlock)
+    h_e = fem.flux_extract(lam, ext, Bnd.GAMMA_OMEGA, orientation="canonical").values
+    S_e = auxiliary.exterior_schur(mesh, cfg)[1]
+    flux = fem.curve_sign(ext.regions, Bnd.GAMMA_OMEGA) * (S_e @ t)
+    assert np.abs(flux - h_e).max() <= 1e-12 * np.abs(h_e).max()
 
 
 def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
@@ -401,7 +425,7 @@ def test_engine_and_direct_solves_assemble_and_load_the_exterior_once(monkeypatc
 
 def test_condensed_operator_is_omega_plus_exterior_schur_complement(mesh_coarse, cfg_ring):
     solve_transmission(mesh_coarse, cfg_ring)
-    C_1 = direct._affine_operator(mesh_coarse, cfg_ring).condensed[0]
+    C_1 = direct._affine_operator(mesh_coarse, cfg_ring).C_1
     k = cfg_ring.k
     A_om = fem.assemble(mesh_coarse, direct.OMEGA_REGIONS, {Region.DOPANT: 1.0, Region.ENZ: 1.0},
                         {Region.DOPANT: k * k, Region.ENZ: k * k}).A
