@@ -105,9 +105,9 @@ def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     """The radiating exterior operator, assembled once per mesh and (k, radiation).
 
-    Its one LU, which :meth:`Mesh.cached` holds and no copy of the system, is
-    the Dirichlet block with Gamma_Omega fixed until a caller asks for ``S_e``
-    (:func:`exterior_schur`), and ``B`` from then on.
+    Its one LU lives in the blocks that every copy of the system shares, for as long
+    as anything holds the system: the Dirichlet block with Gamma_Omega fixed until a
+    caller asks for ``S_e`` (:func:`exterior_schur`), and ``B`` from then on.
     """
     def build():
         k = cfg.k
@@ -124,39 +124,38 @@ def exterior_dirichlet(mesh: Mesh, cfg: PhysicsConfig, trace_omega) -> dict:
     return bc
 
 
-def exterior_schur(mesh: Mesh, cfg: PhysicsConfig):
-    """``(B, S, keep, g)``: the exterior's one LU from now on, after the Dirichlet block's.
+def exterior_schur(ext: fem.LinearSystem):
+    """``(B, S, keep, g)``: ``ext``'s one LU from now on, in its Dirichlet block's place.
 
     ``B`` is the exterior on ``keep``, off the collar's outer boundary, factored with
     Gamma_Omega (``g`` in ``keep``) last; ``S`` is ``S_e = A_gg - A_gf A_ff^-1 A_fg``.
     """
-    lu = mesh.cached("exterior LU", (complex(cfg.k), cfg.radiation), lambda: [None])
-    if not isinstance(lu[0], tuple):
-        lu[0] = None
-        ext = exterior_system(mesh, cfg)
-        fixed = [tag for tag in exterior_dirichlet(mesh, cfg, 0.0) if tag != Bnd.GAMMA_OMEGA]
-        keep = fem.split_nodes(mesh, ext.regions, fixed)[0]
+    if "S_e" not in ext._blocks:
+        ext._blocks.clear()   # the Dirichlet block's LU goes before B is factored
+        fixed = [Bnd.GAMMA_INF] if Region.PML in ext.regions else []   # as exterior_dirichlet
+        keep = fem.split_nodes(ext.mesh, ext.regions, fixed)[0]
         n_g = len(ext.local_boundary(Bnd.GAMMA_OMEGA))
-        B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(),
-                                  fem.node_order(mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA]), n_g)
-        lu[0] = B, S, keep, B.order[len(keep) - n_g:]
-    return lu[0]
+        order = fem.node_order(ext.mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA])
+        B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(), order, n_g)
+        ext._blocks["S_e"] = B, S, keep, B.order[len(keep) - n_g:]
+    return ext._blocks["S_e"]
 
 
-def condensed_load(mesh: Mesh, cfg: PhysicsConfig) -> np.ndarray:
+def condensed_load(ext: fem.LinearSystem, cfg: PhysicsConfig) -> np.ndarray:
     """``z = A_gf A_ff^-1 b_f`` for the load of ``cfg.sources``, per (k, radiation, sources)."""
-    B, S, keep, g = exterior_schur(mesh, cfg)
-    r = source_load(mesh, exterior_regions(mesh, cfg), cfg.sources)[keep]
+    B, S, keep, g = exterior_schur(ext)
+    r = source_load(ext.mesh, ext.regions, cfg.sources)[keep]
     r[g] = 0.0   # B [x; y] = [b_f; 0] has S_e y = -z
-    return mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
-                       lambda: -S @ B.lu_solve(r)[g])
+    return ext.mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
+                           lambda: -S @ B.lu_solve(r)[g])
 
 
-def exterior_values(mesh: Mesh, cfg: PhysicsConfig, rhs: np.ndarray, trace) -> np.ndarray:
+def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray,
+                    trace) -> np.ndarray:
     """:func:`solve_exterior`'s values off ``B``, unchecked, by ``B [x; y] = [b_f; z + S_e t]``."""
-    B, S, keep, g = exterior_schur(mesh, cfg)
+    B, S, keep, g = exterior_schur(ext)
     r = rhs[keep]
-    r[g] = (condensed_load(mesh, cfg) if rhs.any() else 0.0) + S @ np.broadcast_to(trace, len(g))
+    r[g] = (condensed_load(ext, cfg) if rhs.any() else 0.0) + S @ np.broadcast_to(trace, len(g))
     u = np.zeros(len(rhs), dtype=complex)
     u[keep] = B.lu_solve(r)   # x = A_ff^-1 (b_f - A_fg t), and y = t to roundoff
     u[keep[g]] = trace
@@ -166,15 +165,13 @@ def exterior_values(mesh: Mesh, cfg: PhysicsConfig, rhs: np.ndarray, trace) -> n
 def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray, trace):
     """The exterior field of load ``rhs`` (zero or from ``cfg.sources``), ``trace`` on Gamma_Omega.
 
-    Solved on the exterior's one LU: the Dirichlet block, as :func:`fem.solve`
-    solves and checks, or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
+    Solved on the system's one LU: its Dirichlet block by :func:`fem.solve`,
+    or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
     """
     bc = exterior_dirichlet(system.mesh, cfg, trace)
-    lu = system.mesh.cached("exterior LU", (complex(cfg.k), cfg.radiation), lambda: [None])
-    if isinstance(lu[0], tuple):
-        return fem.certify(system, rhs, bc, exterior_values(system.mesh, cfg, rhs, trace))
-    lu[0] = lu[0] or replace(system, _blocks={}).dirichlet_block(bc)   # no system copy holds it
-    return lu[0].solve(system, rhs, bc)
+    if "S_e" in system._blocks:
+        return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
+    return solve(system, rhs, bc)
 
 
 def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:

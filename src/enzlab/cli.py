@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EnzLabError, ValidationError
-from .auxiliary import exterior_schur, rellich_residual, solve_auxiliary_set
+from .auxiliary import exterior_schur, exterior_system, rellich_residual, solve_auxiliary_set
 from .config import _parse_complex, _parse_int, _parse_window, check_resolution, parse_config
 from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
@@ -155,7 +155,7 @@ def run_sweep_delta(spec, cfg, opts, outdir: Path) -> None:
     if not opts.deltas:
         raise ValidationError("sweep needs a nonempty deltas list")
     mesh = build_mesh(spec, opts.h)
-    exterior_schur(mesh, cfg)   # the direct solves' exterior LU, which the engine then shares
+    exterior_schur(exterior_system(mesh, cfg))   # the direct solves' LU, which the engine shares
     engine = CorrectorEngine(mesh, cfg)
     hier = engine.build_hierarchy(2)
 

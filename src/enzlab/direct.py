@@ -20,10 +20,10 @@ auxiliary source field reads, since no source reaches the scatterer.  The
 dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
-``S_e``, the condensed load and the recovery come off the exterior's one LU
-in :mod:`enzlab.auxiliary`: the first call per mesh and (k, radiation) puts
-``B`` in the Dirichlet block's place, and the auxiliary set and the corrector
-engine then solve on ``B`` too.  Each delta factors Omega's operator, with
+``S_e``, the condensed load and the recovery come off the exterior system's
+one LU, where :func:`auxiliary.exterior_schur` puts ``B`` in the Dirichlet
+block's place; the auxiliary set and the corrector engine, which hold the same
+system, then solve on ``B`` too.  Each delta factors Omega's operator, with
 Gamma_Omega last since ``S_e`` is dense there, as one sum of the kept ``C_1``
 and ``K_ENZ`` in Omega's numbering.  The node orders are the mesh's own.
 """
@@ -109,10 +109,11 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     :func:`fem.certify` and carries that system's :class:`fem.SolveRecord`.
     """
     op = _affine_operator(mesh, cfg)
-    b_ext = source_load(mesh, exterior_system(mesh, cfg).regions, cfg.sources)
+    ext = exterior_system(mesh, cfg)
+    b_ext = source_load(mesh, ext.regions, cfg.sources)
     gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
     if b_ext.any() and op.C_1 is None:   # first, so A(delta) is not alive while S_e is read
-        S, n_g = exterior_schur(mesh, cfg)[1], len(gamma)
+        S, n_g = exterior_schur(ext)[1], len(gamma)
         op.C_1 = (op.A_om + sp.csc_matrix((S.ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))),
                                           shape=op.A_om.shape)).tocsc()
     system = transmission_system(mesh, cfg)
@@ -122,10 +123,10 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     u = np.zeros(len(system.nodes), dtype=complex)
     if b_ext.any():
         b_om = rhs[op.omega]
-        b_om[gamma] -= condensed_load(mesh, cfg)
+        b_om[gamma] -= condensed_load(ext, cfg)
         c = 1.0 / complex(cfg.delta) - 1.0
         u_om = fem.Factored(op.C_1 + c * op.K_om, op.order).solve(b_om)
-        u[op.exterior] = exterior_values(mesh, cfg, b_ext, u_om[gamma])   # Gamma_Omega takes u_om
+        u[op.exterior] = exterior_values(ext, cfg, b_ext, u_om[gamma])   # Gamma_Omega takes u_om
         u[op.omega] = u_om
     return fem.certify(system, rhs, bc, u)
 

@@ -665,18 +665,6 @@ class DirichletBlock:
         ff.lu   # factored now, while the heap is trimmed
         return ff
 
-    def solve(self, system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
-              rtol: float = BACKWARD_RTOL) -> ScalarField:
-        """:func:`solve` on this block of ``system``, which fixes the ``dirichlet`` tags."""
-        u = np.zeros(len(system.nodes), dtype=complex)
-        for tag, val in dirichlet.items():
-            u[system.local_boundary(Bnd(tag))] = val
-        b_free = rhs[self.free] - self.A_fd @ u[self.fixed]
-        if np.linalg.norm(b_free) == 0.0:     # the free values stay zero
-            return _checked_field(system, rhs, u)
-        u[self.free] = self.ff.lu_solve(b_free)
-        return _checked_field(system, rhs, u, self.free, self.ff.norm, b_free, rtol)
-
 
 @dataclass(eq=False)
 class LinearSystem:
@@ -686,7 +674,7 @@ class LinearSystem:
     regions: frozenset
     A: sp.csc_matrix
     nodes: np.ndarray
-    _blocks: dict = dc_field(default_factory=dict, repr=False)
+    _blocks: dict = dc_field(default_factory=dict, repr=False)   # every copy shares them
 
     def dirichlet_block(self, tags) -> DirichletBlock:
         """Block with the nodes of the ``Bnd`` tags fixed; built once per tag set."""
@@ -813,9 +801,17 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     makes a plain ||Ax-b|| <= rtol ||b|| test unattainable in double
     precision while the solve is still perfectly reliable).
     """
+    rhs = np.asarray(rhs, dtype=complex)
     dirichlet = dict(dirichlet or {})
-    return system.dirichlet_block(dirichlet).solve(system, np.asarray(rhs, dtype=complex),
-                                                   dirichlet, rtol)
+    block = system.dirichlet_block(dirichlet)
+    u = np.zeros(len(system.nodes), dtype=complex)
+    for tag, val in dirichlet.items():
+        u[system.local_boundary(Bnd(tag))] = val
+    b_free = rhs[block.free] - block.A_fd @ u[block.fixed]
+    if np.linalg.norm(b_free) == 0.0:     # the free values stay zero
+        return _checked_field(system, rhs, u)
+    u[block.free] = block.ff.lu_solve(b_free)
+    return _checked_field(system, rhs, u, block.free, block.ff.norm, b_free, rtol)
 
 
 def _checked_field(system: LinearSystem, rhs: np.ndarray, u: np.ndarray, free=None,

@@ -324,8 +324,8 @@ class Mesh:
     Topology queries are memoized per normalized region set and return
     read-only arrays shared by every caller.  :meth:`cached` is the one
     per-mesh cache: topology, the node orders of the factorizations, source
-    loads, the exterior and dopant systems, the exterior's one LU and its
-    condensed load, the transmission operator, and the norm forms live in it.
+    loads, the exterior and dopant systems with their LUs, the condensed load,
+    the transmission operator, and the norm forms live in it.
     """
 
     nodes: np.ndarray                       # (N, 2) float64

@@ -142,7 +142,7 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     # limit objects use the exterior problem exactly at the eigenvalue
     cfg_star = PhysicsConfig.from_k(_branch_sqrt(lam_star), sources=cfg.sources,
                                     radiation=cfg.radiation)
-    _, flux_s_star = solve_s(mesh, cfg_star)
+    flux_s_star = solve_s(mesh, cfg_star)[1]   # not the field, which holds the k* exterior LU
     study.flux_s = flux_s_star
     study.c_bar = compute_cbar(lam_star, means, flux_s_star)
     study.phi_hat0 = solve_phi_hat0(mesh, cluster, study.c_bar, means, flux_s_star)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from enzlab import fem
 from enzlab.auxiliary import PhysicsConfig
 from enzlab.correctors import CorrectorEngine, IterState, flux_average
 from enzlab.direct import PHYSICAL_REGIONS, compare_fields, solve_transmission
@@ -11,7 +12,7 @@ from enzlab.errors import DivergentSeries
 from enzlab.fem import BoundaryFunctional, ScalarField, h1_norm, l2_norm
 from enzlab.geometry import Bnd, Region, SourceSpec, build_mesh
 
-from conftest import GENERIC_SPEC
+from conftest import CANONICAL_SPEC, GENERIC_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +275,18 @@ def test_corrector_bound_surrogate(engine_coarse, hier8):
     K = phi_norms[0]
     bound = 1.2 * K * rho ** np.arange(len(phi_norms))
     assert (phi_norms <= bound).all()
+
+
+def test_engines_at_two_k_step_in_turn_on_their_own_exterior_lus(monkeypatch, cfg_ring):
+    # each engine's exterior system holds its one LU, so taking turns refactors nothing
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    engines = [CorrectorEngine(mesh, dataclasses.replace(cfg_ring, mu=mu)) for mu in (1.0, 1.7)]
+    states = [e.step(e.seed_state()) for e in engines]
+    factored = []
+    factor = fem.factor
+    monkeypatch.setattr(fem, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
+    for _ in range(3):
+        states = [e.step(s) for e, s in zip(engines, states)]
+    assert factored == []
+    (block_1,), (block_2,) = (e.ext_system._blocks.values() for e in engines)
+    assert isinstance(block_1, fem.DirichletBlock) and block_1.ff.lu is not block_2.ff.lu

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["03_auxiliary_constants", "04_expansion_orders",
-                                  "05_neumann_series", "06_poynting_flow", "08_cli_workflow"])
+                                  "05_neumann_series", "06_poynting_flow", "07_resonant_dopant",
+                                  "08_cli_workflow"])
 def test_demo_exits_0(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -285,7 +285,7 @@ def test_direct_sweep_factors_the_exterior_once(monkeypatch, cfg_ring):
     n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
     assert factored.count(n_free + n_gamma) == 1   # the interface-last exterior
     assert n_free not in factored                  # no exterior Dirichlet block
-    assert not ext._blocks
+    assert list(ext._blocks) == ["S_e"]            # B is the system's one LU
 
 
 def _trimmed_run(cfg, events):
@@ -328,7 +328,7 @@ def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
     engine = CorrectorEngine(mesh, cfg_ring)
     seed = engine.seed_state()
     before = engine.step(seed)
-    block = mesh._memo["exterior LU"][1][0]
+    (block,) = engine.ext_system._blocks.values()
     assert isinstance(block, fem.DirichletBlock)
     block_lu = weakref.ref(block.ff)
     del block
@@ -339,8 +339,7 @@ def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
     after = engine.step(seed)
     assert factored == []
     gc.collect()
-    assert block_lu() is None and isinstance(mesh._memo["exterior LU"][1][0], tuple)
-    assert not engine.ext_system._blocks
+    assert block_lu() is None and list(engine.ext_system._blocks) == ["S_e"]
     for a, b in zip((before.g, before.h_e, before.h_d), (after.g, after.h_e, after.h_d)):
         assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
 
@@ -354,9 +353,9 @@ def test_exterior_schur_complement_maps_a_trace_to_its_flux(cfg_ring, mode, thic
     rng = np.random.default_rng(0)
     t = rng.standard_normal(len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))) + 1j
     lam = auxiliary.solve_exterior(ext, cfg, np.zeros(len(ext.nodes), dtype=complex), t)
-    assert isinstance(mesh._memo["exterior LU"][1][0], fem.DirichletBlock)
+    assert [type(b) for b in ext._blocks.values()] == [fem.DirichletBlock]
     h_e = fem.flux_extract(lam, ext, Bnd.GAMMA_OMEGA, orientation="canonical").values
-    S_e = auxiliary.exterior_schur(mesh, cfg)[1]
+    S_e = auxiliary.exterior_schur(ext)[1]
     flux = fem.curve_sign(ext.regions, Bnd.GAMMA_OMEGA) * (S_e @ t)
     assert np.abs(flux - h_e).max() <= 1e-12 * np.abs(h_e).max()
 

@@ -1,12 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from enzlab.auxiliary import PhysicsConfig, compute_cstar, compute_beta
+from enzlab import fem
+from enzlab.auxiliary import PhysicsConfig, compute_cstar, compute_beta, exterior_regions
 from enzlab.errors import Degenerate, SingularSystem
 from enzlab.fem import BoundaryFunctional, ScalarField, h1_norm, integrate
-from enzlab.geometry import Bnd, Region
+from enzlab.geometry import Bnd, Region, build_mesh
 from enzlab.oracle import j0_zero, j1_zero
 from enzlab.resonance import (EXCITED, NOT_EXCITED, classify_eigenpairs,
                               compute_cbar, deflated_dirichlet_solve,
@@ -14,7 +16,7 @@ from enzlab.resonance import (EXCITED, NOT_EXCITED, classify_eigenpairs,
                               psi_d_flux_total, resonant_cluster,
                               solve_phi_hat0)
 
-from conftest import RING_SOURCE
+from conftest import CANONICAL_SPEC, RING_SOURCE
 
 A_DOP = 0.3
 LAM_RADIAL = (j0_zero(1) / A_DOP) ** 2      # first radial mode: nonzero mean
@@ -83,6 +85,29 @@ def test_gamma_sweep_needs_distinct_gammas(mesh_coarse, gammas):
     with pytest.raises(ValueError):
         gamma_sweep(mesh_coarse, PhysicsConfig.from_k(1.0, sources=RING_SOURCE),
                     LAM_RADIAL, gammas)
+
+
+def test_k_star_exterior_lu_is_freed_before_the_first_gamma(monkeypatch):
+    # the sweep keeps the k* source flux, not the field, whose solve record
+    # would keep the k* exterior system and its LU alive through every gamma
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    cfg = PhysicsConfig(sources=RING_SOURCE)
+    n_ext = len(fem.split_nodes(mesh, exterior_regions(mesh, cfg),
+                                [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0])
+    k_star_block, dead = [], []
+    factor = fem.factor
+
+    def watched(A):
+        if A.shape[0] == n_ext and not k_star_block:   # the k* exterior Dirichlet block
+            (block,) = mesh._memo["exterior"][1]._blocks.values()
+            k_star_block.append(weakref.ref(block))
+        elif A.shape[0] == n_ext and not dead:         # the first gamma's
+            dead.append(k_star_block[0]() is None)
+        return factor(A)
+
+    monkeypatch.setattr(fem, "factor", watched)
+    gamma_sweep(mesh, cfg, LAM_RADIAL, [1e-1, 1e-2])
+    assert dead == [True]
 
 
 def test_cstar_and_mueff_scalings(study):
