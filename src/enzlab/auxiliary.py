@@ -345,20 +345,23 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
 
 
 def _physical_rim(mesh: Mesh, cfg: PhysicsConfig):
-    """Edges of the circle bounding the physical exterior, with side triangles.
+    """Edges of the circle bounding the physical exterior, with their exterior triangles.
 
-    Returns the rim edges that have an exterior side, in rim order, and for
-    each its exterior triangle (the later one if both sides are exterior).
+    The rim nodes are those the exterior and the collar share, or the
+    truncation circle's without a collar.  Each exterior triangle with two
+    rim nodes gives the edge between them, in triangle order.
     """
     if Region.PML in exterior_regions(mesh, cfg):
-        edges = mesh.interface_edges(Region.EXTERIOR, Region.PML)
+        rim = np.intersect1d(mesh.region_nodes(Region.EXTERIOR), mesh.region_nodes(Region.PML),
+                             assume_unique=True)
     else:
-        edges = mesh.boundary_edges[Bnd.GAMMA_INF]
-    owners = mesh.edge_triangles(edges)
-    ext = np.append(mesh.tri_region, -1)[owners] == Region.EXTERIOR
-    side = np.where(ext[:, 1], owners[:, 1], owners[:, 0])
-    keep = ext.any(axis=1)
-    return edges[keep], side[keep]
+        rim = mesh.boundary_nodes(Bnd.GAMMA_INF)
+    on_rim = np.zeros(mesh.num_nodes, dtype=bool)
+    on_rim[rim] = True
+    tris = np.flatnonzero(mesh.region_triangles(Region.EXTERIOR))
+    hit = on_rim[mesh.triangles[tris]]
+    two = hit.sum(axis=1) == 2
+    return mesh.triangles[tris[two]][hit[two]].reshape(-1, 2), tris[two]
 
 
 def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,

@@ -233,10 +233,12 @@ def parse_config(path):
     dom.setdefault("pml_thickness", collar)
     h = dom.pop("h", wavelength / 20.0)
     spec = DomainSpec(**dom)
-    if cfg.radiation.mode == "robin" and spec.pml_thickness > 0:
-        # the Robin term lives on the truncation circle, which a collar
-        # would take out of the exterior problem
-        raise ValidationError("radiation = robin requires pml_thickness = 0")
+    if (cfg.radiation.mode == "pml") != (spec.pml_thickness > 0):
+        # the Robin term lives on the truncation circle, which a collar would
+        # take out of the exterior problem; a PML without a collar absorbs
+        # nothing, and the truncation circle becomes a reflecting Neumann wall
+        need = "> 0" if cfg.radiation.mode == "pml" else "= 0"
+        raise ValidationError(f"radiation = {cfg.radiation.mode} requires pml_thickness {need}")
     cfg.sources.validate(spec)
 
     opts = RunOptions(h=h, **read("run", order=_parse_int, rho_iters=_parse_int, seed=_parse_int,

@@ -7,8 +7,10 @@ failures to distinct exit codes) and a human-readable message.
 CLI: 3, 4, 5, 6 and 12.  A number that is NaN or infinite is a 4, and so
 are omega = 0, 1e-200, 1e200 or 1e308 (omega or omega^2 not finite and
 positive), k = 1e200 (k^2 overflows), mu = 1e308 or omega = 1e154 at
-h = 0.2 (|k| h > pi: fewer than two mesh points per wavelength), and
-mu = 225 at h = 0.15 in ``convergence-table``, whose coarsest mesh is 2h.
+h = 0.2 (|k| h > pi: fewer than two mesh points per wavelength),
+mu = 225 at h = 0.15 in ``convergence-table``, whose coarsest mesh is 2h,
+and a radiation treatment without its truncation: ``radiation = pml`` with
+``pml_thickness = 0`` or ``radiation = robin`` with a collar.
 A 5 is a shape, source or domain that cannot be made (``dopant = circle
 0 0 0`` or ``0 0 -0.3``, ``outer = circle 0 0 -1``, a dopant leaving the
 scatterer) or a source outside the physical exterior annulus.  A 6 also

@@ -321,7 +321,10 @@ def _curve_samples(shape: Shape, n: int) -> np.ndarray:
 class Mesh:
     """Immutable conforming triangulation with region and boundary tags.
 
-    Topology queries are memoized per normalized region set and return
+    It holds only what it cannot derive: the nodes, the triangles, their
+    regions and the boundary loops.  Areas, centroids, boundary normals and
+    region node sets are derived from these when first asked for.  Topology
+    queries are memoized per normalized region set and return
     read-only arrays shared by every caller.  :meth:`cached` is the one
     per-mesh cache: topology, the node orders of the factorizations, source
     loads, the exterior and dopant systems with their LUs, the condensed load,
@@ -332,15 +335,11 @@ class Mesh:
     triangles: np.ndarray                   # (T, 3) int32, CCW
     tri_region: np.ndarray                  # (T,) int16
     boundary_edges: dict                    # Bnd -> (E, 2) int32, CCW loops
-    boundary_normals: dict                  # Bnd -> (E, 2) float64, outward
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.nodes, self.triangles, self.tri_region):
+        for arr in (self.nodes, self.triangles, self.tri_region, *self.boundary_edges.values()):
             arr.setflags(write=False)
-        for d in (self.boundary_edges, self.boundary_normals):
-            for arr in d.values():
-                arr.setflags(write=False)
 
     def cached(self, name, key, build):
         """``build()``, kept under ``name`` and rebuilt when asked with another ``key``.
@@ -418,6 +417,17 @@ class Mesh:
         return 0.5 * (lens + np.roll(lens, 1))
 
     @cached_property
+    def boundary_normals(self) -> dict:
+        """Bnd -> (E, 2) outward unit normals: each loop edge's unit tangent, turned right."""
+        normals = {}
+        for tag, e in self.boundary_edges.items():
+            tang = self.nodes[e[:, 1]] - self.nodes[e[:, 0]]
+            tang /= np.linalg.norm(tang, axis=1)[:, None]
+            normals[tag] = np.column_stack((tang[:, 1], -tang[:, 0]))
+            normals[tag].setflags(write=False)
+        return normals
+
+    @cached_property
     def pml_inner_radius(self) -> float | None:
         nodes = self.region_nodes(Region.PML)
         if not len(nodes):
@@ -427,48 +437,6 @@ class Mesh:
     @cached_property
     def truncation_radius(self) -> float:
         return float(np.linalg.norm(self.nodes, axis=1).max())
-
-    @cached_property
-    def _edge_map(self):
-        """Every edge once, ordered by its key ``i * N + j`` (i < j).
-
-        Returns the keys, the position of each edge's first half-edge in the
-        triangle list, and its one or two triangles in increasing order (-1
-        on the missing side of a boundary edge).
-        """
-        half = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                       axis=1).astype(np.int64)
-        keys, first, inv = np.unique(half[:, 0] * self.num_nodes + half[:, 1],
-                                     return_index=True, return_inverse=True)
-        tri = np.arange(len(half)) // 3
-        owners = np.full((len(keys), 2), -1, dtype=np.int64)
-        owners[:, 0] = tri[first]
-        later = np.ones(len(half), dtype=bool)
-        later[first] = False
-        owners[inv[later], 1] = tri[later]
-        for arr in (keys, first, owners):
-            arr.setflags(write=False)
-        return keys, first, owners
-
-    def edge_triangles(self, edges) -> np.ndarray:
-        """The two triangles on each given mesh edge, increasing, -1 if absent."""
-        keys, _, owners = self._edge_map
-        e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
-        return owners[np.searchsorted(keys, e[:, 0] * self.num_nodes + e[:, 1])]
-
-    def interface_edges(self, region_a: Region, region_b: Region) -> np.ndarray:
-        """Edges shared by one ``region_a`` and one ``region_b`` triangle.
-
-        Each edge is a sorted node pair; edges come in the order in which the
-        triangle list first reaches them.
-        """
-        keys, first, owners = self._edge_map
-        regs = np.sort(np.append(self.tri_region, -1)[owners], axis=1)
-        a, b = sorted((int(region_a), int(region_b)))
-        sel = np.flatnonzero((regs[:, 0] == a) & (regs[:, 1] == b))
-        sel = sel[np.argsort(first[sel])]
-        n = self.num_nodes
-        return np.column_stack((keys[sel] // n, keys[sel] % n)).astype(np.int32)
 
 
 def _corners(nodes: np.ndarray, triangles: np.ndarray):
@@ -673,12 +641,8 @@ def _classify_regions(spec: DomainSpec, centroids: np.ndarray) -> np.ndarray:
     return region
 
 
-def _ring_boundary_edges(ring: np.ndarray, nodes: np.ndarray):
-    edges = np.column_stack((ring, np.roll(ring, -1))).astype(np.int32)
-    tang = nodes[edges[:, 1]] - nodes[edges[:, 0]]
-    tang /= np.linalg.norm(tang, axis=1)[:, None]
-    normals = np.column_stack((tang[:, 1], -tang[:, 0]))
-    return edges, normals
+def _ring_boundary_edges(ring: np.ndarray) -> np.ndarray:
+    return np.column_stack((ring, np.roll(ring, -1))).astype(np.int32)
 
 
 def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
@@ -727,12 +691,9 @@ def build_mesh(spec: DomainSpec, target_h: float) -> Mesh:
     triangles = np.concatenate(builder.tris).astype(np.int32)
     region = _classify_regions(spec, _centroids(nodes, triangles))
 
-    b_edges, b_normals = {}, {}
-    for tag, ring in ((Bnd.GAMMA_D, dop_ring), (Bnd.GAMMA_OMEGA, outer_ring),
-                      (Bnd.GAMMA_INF, inf_ring)):
-        b_edges[tag], b_normals[tag] = _ring_boundary_edges(ring.idx, nodes)
-
-    mesh = Mesh(nodes, triangles, region, b_edges, b_normals)
+    b_edges = {tag: _ring_boundary_edges(ring.idx) for tag, ring in (
+        (Bnd.GAMMA_D, dop_ring), (Bnd.GAMMA_OMEGA, outer_ring), (Bnd.GAMMA_INF, inf_ring))}
+    mesh = Mesh(nodes, triangles, region, b_edges)
     _check_quality(mesh, target_h)
     return mesh
 
@@ -794,10 +755,9 @@ def structured_rectangle_mesh(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0
             tris.append((n00, n11, n01))
     loop = ([nid(i, 0) for i in range(nx)] + [nid(nx, j) for j in range(ny)]
             + [nid(i, ny) for i in range(nx, 0, -1)] + [nid(0, j) for j in range(ny, 0, -1)])
-    edges, normals = _ring_boundary_edges(np.asarray(loop, dtype=np.int32), nodes)
     return Mesh(nodes, np.asarray(tris, dtype=np.int32),
                 np.full(len(tris), int(region), dtype=np.int16),
-                {Bnd.GAMMA_OMEGA: edges}, {Bnd.GAMMA_OMEGA: normals})
+                {Bnd.GAMMA_OMEGA: _ring_boundary_edges(np.asarray(loop, dtype=np.int32))})
 
 
 def save_mesh(mesh: Mesh, path) -> None:
@@ -826,11 +786,6 @@ def load_mesh(path) -> Mesh:
         edge_rows = [[int(v) for v in f.readline().split()] for _ in range(ne)]
     tris = np.asarray([r[:3] for r in tri_rows], dtype=np.int32)
     region = np.asarray([r[3] for r in tri_rows], dtype=np.int16)
-    b_edges, b_normals = {}, {}
-    for tag in sorted({r[2] for r in edge_rows}):
-        e = np.asarray([r[:2] for r in edge_rows if r[2] == tag], dtype=np.int32)
-        tang = nodes[e[:, 1]] - nodes[e[:, 0]]
-        tang /= np.linalg.norm(tang, axis=1)[:, None]
-        b_edges[Bnd(tag)] = e
-        b_normals[Bnd(tag)] = np.column_stack((tang[:, 1], -tang[:, 0]))
-    return Mesh(nodes, tris, region, b_edges, b_normals)
+    b_edges = {Bnd(tag): np.asarray([r[:2] for r in edge_rows if r[2] == tag], dtype=np.int32)
+               for tag in sorted({r[2] for r in edge_rows})}
+    return Mesh(nodes, tris, region, b_edges)

@@ -376,6 +376,15 @@ def test_robin_with_collar_exits_4(tmp_path):
     assert _exit_code(tmp_path, text) == 4   # VALIDATION_ERROR
 
 
+def test_pml_without_collar_exits_4(tmp_path, capsys, monkeypatch):
+    # ran as a closed cavity: beta = 0.6466 + 0i, Rellich residual 6.65 at h = 0.2
+    monkeypatch.setattr("enzlab.cli.build_mesh", None)   # refused before any mesh is built
+    text = CANONICAL_CFG.replace("pml_thickness = 1", "pml_thickness = 0")
+    assert _exit_code(tmp_path, text) == 4   # VALIDATION_ERROR
+    assert capsys.readouterr().err == ("error [VALIDATION_ERROR]: "
+                                       "radiation = pml requires pml_thickness > 0\n")
+
+
 def test_robin_aux_certificate(tmp_path):
     text = (CANONICAL_CFG.replace("pml_thickness = 1", "pml_thickness = 0")
             .replace("h = 0.2", "h = 0.1")

@@ -1,4 +1,9 @@
-"""The demos that reach an exterior solve run to the end, each in its own process."""
+"""Every demo runs to the end, each in its own process.
+
+``01_mesh_regions`` round-trips a mesh through ``save_mesh``/``load_mesh``,
+``02_radial_oracle`` evaluates the closed-form oracle, and the rest reach an
+exterior solve.
+"""
 
 import os
 import subprocess
@@ -10,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["03_auxiliary_constants", "04_expansion_orders",
+@pytest.mark.parametrize("demo", ["01_mesh_regions", "02_radial_oracle",
+                                  "03_auxiliary_constants", "04_expansion_orders",
                                   "05_neumann_series", "06_poynting_flow", "07_resonant_dopant",
                                   "08_cli_workflow"])
 def test_demo_exits_0(demo):

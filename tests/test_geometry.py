@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from enzlab import geometry
+from enzlab.auxiliary import PhysicsConfig, _physical_rim
 from enzlab.errors import GeometryInvalid, MeshFailure
-from enzlab.fem import split_nodes
+from enzlab.fem import RadiationSpec, split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
                              SourceDisk, SourceRing, SourceSpec, _Builder, build_mesh,
                              load_mesh, region_measures, save_mesh,
@@ -127,15 +128,21 @@ def test_zero_collar_thickness_means_no_pml_region():
     assert mesh.pml_inner_radius is None
 
 
-def test_interface_edges_pair_correct_regions():
-    mesh = build_mesh(CANONICAL, 0.15)
-    # adjacency audit: every tagged edge must separate the right two regions
+def _brute_force_edges(mesh):
+    """Each edge as a sorted node pair, in first-reach order: its regions and its triangles."""
     edge_owner, edge_tris = {}, {}
     for t_idx, tri in enumerate(mesh.triangles):
         for k in range(3):
             key = tuple(sorted((int(tri[k]), int(tri[(k + 1) % 3]))))
             edge_owner.setdefault(key, []).append(int(mesh.tri_region[t_idx]))
             edge_tris.setdefault(key, []).append(t_idx)
+    return edge_owner, edge_tris
+
+
+def test_interface_edges_pair_correct_regions():
+    mesh = build_mesh(CANONICAL, 0.15)
+    # adjacency audit: every tagged edge must separate the right two regions
+    edge_owner, edge_tris = _brute_force_edges(mesh)
     expected = {Bnd.GAMMA_D: {int(Region.DOPANT), int(Region.ENZ)},
                 Bnd.GAMMA_OMEGA: {int(Region.ENZ), int(Region.EXTERIOR)}}
     for tag, want in expected.items():
@@ -145,17 +152,27 @@ def test_interface_edges_pair_correct_regions():
     for i, j in mesh.boundary_edges[Bnd.GAMMA_INF]:
         owners = edge_owner[tuple(sorted((int(i), int(j))))]
         assert len(owners) == 1
-    # the vectorized edge map reproduces the brute-force owners, in order
-    for a, b in ((Region.ENZ, Region.EXTERIOR), (Region.DOPANT, Region.ENZ),
-                 (Region.EXTERIOR, Region.PML)):
-        want = [e for e, regs in edge_owner.items()
-                if sorted(regs) == sorted((int(a), int(b)))]
-        got = mesh.interface_edges(a, b)
-        assert [tuple(e) for e in got.tolist()] == want
-        assert mesh.edge_triangles(got).tolist() == [edge_tris[e] for e in want]
-    inf = mesh.edge_triangles(mesh.boundary_edges[Bnd.GAMMA_INF]).tolist()
-    assert inf == [edge_tris[tuple(sorted((int(i), int(j))))] + [-1]
-                   for i, j in mesh.boundary_edges[Bnd.GAMMA_INF]]
+    # the radiation rim read off node sets: with a collar, the EXTERIOR-PML
+    # edges in first-reach order, each with its EXTERIOR triangle
+    want = [e for e, regs in edge_owner.items()
+            if sorted(regs) == [int(Region.EXTERIOR), int(Region.PML)]]
+    _assert_rim(mesh, PhysicsConfig(), want,
+                [[t for t in edge_tris[e] if mesh.tri_region[t] == Region.EXTERIOR] for e in want])
+    # without a collar, the GAMMA_INF loop, each edge with its one triangle
+    robin = build_mesh(dataclasses.replace(CANONICAL, pml_thickness=0.0), 0.15)
+    want = [tuple(sorted(e)) for e in robin.boundary_edges[Bnd.GAMMA_INF].tolist()]
+    robin_tris = _brute_force_edges(robin)[1]
+    _assert_rim(robin, PhysicsConfig(radiation=RadiationSpec(mode="robin")), want,
+                [robin_tris[e] for e in want])
+
+
+def _assert_rim(mesh, cfg, edges, tris):
+    got_edges, got_tris = _physical_rim(mesh, cfg)
+    assert [tuple(sorted(e)) for e in got_edges.tolist()] == edges
+    assert [[t] for t in got_tris.tolist()] == tris
+    on_rim = np.zeros(mesh.num_nodes, dtype=bool)
+    on_rim[got_edges] = True
+    assert (on_rim[mesh.triangles[mesh.tri_region == Region.EXTERIOR]].sum(axis=1) < 3).all()
 
 
 def test_topology_queries_memoized_and_read_only():
@@ -175,14 +192,20 @@ def test_topology_queries_memoized_and_read_only():
         assert not arr.flags.writeable
 
 
-def test_normals_point_outward():
+def test_normals_point_outward(tmp_path):
     mesh = build_mesh(CANONICAL, 0.15)
-    for tag, center_sign in ((Bnd.GAMMA_D, 1.0), (Bnd.GAMMA_OMEGA, 1.0), (Bnd.GAMMA_INF, 1.0)):
-        edges = mesh.boundary_edges[tag]
-        normals = mesh.boundary_normals[tag]
-        mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-        # outward from the origin-centered enclosed domain
-        assert (np.einsum("ij,ij->i", normals, mids) * center_sign > 0).all()
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    loaded = load_mesh(tmp_path / "mesh.txt")
+    rect = structured_rectangle_mesh(4, 3, 2.0, 1.5, origin=(-1.0, -0.75))
+    for m in (mesh, rect, loaded):
+        for tag, edges in m.boundary_edges.items():
+            normals = m.boundary_normals[tag]
+            mids = 0.5 * (m.nodes[edges[:, 0]] + m.nodes[edges[:, 1]])
+            # outward from the origin-centered enclosed domain
+            assert (np.einsum("ij,ij->i", normals, mids) > 0).all()
+            assert not normals.flags.writeable
+    for tag in mesh.boundary_edges:
+        assert np.array_equal(loaded.boundary_normals[tag], mesh.boundary_normals[tag])
 
 
 def test_meshing_is_deterministic():
