@@ -42,7 +42,7 @@ def _branch_sqrt(w: complex) -> complex:
 
 @dataclass(frozen=True)
 class PhysicsConfig:
-    """Frequency, material constants, sources and radiation treatment."""
+    """Frequency, material constants, sources and the profile of the mesh's collar, if any."""
 
     omega: float = 1.0
     mu: complex = 1.0 + 0.0j
@@ -86,13 +86,6 @@ def _omega_squared(omega: float) -> float:
 # systems
 
 
-def exterior_regions(mesh: Mesh, cfg: PhysicsConfig):
-    regs = {Region.EXTERIOR}
-    if cfg.radiation.mode == "pml" and mesh.region_triangles(Region.PML).any():
-        regs.add(Region.PML)
-    return _as_region_set(regs)
-
-
 def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
     """The latest system under ``name`` in :meth:`Mesh.cached`, kept without its mesh.
 
@@ -103,7 +96,7 @@ def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
 
 
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
-    """The radiating exterior operator, assembled once per mesh and (k, radiation).
+    """The radiating exterior operator, on the mesh's collar too, once per mesh and (k, radiation).
 
     Its one LU lives in the blocks that every copy of the system shares, for as long
     as anything holds the system: the Dirichlet block with Gamma_Omega fixed until a
@@ -111,17 +104,16 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     """
     def build():
         k = cfg.k
-        regs = exterior_regions(mesh, cfg)
+        regs = _as_region_set((Region.EXTERIOR, Region.PML)
+                              if mesh.region_triangles(Region.PML).any() else Region.EXTERIOR)
         return assemble(mesh, regs, dict.fromkeys(regs, 1.0 + 0.0j), dict.fromkeys(regs, k * k),
                         radiation=cfg.radiation, k=k)
     return _memoized_system(mesh, "exterior", (complex(cfg.k), cfg.radiation), build)
 
 
-def exterior_dirichlet(mesh: Mesh, cfg: PhysicsConfig, trace_omega) -> dict:
-    bc = {Bnd.GAMMA_OMEGA: trace_omega}
-    if Region.PML in exterior_regions(mesh, cfg):
-        bc[Bnd.GAMMA_INF] = 0.0
-    return bc
+def outer_dirichlet(regions) -> dict:
+    """Dirichlet data on Gamma_inf: zero at the end of a collar, none on a Robin boundary."""
+    return {Bnd.GAMMA_INF: 0.0} if Region.PML in regions else {}
 
 
 def exterior_schur(ext: fem.LinearSystem):
@@ -132,7 +124,7 @@ def exterior_schur(ext: fem.LinearSystem):
     """
     if "S_e" not in ext._blocks:
         ext._blocks.clear()   # the Dirichlet block's LU goes before B is factored
-        fixed = [Bnd.GAMMA_INF] if Region.PML in ext.regions else []   # as exterior_dirichlet
+        fixed = list(outer_dirichlet(ext.regions))
         keep = fem.split_nodes(ext.mesh, ext.regions, fixed)[0]
         n_g = len(ext.local_boundary(Bnd.GAMMA_OMEGA))
         order = fem.node_order(ext.mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA])
@@ -168,7 +160,7 @@ def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray
     Solved on the system's one LU: its Dirichlet block by :func:`fem.solve`,
     or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
     """
-    bc = exterior_dirichlet(system.mesh, cfg, trace)
+    bc = {Bnd.GAMMA_OMEGA: trace, **outer_dirichlet(system.regions)}
     if "S_e" in system._blocks:
         return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
     return solve(system, rhs, bc)
@@ -344,16 +336,16 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
 # radiation-identity diagnostic
 
 
-def _physical_rim(mesh: Mesh, cfg: PhysicsConfig):
+def _physical_rim(mesh: Mesh):
     """Edges of the circle bounding the physical exterior, with their exterior triangles.
 
-    The rim nodes are those the exterior and the collar share, or the
+    The rim nodes are those the exterior and the mesh's collar share, or the
     truncation circle's without a collar.  Each exterior triangle with two
     rim nodes gives the edge between them, in triangle order.
     """
-    if Region.PML in exterior_regions(mesh, cfg):
-        rim = np.intersect1d(mesh.region_nodes(Region.EXTERIOR), mesh.region_nodes(Region.PML),
-                             assume_unique=True)
+    collar = mesh.region_nodes(Region.PML)
+    if len(collar):
+        rim = np.intersect1d(mesh.region_nodes(Region.EXTERIOR), collar, assume_unique=True)
     else:
         rim = mesh.boundary_nodes(Bnd.GAMMA_INF)
     on_rim = np.zeros(mesh.num_nodes, dtype=bool)
@@ -381,7 +373,7 @@ def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,
     vol = 2.0 * k.imag * (abs(k) ** 2 * l2 * l2 + h1s * h1s)
     # rim term
     pos = mesh.region_pos(field.regions)
-    rim_edges, rim_tris = _physical_rim(mesh, cfg)
+    rim_edges, rim_tris = _physical_rim(mesh)
     _, rim_gx, rim_gy, _ = _tri_values_and_grads(field, rim_tris)
     rim = 0.0
     for (i, j), gx, gy in zip(rim_edges, rim_gx, rim_gy):

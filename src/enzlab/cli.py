@@ -78,7 +78,7 @@ def _manifest(outdir: Path, name: str, spec, cfg, opts, timings: dict) -> None:
         "physics": {
             "omega": cfg.omega, "mu": complex(cfg.mu), "delta": complex(cfg.delta),
             "k": complex(cfg.k),
-            "radiation": cfg.radiation.mode,
+            "radiation": "pml" if spec.pml_thickness > 0 else "robin",
         },
         "run": dataclasses.asdict(opts),
         "timings_s": timings,
@@ -144,8 +144,6 @@ def run_expand(spec, cfg, opts, outdir: Path) -> None:
 
 
 def run_direct(spec, cfg, opts, outdir: Path) -> None:
-    if complex(cfg.delta) == 0:
-        raise ValidationError("delta must be nonzero for a direct run")
     mesh = build_mesh(spec, opts.h)
     u = solve_transmission(mesh, cfg)
     _write_csv(outdir / "direct_field.csv", *_field_table(u))
@@ -217,8 +215,6 @@ def run_resonance_sweep(spec, cfg, opts, outdir: Path) -> None:
 
 
 def run_poynting(spec, cfg, opts, outdir: Path) -> None:
-    if complex(cfg.delta) == 0:
-        raise ValidationError("delta must be nonzero for a Poynting run")
     mesh = build_mesh(spec, opts.h)
     u = solve_transmission(mesh, cfg)
     s = compute_poynting(u, cfg)

@@ -208,10 +208,12 @@ def parse_config(path):
     phy = read("physics", omega=_parse_float, mu=_parse_complex, k=_parse_complex,
                delta=_parse_complex, sources=_parse_sources)
     rad = read("physics", radiation=_parse_text, pml_sigma0=_parse_sigma0, pml_order=_parse_int)
+    mode = rad.pop("radiation", "pml")   # picks the default collar; the mesh picks the treatment
+    if mode not in ("pml", "robin"):
+        raise ValidationError(f"unknown radiation mode {mode!r}")
     try:
         phy["radiation"] = RadiationSpec(**{field: rad[key] for key, field in (
-            ("radiation", "mode"), ("pml_sigma0", "sigma0"), ("pml_order", "stretch_order"))
-            if key in rad})
+            ("pml_sigma0", "sigma0"), ("pml_order", "stretch_order")) if key in rad})
         if "k" in phy:   # k replaces mu
             phy.pop("mu", None)
             cfg = PhysicsConfig.from_k(phy.pop("k"), **phy)
@@ -225,7 +227,7 @@ def parse_config(path):
     # the physical annulus never collapses
     wavelength = 2.0 * math.pi / abs(cfg.k)
     outer_r = dom["outer"].circumradius()
-    collar = wavelength if cfg.radiation.mode == "pml" else 0.0
+    collar = wavelength if mode == "pml" else 0.0
     if "truncation_radius" in dom:
         collar = min(collar, max(0.5 * (dom["truncation_radius"] - outer_r), 0.0))
     else:
@@ -233,12 +235,10 @@ def parse_config(path):
     dom.setdefault("pml_thickness", collar)
     h = dom.pop("h", wavelength / 20.0)
     spec = DomainSpec(**dom)
-    if (cfg.radiation.mode == "pml") != (spec.pml_thickness > 0):
-        # the Robin term lives on the truncation circle, which a collar would
-        # take out of the exterior problem; a PML without a collar absorbs
-        # nothing, and the truncation circle becomes a reflecting Neumann wall
-        need = "> 0" if cfg.radiation.mode == "pml" else "= 0"
-        raise ValidationError(f"radiation = {cfg.radiation.mode} requires pml_thickness {need}")
+    if (mode == "pml") != (spec.pml_thickness > 0):
+        # the mesh picks the treatment; a key that disagrees with it is a mistake
+        need = "> 0" if mode == "pml" else "= 0"
+        raise ValidationError(f"radiation = {mode} requires pml_thickness {need}")
     cfg.sources.validate(spec)
 
     opts = RunOptions(h=h, **read("run", order=_parse_int, rho_iters=_parse_int, seed=_parse_int,

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from . import fem
 from .errors import ValidationError, ZeroCoefficient
 from .auxiliary import (PhysicsConfig, condensed_load, exterior_schur, exterior_system,
-                        exterior_values)
+                        exterior_values, outer_dirichlet)
 from .fem import (LinearSystem, ScalarField, assemble, h1_l2_norms, h1_seminorm,
                   renumber, source_load, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region, _as_region_set
@@ -77,6 +77,15 @@ def _affine_operator(mesh: Mesh, cfg: PhysicsConfig) -> _AffineOperator:
     return mesh.cached("transmission operator", (complex(cfg.k), cfg.radiation), build)
 
 
+def _enz_coefficient(delta) -> complex:
+    """``1/delta``; ValidationError at delta = 0, ZeroCoefficient where ``1/delta`` rounds to 0."""
+    if delta == 0:
+        raise ValidationError("delta must be nonzero for a direct transmission solve")
+    if 1.0 / complex(delta) == 0:
+        raise ZeroCoefficient("zero diffusion coefficient on region ENZ")
+    return 1.0 / complex(delta)
+
+
 def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     """Global system with piecewise coefficient 1/eps and reaction k^2.
 
@@ -87,11 +96,7 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     another (k, radiation) replaces them; each call returns a new system,
     whose Dirichlet blocks and LU are its own.
     """
-    if cfg.delta == 0:
-        raise ValidationError("delta must be nonzero for a direct transmission solve")
-    a_enz = 1.0 / complex(cfg.delta)
-    if a_enz == 0:
-        raise ZeroCoefficient("zero diffusion coefficient on region ENZ")
+    a_enz = _enz_coefficient(cfg.delta)
     op = _affine_operator(mesh, cfg)
     A = op.A_1 + (a_enz - 1.0) * op.K_ENZ
     return LinearSystem(mesh, op.regions, A, mesh.region_nodes(op.regions))
@@ -101,13 +106,14 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     """Solve the scattering problem at finite ENZ permittivity ``cfg.delta``.
 
     The interface conditions (continuity of the field and of the scaled
-    normal flux) hold weakly through conformity of the mesh; radiation is
-    treated per ``cfg.radiation``.  The solve runs on Omega with the
-    exterior condensed onto Gamma_Omega (see the module docstring): one
-    factorization of the Omega operator per delta and one exterior solve.
+    normal flux) hold weakly through conformity of the mesh.  Delta is
+    checked first.  The solve runs on Omega with the exterior condensed
+    onto Gamma_Omega (see the module docstring): one factorization of the
+    Omega operator per delta and one exterior solve.
     The glued field is certified on the global system by
     :func:`fem.certify` and carries that system's :class:`fem.SolveRecord`.
     """
+    c = _enz_coefficient(cfg.delta) - 1.0
     op = _affine_operator(mesh, cfg)
     ext = exterior_system(mesh, cfg)
     b_ext = source_load(mesh, ext.regions, cfg.sources)
@@ -119,16 +125,14 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     system = transmission_system(mesh, cfg)
     rhs = np.zeros(len(system.nodes), dtype=complex)
     rhs[op.exterior] = b_ext
-    bc = {Bnd.GAMMA_INF: 0.0} if Region.PML in system.regions else {}
     u = np.zeros(len(system.nodes), dtype=complex)
     if b_ext.any():
         b_om = rhs[op.omega]
         b_om[gamma] -= condensed_load(ext, cfg)
-        c = 1.0 / complex(cfg.delta) - 1.0
         u_om = fem.Factored(op.C_1 + c * op.K_om, op.order).solve(b_om)
         u[op.exterior] = exterior_values(ext, cfg, b_ext, u_om[gamma])   # Gamma_Omega takes u_om
         u[op.omega] = u_om
-    return fem.certify(system, rhs, bc, u)
+    return fem.certify(system, rhs, outer_dirichlet(system.regions), u)
 
 
 @dataclass(frozen=True)

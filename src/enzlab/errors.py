@@ -26,9 +26,10 @@ system is too ill-conditioned; 18 (DEGENERATE) from ``resonance-sweep`` with
 a ``resonance_target`` at an eigenvalue pair of zero mean.
 
 Not reachable from the CLI: 15 (DIVERGENT_SERIES), because every CLI
-expansion has an explicit order and only a full sum is certified.  Not
-reached by any config tried: 13 (BETA_NEAR_ZERO, raised only by
-:func:`enzlab.auxiliary.compute_beta` when |beta| is below 1e-10 of the
+expansion has an explicit order and only a full sum is certified; nor 6 from
+:func:`enzlab.geometry.load_mesh` on a malformed mesh file, naming its path
+and line.  Not reached by any config tried: 13 (BETA_NEAR_ZERO, raised only
+by :func:`enzlab.auxiliary.compute_beta` when |beta| is below 1e-10 of the
 scale of its three terms; mu from 1e-30 to 2500, mu = -1 and -100, i.e.
 k = i and 10i).  Nor 14 (NO_CONVERGENCE; ``radius`` over the same
 wavenumbers and ``rho_iters = 10``, ``resonance-sweep`` with targets -5 and
@@ -56,7 +57,7 @@ class GeometryInvalid(EnzLabError):
 
 
 class MeshFailure(EnzLabError):
-    """Mesh could not be generated at the required quality floor."""
+    """Mesh could not be generated at the required quality floor, or a mesh file is malformed."""
 
     name = "MESH_FAILURE"
     exit_code = 6

@@ -91,15 +91,12 @@ _PML_REFLECTION = 1e-6
 
 @dataclass(frozen=True)
 class RadiationSpec:
-    """Treatment of the outgoing-wave condition on the truncation circle."""
+    """Absorption profile of a collar; whether one closes the exterior is the mesh's to say."""
 
-    mode: str = "pml"            # "pml" or "robin"
     sigma0: float | None = None  # None: auto from target reflection
     stretch_order: int = 2
 
     def __post_init__(self):
-        if self.mode not in ("pml", "robin"):
-            raise ValueError(f"unknown radiation mode {self.mode!r}")
         if self.sigma0 is not None and not (math.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ValueError("sigma0 must be finite and positive")
         if self.stretch_order < 0:
@@ -720,11 +717,11 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
     """Assemble ``int a grad(u).grad(v) - c u v`` plus radiation terms.
 
     ``diffusion`` and ``reaction`` map each active region tag to a complex
-    constant.  With ``radiation.mode == "pml"`` the collar triangles get the
-    complex-stretched anisotropic tensor; with ``"robin"`` a first-order
-    absorbing term is added on the truncation circle, which must then bound
-    the regions (TAG_MISMATCH otherwise).  The result is complex symmetric
-    (not Hermitian) and numbered on ``region_nodes(regions)``.
+    constant.  With ``radiation`` the collar triangles get the complex-stretched
+    anisotropic tensor; regions without any get a first-order absorbing term
+    on the truncation circle, which must then bound them (TAG_MISMATCH
+    otherwise).  The result is complex symmetric (not Hermitian) and
+    numbered on ``region_nodes(regions)``.
     """
     regions = _as_region_set(regions)
     mask = mesh.region_triangles(regions)
@@ -746,24 +743,20 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
         c_t[sel] = complex(reaction.get(r, 0.0))
 
     local = a_t * _stiffness_entries(b, c, area) - c_t * _mass_entries(area, MASS_LUMP_FRACTION)
-    if radiation is not None and radiation.mode == "pml" and Region.PML in regions:
-        if k is None:
-            raise ValueError("PML assembly needs the wavenumber k")
-        collar = np.flatnonzero(reg == Region.PML)
-        if len(collar):
-            p11, p12, p22, react = _pml_coefficients(mesh, np.flatnonzero(mask)[collar], k,
-                                                     radiation)
-            a, area_c = a_t[collar], area[collar]
-            stiff = _stiffness_entries(b[:, collar], c[:, collar], area_c,
-                                       (a * p11, a * p12, a * p22))
-            mass = _mass_entries(area_c, MASS_LUMP_FRACTION)
-            local[:, collar] = stiff - c_t[collar] * react * mass
+    if radiation is not None and k is None:
+        raise ValueError("radiation assembly needs the wavenumber k")
+    collar = np.flatnonzero(reg == Region.PML)
+    if radiation is not None and len(collar):
+        p11, p12, p22, react = _pml_coefficients(mesh, np.flatnonzero(mask)[collar], k, radiation)
+        a, area_c = a_t[collar], area[collar]
+        stiff = _stiffness_entries(b[:, collar], c[:, collar], area_c,
+                                   (a * p11, a * p12, a * p22))
+        mass = _mass_entries(area_c, MASS_LUMP_FRACTION)
+        local[:, collar] = stiff - c_t[collar] * react * mass
     nodes = mesh.region_nodes(regions)
     A = _scatter(tris, local, len(nodes))
 
-    if radiation is not None and radiation.mode == "robin":
-        if k is None:
-            raise ValueError("Robin assembly needs the wavenumber k")
+    if radiation is not None and not len(collar):
         r_t = mesh.truncation_radius
         q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 1.0 / (2.0 * r_t))
         A = A - q * _boundary_mass(mesh, regions, Bnd.GAMMA_INF)

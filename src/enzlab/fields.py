@@ -79,8 +79,7 @@ def poynting_gap(s_delta: PiecewiseVectorField, s_limit: PiecewiseVectorField) -
     b = s_limit.restrict(Region.ENZ)
     if len(a.tri_index) == 0 or not np.array_equal(a.tri_index, b.tri_index):
         raise EmptyWindow("fields do not share shell triangles")
-    area = a.mesh.tri_areas[a.tri_index]
-    return math.sqrt(float((np.abs(a.vectors - b.vectors) ** 2).sum(axis=1) @ area))
+    return PiecewiseVectorField(a.mesh, a.tri_index, a.vectors - b.vectors, a.region).l2_norm()
 
 
 def ideal_fluid_residuals(s_limit: PiecewiseVectorField, aux: AuxiliarySet,

@@ -775,17 +775,34 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by :func:`save_mesh`."""
+    """Read the plain-text mesh format of :func:`save_mesh`; MeshFailure names a malformed line."""
     with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 6 or header[0] != "nodes":
-            raise MeshFailure(f"{path}: bad mesh header")
-        nn, nt, ne = int(header[1]), int(header[3]), int(header[5])
-        nodes = np.array([[float(v) for v in f.readline().split()] for _ in range(nn)])
-        tri_rows = [[int(v) for v in f.readline().split()] for _ in range(nt)]
-        edge_rows = [[int(v) for v in f.readline().split()] for _ in range(ne)]
+        lines = f.read().splitlines()
+
+    def row(n: int, *columns) -> list:
+        """Line ``n``'s words (one-based; none past the end), each read by its column's parser."""
+        words = lines[n - 1].split() if n <= len(lines) else []
+        try:
+            if len(words) != len(columns):
+                raise ValueError(f"{len(words)} values where {len(columns)} are due")
+            return [read(w) for read, w in zip(columns, words)]
+        except ValueError as exc:
+            raise MeshFailure(f"{path}, line {n}: {exc}") from None
+
+    def node(word: str) -> int:
+        if not 0 <= int(word) < nn:
+            raise ValueError(f"node index {word} outside 0..{nn - 1}")
+        return int(word)
+
+    word, nn, _, nt, _, ne = row(1, str, int, str, int, str, int)
+    if word != "nodes" or min(nn, nt, ne) < 0:
+        raise MeshFailure(f"{path}, line 1: bad mesh header")
+    tri, edge = 2 + nn, 2 + nn + nt   # the first triangle's line and the first edge's
+    nodes = np.array([row(n, float, float) for n in range(2, tri)])
+    tri_rows = [row(n, node, node, node, lambda w: Region(int(w))) for n in range(tri, edge)]
+    edge_rows = [row(n, node, node, lambda w: Bnd(int(w))) for n in range(edge, edge + ne)]
     tris = np.asarray([r[:3] for r in tri_rows], dtype=np.int32)
     region = np.asarray([r[3] for r in tri_rows], dtype=np.int16)
-    b_edges = {Bnd(tag): np.asarray([r[:2] for r in edge_rows if r[2] == tag], dtype=np.int32)
+    b_edges = {tag: np.asarray([r[:2] for r in edge_rows if r[2] == tag], dtype=np.int32)
                for tag in sorted({r[2] for r in edge_rows})}
     return Mesh(nodes, tris, region, b_edges)

@@ -260,6 +260,16 @@ def test_rellich_residual_small_and_decreasing(cfg_ring, mesh_coarse, mesh_fine)
     assert resids[-1] < resids[0]
 
 
+def test_mesh_without_collar_radiates_by_default():
+    # the default radiation spec on a collar-less mesh once solved a closed
+    # cavity: beta = 0.6466 + 0i, Im(k conj beta) = 0, Rellich residual 6.65
+    mesh = build_mesh(dataclasses.replace(CANONICAL_SPEC, pml_thickness=0.0), 0.2)
+    cfg = PhysicsConfig(sources=RING_SOURCE)
+    aux = solve_auxiliary_set(mesh, cfg)
+    assert aux.im_k_beta_conj < 0   # -6.70
+    assert rellich_residual(mesh, cfg, aux.psi_e, aux.flux_psi_e) < 1   # 0.30
+
+
 def test_rellich_zero_field(mesh_coarse):
     cfg = PhysicsConfig(sources=SourceSpec())
     s, flux = solve_s(mesh_coarse, cfg)

@@ -112,6 +112,11 @@ sources = ring 2.3 2.7 1,0
     assert code == 4   # VALIDATION_ERROR
 
 
+def test_delta_zero_poynting_run_rejected(tmp_path):
+    text = CANONICAL_CFG.replace("delta = 0.01,0", "delta = 0,0")
+    assert _exit_code(tmp_path, text, sub="poynting") == 4   # VALIDATION_ERROR
+
+
 def _exit_code(tmp_path, cfg_text, sub="aux"):
     path = tmp_path / "case.cfg"
     path.write_text(cfg_text)

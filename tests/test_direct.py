@@ -8,11 +8,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from enzlab import auxiliary, direct, fem, oracle
-from enzlab.auxiliary import PhysicsConfig, exterior_regions
+from enzlab.auxiliary import PhysicsConfig, exterior_system, outer_dirichlet
 from enzlab.correctors import CorrectorEngine
 from enzlab.direct import (PHYSICAL_REGIONS, compare_fields, enz_absorption,
                            solve_transmission, transmission_system)
-from enzlab.errors import SingularSystem, ValidationError
+from enzlab.errors import SingularSystem, ValidationError, ZeroCoefficient
 from enzlab.fem import (RadiationSpec, ScalarField, dirichlet_eigs, h1_norm, h1_seminorm,
                         l2_norm)
 from enzlab.geometry import (Bnd, Circle, Region, SourceRing, SourceSpec, _as_region_set,
@@ -32,6 +32,18 @@ def test_delta_zero_rejected(mesh_coarse, cfg_ring):
     cfg = dataclasses.replace(cfg_ring, delta=0.0 + 0.0j)
     with pytest.raises(ValidationError):
         solve_transmission(mesh_coarse, cfg)
+
+
+def test_delta_is_checked_before_anything_is_factored(monkeypatch, cfg_ring):
+    # both errors came only after the exterior was assembled and B factored
+    # (1,956 unknowns at h = 0.2)
+    factored, factor = [], fem.factor
+    monkeypatch.setattr(fem, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    for delta, error in ((0.0, ValidationError), (1e308 + 1e308j, ZeroCoefficient)):
+        with pytest.raises(error):
+            solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
+    assert factored == []
 
 
 def test_uniform_delta_matches_oracle(mesh_fine, cfg_ring):
@@ -102,7 +114,7 @@ def test_compare_fields_equals_separate_norms(mesh_coarse, cfg_ring):
 def _single_pass_system(mesh, cfg):
     """The transmission operator assembled in one pass, 1/delta on ENZ."""
     k = cfg.k
-    regs = {int(Region.DOPANT), int(Region.ENZ)} | set(exterior_regions(mesh, cfg))
+    regs = {int(Region.DOPANT), int(Region.ENZ)} | set(exterior_system(mesh, cfg).regions)
     diffusion = {Region(r): 1.0 + 0.0j for r in regs}
     diffusion[Region.ENZ] = 1.0 / complex(cfg.delta)
     reaction = {Region(r): k * k for r in regs}
@@ -113,12 +125,11 @@ def test_affine_operator_matches_single_pass_assembly():
     # A_1 + (1/delta - 1) K_ENZ on every ray, with a collar and with Robin
     worst = 0.0
     for spec in (CANONICAL_SPEC, GENERIC_SPEC):
-        for mode, thickness in (("pml", spec.pml_thickness), ("robin", 0.0)):
+        for thickness in (spec.pml_thickness, 0.0):
             mesh = build_mesh(dataclasses.replace(spec, pml_thickness=thickness), 0.1)
             for ray in (1.0, 1.0j, -1.0j):
                 for mag in (1e-3, 1e-2, 1e-1):
-                    cfg = PhysicsConfig(mu=1.0 + 0.1j, delta=ray * mag, sources=RING_SOURCE,
-                                        radiation=RadiationSpec(mode))
+                    cfg = PhysicsConfig(mu=1.0 + 0.1j, delta=ray * mag, sources=RING_SOURCE)
                     system = transmission_system(mesh, cfg)
                     ref = _single_pass_system(mesh, cfg)
                     assert system.regions == ref.regions
@@ -174,7 +185,7 @@ def test_memo_dies_with_its_mesh(cfg_ring):
         engine.state_norm(engine.seed_state())
         assert {"exterior", "dopant", "transmission operator", "condensed load",
                 ("neumann", frozenset({int(Region.ENZ)})),
-                ("load", exterior_regions(mesh, cfg_ring)),
+                ("load", exterior_system(mesh, cfg_ring).regions),
                 ("norm forms", u.regions, PHYSICAL_REGIONS),
                 ("norm forms", frozenset({int(Region.ENZ)}), None)} <= set(mesh._memo)
         ref = weakref.ref(mesh)
@@ -208,11 +219,10 @@ def test_condensed_solve_matches_monolithic_solve():
     # LU, and every delta solves on that LU
     worst = 0.0
     for spec in (CANONICAL_SPEC, GENERIC_SPEC):
-        for mode, thickness in (("pml", spec.pml_thickness), ("robin", 0.0)):
+        for thickness in (spec.pml_thickness, 0.0):
             mesh = build_mesh(dataclasses.replace(spec, pml_thickness=thickness), 0.1)
             for ray in (1.0, 1.0j, -1.0j):
-                cfgs = [PhysicsConfig(delta=ray * mag, sources=RING_SOURCE,
-                                      radiation=RadiationSpec(mode))
+                cfgs = [PhysicsConfig(delta=ray * mag, sources=RING_SOURCE)
                         for mag in (1e-3, 1e-2, 1e-1)]
                 worst = max(worst, *_condensed_gaps(mesh, cfgs))
     assert worst <= 1e-10   # 5.0e-12 seen
@@ -252,7 +262,7 @@ def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
     for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
         solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
     ext = auxiliary.exterior_system(mesh, cfg_ring)
-    n_free = len(ext.dirichlet_block(auxiliary.exterior_dirichlet(mesh, cfg_ring, 0.0)).free)
+    n_free = len(ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).free)
     n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
     n_omega = len(mesh.region_nodes([Region.DOPANT, Region.ENZ]))
     system = transmission_system(mesh, cfg_ring)
@@ -344,15 +354,14 @@ def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
         assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
 
 
-@pytest.mark.parametrize("mode, thickness", [("pml", 1.0), ("robin", 0.0)])
-def test_exterior_schur_complement_maps_a_trace_to_its_flux(cfg_ring, mode, thickness):
+@pytest.mark.parametrize("thickness", [1.0, 0.0])
+def test_exterior_schur_complement_maps_a_trace_to_its_flux(cfg_ring, thickness):
     # S_e t is the exterior flux on Gamma_Omega of the Dirichlet field of trace t
     mesh = build_mesh(dataclasses.replace(CANONICAL_SPEC, pml_thickness=thickness), 0.1)
-    cfg = dataclasses.replace(cfg_ring, radiation=RadiationSpec(mode))
-    ext = auxiliary.exterior_system(mesh, cfg)
+    ext = auxiliary.exterior_system(mesh, cfg_ring)
     rng = np.random.default_rng(0)
     t = rng.standard_normal(len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))) + 1j
-    lam = auxiliary.solve_exterior(ext, cfg, np.zeros(len(ext.nodes), dtype=complex), t)
+    lam = auxiliary.solve_exterior(ext, cfg_ring, np.zeros(len(ext.nodes), dtype=complex), t)
     assert [type(b) for b in ext._blocks.values()] == [fem.DirichletBlock]
     h_e = fem.flux_extract(lam, ext, Bnd.GAMMA_OMEGA, orientation="canonical").values
     S_e = auxiliary.exterior_schur(ext)[1]
@@ -379,7 +388,7 @@ def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
     for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
         solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
     ext = auxiliary.exterior_system(mesh, cfg_ring)
-    block = ext.dirichlet_block(auxiliary.exterior_dirichlet(mesh, cfg_ring, 0.0))
+    block = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)})
     n_omega = len(mesh.region_nodes(direct.OMEGA_REGIONS))
     sizes = {"exterior free": len(block.free),
              "Omega less Gamma_Omega": n_omega - len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA)),
@@ -435,7 +444,7 @@ def test_condensed_operator_is_omega_plus_exterior_schur_complement(mesh_coarse,
     assert not D[off].any()
     # S_e by column solves on the exterior system, as in tests/test_fem.py
     ext = auxiliary.exterior_system(mesh_coarse, cfg_ring)
-    free = ext.dirichlet_block(auxiliary.exterior_dirichlet(mesh_coarse, cfg_ring, 0.0)).free
+    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).free
     g = ext.local_boundary(Bnd.GAMMA_OMEGA)
     X = spla.splu(ext.A[np.ix_(free, free)].tocsc()).solve(ext.A[np.ix_(free, g)].toarray())
     S_e = ext.A[np.ix_(g, g)].toarray() - ext.A[np.ix_(g, free)] @ X

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enzlab import auxiliary, direct, fem
-from enzlab.auxiliary import PhysicsConfig, exterior_dirichlet, exterior_system
+from enzlab.auxiliary import PhysicsConfig, exterior_system, outer_dirichlet
 from enzlab.correctors import CorrectorEngine
 from enzlab.errors import (EmptyWindow, GeometryInvalid, IncompatibleData, MeshFailure,
                            SingularSystem, TagMismatch, ZeroCoefficient)
@@ -374,9 +374,8 @@ def test_region_operators_equal_sliced_global_ones(annulus_mesh, monkeypatch):
 
     robin_mesh = build_mesh(NO_COLLAR, 0.1)
     cfg_pml = PhysicsConfig(mu=1.0 + 0.1j)
-    cfg_robin = PhysicsConfig(radiation=fem.RadiationSpec("robin"))
     cases = [(annulus_mesh, lambda: exterior(annulus_mesh, cfg_pml)), (annulus_mesh, omega),
-             (robin_mesh, lambda: exterior(robin_mesh, cfg_robin))]
+             (robin_mesh, lambda: exterior(robin_mesh, PhysicsConfig()))]
     cases += [(annulus_mesh, lambda op=op, r=r: (op(annulus_mesh, r), r))
               for r in (Region.ENZ, Region.DOPANT) for op in (stiffness_matrix, mass_matrix)]
     for mesh, build in cases:
@@ -389,7 +388,7 @@ def test_robin_outside_system_rejected(annulus_mesh):
     # with a collar the truncation circle does not bound the exterior alone
     with pytest.raises(TagMismatch):
         assemble(annulus_mesh, Region.EXTERIOR, {Region.EXTERIOR: 1.0},
-                 {Region.EXTERIOR: 1.0}, radiation=fem.RadiationSpec("robin"), k=1.0)
+                 {Region.EXTERIOR: 1.0}, radiation=fem.RadiationSpec(), k=1.0)
 
 
 def test_system_is_complex_symmetric(annulus_mesh):
@@ -397,7 +396,7 @@ def test_system_is_complex_symmetric(annulus_mesh):
     sys_ = assemble(mesh, [Region.EXTERIOR, Region.PML],
                     {Region.EXTERIOR: 1.0, Region.PML: 1.0},
                     {Region.EXTERIOR: 4.0, Region.PML: 4.0},
-                    radiation=fem.RadiationSpec("pml"), k=2.0)
+                    radiation=fem.RadiationSpec(), k=2.0)
     asym = abs(sys_.A - sys_.A.T)
     assert asym.max() < 1e-12
     assert abs(sys_.A.imag).max() > 0  # genuinely complex from the collar
@@ -417,8 +416,8 @@ def _broadcast_assembly(mesh, regions, diffusion, reaction, radiation=None, k=No
     a_t = np.array([complex(diffusion[Region(r)]) for r in reg])
     c_t = np.array([complex(reaction.get(Region(r), 0.0)) for r in reg])
     g11, g12, g22 = a_t.copy(), np.zeros_like(a_t), a_t.copy()
-    if radiation is not None and radiation.mode == "pml":
-        sel = reg == int(Region.PML)
+    sel = reg == int(Region.PML)
+    if radiation is not None and sel.any():
         p11, p12, p22, react = fem._pml_coefficients(mesh, tri_idx[sel], k, radiation)
         g11[sel], g12[sel], g22[sel] = a_t[sel] * p11, a_t[sel] * p12, a_t[sel] * p22
         c_t[sel] = c_t[sel] * react
@@ -434,7 +433,7 @@ def _broadcast_assembly(mesh, regions, diffusion, reaction, radiation=None, k=No
     n = len(mesh.region_nodes(regions))
     A = sp.coo_matrix(((stiff - mass).ravel(), (np.repeat(pos, 3, axis=1).ravel(),
                                                  np.tile(pos, (1, 3)).ravel())), shape=(n, n))
-    if radiation is not None and radiation.mode == "robin":
+    if radiation is not None and not sel.any():
         edges = mesh.region_pos(regions)[mesh.boundary_edges[Bnd.GAMMA_INF]]
         lens = mesh.boundary_edge_lengths(Bnd.GAMMA_INF)
         q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 0.5 / mesh.truncation_radius)
@@ -446,18 +445,18 @@ def _broadcast_assembly(mesh, regions, diffusion, reaction, radiation=None, k=No
 
 def test_element_kernel_matches_broadcast_reference(mesh_coarse):
     k = 1.3 + 0.1j
-    pml, robin = fem.RadiationSpec("pml"), fem.RadiationSpec("robin")
+    radiation = fem.RadiationSpec()
     everywhere = {Region(r): 1.0 for r in Region}
     complex_diffusion = {Region.DOPANT: 0.5 + 0.2j, Region.ENZ: 1.0 / (0.02 - 0.01j),
                          Region.EXTERIOR: 1.0, Region.PML: 1.0}
     reaction = {Region(r): k * k for r in Region}
     exterior = [Region.EXTERIOR, Region.PML]
-    cases = [(mesh_coarse, exterior, everywhere, reaction, pml),
-             (mesh_coarse, list(Region), complex_diffusion, reaction, pml),
+    cases = [(mesh_coarse, exterior, everywhere, reaction, radiation),
+             (mesh_coarse, list(Region), complex_diffusion, reaction, radiation),
              (mesh_coarse, [Region.DOPANT, Region.ENZ], complex_diffusion,
               {Region.DOPANT: 2.0 - 0.5j, Region.ENZ: -1.5j}, None),
              (build_mesh(NO_COLLAR, 0.1), [Region.EXTERIOR], {Region.EXTERIOR: 0.7 - 0.3j},
-              reaction, robin)]
+              reaction, radiation)]
     for mesh, regions, diffusion, react, rad in cases:
         new = assemble(mesh, regions, diffusion, react, radiation=rad, k=k).A
         ref = _broadcast_assembly(mesh, regions, diffusion, react, radiation=rad, k=k)
@@ -471,7 +470,7 @@ def test_certify_lifts_nonzero_dirichlet_values(mesh_coarse, cfg_ring):
     # the lift of that trace alone, so a certify that skipped the lift would
     # see a zero load and reject the solved field as amplified.
     ext = exterior_system(mesh_coarse, cfg_ring)
-    bc = exterior_dirichlet(mesh_coarse, cfg_ring, 1.0)
+    bc = {Bnd.GAMMA_OMEGA: 1.0, **outer_dirichlet(ext.regions)}
     rhs = np.zeros(len(ext.nodes), dtype=complex)
     u = solve(ext, rhs, bc)
     v = fem.certify(ext, rhs, bc, u.values)
@@ -663,7 +662,7 @@ def test_interface_last_under_threshold_pivoting():
 
 def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_ring):
     ext = exterior_system(mesh_coarse, cfg_ring)
-    free = ext.dirichlet_block(exterior_dirichlet(mesh_coarse, cfg_ring, 0.0)).free
+    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).free
     gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)
     keep = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF])[0]
     order = fem.node_order(mesh_coarse, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])

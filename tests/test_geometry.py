@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from enzlab import geometry
-from enzlab.auxiliary import PhysicsConfig, _physical_rim
+from enzlab.auxiliary import _physical_rim
 from enzlab.errors import GeometryInvalid, MeshFailure
-from enzlab.fem import RadiationSpec, split_nodes
+from enzlab.fem import split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
                              SourceDisk, SourceRing, SourceSpec, _Builder, build_mesh,
                              load_mesh, region_measures, save_mesh,
@@ -156,18 +156,17 @@ def test_interface_edges_pair_correct_regions():
     # edges in first-reach order, each with its EXTERIOR triangle
     want = [e for e, regs in edge_owner.items()
             if sorted(regs) == [int(Region.EXTERIOR), int(Region.PML)]]
-    _assert_rim(mesh, PhysicsConfig(), want,
+    _assert_rim(mesh, want,
                 [[t for t in edge_tris[e] if mesh.tri_region[t] == Region.EXTERIOR] for e in want])
     # without a collar, the GAMMA_INF loop, each edge with its one triangle
     robin = build_mesh(dataclasses.replace(CANONICAL, pml_thickness=0.0), 0.15)
     want = [tuple(sorted(e)) for e in robin.boundary_edges[Bnd.GAMMA_INF].tolist()]
     robin_tris = _brute_force_edges(robin)[1]
-    _assert_rim(robin, PhysicsConfig(radiation=RadiationSpec(mode="robin")), want,
-                [robin_tris[e] for e in want])
+    _assert_rim(robin, want, [robin_tris[e] for e in want])
 
 
-def _assert_rim(mesh, cfg, edges, tris):
-    got_edges, got_tris = _physical_rim(mesh, cfg)
+def _assert_rim(mesh, edges, tris):
+    got_edges, got_tris = _physical_rim(mesh)
     assert [tuple(sorted(e)) for e in got_edges.tolist()] == edges
     assert [[t] for t in got_tris.tolist()] == tris
     on_rim = np.zeros(mesh.num_nodes, dtype=bool)
@@ -390,6 +389,39 @@ def test_mesh_io_roundtrip(tmp_path):
     for tag in mesh.boundary_edges:
         assert np.array_equal(back.boundary_edges[tag], mesh.boundary_edges[tag])
         assert np.allclose(back.boundary_normals[tag], mesh.boundary_normals[tag])
+
+
+# the line (the first triangle's or edge's), the word and its new value; a
+# word past the row's end widens it, and no word cuts the file off there
+_MALFORMED = {
+    "negative node index": ("triangle", 0, "-1"),
+    "node index past the end": ("edge", 1, "6"),
+    "region code 7": ("triangle", 3, "7"),
+    "boundary tag 5": ("edge", 2, "5"),
+    "value that is not an integer": ("triangle", 1, "1.0"),
+    "row of the wrong width": ("triangle", 4, "0"),
+    "truncated file": ("edge", None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_load_mesh_rejects_malformed_file(tmp_path, case):
+    # each loaded silently, as an inverted or region-less triangle, or raised
+    # numpy's or Enum's ValueError, before load_mesh checked its rows
+    path = tmp_path / "mesh.txt"
+    save_mesh(structured_rectangle_mesh(2, 1), path)   # 6 nodes, 4 triangles, 6 edges
+    lines = path.read_text().splitlines()
+    row, col, word = _MALFORMED[case]
+    n = {"triangle": 7, "edge": 11}[row]   # zero-based
+    if col is None:
+        del lines[n:]
+    else:
+        words = lines[n].split()
+        words[col:col + 1] = [word]
+        lines[n] = " ".join(words)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFailure, match=f"^{path}, line {n + 1}: "):
+        load_mesh(path)
 
 
 def test_rectangle_helper_topology():

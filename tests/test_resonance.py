@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from enzlab import fem
-from enzlab.auxiliary import PhysicsConfig, compute_cstar, compute_beta, exterior_regions
+from enzlab.auxiliary import PhysicsConfig, compute_cstar, compute_beta, exterior_system
 from enzlab.errors import Degenerate, SingularSystem
 from enzlab.fem import BoundaryFunctional, ScalarField, h1_norm, integrate
 from enzlab.geometry import Bnd, Region, build_mesh
@@ -92,7 +92,7 @@ def test_k_star_exterior_lu_is_freed_before_the_first_gamma(monkeypatch):
     # would keep the k* exterior system and its LU alive through every gamma
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
     cfg = PhysicsConfig(sources=RING_SOURCE)
-    n_ext = len(fem.split_nodes(mesh, exterior_regions(mesh, cfg),
+    n_ext = len(fem.split_nodes(mesh, exterior_system(mesh, cfg).regions,
                                 [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0])
     k_star_block, dead = [], []
     factor = fem.factor
