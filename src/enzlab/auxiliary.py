@@ -100,7 +100,9 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
 
     Its one LU lives in the blocks that every copy of the system shares, for as long
     as anything holds the system: the Dirichlet block with Gamma_Omega fixed until a
-    caller asks for ``S_e`` (:func:`exterior_schur`), and ``B`` from then on.
+    caller asks for ``S_e`` (:func:`exterior_schur`), and ``B`` from then on.  The
+    block's LU is double, or single refined to double once a caller asks for that
+    (:func:`exterior_single`).
     """
     def build():
         k = cfg.k
@@ -114,6 +116,30 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
 def outer_dirichlet(regions) -> dict:
     """Dirichlet data on Gamma_inf: zero at the end of a collar, none on a Robin boundary."""
     return {Bnd.GAMMA_INF: 0.0} if Region.PML in regions else {}
+
+
+def _exterior_dirichlet(regions, trace=0.0) -> dict:
+    """The exterior's Dirichlet data: ``trace`` on Gamma_Omega, and :func:`outer_dirichlet`'s."""
+    return {Bnd.GAMMA_OMEGA: trace, **outer_dirichlet(regions)}
+
+
+def exterior_single(ext: fem.LinearSystem) -> fem.DirichletBlock:
+    """``ext``'s one LU from now on: its Dirichlet block, in single precision.
+
+    The block's LU is factored in single precision and every solve is refined
+    to double (:class:`fem.Factored`), so the fields pass the same check.  It
+    suits a run that reads only the auxiliary constants off ``ext`` and
+    factors a large exterior: ``convergence-table``, whose h = 0.025 level
+    set the benchmark's ``cli_pipeline`` peak (median 380 MB; 303 MB with
+    this LU, on a 2-core host with one BLAS thread).  Not an
+    engine: with one refinement step (backward error 1e-13, inside the
+    contract) an engine built on such a set moved criterion 2's real J = 2
+    slope to 2.61.  Nor every auxiliary set: at h = 0.06 the refinement
+    steps cost more than the factorization saves (``aux_refine`` op medians
+    256 to 309 ms).  Whatever LU ``ext`` held goes.
+    """
+    ext._blocks.clear()
+    return ext.dirichlet_block(_exterior_dirichlet(ext.regions), single=True)
 
 
 def exterior_schur(ext: fem.LinearSystem):
@@ -160,7 +186,7 @@ def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray
     Solved on the system's one LU: its Dirichlet block by :func:`fem.solve`,
     or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
     """
-    bc = {Bnd.GAMMA_OMEGA: trace, **outer_dirichlet(system.regions)}
+    bc = _exterior_dirichlet(system.regions, trace)
     if "S_e" in system._blocks:
         return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
     return solve(system, rhs, bc)

@@ -775,7 +775,12 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format of :func:`save_mesh`; MeshFailure names a malformed line."""
+    """Read the plain-text mesh format of :func:`save_mesh`.
+
+    MeshFailure names the path and the line of a malformed row, of a
+    coordinate that is not finite, or of a triangle whose corners do not run
+    counterclockwise (area not positive).
+    """
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
 
@@ -794,15 +799,26 @@ def load_mesh(path) -> Mesh:
             raise ValueError(f"node index {word} outside 0..{nn - 1}")
         return int(word)
 
+    def coordinate(word: str) -> float:
+        if not math.isfinite(float(word)):
+            raise ValueError(f"coordinate {word} is not finite")
+        return float(word)
+
     word, nn, _, nt, _, ne = row(1, str, int, str, int, str, int)
     if word != "nodes" or min(nn, nt, ne) < 0:
         raise MeshFailure(f"{path}, line 1: bad mesh header")
     tri, edge = 2 + nn, 2 + nn + nt   # the first triangle's line and the first edge's
-    nodes = np.array([row(n, float, float) for n in range(2, tri)])
+    nodes = np.array([row(n, coordinate, coordinate) for n in range(2, tri)])
     tri_rows = [row(n, node, node, node, lambda w: Region(int(w))) for n in range(tri, edge)]
     edge_rows = [row(n, node, node, lambda w: Bnd(int(w))) for n in range(edge, edge + ne)]
     tris = np.asarray([r[:3] for r in tri_rows], dtype=np.int32)
     region = np.asarray([r[3] for r in tri_rows], dtype=np.int16)
     b_edges = {tag: np.asarray([r[:2] for r in edge_rows if r[2] == tag], dtype=np.int32)
                for tag in sorted({r[2] for r in edge_rows})}
-    return Mesh(nodes, tris, region, b_edges)
+    mesh = Mesh(nodes, tris, region, b_edges)
+    inverted = np.flatnonzero(mesh.tri_areas <= 0)
+    if len(inverted):
+        t = inverted[0]
+        raise MeshFailure(f"{path}, line {tri + t}: triangle of area {mesh.tri_areas[t]:.6g}; "
+                          "its corners must run counterclockwise")
+    return mesh

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enzlab import fem
 from enzlab.auxiliary import PhysicsConfig, solve_auxiliary_set
 from enzlab.correctors import CorrectorEngine
 from enzlab.geometry import (Circle, DomainSpec, SourceDisk, SourceRing,
@@ -49,3 +50,12 @@ def engine_coarse(mesh_coarse, cfg_ring, aux_coarse):
 @pytest.fixture(scope="session")
 def hier8(engine_coarse):
     return engine_coarse.build_hierarchy(8)
+
+
+@pytest.fixture()
+def factored(monkeypatch):
+    """``(size, dtype)`` of each matrix that ``fem.factor`` is handed from now on, in order."""
+    seen = []
+    factor = fem.factor
+    monkeypatch.setattr(fem, "factor", lambda A: seen.append((A.shape[0], A.dtype)) or factor(A))
+    return seen

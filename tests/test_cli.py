@@ -17,7 +17,7 @@ from enzlab.direct import solve_transmission
 from enzlab.errors import EnzLabError, ParseError, ValidationError
 from enzlab.fem import dirichlet_eigs
 from enzlab.fields import compute_poynting
-from enzlab.geometry import build_mesh
+from enzlab.geometry import Bnd, Region, build_mesh
 from enzlab.oracle import RadialLayers, axisym_solution, j0_zero
 
 CANONICAL_CFG = """
@@ -308,20 +308,34 @@ def test_folded_band_exits_6_naming_its_regions(tmp_path, capsys):
     assert "inverted triangles, in ENZ, EXTERIOR" in err   # 9896 of them
 
 
-def test_sweep_delta_factors_the_exterior_once(tmp_path, monkeypatch):
-    from enzlab import fem
-    from enzlab.geometry import Bnd, Region
-    factored = []
-    factor = fem.factor
-    monkeypatch.setattr(fem, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
-    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\ndeltas = 0.1,0 0.01,0.01")
-    assert _exit_code(tmp_path, text, sub="sweep-delta") == 0
-    mesh = build_mesh(parse_config(tmp_path / "case.cfg")[0], 0.2)
+def _exterior_sizes(mesh):
+    """Unknowns of the interface-last exterior ``B`` and of the exterior Dirichlet block."""
     n_keep = (len(mesh.region_nodes([Region.EXTERIOR, Region.PML]))
               - len(mesh.boundary_nodes(Bnd.GAMMA_INF)))
-    n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
-    assert factored.count(n_keep) == 1            # the interface-last exterior
-    assert factored.count(n_keep - n_gamma) == 0  # no exterior Dirichlet block
+    return n_keep, n_keep - len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
+
+
+def test_sweep_delta_factors_the_exterior_once(tmp_path, factored):
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\ndeltas = 0.1,0 0.01,0.01")
+    assert _exit_code(tmp_path, text, sub="sweep-delta") == 0
+    n_keep, n_block = _exterior_sizes(build_mesh(parse_config(tmp_path / "case.cfg")[0], 0.2))
+    sizes = [n for n, _ in factored]
+    assert sizes.count(n_keep) == 1    # the interface-last exterior
+    assert sizes.count(n_block) == 0   # no exterior Dirichlet block
+
+
+@pytest.mark.parametrize("sub, flags", [
+    ("aux", []), ("expand", []), ("radius", []),
+    ("sweep-delta", ["--deltas", "0.1,0"]), ("resonance-sweep", [])])
+def test_subcommands_factor_in_double(cfg_file, tmp_path, factored, sub, flags):
+    # only convergence-table asks for a single-precision exterior LU; the
+    # resonance sweep's Dirichlet eigenpairs factor a real matrix, and keep it real
+    text = cfg_file.read_text().replace("seed = 0", "seed = 0\ngammas = 0.1 0.001")
+    cfg_file.write_text(text)
+    assert main([sub, str(cfg_file), "--out", str(tmp_path / "out"), *flags]) == 0
+    dtypes = {d for _, d in factored}
+    assert dtypes == ({np.dtype(complex), np.dtype(float)} if sub == "resonance-sweep"
+                      else {np.dtype(complex)})
 
 
 def test_mesh_size_at_half_gap_exits_6(tmp_path):
@@ -526,7 +540,7 @@ def test_direct_field_and_poynting_csv_contents(cfg_file, tmp_path):
     assert "2.000000000000e+00" in {line.rsplit(",", 1)[1] for line in lines[1:]}   # a float
 
 
-def test_oracle_check_and_convergence_table(cfg_file, tmp_path):
+def test_oracle_check_and_convergence_table(cfg_file, tmp_path, factored, monkeypatch):
     out = tmp_path / "out_oracle"
     assert main(["oracle-check", str(cfg_file), "--out", str(out)]) == 0
     lines = (out / "oracle_profile.csv").read_text().strip().splitlines()
@@ -534,6 +548,22 @@ def test_oracle_check_and_convergence_table(cfg_file, tmp_path):
     assert len(lines) > 100
     summary = json.loads((out / "oracle_summary.json").read_text())
     assert "beta" in summary and "c_star" in summary
+    # the table meshes at 2h, h and h/2; at h = 0.2, 2h is above half the gap
+    cfg_file.write_text(cfg_file.read_text().replace("h = 0.2", "h = 0.1"))
+    meshes = []
+    monkeypatch.setattr("enzlab.cli.build_mesh", lambda *a: meshes.append(build_mesh(*a))
+                        or meshes[-1])
+    assert main(["convergence-table", str(cfg_file), "--out", str(out)]) == 0
+    lines = (out / "convergence_table.csv").read_text().splitlines()
+    assert lines[0] == "h,beta_rel_err,cstar_rel_err,mueff_rel_err,beta_rate,cstar_rate,mueff_rate"
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table[:, 0], [0.2, 0.1, 0.05])
+    assert (np.diff(table[:, 1:4], axis=0) < 0).all()      # every error falls with h
+    assert np.isnan(table[0, 4:]).all() and np.isfinite(table[1:, 4:]).all()
+    # each level's exterior block is factored in single precision, the dopant's in double
+    blocks = [(_exterior_sizes(mesh)[1], np.dtype(np.complex64)) for mesh in meshes]
+    assert [f for f in factored if f[1] != np.dtype(complex)] == blocks
+    assert len(factored) == 2 * len(blocks)
 
 
 def test_console_entry_point_runs(cfg_file, tmp_path):

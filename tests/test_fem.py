@@ -675,6 +675,34 @@ def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_r
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()   # 6.8e-16 seen
 
 
+def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring):
+    ext = exterior_system(mesh_coarse, cfg_ring)
+    tags = {Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}
+    free = fem.split_nodes(mesh_coarse, ext.regions, tags)[0]
+    A_ff, order = ext.A[np.ix_(free, free)].tocsc(), fem.node_order(mesh_coarse, ext.regions, tags)
+    single, double = fem.Factored(A_ff, order, single=True), fem.Factored(A_ff, order)
+    assert single.lu_dtype == np.complex64 and double.lu_dtype == np.complex128
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((len(free), 2)) @ np.array([1.0, 1.0j])
+    for trans in ("N", "H"):
+        x, ref = single.lu_solve(b, trans), double.lu_solve(b, trans)
+        assert x.dtype == np.complex128
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    single.solve(b)   # the backward-error contract, checked against A_ff in double
+    # a load far below single precision's range is scaled, not flushed to zero
+    x, ref = single.lu_solve(1e-60 * b), double.lu_solve(1e-60 * b)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_engines_and_direct_solves_factor_in_double(cfg_ring, factored):
+    mesh = build_mesh(CANONICAL, 0.2)
+    auxiliary.solve_auxiliary_set(mesh, cfg_ring)
+    CorrectorEngine(mesh, cfg_ring).build_hierarchy(2)
+    direct.solve_transmission(mesh, cfg_ring)
+    # the exterior and dopant blocks, the bordered Neumann system, B and Omega's operator
+    assert [d for _, d in factored] == [np.dtype(complex)] * 5
+
+
 def test_interface_last_empties_the_factor_copies_and_solves_the_same(mesh_coarse, cfg_ring):
     ext = exterior_system(mesh_coarse, cfg_ring)
     gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)

@@ -391,9 +391,12 @@ def test_mesh_io_roundtrip(tmp_path):
         assert np.allclose(back.boundary_normals[tag], mesh.boundary_normals[tag])
 
 
-# the line (the first triangle's or edge's), the word and its new value; a
-# word past the row's end widens it, and no word cuts the file off there
+# the line (the first node's, triangle's or edge's), the word and its new
+# value; a word past the row's end widens it, and no word cuts the file off there
 _MALFORMED = {
+    "node coordinate nan": ("node", 0, "nan"),
+    "node coordinate inf": ("node", 1, "inf"),
+    "clockwise triangle": ("triangle", 1, "3"),   # 0 3 4, of area -0.25
     "negative node index": ("triangle", 0, "-1"),
     "node index past the end": ("edge", 1, "6"),
     "region code 7": ("triangle", 3, "7"),
@@ -406,13 +409,13 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_load_mesh_rejects_malformed_file(tmp_path, case):
-    # each loaded silently, as an inverted or region-less triangle, or raised
-    # numpy's or Enum's ValueError, before load_mesh checked its rows
+    # each loaded silently, as a non-finite node or an inverted or region-less
+    # triangle, or raised numpy's or Enum's ValueError, before load_mesh checked it
     path = tmp_path / "mesh.txt"
     save_mesh(structured_rectangle_mesh(2, 1), path)   # 6 nodes, 4 triangles, 6 edges
     lines = path.read_text().splitlines()
     row, col, word = _MALFORMED[case]
-    n = {"triangle": 7, "edge": 11}[row]   # zero-based
+    n = {"node": 1, "triangle": 7, "edge": 11}[row]   # zero-based
     if col is None:
         del lines[n:]
     else:
