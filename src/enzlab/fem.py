@@ -40,7 +40,7 @@ interface-last exterior LU (:func:`interface_last`).  The numpy temporaries
 of the mesh build and the assembly stay resident after they are freed, and
 SuperLU's factors, mapped on their own, never reuse them, so both used to sit
 under the peak: at h = 0.025 a trim after the exterior assembly takes the
-process from 201 to 102 MB.  Nothing else trims: a trim before each per-delta
+process from 137 to 96 MB.  Nothing else trims: a trim before each per-delta
 Omega factorization makes a direct solve at h = 0.05 5% slower (48.3 against
 46.1 ms, interleaved medians of 20).
 
@@ -299,8 +299,14 @@ def _scatter(elems: np.ndarray, entries: np.ndarray, n: int) -> sp.csc_matrix:
     ``elems`` is ``(E, m)`` local node numbers, ``entries`` the distinct
     entries of every element matrix, ``(m (m + 1) / 2, E)`` in
     ``np.triu_indices(m)`` order.  Each element's full ``m x m`` block is
-    placed row by row, element after element, so entries that land on one
-    position are summed in element order.
+    placed row by row, element after element, and SciPy's COO-to-CSC
+    conversion sums the entries that land on one position in the order it
+    leaves them: a stable sort by column, then an unstable sort within each
+    column, so not in element order (in 3 x 3 tests with 200 entries per
+    position, 7 to 9 of the 9 sums differed from the element-order sum).  That order is what makes every matrix, and
+    so every artifact, byte-identical, so the scatter keeps SciPy's public
+    conversion: a numpy run sum that replays SciPy's sort gives the same
+    bytes only by redoing that sort, and more slowly.
     """
     m = elems.shape[1]
     full = np.zeros((m, m), dtype=np.intp)
@@ -779,21 +785,16 @@ def _pml_coefficients(mesh: Mesh, tri_idx: np.ndarray, k: complex, rad: Radiatio
     return g11, g12, g22, react
 
 
-def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
-             radiation: RadiationSpec | None = None, k: complex | None = None) -> LinearSystem:
-    """Assemble ``int a grad(u).grad(v) - c u v`` plus radiation terms.
+def _element_entries(mesh: Mesh, regions, diffusion: dict, reaction: dict,
+                     radiation: RadiationSpec | None, k: complex | None):
+    """The regions' triangles, on their own nodes, and their ``(6, T)`` entries.
 
-    ``diffusion`` and ``reaction`` map each active region tag to a complex
-    constant.  With ``radiation`` the collar triangles get the complex-stretched
-    anisotropic tensor; regions without any get a first-order absorbing term
-    on the truncation circle, which must then bound them (TAG_MISMATCH
-    otherwise).  The result is complex symmetric (not Hermitian) and
-    numbered on ``region_nodes(regions)``.
+    With ``radiation`` the collar's triangles take the stretched tensor.
+    Each kernel runs only on the triangles whose entries it gives, and every
+    element array dies with this frame, before :func:`_scatter` expands the
+    entries.
     """
-    regions = _as_region_set(regions)
     mask = mesh.region_triangles(regions)
-    if not mask.any():
-        raise TagMismatch("no triangles in requested regions")
     tris, b, c, area = _region_elements(mesh, regions)
     reg = mesh.tri_region[mask]
 
@@ -809,21 +810,46 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
         a_t[sel] = a_val
         c_t[sel] = complex(reaction.get(r, 0.0))
 
-    local = a_t * _stiffness_entries(b, c, area) - c_t * _mass_entries(area, MASS_LUMP_FRACTION)
-    if radiation is not None and k is None:
-        raise ValueError("radiation assembly needs the wavenumber k")
-    collar = np.flatnonzero(reg == Region.PML)
-    if radiation is not None and len(collar):
+    local = np.empty((6, len(tris)), dtype=complex)
+    iso = slice(None) if radiation is None else np.flatnonzero(reg != Region.PML)
+    local[:, iso] = (a_t[iso] * _stiffness_entries(b[:, iso], c[:, iso], area[iso])
+                     - c_t[iso] * _mass_entries(area[iso], MASS_LUMP_FRACTION))
+    if radiation is not None:
+        collar = np.flatnonzero(reg == Region.PML)
         p11, p12, p22, react = _pml_coefficients(mesh, np.flatnonzero(mask)[collar], k, radiation)
         a, area_c = a_t[collar], area[collar]
         stiff = _stiffness_entries(b[:, collar], c[:, collar], area_c,
                                    (a * p11, a * p12, a * p22))
         mass = _mass_entries(area_c, MASS_LUMP_FRACTION)
         local[:, collar] = stiff - c_t[collar] * react * mass
-    nodes = mesh.region_nodes(regions)
-    A = _scatter(tris, local, len(nodes))
+    return tris, local
 
-    if radiation is not None and not len(collar):
+
+def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
+             radiation: RadiationSpec | None = None, k: complex | None = None) -> LinearSystem:
+    """Assemble ``int a grad(u).grad(v) - c u v`` plus radiation terms.
+
+    ``diffusion`` and ``reaction`` map each active region tag to a complex
+    constant.  With ``radiation`` the collar triangles get the complex-stretched
+    anisotropic tensor; regions without any get a first-order absorbing term
+    on the truncation circle, which must then bound them (TAG_MISMATCH
+    otherwise).  The result is complex symmetric (not Hermitian) and
+    numbered on ``region_nodes(regions)``.
+
+    Its peak memory is the scatter's (at h = 0.025 the canonical exterior
+    raises the peak from 121 to 226 MB, below the 261 MB of its
+    factorization): :func:`_element_entries` frees the element arrays first.
+    """
+    regions = _as_region_set(regions)
+    if not mesh.region_triangles(regions).any():
+        raise TagMismatch("no triangles in requested regions")
+    if radiation is not None and k is None:
+        raise ValueError("radiation assembly needs the wavenumber k")
+    collar = Region.PML in regions and mesh.region_triangles(Region.PML).any()
+    nodes = mesh.region_nodes(regions)
+    A = _scatter(*_element_entries(mesh, regions, diffusion, reaction,
+                                   radiation if collar else None, k), len(nodes))
+    if radiation is not None and not collar:
         r_t = mesh.truncation_radius
         q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 1.0 / (2.0 * r_t))
         A = A - q * _boundary_mass(mesh, regions, Bnd.GAMMA_INF)
