@@ -742,17 +742,23 @@ def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_r
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()   # 6.8e-16 seen
 
 
-def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring):
+def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring, monkeypatch):
     ext = exterior_system(mesh_coarse, cfg_ring)
     tags = {Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}
     free = fem.split_nodes(mesh_coarse, ext.regions, tags)[0]
     A_ff, order = ext.A[np.ix_(free, free)].tocsc(), fem.node_order(mesh_coarse, ext.regions, tags)
     single, double = fem.Factored(A_ff, order, single=True), fem.Factored(A_ff, order)
     assert single.lu_dtype == np.complex64 and double.lu_dtype == np.complex128
+    passes, off_lu = [], fem.Factored._off_lu
+    monkeypatch.setattr(fem.Factored, "_off_lu",
+                        lambda self, b, trans: passes.append(self.single) or off_lu(self, b, trans))
     rng = np.random.default_rng(3)
     b = rng.standard_normal((len(free), 2)) @ np.array([1.0, 1.0j])
     for trans in ("N", "H"):
+        passes.clear()
         x, ref = single.lu_solve(b, trans), double.lu_solve(b, trans)
+        # the solve and two steps: the second reaches roundoff, so no third is paid
+        assert passes == [True] * 3 + [False]
         assert x.dtype == np.complex128
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     single.solve(b)   # the backward-error contract, checked against A_ff in double
