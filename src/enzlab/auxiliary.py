@@ -129,14 +129,15 @@ def exterior_single(ext: fem.LinearSystem) -> fem.DirichletBlock:
     The block's LU is factored in single precision and every solve is refined
     to double (:class:`fem.Factored`), so the fields pass the same check.  It
     suits a run that reads only the auxiliary constants off ``ext`` and
-    factors a large exterior: ``convergence-table``, whose h = 0.025 level
-    set the benchmark's ``cli_pipeline`` peak (median 380 MB; 303 MB with
-    this LU, on a 2-core host with one BLAS thread).  Not an
-    engine: with one refinement step (backward error 1e-13, inside the
-    contract) an engine built on such a set moved criterion 2's real J = 2
-    slope to 2.61.  Nor every auxiliary set: at h = 0.06 the refinement
-    steps cost more than the factorization saves (``aux_refine`` op medians
-    256 to 309 ms).  Whatever LU ``ext`` held goes.
+    factors a large exterior: ``convergence-table``, whose h = 0.025 level sets
+    the benchmark's ``cli_pipeline`` peak (median 380 MB with a double LU,
+    302 MB with this one, on a 2-core host with one BLAS thread; 278 MB since the
+    assembly frees its element arrays, and this LU's factorization is that
+    peak).  Not an engine: with one refinement step (backward error 1e-13,
+    inside the contract) an engine built on such a set moved criterion 2's real
+    J = 2 slope to 2.61.  Nor every auxiliary set: at h = 0.06 the refinement
+    steps cost more than the factorization saves (``aux_refine`` op medians 256
+    to 309 ms).  Whatever LU ``ext`` held goes.
     """
     ext._blocks.clear()
     return ext.dirichlet_block(_exterior_dirichlet(ext.regions), single=True)

@@ -299,14 +299,13 @@ def _scatter(elems: np.ndarray, entries: np.ndarray, n: int) -> sp.csc_matrix:
     ``elems`` is ``(E, m)`` local node numbers, ``entries`` the distinct
     entries of every element matrix, ``(m (m + 1) / 2, E)`` in
     ``np.triu_indices(m)`` order.  Each element's full ``m x m`` block is
-    placed row by row, element after element, and SciPy's COO-to-CSC
-    conversion sums the entries that land on one position in the order it
-    leaves them: a stable sort by column, then an unstable sort within each
-    column, so not in element order (in 3 x 3 tests with 200 entries per
-    position, 7 to 9 of the 9 sums differed from the element-order sum).  That order is what makes every matrix, and
-    so every artifact, byte-identical, so the scatter keeps SciPy's public
-    conversion: a numpy run sum that replays SciPy's sort gives the same
-    bytes only by redoing that sort, and more slowly.
+    placed row by row, element after element, and SciPy's COO-to-CSC conversion
+    sums the entries that land on one position in the order it leaves them: a
+    stable sort by column, then an unstable sort within each column, so not in
+    element order (in 3 x 3 tests with 200 entries per position, 7 to 9 of the
+    9 sums differed from the element-order sum).  The artifacts' bytes
+    depend on that order, which is why the scatter keeps SciPy's public
+    conversion rather than summing the triplets itself.
     """
     m = elems.shape[1]
     full = np.zeros((m, m), dtype=np.intp)
@@ -843,9 +842,11 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
     otherwise).  The result is complex symmetric (not Hermitian) and
     numbered on ``region_nodes(regions)``.
 
-    Its peak memory is the scatter's (at h = 0.025 the canonical exterior
-    raises the peak from 121 to 226 MB, below the 261 MB of its
-    factorization): :func:`_element_entries` frees the element arrays first.
+    Its peak memory is the scatter's, since :func:`_element_entries` frees
+    the element arrays first.  In a fresh process at h = 0.025 the
+    canonical exterior raises the peak from 121 to 223 MB (282 MB with the
+    element arrays alive through the scatter), below the 259 MB of its
+    single-precision factorization.
     """
     regions = _as_region_set(regions)
     if not mesh.region_triangles(regions).any():
