@@ -132,8 +132,9 @@ def exterior_single(ext: fem.LinearSystem) -> fem.DirichletBlock:
     factors a large exterior: ``convergence-table``, whose h = 0.025 level sets
     the benchmark's ``cli_pipeline`` peak (median 380 MB with a double LU,
     302 MB with this one, on a 2-core host with one BLAS thread; 278 MB since the
-    assembly frees its element arrays, and this LU's factorization is that
-    peak).  Not an engine: with one refinement step (backward error 1e-13,
+    assembly frees its element arrays, and 264 MB since the block factors in
+    place, without a sliced copy of ``ext.A``; this LU's factorization is
+    that peak).  Not an engine: with one refinement step (backward error 1e-13,
     inside the contract) an engine built on such a set moved criterion 2's real
     J = 2 slope to 2.61.  Nor every auxiliary set: at h = 0.06 the refinement
     steps cost more than the factorization saves (``aux_refine`` op medians 256
@@ -155,8 +156,8 @@ def exterior_schur(ext: fem.LinearSystem):
         keep = fem.split_nodes(ext.mesh, ext.regions, fixed)[0]
         n_g = len(ext.local_boundary(Bnd.GAMMA_OMEGA))
         order = fem.node_order(ext.mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA])
-        B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(), order, n_g)
-        ext._blocks["S_e"] = B, S, keep, B.order[len(keep) - n_g:]
+        B, S = fem.interface_last(ext.A, keep[order], n_g)
+        ext._blocks["S_e"] = B, S, keep, order[len(keep) - n_g:]
     return ext._blocks["S_e"]
 
 
@@ -201,7 +202,10 @@ def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
 
 
 def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 12) -> float:
-    """sigma_min(A_ff) / ||A_ff||_1, by inverse iteration with :meth:`fem.Factored.lu_solve`."""
+    """sigma_min(A_ff) / ||A_ff||_1, by inverse iteration with :meth:`fem.Factored.lu_solve`.
+
+    ``||A_ff||_1`` is read off ``system.A`` through the block's rows and columns.
+    """
     block = system.dirichlet_block(fixed_tags)
     x = np.ones(len(block.free), dtype=complex) / math.sqrt(len(block.free))
     lam = 0.0
@@ -211,7 +215,7 @@ def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 
         lam = float(np.linalg.norm(w))
         x = w / lam
     sigma_min = 1.0 / math.sqrt(lam)
-    return sigma_min / fem.inf_norm(block.A_ff.T)
+    return sigma_min / fem.block_norm(system.A.T, block.free)
 
 
 # ---------------------------------------------------------------------------

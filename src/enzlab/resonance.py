@@ -25,7 +25,7 @@ from .errors import Degenerate, ResonantDopant, SingularSystem
 from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
 from .correctors import CorrectorEngine
 from .fem import (BoundaryFunctional, Factored, LinearSystem, NeumannSystem,
-                  ScalarField, bordered, dirichlet_eigs, eigen_flux, h1_norm,
+                  ScalarField, bordered, dirichlet_eigs, eigen_flux, free_load, h1_norm,
                   integrate, mass_matrix, stiffness_matrix)
 from .geometry import Bnd, Mesh, Region, _as_region_set
 
@@ -193,14 +193,14 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
                           (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc(),
                           mesh.region_nodes(Region.DOPANT))
     block = system.dirichlet_block([Bnd.GAMMA_D])
-    B = np.column_stack([(M @ u.values)[block.free] for _, u in cluster])
+    B = np.column_stack([M @ u.values for _, u in cluster])
     vals = np.zeros(len(system.nodes), dtype=complex)
     vals[system.local_boundary(Bnd.GAMMA_D)] = trace
-    rhs = -(block.A_fd @ vals[block.fixed])
-    if volume is not None:
-        rhs = rhs + volume[block.free]
-    order = np.concatenate([block.order, len(block.free) + np.arange(B.shape[1])])
-    x = Factored(bordered(block.A_ff, B), order).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
+    rhs = free_load(system.A, np.zeros(len(vals)) if volume is None else volume,
+                    block.free, block.fixed, vals)
+    # the bordered whole operator, factored on its free rows and the border's
+    order = np.concatenate([block.free[block.order], len(vals) + np.arange(B.shape[1])])
+    x = Factored(bordered(system.A, B), order).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
     vals[block.free] = x[:len(block.free)]
     return ScalarField(mesh, Region.DOPANT, vals)
 

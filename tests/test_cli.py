@@ -324,6 +324,29 @@ def test_sweep_delta_factors_the_exterior_once(tmp_path, factored):
     assert sizes.count(n_block) == 0   # no exterior Dirichlet block
 
 
+@pytest.mark.parametrize("sub, flags, n_k", [
+    ("aux", [], 1), ("expand", [], 1), ("direct", [], 1),
+    ("sweep-delta", ["--deltas", "0.1,0 0.01,0.01"], 1), ("oracle-check", [], 0),
+    ("radius", [], 1), ("resonance-sweep", [], 3), ("poynting", [], 1),
+    ("convergence-table", [], 1)])
+def test_each_subcommand_factors_the_exterior_once_per_k(cfg_file, tmp_path, factored,
+                                                         monkeypatch, sub, flags, n_k):
+    # the exterior LU, B or the Dirichlet block, once per mesh and k: the
+    # resonance sweep solves at k* and at each of its two gammas
+    text = cfg_file.read_text().replace("seed = 0", "seed = 0\ngammas = 0.1 0.001")
+    if sub == "convergence-table":   # at h = 0.2 its 2h level is above half the gap
+        text = text.replace("h = 0.2", "h = 0.1")
+    cfg_file.write_text(text)
+    meshes = []
+    monkeypatch.setattr("enzlab.cli.build_mesh", lambda *a: meshes.append(build_mesh(*a))
+                        or meshes[-1])
+    assert main([sub, str(cfg_file), "--out", str(tmp_path / "out"), *flags]) == 0
+    assert len(meshes) == {"oracle-check": 0, "convergence-table": 3}.get(sub, 1)
+    sizes = [n for n, _ in factored]
+    assert bool(sizes) == bool(meshes)   # the oracle factors nothing
+    assert [sum(map(sizes.count, _exterior_sizes(mesh))) for mesh in meshes] == [n_k] * len(meshes)
+
+
 @pytest.mark.parametrize("sub, flags", [
     ("aux", []), ("expand", []), ("radius", []),
     ("sweep-delta", ["--deltas", "0.1,0"]), ("resonance-sweep", [])])

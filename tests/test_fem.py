@@ -592,7 +592,7 @@ def test_factor_uses_fill_reducing_ordering(mesh_coarse, cfg_ring):
                   [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])]
     for block in blocks:   # 0.70 (transmission) and 0.74 (exterior) seen
         lu = block.ff.lu
-        colamd = spla.splu(block.A_ff, permc_spec="COLAMD")
+        colamd = spla.splu(block.A[np.ix_(block.free, block.free)].tocsc(), permc_spec="COLAMD")
         assert lu.L.nnz + lu.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
@@ -681,7 +681,7 @@ def test_factor_pivots_on_diagonal(mesh_coarse):
     rng = np.random.default_rng(3)
     b = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
     x = ns._bordered.lu_solve(b)
-    backward = np.linalg.norm(A @ x - b) / (fem.inf_norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+    backward = np.linalg.norm(A @ x - b) / (spla.norm(A, np.inf) * np.linalg.norm(x) + np.linalg.norm(b))
     assert backward <= 1e-14   # 7.3e-17 seen; 2.6e-4 with threshold 0
 
 
@@ -793,6 +793,41 @@ def test_interface_last_empties_the_factor_copies_and_solves_the_same(mesh_coars
     assert np.array_equal(S, S_ref)
     b = np.random.default_rng(0).standard_normal((len(keep), 2)) @ np.array([1.0, 1.0j])
     assert np.array_equal(B.solve(b), ref.solve(b))
+
+
+def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
+    # each block is factored off its system's own A, and gives the bits of
+    # a Factored of the block sliced out as a copy, the way blocks were made
+    lu_inputs, factor = [], fem.factor   # copied: SuperLU sorts its input's indices in place
+    monkeypatch.setattr(fem, "factor", lambda A: lu_inputs.append(A.copy()) or factor(A))
+    mesh = build_mesh(CANONICAL, 0.1)   # its own, so that no block is factored yet
+    ext = exterior_system(mesh, cfg_ring)
+    dop = auxiliary.dopant_system(mesh, cfg_ring)
+    tags = [Bnd.GAMMA_OMEGA, *outer_dirichlet(ext.regions)]
+    block = ext.dirichlet_block(tags)
+    cases = [(ext, block.free, block.order, block.ff)]
+    block = auxiliary.exterior_single(ext)
+    cases.append((ext, block.free, block.order, block.ff))
+    B, _, keep, _ = auxiliary.exterior_schur(ext)
+    order = fem.node_order(mesh, ext.regions, outer_dirichlet(ext.regions), [Bnd.GAMMA_OMEGA])
+    cases.append((ext, keep, order, B))
+    block = dop.dirichlet_block([Bnd.GAMMA_D])
+    cases.append((dop, block.free, block.order, block.ff))
+    assert [ff.single for *_, ff in cases] == [False, True, False, False]
+    assert len(lu_inputs) == len(cases)
+    rng = np.random.default_rng(5)
+    for (system, rows, order, ff), lu_input in zip(cases, lu_inputs):
+        assert ff.A is system.A
+        A_ff = system.A[np.ix_(rows, rows)].tocsc()
+        ref_input = A_ff.astype(ff.lu_dtype)[order][:, order].tocsc()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lu_input, name), getattr(ref_input, name)), name
+        ref = fem.Factored(A_ff, order, ff.single)
+        assert ff.norm == ref.norm
+        b = rng.standard_normal((len(rows), 2)) @ np.array([1.0, 1.0j])
+        for trans in ("N", "H"):
+            assert np.array_equal(ff.lu_solve(b, trans), ref.lu_solve(b, trans))
+        assert np.array_equal(ff.solve(b), ref.solve(b))
 
 
 def _per_triangle_source_load(mesh, regions, sources):
