@@ -126,8 +126,11 @@ def _exterior_dirichlet(regions, trace=0.0) -> dict:
 def exterior_single(ext: fem.LinearSystem) -> fem.DirichletBlock:
     """``ext``'s one LU from now on: its Dirichlet block, in single precision.
 
-    The block's LU is factored in single precision and every solve is refined
-    to double (:class:`fem.Factored`), so the fields pass the same check.  It
+    The block (a :class:`fem.DirichletBlock`) is returned unfactored; its LU
+    is factored in single precision at the first solve, on a freshly trimmed
+    heap, and every solve is refined to double, so the fields pass the same
+    check.  Factoring it here instead, before the source load and the solves
+    allocate, raised ``convergence-table``'s peak by about 28 MB.  It
     suits a run that reads only the auxiliary constants off ``ext`` and
     factors a large exterior: ``convergence-table``, whose h = 0.025 level sets
     the benchmark's ``cli_pipeline`` peak (median 380 MB with a double LU,
@@ -164,10 +167,12 @@ def exterior_schur(ext: fem.LinearSystem):
 def condensed_load(ext: fem.LinearSystem, cfg: PhysicsConfig) -> np.ndarray:
     """``z = A_gf A_ff^-1 b_f`` for the load of ``cfg.sources``, per (k, radiation, sources)."""
     B, S, keep, g = exterior_schur(ext)
-    r = source_load(ext.mesh, ext.regions, cfg.sources)[keep]
-    r[g] = 0.0   # B [x; y] = [b_f; 0] has S_e y = -z
-    return ext.mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources),
-                           lambda: -S @ B.lu_solve(r)[g])
+
+    def build():
+        r = source_load(ext.mesh, ext.regions, cfg.sources)[keep]
+        r[g] = 0.0   # B [x; y] = [b_f; 0] has S_e y = -z
+        return -S @ B.lu_solve(r)[g]
+    return ext.mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources), build)
 
 
 def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray,
@@ -207,15 +212,15 @@ def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 
     ``||A_ff||_1`` is read off ``system.A`` through the block's rows and columns.
     """
     block = system.dirichlet_block(fixed_tags)
-    x = np.ones(len(block.free), dtype=complex) / math.sqrt(len(block.free))
+    x = np.ones(len(block.rows), dtype=complex) / math.sqrt(len(block.rows))
     lam = 0.0
     for _ in range(iters):
-        y = block.ff.lu_solve(x, trans="H")
-        w = block.ff.lu_solve(y)
+        y = block.lu_solve(x, trans="H")
+        w = block.lu_solve(y)
         lam = float(np.linalg.norm(w))
         x = w / lam
     sigma_min = 1.0 / math.sqrt(lam)
-    return sigma_min / fem.block_norm(system.A.T, block.free)
+    return sigma_min / fem.block_norm(system.A.T, block.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ roundoff-sized pivots and solve wrongly without a breakdown.  A
 unknowns in an order, its norm and its LU, in double precision or, where the
 caller chose single when it made the block, in single precision with every
 solve refined to double.  The block may be all of the matrix or a principal
-block of it (the free nodes of a Dirichlet block, the exterior off its
-collar's outer boundary); no caller slices a copy of it: the LU's input is
-cut from the matrix in one step, and the norm (:func:`block_norm`) and every
-product read the matrix through the block's rows.  Every solve
+block of it (a :class:`DirichletBlock` on its free nodes, the exterior off
+its collar's outer boundary); no caller slices a copy of it: the LU's input
+is cut from the matrix in one step, and the norm (:func:`block_norm`) and
+every product (:func:`block_product`, also the operators of
+:func:`dirichlet_eigs`) read the matrix through the block's rows.  Every solve
 meets one residual contract: a normwise backward error above 1e-10 raises
 SINGULAR_SYSTEM.  A bare factorization, bordered ones included, is checked
 by :meth:`Factored.solve`; a Dirichlet-constrained field, from :func:`solve`
@@ -41,9 +42,9 @@ Both take the free rows' load from one lift, :func:`free_load`, and the
 free block's norm from :func:`block_norm`.
 
 The heap is trimmed (:func:`trim_heap`, glibc's ``malloc_trim(0)``) right
-before the largest factorizations of a mesh: each Dirichlet-block LU
-(:attr:`DirichletBlock.ff`, the exterior and the dopant) and the
-interface-last exterior LU (:func:`interface_last`).  The numpy temporaries
+before the largest factorizations of a mesh: each :class:`DirichletBlock`'s
+LU (the exterior and the dopant), on its first use, and the interface-last
+exterior LU (:func:`interface_last`).  The numpy temporaries
 of the mesh build and the assembly stay resident after they are freed, and
 SuperLU's factors, mapped on their own, never reuse them, so both used to sit
 under the peak: at h = 0.025 a trim after the exterior assembly takes the
@@ -77,7 +78,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -541,6 +542,11 @@ def factor(A: sp.csc_matrix):
     both factors that reading ``lu.L`` and ``lu.U`` makes SuperLU keep on the
     LU, and empties them once read, so a kept LU costs its own factors only.
 
+    ``splu`` sorts the column indices of ``A`` in place, so ``A`` is changed
+    under a caller that keeps it.  Every caller passes a fresh cut, which
+    nothing else holds (:attr:`Factored.lu`); a kept matrix, a whole
+    :attr:`LinearSystem.A`, would have its products summed in another order.
+
     A breakdown (an exactly singular pivot) raises SINGULAR_SYSTEM.
     """
     try:
@@ -610,6 +616,18 @@ def block_norm(A: sp.spmatrix, rows: np.ndarray) -> float:
     return float((abs(A) @ mask)[rows].max(initial=0.0))
 
 
+def block_product(A: sp.spmatrix, rows: np.ndarray, x: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``A_rr x``, or ``A_rr^H x`` with ``trans="H"``, for ``A``'s principal block on ``rows``.
+
+    ``x`` (a vector or columns of vectors on ``rows``) is padded with zeros to
+    all of ``A``'s rows, so the product adds the same nonzero terms in the same
+    order as one with the sliced block ``A_rr``, and gives the same bits.
+    """
+    z = np.zeros((A.shape[0],) + x.shape[1:], dtype=x.dtype)
+    z[rows] = x
+    return (A @ z if trans == "N" else np.conj(A.T @ np.conj(z)))[rows]
+
+
 def free_load(A: sp.csc_matrix, rhs: np.ndarray, free, fixed, u: np.ndarray) -> np.ndarray:
     """``rhs_f - A_fd u_d``: the load on the ``free`` rows, with the values ``u[fixed]`` lifted.
 
@@ -641,10 +659,9 @@ class Factored:
     after the cast to the LU's precision (a cast after the cut can order the
     indices within a column differently).  The norm (:func:`block_norm`),
     the refinement's products and :meth:`solve`'s check read ``A`` through
-    the block's rows, the products on zero-padded vectors: they add the same
-    nonzero terms in the same order as products with the sliced block, so
-    they give the same bits.  :meth:`solve` is the residual contract of a
-    bare factorization; a Dirichlet block is checked by :func:`solve`.
+    the block's rows, the products by :func:`block_product`, so they give the
+    bits of the sliced block's.  :meth:`solve` is the residual contract of a
+    bare factorization; a :class:`DirichletBlock` is checked by :func:`solve`.
 
     The precision of the LU is chosen when the matrix is made.  With
     ``single`` the LU is the :func:`factor` of the single-precision copy of
@@ -685,13 +702,13 @@ class Factored:
         x = self._off_lu(b, trans)
         if not self.single:
             return x
-        r = b - self._matvec(x, trans)
+        r = b - block_product(self.A, self.rows, x, trans)
         res, b_norm = np.linalg.norm(r), np.linalg.norm(b)
         for _ in range(_REFINE_STEPS):
             if res <= _ROUNDOFF * (self.norm * np.linalg.norm(x) + b_norm):   # at roundoff
                 break
             x_new = x + self._off_lu(r, trans)
-            r_new = b - self._matvec(x_new, trans)
+            r_new = b - block_product(self.A, self.rows, x_new, trans)
             res_new = np.linalg.norm(r_new)
             if res_new < res:
                 x, r = x_new, r_new
@@ -702,22 +719,17 @@ class Factored:
 
     def _off_lu(self, b: np.ndarray, trans: str) -> np.ndarray:
         """One solve off the LU alone, on the block's rows and in ``A``'s precision."""
+        lu = self.lu   # a first use factors here, before b's permuted copy can sit under its peak
         y = b[self._perm]
         if self.single:   # scaled to 1, so that a small residual does not underflow
             scale = np.abs(y).max(initial=0.0) or 1.0
-            y = self.lu.solve((y / scale).astype(self.lu_dtype), trans=trans)
+            y = lu.solve((y / scale).astype(self.lu_dtype), trans=trans)
             y = y.astype(np.result_type(self.A.dtype, b.dtype)) * scale
         else:
-            y = self.lu.solve(y, trans=trans)
+            y = lu.solve(y, trans=trans)
         x = np.empty_like(y)
         x[self._perm] = y
         return x
-
-    def _matvec(self, x: np.ndarray, trans: str) -> np.ndarray:
-        """The block times ``x``, or its adjoint with ``trans="H"``, in double, off ``A``."""
-        z = np.zeros(self.A.shape[0], dtype=x.dtype)
-        z[self.rows] = x
-        return (self.A @ z if trans == "N" else np.conj(self.A.T @ np.conj(z)))[self.rows]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """:meth:`lu_solve`, checked against the block.
@@ -727,7 +739,8 @@ class Factored:
         a bad pivot then shows as an error, not as a wrong field.
         """
         x = self.lu_solve(b)
-        _check_backward_error(self._matvec(x, "N") - b, self.norm, x, b, BACKWARD_RTOL)
+        _check_backward_error(block_product(self.A, self.rows, x) - b, self.norm, x, b,
+                              BACKWARD_RTOL)
         return x
 
 
@@ -754,30 +767,28 @@ def bordered(A: sp.spmatrix, B: np.ndarray) -> sp.csc_matrix:
     return sp.bmat([[A, B], [B.conj().T, None]], format="csc")
 
 
-@dataclass(eq=False)
-class DirichletBlock:
-    """Split of a system into free and fixed nodes for one set of Dirichlet tags.
+class DirichletBlock(Factored):
+    """The free block of a system for one set of Dirichlet tags, a :class:`Factored`.
 
-    The block holds its system's ``A`` by reference and no slice of it: the
-    free block is :attr:`ff`, a :class:`Factored` on the free rows of ``A``,
-    and the fixed columns are read by :func:`free_load`.  So no copy of the
-    free block (16.1 MiB for the exterior at h = 0.025) is alive next to
-    ``A`` while its LU is factored.
+    ``order`` is the free nodes' positions in the system's ``A`` in their
+    :func:`node_order`, so :attr:`rows` are the free nodes.  The block adds
+    the ``fixed`` nodes, whose columns :func:`free_load` reads, and an LU
+    factored on first use on a trimmed heap.  It holds ``A`` by reference and
+    no slice of it, so no copy of the free block (16.1 MiB for the exterior
+    at h = 0.025) is alive next to ``A`` while its LU is factored.
     """
 
-    A: sp.csc_matrix           # the system's operator
-    free: np.ndarray           # local indices of the unconstrained nodes
-    fixed: np.ndarray          # local indices of the constrained nodes
-    order: np.ndarray          # :func:`node_order` of the free nodes, positions in ``free``
-    single: bool = False       # the precision of ``ff``'s LU (see :class:`Factored`)
+    def __init__(self, A: sp.csc_matrix, order: np.ndarray, fixed: np.ndarray,
+                 single: bool = False):
+        super().__init__(A, order, single)
+        self.fixed = fixed   # local indices of the constrained nodes
 
     @cached_property
-    def ff(self) -> Factored:
-        """The free block with its norm and LU, factored on first use on a trimmed heap."""
-        ff = Factored(self.A, self.free[self.order], self.single)
+    def lu(self):
+        # trimmed right before the factorization: a trim when the block is made
+        # leaves what the loads and lifts allocate after it under the LU's peak
         trim_heap()
-        ff.lu   # factored now, while the heap is trimmed
-        return ff
+        return super().lu
 
 
 @dataclass(eq=False)
@@ -799,9 +810,9 @@ class LinearSystem:
         tags = frozenset(Bnd(t) for t in tags)
         block = self._blocks.get(tags)
         if block is None:
-            free_idx, fixed_idx = split_nodes(self.mesh, self.regions, tags)
+            free, fixed = split_nodes(self.mesh, self.regions, tags)
             block = self._blocks[tags] = DirichletBlock(
-                self.A, free_idx, fixed_idx, node_order(self.mesh, self.regions, tags), single)
+                self.A, free[node_order(self.mesh, self.regions, tags)], fixed, single)
         return block
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
@@ -942,11 +953,11 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     u = np.zeros(len(system.nodes), dtype=complex)
     for tag, val in dirichlet.items():
         u[system.local_boundary(Bnd(tag))] = val
-    b_free = free_load(system.A, rhs, block.free, block.fixed, u)
+    b_free = free_load(system.A, rhs, block.rows, block.fixed, u)
     if np.linalg.norm(b_free) == 0.0:     # the free values stay zero
         return _checked_field(system, rhs, u)
-    u[block.free] = block.ff.lu_solve(b_free)
-    return _checked_field(system, rhs, u, block.free, block.ff.norm, b_free, rtol)
+    u[block.rows] = block.lu_solve(b_free)
+    return _checked_field(system, rhs, u, block.rows, block.norm, b_free, rtol)
 
 
 def _checked_field(system: LinearSystem, rhs: np.ndarray, u: np.ndarray, free=None,
@@ -1400,7 +1411,9 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
     via shift-invert Lanczos around ``target``; eigenvectors are returned
     mass-orthonormal as :class:`ScalarField` objects vanishing on the
     dopant boundary.  Every inverse application is a :meth:`Factored.solve`
-    on K - target M, so a singular shift raises SINGULAR_SYSTEM.  MESH_FAILURE
+    on K - target M, factored on the interior rows, so a singular shift
+    raises SINGULAR_SYSTEM.  The interior blocks of K and M are read off the
+    dopant's K and M by :func:`block_product`, never sliced out.  MESH_FAILURE
     when the dopant has no more interior nodes than ``count``: ARPACK needs
     more unknowns than eigenpairs.
     """
@@ -1411,13 +1424,14 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
         raise MeshFailure(f"{count} eigenpairs need more than the {len(il)} interior "
                           "dopant nodes; refine h")
     order = node_order(mesh, Region.DOPANT, [Bnd.GAMMA_D])
-    K = stiffness_matrix(mesh, Region.DOPANT).real.tocsc()
-    M = mass_matrix(mesh, Region.DOPANT).real.tocsc()
-    K_ii = K[np.ix_(il, il)].tocsc()
-    M_ii = M[np.ix_(il, il)].tocsc()
+    K = stiffness_matrix(mesh, Region.DOPANT).real
+    M = mass_matrix(mesh, Region.DOPANT).real
+    shape = (len(il), len(il))
+    K_ii, M_ii = (spla.LinearOperator(shape, dtype=float, matvec=partial(block_product, A, il))
+                  for A in (K, M))
     v0 = np.ones(len(il)) / math.sqrt(len(il))
     shifted = Factored((K - target * M).tocsc(), il[order])
-    op_inv = spla.LinearOperator(K_ii.shape, dtype=float, matvec=shifted.solve)
+    op_inv = spla.LinearOperator(shape, dtype=float, matvec=shifted.solve)
     try:
         vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=target, v0=v0,
                                 OPinv=op_inv)
@@ -1426,13 +1440,13 @@ def dirichlet_eigs(mesh: Mesh, count: int, target: float) -> list:
     nearest = np.argsort(np.abs(vals - target))
     vals, vecs = vals[nearest], vecs[:, nearest]
     # re-orthonormalize in the M inner product (defensive; ARPACK is close)
-    G = vecs.T @ (M_ii @ vecs)
+    G = vecs.T @ block_product(M, il, vecs)
     L = np.linalg.cholesky(G)
     vecs = vecs @ np.linalg.inv(L).T
     pairs = []
     for j in range(count):
         u = vecs[:, j]
-        resid = np.linalg.norm(K_ii @ u - vals[j] * (M_ii @ u))
+        resid = np.linalg.norm(block_product(K, il, u) - vals[j] * block_product(M, il, u))
         if resid > _EIG_RESID_TOL * max(1.0, abs(vals[j])) * np.linalg.norm(u):
             raise NoConvergence(f"eigenpair residual {resid:.2e} above tolerance")
         vloc = np.zeros(K.shape[0], dtype=complex)

@@ -24,10 +24,10 @@ import numpy as np
 from .errors import Degenerate, ResonantDopant, SingularSystem
 from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
 from .correctors import CorrectorEngine
-from .fem import (BoundaryFunctional, Factored, LinearSystem, NeumannSystem,
-                  ScalarField, bordered, dirichlet_eigs, eigen_flux, free_load, h1_norm,
-                  integrate, mass_matrix, stiffness_matrix)
-from .geometry import Bnd, Mesh, Region, _as_region_set
+from .fem import (BoundaryFunctional, Factored, NeumannSystem, ScalarField, _local_boundary,
+                  bordered, dirichlet_eigs, eigen_flux, free_load, h1_norm, integrate,
+                  mass_matrix, node_order, split_nodes, stiffness_matrix)
+from .geometry import Bnd, Mesh, Region
 
 EXCITED = "EXCITED"
 NOT_EXCITED = "NOT_EXCITED"
@@ -189,19 +189,17 @@ def deflated_dirichlet_solve(mesh: Mesh, lambda_star: float, cluster,
     contract of :meth:`enzlab.fem.Factored.solve`.
     """
     M = mass_matrix(mesh, Region.DOPANT)
-    system = LinearSystem(mesh, _as_region_set(Region.DOPANT),
-                          (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc(),
-                          mesh.region_nodes(Region.DOPANT))
-    block = system.dirichlet_block([Bnd.GAMMA_D])
+    A = (stiffness_matrix(mesh, Region.DOPANT) - lambda_star * M).tocsc()
+    free, fixed = split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])
     B = np.column_stack([M @ u.values for _, u in cluster])
-    vals = np.zeros(len(system.nodes), dtype=complex)
-    vals[system.local_boundary(Bnd.GAMMA_D)] = trace
-    rhs = free_load(system.A, np.zeros(len(vals)) if volume is None else volume,
-                    block.free, block.fixed, vals)
+    vals = np.zeros(A.shape[0], dtype=complex)
+    vals[_local_boundary(mesh, Region.DOPANT, Bnd.GAMMA_D)] = trace
+    rhs = free_load(A, np.zeros(len(vals)) if volume is None else volume, free, fixed, vals)
     # the bordered whole operator, factored on its free rows and the border's
-    order = np.concatenate([block.free[block.order], len(vals) + np.arange(B.shape[1])])
-    x = Factored(bordered(system.A, B), order).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
-    vals[block.free] = x[:len(block.free)]
+    order = np.concatenate([free[node_order(mesh, Region.DOPANT, [Bnd.GAMMA_D])],
+                            len(vals) + np.arange(B.shape[1])])
+    x = Factored(bordered(A, B), order).solve(np.concatenate([rhs, np.zeros(B.shape[1])]))
+    vals[free] = x[:len(free)]
     return ScalarField(mesh, Region.DOPANT, vals)
 
 

@@ -184,7 +184,7 @@ def test_singular_ratio_is_taken_in_the_blocks_own_numbering(spec, cfg_ring):
                (exterior_system(mesh, cfg_ring), [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])]
     for system, tags in systems:
         got = auxiliary._smallest_singular_ratio(system, tags)
-        free = system.dirichlet_block(tags).free
+        free = system.dirichlet_block(tags).rows
         ref = _singular_ratio_by_splu(system.A[np.ix_(free, free)].tocsc())
         assert abs(got - ref) <= 1e-8 * ref
 

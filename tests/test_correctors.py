@@ -289,4 +289,4 @@ def test_engines_at_two_k_step_in_turn_on_their_own_exterior_lus(monkeypatch, cf
         states = [e.step(s) for e, s in zip(engines, states)]
     assert factored == []
     (block_1,), (block_2,) = (e.ext_system._blocks.values() for e in engines)
-    assert isinstance(block_1, fem.DirichletBlock) and block_1.ff.lu is not block_2.ff.lu
+    assert isinstance(block_1, fem.DirichletBlock) and block_1.lu is not block_2.lu

@@ -262,11 +262,11 @@ def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
     for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
         solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
     ext = auxiliary.exterior_system(mesh, cfg_ring)
-    n_free = len(ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).free)
+    n_free = len(ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).rows)
     n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
     n_omega = len(mesh.region_nodes([Region.DOPANT, Region.ENZ]))
     system = transmission_system(mesh, cfg_ring)
-    n_global = len(system.dirichlet_block([Bnd.GAMMA_INF]).free)
+    n_global = len(system.dirichlet_block([Bnd.GAMMA_INF]).rows)
     sizes = {"exterior Dirichlet block": n_free, "interface-last exterior": n_free + n_gamma,
              "Omega": n_omega, "transmission block": n_global}
     assert len(set(sizes.values())) == len(sizes)
@@ -340,7 +340,7 @@ def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
     before = engine.step(seed)
     (block,) = engine.ext_system._blocks.values()
     assert isinstance(block, fem.DirichletBlock)
-    block_lu = weakref.ref(block.ff)
+    block_ref = weakref.ref(block)   # the block is the LU's one holder
     del block
     solve_transmission(mesh, cfg_ring)
     factored = []
@@ -349,7 +349,7 @@ def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
     after = engine.step(seed)
     assert factored == []
     gc.collect()
-    assert block_lu() is None and list(engine.ext_system._blocks) == ["S_e"]
+    assert block_ref() is None and list(engine.ext_system._blocks) == ["S_e"]
     for a, b in zip((before.g, before.h_e, before.h_d), (after.g, after.h_e, after.h_d)):
         assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
 
@@ -390,7 +390,7 @@ def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
     ext = auxiliary.exterior_system(mesh, cfg_ring)
     block = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)})
     n_omega = len(mesh.region_nodes(direct.OMEGA_REGIONS))
-    sizes = {"exterior free": len(block.free),
+    sizes = {"exterior free": len(block.rows),
              "Omega less Gamma_Omega": n_omega - len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA)),
              "dopant free": len(fem.split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]),
              "ENZ": len(mesh.region_nodes(Region.ENZ))}
@@ -399,7 +399,7 @@ def test_each_node_order_is_built_once_and_shared(monkeypatch, cfg_ring):
     # the interface-last exterior leads with the Dirichlet block's order
     keep = fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_INF])[0]
     last = fem.node_order(mesh, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
-    assert np.array_equal(keep[last[:len(block.free)]], block.free[block.order])
+    assert np.array_equal(keep[last[:len(block.rows)]], block.order)
     # a second k on the same mesh orders nothing and factors everything anew
     # but the k-independent ENZ Neumann system
     cfg_k = dataclasses.replace(cfg_ring, mu=1.7 + 0.0j)
@@ -444,7 +444,7 @@ def test_condensed_operator_is_omega_plus_exterior_schur_complement(mesh_coarse,
     assert not D[off].any()
     # S_e by column solves on the exterior system, as in tests/test_fem.py
     ext = auxiliary.exterior_system(mesh_coarse, cfg_ring)
-    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).free
+    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).rows
     g = ext.local_boundary(Bnd.GAMMA_OMEGA)
     X = spla.splu(ext.A[np.ix_(free, free)].tocsc()).solve(ext.A[np.ix_(free, g)].toarray())
     S_e = ext.A[np.ix_(g, g)].toarray() - ext.A[np.ix_(g, free)] @ X

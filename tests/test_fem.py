@@ -19,6 +19,7 @@ from enzlab.fem import (BoundaryFunctional, NeumannSystem, ScalarField,
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, SourceDisk,
                              SourceRing, SourceSpec, _as_region_set, build_mesh,
                              structured_rectangle_mesh)
+from enzlab.oracle import j0_zero, j1_zero
 
 from conftest import GENERIC_SPEC, RING_SOURCE
 
@@ -201,7 +202,7 @@ def test_dirichlet_block_cached_per_tag_set(annulus_mesh):
     inf_only = sys_.dirichlet_block([Bnd.GAMMA_INF])
     assert inf_only is not both
     assert len(inf_only.fixed) == len(annulus_mesh.boundary_nodes(Bnd.GAMMA_INF))
-    assert sorted(np.concatenate([both.free, both.fixed])) == list(range(len(sys_.nodes)))
+    assert sorted(np.concatenate([both.rows, both.fixed])) == list(range(len(sys_.nodes)))
 
 
 def test_flux_constant_field_is_zero(annulus_mesh):
@@ -321,6 +322,39 @@ def test_dirichlet_eigs_shift_is_factored_by_fem_factor(mesh_coarse):
     # SINGULAR_SYSTEM, not a RuntimeError from a hidden splu
     with pytest.raises(SingularSystem):
         dirichlet_eigs(mesh_coarse, 1, target=math.nan)
+
+
+def _sliced_dirichlet_eigs(mesh, count, target):
+    """Eigenvalues and interior vectors as ``eigsh`` gave them on ``np.ix_`` slices of K and M."""
+    il = fem.split_nodes(mesh, Region.DOPANT, [Bnd.GAMMA_D])[0]
+    K = stiffness_matrix(mesh, Region.DOPANT).real.tocsc()
+    M = mass_matrix(mesh, Region.DOPANT).real.tocsc()
+    K_ii, M_ii = K[np.ix_(il, il)].tocsc(), M[np.ix_(il, il)].tocsc()
+    order = fem.node_order(mesh, Region.DOPANT, [Bnd.GAMMA_D])
+    shifted = fem.Factored((K - target * M).tocsc(), il[order])
+    op_inv = spla.LinearOperator(K_ii.shape, dtype=float, matvec=shifted.solve)
+    vals, vecs = spla.eigsh(K_ii, k=count, M=M_ii, sigma=target,
+                            v0=np.ones(len(il)) / math.sqrt(len(il)), OPinv=op_inv)
+    nearest = np.argsort(np.abs(vals - target))
+    vals, vecs = vals[nearest], vecs[:, nearest]
+    L = np.linalg.cholesky(vecs.T @ (M_ii @ vecs))
+    return il, vals, vecs @ np.linalg.inv(L).T
+
+
+@pytest.mark.parametrize("spec", [CANONICAL, GENERIC_SPEC], ids=["canonical", "offcentre"])
+@pytest.mark.parametrize("zero, count", [(j0_zero, 1), (j1_zero, 2)], ids=["j01", "j11"])
+def test_dirichlet_eigs_read_the_interior_off_k_and_m_as_their_slices(spec, zero, count):
+    # the interior operators pad their vectors to every dopant node instead of
+    # slicing K_ii and M_ii out: ARPACK must see the same bits
+    mesh = build_mesh(spec, 0.1)
+    target = (zero(1) / spec.dopant.radius) ** 2
+    il, vals, vecs = _sliced_dirichlet_eigs(mesh, count, target)
+    pairs = dirichlet_eigs(mesh, count, target)
+    assert [lam for lam, _ in pairs] == list(vals)
+    for (_, u), ref in zip(pairs, vecs.T):
+        full = np.zeros(len(u.values), dtype=complex)
+        full[il] = ref
+        assert np.array_equal(u.values, full)
 
 
 NO_COLLAR = DomainSpec(outer=Circle((0.0, 0.0), 1.0),
@@ -542,7 +576,7 @@ def test_certify_lifts_nonzero_dirichlet_values(mesh_coarse, cfg_ring):
     u = solve(ext, rhs, bc)
     v = fem.certify(ext, rhs, bc, u.values)
     assert np.array_equal(v.values, u.values) and v.record.rhs is rhs
-    free = ext.dirichlet_block(bc).free
+    free = ext.dirichlet_block(bc).rows
     rng = np.random.default_rng(5)
     bad = u.values.copy()
     bad[free] += 1e-6 * np.abs(u.values).max() * rng.standard_normal(len(free))
@@ -591,8 +625,8 @@ def test_factor_uses_fill_reducing_ordering(mesh_coarse, cfg_ring):
               exterior_system(mesh_coarse, cfg_ring).dirichlet_block(
                   [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])]
     for block in blocks:   # 0.70 (transmission) and 0.74 (exterior) seen
-        lu = block.ff.lu
-        colamd = spla.splu(block.A[np.ix_(block.free, block.free)].tocsc(), permc_spec="COLAMD")
+        lu = block.lu
+        colamd = spla.splu(block.A[np.ix_(block.rows, block.rows)].tocsc(), permc_spec="COLAMD")
         assert lu.L.nnz + lu.U.nnz <= 0.8 * (colamd.L.nnz + colamd.U.nnz)
 
 
@@ -672,7 +706,7 @@ def test_node_order_is_a_nested_dissection(build, regions, fixed, last):
 def test_factor_pivots_on_diagonal(mesh_coarse):
     cfg = PhysicsConfig(delta=-0.05 + 0.0j, sources=RING_SOURCE)
     block = direct.transmission_system(mesh_coarse, cfg).dirichlet_block([Bnd.GAMMA_INF])
-    lu = block.ff.lu
+    lu = block.lu
     assert np.array_equal(lu.perm_r, lu.perm_c)
     # the zero border diagonal of the Neumann system still gets a sound pivot:
     # any right-hand side, compatible or not, is solved to roundoff
@@ -729,7 +763,7 @@ def test_interface_last_under_threshold_pivoting():
 
 def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_ring):
     ext = exterior_system(mesh_coarse, cfg_ring)
-    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).free
+    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).rows
     gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)
     keep = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF])[0]
     order = fem.node_order(mesh_coarse, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
@@ -804,15 +838,19 @@ def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
     ext = exterior_system(mesh, cfg_ring)
     dop = auxiliary.dopant_system(mesh, cfg_ring)
     tags = [Bnd.GAMMA_OMEGA, *outer_dirichlet(ext.regions)]
+    ext_order = fem.node_order(mesh, ext.regions, tags)   # positions in the block's rows
     block = ext.dirichlet_block(tags)
-    cases = [(ext, block.free, block.order, block.ff)]
+    block.lu   # each block's LU is factored on first use: here, in the order of the cases
+    cases = [(ext, block.rows, ext_order, block)]
     block = auxiliary.exterior_single(ext)
-    cases.append((ext, block.free, block.order, block.ff))
+    block.lu
+    cases.append((ext, block.rows, ext_order, block))
     B, _, keep, _ = auxiliary.exterior_schur(ext)
     order = fem.node_order(mesh, ext.regions, outer_dirichlet(ext.regions), [Bnd.GAMMA_OMEGA])
     cases.append((ext, keep, order, B))
     block = dop.dirichlet_block([Bnd.GAMMA_D])
-    cases.append((dop, block.free, block.order, block.ff))
+    block.lu
+    cases.append((dop, block.rows, fem.node_order(mesh, dop.regions, [Bnd.GAMMA_D]), block))
     assert [ff.single for *_, ff in cases] == [False, True, False, False]
     assert len(lu_inputs) == len(cases)
     rng = np.random.default_rng(5)
@@ -828,6 +866,44 @@ def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
         for trans in ("N", "H"):
             assert np.array_equal(ff.lu_solve(b, trans), ref.lu_solve(b, trans))
         assert np.array_equal(ff.solve(b), ref.solve(b))
+
+
+def test_factoring_a_block_leaves_its_systems_matrix_unchanged(cfg_ring):
+    # SuperLU sorts its input's indices in place: each block hands it a fresh
+    # cut, never its system's A
+    mesh = build_mesh(CANONICAL, 0.1)
+    ext = exterior_system(mesh, cfg_ring)
+    dop = auxiliary.dopant_system(mesh, cfg_ring)
+    before = [(A, A.indptr.copy(), A.indices.copy(), A.data.copy()) for A in (ext.A, dop.A)]
+    ext.dirichlet_block([Bnd.GAMMA_OMEGA, *outer_dirichlet(ext.regions)]).lu
+    auxiliary.exterior_schur(ext)
+    dop.dirichlet_block([Bnd.GAMMA_D]).lu
+    for A, indptr, indices, data in before:
+        assert np.array_equal(A.indptr, indptr)
+        assert np.array_equal(A.indices, indices)
+        assert np.array_equal(A.data, data)
+
+
+def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypatch):
+    # exterior_single makes the block and leaves it unfactored; its first solve
+    # trims the heap and factors.  Factoring when the block is made put the
+    # source load and the solves' temporaries under the LU's peak, and trimming
+    # then but factoring later did too: convergence-table's manifest
+    # peak_rss_mb at h = 0.05 rose by about 28 and 26 MB.
+    calls = []
+    trim, factor = fem.trim_heap, fem.factor
+    monkeypatch.setattr(fem, "trim_heap", lambda: calls.append("trim") or trim())
+    monkeypatch.setattr(fem, "factor", lambda A: calls.append(A.dtype) or factor(A))
+    mesh = build_mesh(CANONICAL, 0.1)
+    ext = exterior_system(mesh, cfg_ring)
+    auxiliary.exterior_single(ext)
+    assert calls == []
+    auxiliary.solve_s(mesh, cfg_ring, system=ext)
+    assert calls == ["trim", np.dtype(np.complex64)]
+    calls.clear()
+    # the guard factors the dopant block, and the solve reuses it
+    auxiliary.solve_psi_d(mesh, cfg_ring)
+    assert calls == ["trim", np.dtype(complex)]
 
 
 def _per_triangle_source_load(mesh, regions, sources):
