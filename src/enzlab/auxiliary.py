@@ -101,8 +101,8 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     Its one LU lives in the blocks that every copy of the system shares, for as long
     as anything holds the system: the Dirichlet block with Gamma_Omega fixed until a
     caller asks for ``S_e`` (:func:`exterior_schur`), and ``B`` from then on.  The
-    block's LU is double, or single refined to double once a caller asks for that
-    (:func:`exterior_single`).
+    block's LU is double, or single refined to double where only auxiliary solves
+    read it (:func:`_exterior_lu`).
     """
     def build():
         k = cfg.k
@@ -123,28 +123,35 @@ def _exterior_dirichlet(regions, trace=0.0) -> dict:
     return {Bnd.GAMMA_OMEGA: trace, **outer_dirichlet(regions)}
 
 
-def exterior_single(ext: fem.LinearSystem) -> fem.DirichletBlock:
-    """``ext``'s one LU from now on: its Dirichlet block, in single precision.
+def _exterior_lu(ext: fem.LinearSystem, single: bool) -> fem.LinearSystem:
+    """``ext``, holding an LU fit for a caller that reads only ``s`` and ``psi_e`` if ``single``.
 
-    The block (a :class:`fem.DirichletBlock`) is returned unfactored; its LU
-    is factored in single precision at the first solve, on a freshly trimmed
-    heap, and every solve is refined to double, so the fields pass the same
-    check.  Factoring it here instead, before the source load and the solves
-    allocate, raised ``convergence-table``'s peak by about 28 MB.  It
-    suits a run that reads only the auxiliary constants off ``ext`` and
-    factors a large exterior: ``convergence-table``, whose h = 0.025 level sets
-    the benchmark's ``cli_pipeline`` peak (median 380 MB with a double LU,
-    302 MB with this one, on a 2-core host with one BLAS thread; 278 MB since the
-    assembly frees its element arrays, and 264 MB since the block factors in
-    place, without a sliced copy of ``ext.A``; this LU's factorization is
-    that peak).  Not an engine: with one refinement step (backward error 1e-13,
-    inside the contract) an engine built on such a set moved criterion 2's real
-    J = 2 slope to 2.61.  Nor every auxiliary set: at h = 0.06 the refinement
-    steps cost more than the factorization saves (``aux_refine`` op medians 256
-    to 309 ms).  Whatever LU ``ext`` held goes.
+    The one rule for the precision of the exterior's LU.  An exterior that
+    holds no LU gets its Dirichlet block, which factors at its first solve on a
+    freshly trimmed heap: in single precision if ``single``, each solve refined
+    to double, so the fields pass the same check.  An LU it holds stays, unless
+    a single block meets a call without ``single``, which puts a double block in
+    its place; ``B`` (:func:`exterior_schur`) is double and always stays.
+
+    ``single`` suits the runs that read only ``s`` and ``psi_e`` off ``ext``:
+    the auxiliary set (:func:`solve_auxiliary_set`, so ``aux``,
+    ``convergence-table`` and each detuning of ``resonance-sweep``) and the
+    resonance sweep's k* flux.  There ``s`` and ``psi_e``, two columns of
+    one solve, take three passes off the LU instead of one, and the
+    factorization takes less time and memory.  On the ``aux_refine``
+    workload (h in [0.05, 0.07], 2-core host, one BLAS thread, 11
+    alternating pairs) the peak fell from a median of 135.5 to 121.7 MB,
+    with op medians 0.280 and 0.288 s; ``enzlab aux`` at h = 0.025 peaked
+    at 288-292 MB against 368-372 MB.  Not a corrector engine, which lifts
+    a trace off the LU at every step
+    (:class:`enzlab.correctors.CorrectorEngine` asks without ``single``).
     """
-    ext._blocks.clear()
-    return ext.dirichlet_block(_exterior_dirichlet(ext.regions), single=True)
+    tags = frozenset(_exterior_dirichlet(ext.regions))
+    held = ext._blocks.get(tags)
+    if "S_e" not in ext._blocks and (held is None or held.single and not single):
+        ext._blocks.clear()
+        ext.dirichlet_block(tags, single=single)
+    return ext
 
 
 def exterior_schur(ext: fem.LinearSystem):
@@ -175,28 +182,47 @@ def condensed_load(ext: fem.LinearSystem, cfg: PhysicsConfig) -> np.ndarray:
     return ext.mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources), build)
 
 
-def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray,
-                    trace) -> np.ndarray:
-    """:func:`solve_exterior`'s values off ``B``, unchecked, by ``B [x; y] = [b_f; z + S_e t]``."""
+def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, loads) -> list:
+    """:func:`solve_exterior_loads`' values off ``B``, unchecked: ``B [x; y] = [b_f; z + S_e t]``.
+
+    One array per ``(rhs, trace)`` of ``loads``, each a column of one solve off ``B``.
+    """
     B, S, keep, g = exterior_schur(ext)
-    r = rhs[keep]
-    r[g] = (condensed_load(ext, cfg) if rhs.any() else 0.0) + S @ np.broadcast_to(trace, len(g))
-    u = np.zeros(len(rhs), dtype=complex)
-    u[keep] = B.lu_solve(r)   # x = A_ff^-1 (b_f - A_fg t), and y = t to roundoff
-    u[keep[g]] = trace
-    return u
+    r = np.empty((len(keep), len(loads)), dtype=complex, order="F")   # each column contiguous
+    for j, (rhs, trace) in enumerate(loads):
+        r[:, j] = rhs[keep]
+        z = condensed_load(ext, cfg) if rhs.any() else 0.0
+        r[g, j] = z + S @ np.broadcast_to(trace, len(g))
+    x = B.lu_solve(r)   # x = A_ff^-1 (b_f - A_fg t), and y = t to roundoff
+    values = []
+    for (rhs, trace), x_j in zip(loads, x.T):
+        u = np.zeros(len(rhs), dtype=complex)
+        u[keep] = x_j
+        u[keep[g]] = trace
+        values.append(u)
+    return values
+
+
+def solve_exterior_loads(system: fem.LinearSystem, cfg: PhysicsConfig, loads) -> list:
+    """The exterior field of each ``(rhs, trace)`` of ``loads``, with ``trace`` on Gamma_Omega.
+
+    Each ``rhs`` is zero or the load of ``cfg.sources``.
+
+    Solved on the system's one LU, every field a column of the same passes
+    off it: its Dirichlet block by :func:`fem.solve_loads`, or ``B``, by
+    :func:`exterior_values` and :func:`fem.certify`.  Each field has the bits
+    of its own solve, and passes its own check.
+    """
+    bcs = [_exterior_dirichlet(system.regions, trace) for _, trace in loads]
+    if "S_e" in system._blocks:
+        return [fem.certify(system, rhs, bc, u) for (rhs, _), bc, u
+                in zip(loads, bcs, exterior_values(system, cfg, loads))]
+    return fem.solve_loads(system, [(rhs, bc) for (rhs, _), bc in zip(loads, bcs)])
 
 
 def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray, trace):
-    """The exterior field of load ``rhs`` (zero or from ``cfg.sources``), ``trace`` on Gamma_Omega.
-
-    Solved on the system's one LU: its Dirichlet block by :func:`fem.solve`,
-    or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
-    """
-    bc = _exterior_dirichlet(system.regions, trace)
-    if "S_e" in system._blocks:
-        return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
-    return solve(system, rhs, bc)
+    """The exterior field of one load: :func:`solve_exterior_loads` of ``[(rhs, trace)]``."""
+    return solve_exterior_loads(system, cfg, [(rhs, trace)])[0]
 
 
 def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
@@ -227,6 +253,22 @@ def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 
 # the three auxiliary solves
 
 
+def _source_load(system: fem.LinearSystem, cfg: PhysicsConfig):
+    """The source field's ``(rhs, trace)``: the load of ``cfg.sources``, zero trace."""
+    return source_load(system.mesh, system.regions, cfg.sources), 0.0
+
+
+def _lifting_load(system: fem.LinearSystem):
+    """The exterior lifting field's ``(rhs, trace)``: no load, unit trace."""
+    return np.zeros(len(system.nodes), dtype=complex), 1.0
+
+
+def _with_fluxes(system: fem.LinearSystem, cfg: PhysicsConfig, loads) -> list:
+    """``(field, flux)`` per load; the flux through the scatterer boundary, canonically oriented."""
+    return [(u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical"))
+            for u in solve_exterior_loads(system, cfg, loads)]
+
+
 def solve_s(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """Source field: exterior Helmholtz, zero trace on the scatterer.
 
@@ -234,15 +276,13 @@ def solve_s(mesh: Mesh, cfg: PhysicsConfig, system=None):
     orientation).  A trivial source yields the zero field.
     """
     system = system or exterior_system(mesh, cfg)
-    u = solve_exterior(system, cfg, source_load(mesh, system.regions, cfg.sources), 0.0)
-    return u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
+    return _with_fluxes(system, cfg, [_source_load(system, cfg)])[0]
 
 
 def solve_psi_e(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """Exterior lifting field: unit trace on the scatterer, radiating."""
     system = system or exterior_system(mesh, cfg)
-    u = solve_exterior(system, cfg, np.zeros(len(system.nodes), dtype=complex), 1.0)
-    return u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
+    return _with_fluxes(system, cfg, [_lifting_load(system)])[0]
 
 
 def solve_psi_d(mesh: Mesh, cfg: PhysicsConfig, system=None, guard: bool = True):
@@ -349,11 +389,16 @@ class AuxiliarySet:
 
 def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
                         guard: bool = True) -> AuxiliarySet:
-    """Run the three auxiliary solves and assemble every scalar constant."""
-    ext = exterior_system(mesh, cfg)
+    """Run the three auxiliary solves and assemble every scalar constant.
+
+    ``s`` and ``psi_e`` are solved as two columns of one exterior solve, on the
+    LU the exterior holds, or on a single-precision one if it holds none
+    (:func:`_exterior_lu`).
+    """
+    ext = _exterior_lu(exterior_system(mesh, cfg), single=True)
     dop = dopant_system(mesh, cfg)
-    s, flux_s = solve_s(mesh, cfg, system=ext)
-    psi_e, flux_psi_e = solve_psi_e(mesh, cfg, system=ext)
+    (s, flux_s), (psi_e, flux_psi_e) = _with_fluxes(
+        ext, cfg, [_source_load(ext, cfg), _lifting_load(ext)])
     psi_d, flux_psi_d = solve_psi_d(mesh, cfg, system=dop, guard=guard)
     beta = compute_beta(flux_psi_e, flux_psi_d, mesh, cfg)
     c_star = compute_cstar(beta, flux_s)
@@ -411,13 +456,12 @@ def rellich_residual(mesh: Mesh, cfg: PhysicsConfig, field: ScalarField,
     pos = mesh.region_pos(field.regions)
     rim_edges, rim_tris = _physical_rim(mesh)
     _, rim_gx, rim_gy, _ = _tri_values_and_grads(field, rim_tris)
-    rim = 0.0
-    for (i, j), gx, gy in zip(rim_edges, rim_gx, rim_gy):
-        pi, pj = mesh.nodes[int(i)], mesh.nodes[int(j)]
-        length = float(np.linalg.norm(pj - pi))
-        mid = 0.5 * (pi + pj)
-        rhat = mid / np.linalg.norm(mid)
-        dr = gx * rhat[0] + gy * rhat[1]
-        u_sq = 0.5 * (abs(field.values[pos[i]]) ** 2 + abs(field.values[pos[j]]) ** 2)
-        rim += length * (abs(dr) ** 2 + (k * k).real * u_sq)
+    pi, pj = mesh.nodes[rim_edges[:, 0]], mesh.nodes[rim_edges[:, 1]]
+    length = np.linalg.norm(pj - pi, axis=1)
+    mid = 0.5 * (pi + pj)
+    rhat = mid / np.linalg.norm(mid, axis=1)[:, None]
+    dr = rim_gx * rhat[:, 0] + rim_gy * rhat[:, 1]
+    u_sq = 0.5 * (np.abs(field.values[pos[rim_edges[:, 0]]]) ** 2
+                  + np.abs(field.values[pos[rim_edges[:, 1]]]) ** 2)
+    rim = float(np.sum(length * (np.abs(dr) ** 2 + (k * k).real * u_sq)))
     return float(abs(lhs - (vol + rim)))

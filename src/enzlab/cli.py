@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EnzLabError, ValidationError
-from .auxiliary import (exterior_schur, exterior_single, exterior_system, rellich_residual,
-                        solve_auxiliary_set)
+from .auxiliary import exterior_schur, exterior_system, rellich_residual, solve_auxiliary_set
 from .config import _parse_complex, _parse_int, _parse_window, check_resolution, parse_config
 from .correctors import CorrectorEngine
 from .direct import compare_fields, solve_transmission
@@ -234,7 +233,6 @@ def run_convergence_table(spec, cfg, opts, outdir: Path) -> None:
     errs = []
     for h in hs:
         mesh = build_mesh(spec, h)
-        exterior_single(exterior_system(mesh, cfg))   # only the constants are read off it
         aux = solve_auxiliary_set(mesh, cfg)
         errs.append([abs(aux.beta - ref["beta"]) / abs(ref["beta"]),
                      abs(aux.c_star - ref["c_star"]) / max(abs(ref["c_star"]), 1e-300),

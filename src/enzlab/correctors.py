@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentSeries, NoConvergence
-from .auxiliary import AuxiliarySet, PhysicsConfig, solve_auxiliary_set, solve_exterior
+from .auxiliary import (AuxiliarySet, PhysicsConfig, _exterior_lu, exterior_system,
+                        solve_auxiliary_set, solve_exterior)
 from .fem import (BACKWARD_RTOL, BoundaryFunctional, NeumannSystem, ScalarField,
                   flux_extract, h1_norm, solve)
 from .geometry import Bnd, Mesh, Region
@@ -111,12 +112,24 @@ class CorrectorHierarchy:
 
 
 class CorrectorEngine:
-    """Builds and iterates the corrector hierarchy on one (mesh, config)."""
+    """Builds and iterates the corrector hierarchy on one (mesh, config).
+
+    Every step lifts a trace off the exterior's one LU, so build the engine
+    without ``aux`` when it will step: it then asks for a double LU before it
+    builds its auxiliary set, and replaces a single-precision block that an
+    auxiliary-only run left on the same mesh and k (:func:`enzlab.auxiliary._exterior_lu`).
+    An engine handed ``aux`` steps on that set's LU, which
+    :func:`solve_auxiliary_set` factors in single precision when the exterior
+    held none; each step then takes three passes off it, not one.
+    """
 
     def __init__(self, mesh: Mesh, cfg: PhysicsConfig, aux: AuxiliarySet | None = None):
         self.mesh = mesh
         self.cfg = cfg
-        self.aux = aux if aux is not None else solve_auxiliary_set(mesh, cfg)
+        if aux is None:
+            _exterior_lu(exterior_system(mesh, cfg), single=False)
+            aux = solve_auxiliary_set(mesh, cfg)
+        self.aux = aux
         self.ext_system = self.aux.ext_system
         self.dop_system = self.aux.dop_system
         self.neumann = NeumannSystem(mesh, Region.ENZ)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, ResonantDopant, SingularSystem
-from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
+from .auxiliary import (PhysicsConfig, _branch_sqrt, _exterior_lu, exterior_system,
+                        solve_auxiliary_set, solve_s)
 from .correctors import CorrectorEngine
 from .fem import (BoundaryFunctional, Factored, NeumannSystem, ScalarField, _local_boundary,
                   bordered, dirichlet_eigs, eigen_flux, free_load, h1_norm, integrate,
@@ -142,7 +143,11 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     # limit objects use the exterior problem exactly at the eigenvalue
     cfg_star = PhysicsConfig.from_k(_branch_sqrt(lam_star), sources=cfg.sources,
                                     radiation=cfg.radiation)
-    flux_s_star = solve_s(mesh, cfg_star)[1]   # not the field, which holds the k* exterior LU
+    # only a flux is read off the k* exterior, so its LU is single; the field,
+    # which holds that LU, is not kept
+    ext_star = _exterior_lu(exterior_system(mesh, cfg_star), single=True)
+    flux_s_star = solve_s(mesh, cfg_star, system=ext_star)[1]
+    del ext_star   # the k* LU, before the first gamma's is built
     study.flux_s = flux_s_star
     study.c_bar = compute_cbar(lam_star, means, flux_s_star)
     study.phi_hat0 = solve_phi_hat0(mesh, cluster, study.c_bar, means, flux_s_star)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from enzlab import auxiliary, oracle
+from enzlab import auxiliary, fem, oracle
 from enzlab.auxiliary import (PhysicsConfig, compute_beta, compute_cstar,
                               compute_mueff, exterior_system, rellich_residual,
                               solve_auxiliary_set, solve_psi_d, solve_psi_e,
                               solve_s)
-from enzlab.errors import ResonantDopant
+from enzlab.errors import ResonantDopant, SingularSystem
 from enzlab.fem import l2_norm
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, SourceRing,
                              SourceSpec, build_mesh)
@@ -275,3 +275,50 @@ def test_rellich_zero_field(mesh_coarse):
     cfg = PhysicsConfig(sources=SourceSpec())
     s, flux = solve_s(mesh_coarse, cfg)
     assert rellich_residual(mesh_coarse, cfg, s, flux) == 0.0
+
+
+def _two_loads(mesh, cfg, lu):
+    """The exterior on its own mesh, holding the LU ``lu``, and a source load and a lift."""
+    ext = exterior_system(mesh, cfg)
+    if lu == "B":
+        auxiliary.exterior_schur(ext)
+    else:
+        auxiliary._exterior_lu(ext, single=lu == "single")
+    t = np.random.default_rng(1).standard_normal(len(ext.local_boundary(Bnd.GAMMA_OMEGA))) + 1j
+    return ext, [(fem.source_load(mesh, ext.regions, cfg.sources), 0.0),
+                 (np.zeros(len(ext.nodes), dtype=complex), t)]
+
+
+@pytest.mark.parametrize("lu, passes", [("double", 1), ("single", 3), ("B", 1)])
+def test_two_loads_solve_as_columns_with_the_bits_of_their_own_solves(cfg_ring, monkeypatch,
+                                                                      lu, passes):
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    ext, loads = _two_loads(mesh, cfg_ring, lu)
+    refs = [auxiliary.solve_exterior(ext, cfg_ring, rhs, trace) for rhs, trace in loads]
+    assert [ff.single for ff in ext._blocks.values() if isinstance(ff, fem.Factored)] in (
+        [lu == "single"], [])
+    off_lu, widths = fem.Factored._off_lu, []
+    monkeypatch.setattr(fem.Factored, "_off_lu",
+                        lambda self, b, trans: widths.append(b.shape[1:]) or off_lu(self, b, trans))
+    fields = auxiliary.solve_exterior_loads(ext, cfg_ring, loads)
+    assert widths == [(2,)] * passes   # both columns in each pass off the LU
+    for u, ref in zip(fields, refs):
+        assert np.array_equal(u.values, ref.values)
+        assert np.array_equal(u.record.resid, ref.record.resid)
+
+
+@pytest.mark.parametrize("lu", ["double", "single", "B"])
+def test_each_column_is_held_to_its_own_contract(cfg_ring, monkeypatch, lu):
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    ext, loads = _two_loads(mesh, cfg_ring, lu)
+    lu_solve = fem.Factored.lu_solve
+
+    def spoiled(self, b, trans="N"):   # the second column off by 1e-6 relative
+        x = lu_solve(self, b, trans)
+        if x.shape[1:] == (2,):
+            x[:, 1] *= 1.0 + 1e-6
+        return x
+    monkeypatch.setattr(fem.Factored, "lu_solve", spoiled)
+    auxiliary.solve_exterior(ext, cfg_ring, *loads[0])   # the first column alone passes
+    with pytest.raises(SingularSystem):
+        auxiliary.solve_exterior_loads(ext, cfg_ring, loads)

@@ -347,18 +347,28 @@ def test_each_subcommand_factors_the_exterior_once_per_k(cfg_file, tmp_path, fac
     assert [sum(map(sizes.count, _exterior_sizes(mesh))) for mesh in meshes] == [n_k] * len(meshes)
 
 
-@pytest.mark.parametrize("sub, flags", [
-    ("aux", []), ("expand", []), ("radius", []),
-    ("sweep-delta", ["--deltas", "0.1,0"]), ("resonance-sweep", [])])
-def test_subcommands_factor_in_double(cfg_file, tmp_path, factored, sub, flags):
-    # only convergence-table asks for a single-precision exterior LU; the
-    # resonance sweep's Dirichlet eigenpairs factor a real matrix, and keep it real
+@pytest.mark.parametrize("sub, flags, dtype", [
+    ("aux", [], np.complex64), ("resonance-sweep", [], np.complex64),
+    ("convergence-table", [], np.complex64), ("expand", [], np.complex128),
+    ("radius", [], np.complex128), ("sweep-delta", ["--deltas", "0.1,0"], np.complex128),
+    ("direct", [], np.complex128), ("poynting", [], np.complex128)])
+def test_exterior_lus_are_single_where_only_auxiliary_solves_read_them(
+        cfg_file, tmp_path, factored, monkeypatch, sub, flags, dtype):
+    # the auxiliary constants alone (and the resonance sweep's k* flux) are read
+    # off a single-precision exterior LU; an engine that steps, and B, are double.
+    # Every other factorization stays double, and the resonance sweep's
+    # Dirichlet eigenpairs factor a real matrix and keep it real
     text = cfg_file.read_text().replace("seed = 0", "seed = 0\ngammas = 0.1 0.001")
+    if sub == "convergence-table":   # at h = 0.2 its 2h level is above half the gap
+        text = text.replace("h = 0.2", "h = 0.1")
     cfg_file.write_text(text)
+    meshes = []
+    monkeypatch.setattr("enzlab.cli.build_mesh", lambda *a: meshes.append(build_mesh(*a))
+                        or meshes[-1])
     assert main([sub, str(cfg_file), "--out", str(tmp_path / "out"), *flags]) == 0
-    dtypes = {d for _, d in factored}
-    assert dtypes == ({np.dtype(complex), np.dtype(float)} if sub == "resonance-sweep"
-                      else {np.dtype(complex)})
+    exterior = set(itertools.chain.from_iterable(map(_exterior_sizes, meshes)))
+    assert {d for n, d in factored if n in exterior} == {np.dtype(dtype)}
+    assert {d for n, d in factored if n not in exterior} <= {np.dtype(complex), np.dtype(float)}
 
 
 def test_mesh_size_at_half_gap_exits_6(tmp_path):

@@ -801,13 +801,34 @@ def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring,
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_engines_and_direct_solves_factor_in_double(cfg_ring, factored):
+def test_an_engine_after_an_auxiliary_only_set_refactors_in_double(cfg_ring, factored):
     mesh = build_mesh(CANONICAL, 0.2)
     auxiliary.solve_auxiliary_set(mesh, cfg_ring)
-    CorrectorEngine(mesh, cfg_ring).build_hierarchy(2)
+    engine = CorrectorEngine(mesh, cfg_ring)   # same mesh and k: it finds the single block
+    (block,) = engine.ext_system._blocks.values()
+    assert not block.single
+    engine.build_hierarchy(2)
     direct.solve_transmission(mesh, cfg_ring)
-    # the exterior and dopant blocks, the bordered Neumann system, B and Omega's operator
-    assert [d for _, d in factored] == [np.dtype(complex)] * 5
+    # the single exterior block and the dopant's, then the double exterior
+    # block, the bordered Neumann system, B and Omega's operator
+    n_block = len(block.rows)
+    assert factored == [(n_block, np.dtype(np.complex64)), (factored[1][0], np.dtype(complex)),
+                        (n_block, np.dtype(complex))] + [(n, np.dtype(complex))
+                                                         for n, _ in factored[3:]]
+    assert len(factored) == 6
+
+
+def test_an_engine_handed_a_single_set_steps_on_its_lu(cfg_ring, factored):
+    mesh = build_mesh(CANONICAL, 0.2)
+    engine = CorrectorEngine(mesh, cfg_ring, aux=auxiliary.solve_auxiliary_set(mesh, cfg_ring))
+    (block,) = engine.ext_system._blocks.values()
+    assert block.single
+    n_factored = len(factored)
+    hier = engine.build_hierarchy(3)   # every lift passes its field's check
+    assert len(factored) == n_factored + 1   # the Neumann system; the exterior is not refactored
+    # the same hierarchy off a double LU, on a mesh of its own
+    ref = CorrectorEngine(build_mesh(CANONICAL, 0.2), cfg_ring).build_hierarchy(3)
+    assert np.abs(hier.e - ref.e).max() <= 1e-10 * np.abs(ref.e).max()
 
 
 def test_interface_last_empties_the_factor_copies_and_solves_the_same(mesh_coarse, cfg_ring):
@@ -842,7 +863,8 @@ def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
     block = ext.dirichlet_block(tags)
     block.lu   # each block's LU is factored on first use: here, in the order of the cases
     cases = [(ext, block.rows, ext_order, block)]
-    block = auxiliary.exterior_single(ext)
+    ext._blocks.clear()
+    block = ext.dirichlet_block(tags, single=True)
     block.lu
     cases.append((ext, block.rows, ext_order, block))
     B, _, keep, _ = auxiliary.exterior_schur(ext)
@@ -885,18 +907,19 @@ def test_factoring_a_block_leaves_its_systems_matrix_unchanged(cfg_ring):
 
 
 def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypatch):
-    # exterior_single makes the block and leaves it unfactored; its first solve
-    # trims the heap and factors.  Factoring when the block is made put the
-    # source load and the solves' temporaries under the LU's peak, and trimming
-    # then but factoring later did too: convergence-table's manifest
-    # peak_rss_mb at h = 0.05 rose by about 28 and 26 MB.
+    # the auxiliary-only rule makes a single-precision block and leaves it
+    # unfactored; its first solve trims the heap and factors.  Factoring when
+    # the block is made put the source load and the solves' temporaries under
+    # the LU's peak, and trimming then but factoring later did too:
+    # convergence-table's manifest peak_rss_mb at h = 0.05 rose by about 28
+    # and 26 MB.
     calls = []
     trim, factor = fem.trim_heap, fem.factor
     monkeypatch.setattr(fem, "trim_heap", lambda: calls.append("trim") or trim())
     monkeypatch.setattr(fem, "factor", lambda A: calls.append(A.dtype) or factor(A))
     mesh = build_mesh(CANONICAL, 0.1)
     ext = exterior_system(mesh, cfg_ring)
-    auxiliary.exterior_single(ext)
+    auxiliary._exterior_lu(ext, single=True)
     assert calls == []
     auxiliary.solve_s(mesh, cfg_ring, system=ext)
     assert calls == ["trim", np.dtype(np.complex64)]
