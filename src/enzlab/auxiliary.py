@@ -136,14 +136,13 @@ def _exterior_lu(ext: fem.LinearSystem, single: bool) -> fem.LinearSystem:
     ``single`` suits the runs that read only ``s`` and ``psi_e`` off ``ext``:
     the auxiliary set (:func:`solve_auxiliary_set`, so ``aux``,
     ``convergence-table`` and each detuning of ``resonance-sweep``) and the
-    resonance sweep's k* flux.  There ``s`` and ``psi_e``, two columns of
-    one solve, take three passes off the LU instead of one, and the
-    factorization takes less time and memory.  On the ``aux_refine``
-    workload (h in [0.05, 0.07], 2-core host, one BLAS thread, 11
-    alternating pairs) the peak fell from a median of 135.5 to 121.7 MB,
-    with op medians 0.280 and 0.288 s; ``enzlab aux`` at h = 0.025 peaked
-    at 288-292 MB against 368-372 MB.  Not a corrector engine, which lifts
-    a trace off the LU at every step
+    resonance sweep's k* flux.  There each solve of ``s`` and ``psi_e`` takes
+    three passes off the LU instead of one, and the factorization takes less
+    time and memory.  On the ``aux_refine`` workload (h in [0.05, 0.07],
+    2-core host, one BLAS thread, 11 alternating pairs) the peak fell from a
+    median of 135.5 to 121.7 MB, with op medians 0.280 and 0.288 s;
+    ``enzlab aux`` at h = 0.025 peaked at 288-292 MB against 368-372 MB.
+    Not a corrector engine, which lifts a trace off the LU at every step
     (:class:`enzlab.correctors.CorrectorEngine` asks without ``single``).
     """
     tags = frozenset(_exterior_dirichlet(ext.regions))
@@ -182,47 +181,28 @@ def condensed_load(ext: fem.LinearSystem, cfg: PhysicsConfig) -> np.ndarray:
     return ext.mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources), build)
 
 
-def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, loads) -> list:
-    """:func:`solve_exterior_loads`' values off ``B``, unchecked: ``B [x; y] = [b_f; z + S_e t]``.
-
-    One array per ``(rhs, trace)`` of ``loads``, each a column of one solve off ``B``.
-    """
+def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray,
+                    trace) -> np.ndarray:
+    """:func:`solve_exterior`'s values off ``B``, unchecked, by ``B [x; y] = [b_f; z + S_e t]``."""
     B, S, keep, g = exterior_schur(ext)
-    r = np.empty((len(keep), len(loads)), dtype=complex, order="F")   # each column contiguous
-    for j, (rhs, trace) in enumerate(loads):
-        r[:, j] = rhs[keep]
-        z = condensed_load(ext, cfg) if rhs.any() else 0.0
-        r[g, j] = z + S @ np.broadcast_to(trace, len(g))
-    x = B.lu_solve(r)   # x = A_ff^-1 (b_f - A_fg t), and y = t to roundoff
-    values = []
-    for (rhs, trace), x_j in zip(loads, x.T):
-        u = np.zeros(len(rhs), dtype=complex)
-        u[keep] = x_j
-        u[keep[g]] = trace
-        values.append(u)
-    return values
-
-
-def solve_exterior_loads(system: fem.LinearSystem, cfg: PhysicsConfig, loads) -> list:
-    """The exterior field of each ``(rhs, trace)`` of ``loads``, with ``trace`` on Gamma_Omega.
-
-    Each ``rhs`` is zero or the load of ``cfg.sources``.
-
-    Solved on the system's one LU, every field a column of the same passes
-    off it: its Dirichlet block by :func:`fem.solve_loads`, or ``B``, by
-    :func:`exterior_values` and :func:`fem.certify`.  Each field has the bits
-    of its own solve, and passes its own check.
-    """
-    bcs = [_exterior_dirichlet(system.regions, trace) for _, trace in loads]
-    if "S_e" in system._blocks:
-        return [fem.certify(system, rhs, bc, u) for (rhs, _), bc, u
-                in zip(loads, bcs, exterior_values(system, cfg, loads))]
-    return fem.solve_loads(system, [(rhs, bc) for (rhs, _), bc in zip(loads, bcs)])
+    r = rhs[keep]
+    r[g] = (condensed_load(ext, cfg) if rhs.any() else 0.0) + S @ np.broadcast_to(trace, len(g))
+    u = np.zeros(len(rhs), dtype=complex)
+    u[keep] = B.lu_solve(r)   # x = A_ff^-1 (b_f - A_fg t), and y = t to roundoff
+    u[keep[g]] = trace
+    return u
 
 
 def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray, trace):
-    """The exterior field of one load: :func:`solve_exterior_loads` of ``[(rhs, trace)]``."""
-    return solve_exterior_loads(system, cfg, [(rhs, trace)])[0]
+    """The exterior field of load ``rhs`` (zero or from ``cfg.sources``), ``trace`` on Gamma_Omega.
+
+    Solved on the system's one LU: its Dirichlet block by :func:`fem.solve`,
+    or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
+    """
+    bc = _exterior_dirichlet(system.regions, trace)
+    if "S_e" in system._blocks:
+        return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
+    return solve(system, rhs, bc)
 
 
 def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
@@ -253,22 +233,6 @@ def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 
 # the three auxiliary solves
 
 
-def _source_load(system: fem.LinearSystem, cfg: PhysicsConfig):
-    """The source field's ``(rhs, trace)``: the load of ``cfg.sources``, zero trace."""
-    return source_load(system.mesh, system.regions, cfg.sources), 0.0
-
-
-def _lifting_load(system: fem.LinearSystem):
-    """The exterior lifting field's ``(rhs, trace)``: no load, unit trace."""
-    return np.zeros(len(system.nodes), dtype=complex), 1.0
-
-
-def _with_fluxes(system: fem.LinearSystem, cfg: PhysicsConfig, loads) -> list:
-    """``(field, flux)`` per load; the flux through the scatterer boundary, canonically oriented."""
-    return [(u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical"))
-            for u in solve_exterior_loads(system, cfg, loads)]
-
-
 def solve_s(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """Source field: exterior Helmholtz, zero trace on the scatterer.
 
@@ -276,13 +240,15 @@ def solve_s(mesh: Mesh, cfg: PhysicsConfig, system=None):
     orientation).  A trivial source yields the zero field.
     """
     system = system or exterior_system(mesh, cfg)
-    return _with_fluxes(system, cfg, [_source_load(system, cfg)])[0]
+    u = solve_exterior(system, cfg, source_load(mesh, system.regions, cfg.sources), 0.0)
+    return u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
 
 
 def solve_psi_e(mesh: Mesh, cfg: PhysicsConfig, system=None):
     """Exterior lifting field: unit trace on the scatterer, radiating."""
     system = system or exterior_system(mesh, cfg)
-    return _with_fluxes(system, cfg, [_lifting_load(system)])[0]
+    u = solve_exterior(system, cfg, np.zeros(len(system.nodes), dtype=complex), 1.0)
+    return u, flux_extract(u, system, Bnd.GAMMA_OMEGA, orientation="canonical")
 
 
 def solve_psi_d(mesh: Mesh, cfg: PhysicsConfig, system=None, guard: bool = True):
@@ -391,14 +357,14 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
                         guard: bool = True) -> AuxiliarySet:
     """Run the three auxiliary solves and assemble every scalar constant.
 
-    ``s`` and ``psi_e`` are solved as two columns of one exterior solve, on the
-    LU the exterior holds, or on a single-precision one if it holds none
-    (:func:`_exterior_lu`).
+    ``s`` and then ``psi_e`` are solved by :func:`solve_s` and
+    :func:`solve_psi_e`, one load each, on the LU the exterior holds, or on a
+    single-precision one if it holds none (:func:`_exterior_lu`).
     """
     ext = _exterior_lu(exterior_system(mesh, cfg), single=True)
     dop = dopant_system(mesh, cfg)
-    (s, flux_s), (psi_e, flux_psi_e) = _with_fluxes(
-        ext, cfg, [_source_load(ext, cfg), _lifting_load(ext)])
+    s, flux_s = solve_s(mesh, cfg, system=ext)
+    psi_e, flux_psi_e = solve_psi_e(mesh, cfg, system=ext)
     psi_d, flux_psi_d = solve_psi_d(mesh, cfg, system=dop, guard=guard)
     beta = compute_beta(flux_psi_e, flux_psi_d, mesh, cfg)
     c_star = compute_cstar(beta, flux_s)

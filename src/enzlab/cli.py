@@ -159,8 +159,14 @@ def run_sweep_delta(spec, cfg, opts, outdir: Path) -> None:
 
     def errors(delta):
         u = solve_transmission(mesh, dataclasses.replace(cfg, delta=delta))
-        return [compare_fields(u, engine.assemble_expansion(hier, delta, order=j),
-                               window=opts.window).h1_error for j in (0, 1, 2)]
+        errs = []
+        for j in (0, 1, 2):
+            v = engine.assemble_expansion(hier, delta, order=j)
+            errs.append(compare_fields(u, v, window=opts.window).h1_error)
+            if not math.isfinite(errs[-1]):   # its square overflowed in the norm
+                raise ValidationError(f"the H1 error of the expansion at delta = {delta} "
+                                      f"truncated at order {j} is not finite")
+        return errs
 
     deltas = [complex(d) for d in opts.deltas]
     errs = np.array([errors(d) for d in deltas]).T

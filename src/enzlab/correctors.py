@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentSeries, NoConvergence
+from .errors import DivergentSeries, NoConvergence, ValidationError
 from .auxiliary import (AuxiliarySet, PhysicsConfig, _exterior_lu, exterior_system,
                         solve_auxiliary_set, solve_exterior)
 from .fem import (BACKWARD_RTOL, BoundaryFunctional, NeumannSystem, ScalarField,
@@ -269,7 +269,6 @@ class CorrectorEngine:
         if order > hier.order + 1:
             raise ValueError(f"order {order} beyond hierarchy depth {hier.order}")
         j_inner = order - 1   # corrector fields enter at delta^(j+1)
-        c_d = hier.c_delta(delta, j_inner)
 
         def summed(fields):
             acc = np.zeros(len(fields[0].values), dtype=complex)
@@ -279,19 +278,24 @@ class CorrectorEngine:
                 d_pow *= delta
             return acc
 
-        # each block lives on its own system's nodes; on the shared interface
-        # nodes the later block wins: exterior, then ENZ, then dopant
-        blocks = [
-            (self.ext_system.nodes, c_d * self.aux.psi_e.values + self.aux.s.values
-             + delta * summed(hier.lam)),
-            (self.neumann.nodes, c_d + delta * summed(hier.phi)),
-            (self.dop_system.nodes, c_d * self.aux.psi_d.values + delta * summed(hier.chi)),
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):   # a sum that overflows raises below
+            c_d = hier.c_delta(delta, j_inner)
+            # each block lives on its own system's nodes; on the shared interface
+            # nodes the later block wins: exterior, then ENZ, then dopant
+            blocks = [
+                (self.ext_system.nodes, c_d * self.aux.psi_e.values + self.aux.s.values
+                 + delta * summed(hier.lam)),
+                (self.neumann.nodes, c_d + delta * summed(hier.phi)),
+                (self.dop_system.nodes, c_d * self.aux.psi_d.values + delta * summed(hier.chi)),
+            ]
         regions = self.ext_system.regions | self.neumann.regions | self.dop_system.regions
         pos = self.mesh.region_pos(regions)
         out = np.zeros(len(self.mesh.region_nodes(regions)), dtype=complex)
         for nodes, vals in blocks:
             out[pos[nodes]] = vals
+        if not np.isfinite(out).all():   # c_d enters every ENZ value
+            raise ValidationError(f"the expansion at delta = {complex(delta)} truncated at "
+                                  f"order {order} is not finite")
         return ScalarField(self.mesh, regions, out)
 
     def resolvent_residual(self, hier: CorrectorHierarchy, delta: complex) -> float:

@@ -130,8 +130,7 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
         b_om = rhs[op.omega]
         b_om[gamma] -= condensed_load(ext, cfg)
         u_om = fem.Factored(op.C_1 + c * op.K_om, op.order).solve(b_om)
-        # Gamma_Omega takes u_om
-        u[op.exterior] = exterior_values(ext, cfg, [(b_ext, u_om[gamma])])[0]
+        u[op.exterior] = exterior_values(ext, cfg, b_ext, u_om[gamma])   # Gamma_Omega takes u_om
         u[op.omega] = u_om
     return fem.certify(system, rhs, outer_dirichlet(system.regions), u)
 

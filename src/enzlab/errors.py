@@ -4,13 +4,17 @@ Every error carries a stable symbolic ``name`` (used by the CLI to map
 failures to distinct exit codes) and a human-readable message.
 
 ``tests/test_cli.py`` reaches these codes from a config file through the
-CLI: 3, 4, 5, 6 and 12.  A number that is NaN or infinite is a 4, and so
+CLI: 3, 4, 5, 6, 8 and 12.  A number that is NaN or infinite is a 4, and so
 are omega = 0, 1e-200, 1e200 or 1e308 (omega or omega^2 not finite and
 positive), k = 1e200 (k^2 overflows), mu = 1e308 or omega = 1e154 at
 h = 0.2 (|k| h > pi: fewer than two mesh points per wavelength),
 mu = 225 at h = 0.15 in ``convergence-table``, whose coarsest mesh is 2h,
-and a radiation treatment without its truncation: ``radiation = pml`` with
-``pml_thickness = 0`` or ``radiation = robin`` with a collar.
+a radiation treatment without its truncation: ``radiation = pml`` with
+``pml_thickness = 0`` or ``radiation = robin`` with a collar, and a finite
+delta whose truncated expansion, or its H1 error against the direct solve,
+is not finite, named with delta and the order: at h = 0.2, ``expand --delta
+1e160,0`` (its sum overflows) and ``sweep-delta --deltas 1e100,0`` (the
+square of its J = 2 error does).
 A 5 is a shape, source or domain that cannot be made (``dopant = circle
 0 0 0`` or ``0 0 -0.3``, ``outer = circle 0 0 -1``, a dopant leaving the
 scatterer) or a source outside the physical exterior annulus.  A 6 also
@@ -18,12 +22,16 @@ comes from ``h = 1e-4`` (more than ``geometry.MAX_NODES`` nodes, refused
 before the mesh is built) and from ``resonance-sweep`` on a dopant with no
 more interior nodes than the eigenpairs it asks for.  7
 (ZERO_COEFFICIENT) from ``direct`` with ``delta = 1e308,1e308``, finite but
-with 1/delta rounding to 0; 11 (EMPTY_WINDOW) from ``sweep-delta`` with a
-``window`` disk that misses the mesh; 16 (DOMAIN) from ``oracle-check`` with
-a truncation radius whose Bessel arguments pass 200; 17 (SINGULAR_MATCH)
-from ``oracle-check`` with ``delta = 1e-14``, where the interface matching
-system is too ill-conditioned; 18 (DEGENERATE) from ``resonance-sweep`` with
-a ``resonance_target`` at an eigenvalue pair of zero mean.
+with 1/delta rounding to 0; 8 (SINGULAR_SYSTEM) from ``direct`` with
+``delta = 1e-300,0`` at h = 0.2, whose field's backward error is 6.9: the
+direct solve's error of about eps/|delta| in the ENZ constant mode, which a
+solve exact in that mode would turn into a field; 11 (EMPTY_WINDOW) from
+``sweep-delta`` with a ``window`` disk that misses the mesh; 16 (DOMAIN)
+from ``oracle-check`` with a truncation radius whose Bessel arguments pass
+200; 17 (SINGULAR_MATCH) from ``oracle-check`` with ``delta = 1e-14``,
+where the interface matching system is too ill-conditioned; 18 (DEGENERATE)
+from ``resonance-sweep`` with a ``resonance_target`` at an eigenvalue pair
+of zero mean.
 
 Not reachable from the CLI: 15 (DIVERGENT_SERIES), because every CLI
 expansion has an explicit order and only a full sum is certified; nor 6 from

@@ -27,12 +27,14 @@ roundoff-sized pivots and solve wrongly without a breakdown.  A
 :class:`Factored` block holds a matrix by reference, the positions of its
 unknowns in an order, its norm and its LU, in double precision or, where the
 caller chose single when it made the block, in single precision with every
-solve refined to double.  The block may be all of the matrix or a principal
-block of it (a :class:`DirichletBlock` on its free nodes, the exterior off
-its collar's outer boundary); no caller slices a copy of it: the LU's input
-is cut from the matrix in one step, and the norm (:func:`block_norm`) and
-every product (:func:`block_product`, also the operators of
-:func:`dirichlet_eigs`) read the matrix through the block's rows.  Every solve
+solve refined to double.  A solve takes one load: :meth:`Factored.lu_solve`
+one vector, and :func:`solve` one ``(rhs, dirichlet)`` pair.  The block may
+be all of the matrix or a principal block of it (a :class:`DirichletBlock` on
+its free nodes, the exterior off its collar's outer boundary); no caller
+slices a copy of it: the LU's input is cut from the matrix in one step, and
+the norm (:func:`block_norm`) and every product (:func:`block_product`, also
+the operators of :func:`dirichlet_eigs`) read the matrix through the block's
+rows.  Every solve
 meets one residual contract: a normwise backward error above 1e-10 raises
 SINGULAR_SYSTEM.  A bare factorization, bordered ones included, is checked
 by :meth:`Factored.solve`; a Dirichlet-constrained field, from :func:`solve`
@@ -653,7 +655,7 @@ class Factored:
     with any border indices appended.  It covers every row of ``A`` or only
     some, and ``A`` is held by reference, never sliced into a copy.  Every
     vector lives on the block's rows in increasing order (``rows``): a solve
-    reads ``b`` and returns ``x`` in that numbering, which is ``A``'s own when
+    reads one vector ``b`` and returns one ``x`` in that numbering, which is ``A``'s own when
     the block is all of ``A``.  The LU, built on first use, is the
     :func:`factor` of ``A[order][:, order]``, cut in one step from ``A``
     after the cast to the LU's precision (a cast after the cut can order the
@@ -683,17 +685,6 @@ class Factored:
     a double solve, so single precision pays only for an LU that serves a
     few solves: the exterior's, where a run reads only the auxiliary fields
     off it (:func:`enzlab.auxiliary._exterior_lu`), not a corrector engine's.
-
-    :meth:`lu_solve` takes several loads as the columns of ``b``, which SuperLU
-    solves in one call, each column with the bits of its own one-column solve.
-    Every refinement pass solves the loads not yet done, and each load stops
-    by its own rule, with its own scale (:meth:`_off_lu`) and its own products,
-    so it comes out as it would alone.  The exterior fields ``s`` and
-    ``psi_e`` as two columns, checked (medians of 25, 2-core host, one BLAS
-    thread), against two one-column solves: at h = 0.05, 37.1-38.8 ms against
-    38.7-40.8 ms refined in single precision, and 11.3-12.1 ms against
-    14.3-14.9 ms in double; at h = 0.025, 197 ms against 231 ms, and 69 ms
-    against 91 ms.
     """
 
     def __init__(self, A: sp.csc_matrix, order: np.ndarray, single: bool = False):
@@ -710,58 +701,38 @@ class Factored:
         return factor(self.A.astype(self.lu_dtype, copy=False)[self.order][:, self.order].tocsc())
 
     def lu_solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """``A^-1 b``, or ``A^-H b`` with ``trans="H"``, off the LU, refined if single; unchecked.
-
-        ``b`` is one vector or columns of vectors, which every pass off the LU
-        solves together.  Each column is refined by its own stopping rule, so
-        it comes out with the bits of its own one-column solve.
-        """
+        """``A^-1 b``, or ``A^-H b`` with ``trans="H"``, off the LU, refined if single; unchecked."""
         x = self._off_lu(b, trans)
         if not self.single:
             return x
-        xs, bs = np.atleast_2d(x.T), np.atleast_2d(b.T)   # one row per load, views
-        r = self._residuals(bs, xs, trans)
-        res, b_norm = _row_norms(r), _row_norms(bs)
-        todo = np.arange(len(xs))   # the loads not yet done
+        r = b - block_product(self.A, self.rows, x, trans)
+        res, b_norm = np.linalg.norm(r), np.linalg.norm(b)
         for _ in range(_REFINE_STEPS):
-            x_norm = _row_norms(xs[j] for j in todo)
-            todo = todo[~(res[todo] <= _ROUNDOFF * (self.norm * x_norm + b_norm[todo]))]
-            if not len(todo):
+            if res <= _ROUNDOFF * (self.norm * np.linalg.norm(x) + b_norm):   # at roundoff
                 break
-            rows = slice(None) if len(todo) == len(xs) else todo   # no copy while all are left
-            x_new = self._off_lu(r[rows].T, trans).T
-            x_new += xs[rows]
-            r_new = self._residuals(bs[rows], x_new, trans)
-            res_new = _row_norms(r_new)
-            for i, j in enumerate(todo):
-                if res_new[i] < res[j]:   # the step is kept only where it helped
-                    xs[j], r[j] = x_new[i], r_new[i]
-            del x_new, r_new   # before the next pass allocates its own
-            halving = res_new < 0.5 * res[todo]   # the others stopped halving
-            res[todo] = res_new
-            todo = todo[halving]
+            x_new = x + self._off_lu(r, trans)
+            r_new = b - block_product(self.A, self.rows, x_new, trans)
+            res_new = np.linalg.norm(r_new)
+            if res_new < res:
+                x, r = x_new, r_new
+            if not res_new < 0.5 * res:   # stopped halving
+                break
+            res = res_new
         return x
-
-    def _residuals(self, bs: np.ndarray, xs: np.ndarray, trans: str) -> np.ndarray:
-        """``b - A x`` for each pair of rows of ``bs`` and ``xs``, a :func:`block_product` each."""
-        r = np.array([block_product(self.A, self.rows, x, trans) for x in xs])
-        return np.subtract(bs, r, out=r)
 
     def _off_lu(self, b: np.ndarray, trans: str) -> np.ndarray:
         """One solve off the LU alone, on the block's rows and in ``A``'s precision."""
         lu = self.lu   # a first use factors here, before b's permuted copy can sit under its peak
-        y = b.T[..., self._perm]   # one load per row
-        if self.single:   # each load scaled to 1, so that a small residual does not underflow
-            scale = np.abs(y).max(axis=-1, initial=0.0, keepdims=True)
-            scale[scale == 0.0] = 1.0
-            y /= scale
-            y = y.astype(self.lu_dtype)
-        y = lu.solve(y.T, trans=trans).T
-        x = np.empty(y.shape, np.result_type(self.A.dtype, b.dtype))
-        x[..., self._perm] = y
-        if self.single:
-            x *= scale
-        return x.T
+        y = b[self._perm]
+        if self.single:   # scaled to 1, so that a small residual does not underflow
+            scale = np.abs(y).max(initial=0.0) or 1.0
+            y = lu.solve((y / scale).astype(self.lu_dtype), trans=trans)
+            y = y.astype(np.result_type(self.A.dtype, b.dtype)) * scale
+        else:
+            y = lu.solve(y, trans=trans)
+        x = np.empty_like(y)
+        x[self._perm] = y
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """:meth:`lu_solve`, checked against the block.
@@ -774,11 +745,6 @@ class Factored:
         _check_backward_error(block_product(self.A, self.rows, x) - b, self.norm, x, b,
                               BACKWARD_RTOL)
         return x
-
-
-def _row_norms(X) -> np.ndarray:
-    """The 2-norm of each row of ``X``, with the bits of ``np.linalg.norm`` of that row alone."""
-    return np.array([np.linalg.norm(x) for x in X])
 
 
 def _check_backward_error(resid: np.ndarray, norm: float, x: np.ndarray,
@@ -984,48 +950,17 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     makes a plain ||Ax-b|| <= rtol ||b|| test unattainable in double
     precision while the solve is still perfectly reliable).
     """
-    return solve_loads(system, [(rhs, dirichlet)], rtol)[0]
-
-
-def solve_loads(system: LinearSystem, loads, rtol: float = BACKWARD_RTOL) -> list:
-    """:func:`solve` of each ``(rhs, dirichlet)`` pair of ``loads``, as columns of one solve.
-
-    Every pair fixes the same tags, with values of its own, so all share one
-    block, and each pass off its LU (:meth:`Factored.lu_solve`) solves every
-    column.  Each field comes out with the bits of its own :func:`solve` and
-    passes its own check: SINGULAR_SYSTEM if any one fails.
-    """
-    bcs = [dict(d or {}) for _, d in loads]
-    block = system.dirichlet_block(bcs[0])
-    rhss = [np.asarray(rhs, dtype=complex) for rhs, _ in loads]
-    # the loads' fields are made after the solve, so that none sits under a first solve's LU
-    b_free = [free_load(system.A, rhs, block.rows, block.fixed, _dirichlet_values(system, bc))
-              for rhs, bc in zip(rhss, bcs)]
-    live = [j for j, b in enumerate(b_free) if np.linalg.norm(b) != 0.0]   # the rest stay zero
-    if len(live) > 1:
-        cols = np.array([b_free[j] for j in live]).T   # each load's column contiguous
-        for c, j in enumerate(live):   # and a view of it from here on
-            b_free[j] = cols[:, c]
-        x = dict(zip(live, block.lu_solve(cols).T))
-    else:
-        x = {j: block.lu_solve(b_free[j]) for j in live}
-    fields = []
-    for j, (rhs, bc, b) in enumerate(zip(rhss, bcs, b_free)):
-        u = _dirichlet_values(system, bc)
-        if j in x:
-            u[block.rows] = x[j]
-            fields.append(_checked_field(system, rhs, u, block.rows, block.norm, b, rtol))
-        else:
-            fields.append(_checked_field(system, rhs, u))
-    return fields
-
-
-def _dirichlet_values(system: LinearSystem, dirichlet: dict) -> np.ndarray:
-    """A vector on ``system.nodes``: the ``dirichlet`` values on their tags' nodes, else zero."""
+    rhs = np.asarray(rhs, dtype=complex)
+    dirichlet = dict(dirichlet or {})
+    block = system.dirichlet_block(dirichlet)
     u = np.zeros(len(system.nodes), dtype=complex)
     for tag, val in dirichlet.items():
         u[system.local_boundary(Bnd(tag))] = val
-    return u
+    b_free = free_load(system.A, rhs, block.rows, block.fixed, u)
+    if np.linalg.norm(b_free) == 0.0:     # the free values stay zero
+        return _checked_field(system, rhs, u)
+    u[block.rows] = block.lu_solve(b_free)
+    return _checked_field(system, rhs, u, block.rows, block.norm, b_free, rtol)
 
 
 def _checked_field(system: LinearSystem, rhs: np.ndarray, u: np.ndarray, free=None,

@@ -277,48 +277,59 @@ def test_rellich_zero_field(mesh_coarse):
     assert rellich_residual(mesh_coarse, cfg, s, flux) == 0.0
 
 
-def _two_loads(mesh, cfg, lu):
-    """The exterior on its own mesh, holding the LU ``lu``, and a source load and a lift."""
+def _exterior_holding(mesh, cfg, lu):
+    """The exterior on its own mesh, holding the LU ``lu``: a double or single block, or B."""
     ext = exterior_system(mesh, cfg)
     if lu == "B":
         auxiliary.exterior_schur(ext)
     else:
         auxiliary._exterior_lu(ext, single=lu == "single")
-    t = np.random.default_rng(1).standard_normal(len(ext.local_boundary(Bnd.GAMMA_OMEGA))) + 1j
-    return ext, [(fem.source_load(mesh, ext.regions, cfg.sources), 0.0),
-                 (np.zeros(len(ext.nodes), dtype=complex), t)]
+    return ext
 
 
 @pytest.mark.parametrize("lu, passes", [("double", 1), ("single", 3), ("B", 1)])
-def test_two_loads_solve_as_columns_with_the_bits_of_their_own_solves(cfg_ring, monkeypatch,
-                                                                      lu, passes):
+def test_each_exterior_field_takes_one_vector_per_pass_off_the_lu(cfg_ring, monkeypatch,
+                                                                  lu, passes):
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
-    ext, loads = _two_loads(mesh, cfg_ring, lu)
-    refs = [auxiliary.solve_exterior(ext, cfg_ring, rhs, trace) for rhs, trace in loads]
+    ext = _exterior_holding(mesh, cfg_ring, lu)
+    for solve in (solve_s, solve_psi_e):   # factors, and reads B's condensed load once
+        solve(mesh, cfg_ring, system=ext)
     assert [ff.single for ff in ext._blocks.values() if isinstance(ff, fem.Factored)] in (
         [lu == "single"], [])
-    off_lu, widths = fem.Factored._off_lu, []
+    off_lu, shapes = fem.Factored._off_lu, []
     monkeypatch.setattr(fem.Factored, "_off_lu",
-                        lambda self, b, trans: widths.append(b.shape[1:]) or off_lu(self, b, trans))
-    fields = auxiliary.solve_exterior_loads(ext, cfg_ring, loads)
-    assert widths == [(2,)] * passes   # both columns in each pass off the LU
-    for u, ref in zip(fields, refs):
-        assert np.array_equal(u.values, ref.values)
-        assert np.array_equal(u.record.resid, ref.record.resid)
+                        lambda self, b, trans: shapes.append(b.shape) or off_lu(self, b, trans))
+    for solve in (solve_s, solve_psi_e):
+        shapes.clear()
+        solve(mesh, cfg_ring, system=ext)
+        assert len(shapes) == passes and all(len(shape) == 1 for shape in shapes)
 
 
 @pytest.mark.parametrize("lu", ["double", "single", "B"])
-def test_each_column_is_held_to_its_own_contract(cfg_ring, monkeypatch, lu):
+def test_a_spoiled_exterior_solve_is_refused(cfg_ring, monkeypatch, lu):
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
-    ext, loads = _two_loads(mesh, cfg_ring, lu)
+    ext = _exterior_holding(mesh, cfg_ring, lu)
+    for solve in (solve_s, solve_psi_e):   # factors, and reads B's condensed load once
+        solve(mesh, cfg_ring, system=ext)
     lu_solve = fem.Factored.lu_solve
 
-    def spoiled(self, b, trans="N"):   # the second column off by 1e-6 relative
+    def spoiled(self, b, trans="N"):   # off by 1e-6 relative
         x = lu_solve(self, b, trans)
-        if x.shape[1:] == (2,):
-            x[:, 1] *= 1.0 + 1e-6
-        return x
+        return x * (1.0 + 1e-6 * np.random.default_rng(7).standard_normal(len(x)))
     monkeypatch.setattr(fem.Factored, "lu_solve", spoiled)
-    auxiliary.solve_exterior(ext, cfg_ring, *loads[0])   # the first column alone passes
-    with pytest.raises(SingularSystem):
-        auxiliary.solve_exterior_loads(ext, cfg_ring, loads)
+    for solve in (solve_s, solve_psi_e):
+        with pytest.raises(SingularSystem):
+            solve(mesh, cfg_ring, system=ext)
+
+
+@pytest.mark.parametrize("lu", ["double", "single", "B"])
+def test_auxiliary_set_has_the_bits_of_its_one_load_solves(cfg_ring, lu):
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    ext = _exterior_holding(mesh, cfg_ring, lu)
+    held = list(ext._blocks.values())
+    aux = solve_auxiliary_set(mesh, cfg_ring)
+    assert all(a is b for a, b in zip(aux.ext_system._blocks.values(), held, strict=True))
+    for field, solve in ((aux.s, solve_s), (aux.psi_e, solve_psi_e)):
+        ref, _ = solve(mesh, cfg_ring, system=ext)
+        assert np.array_equal(field.values, ref.values)
+        assert np.array_equal(field.record.resid, ref.record.resid)

@@ -345,6 +345,18 @@ def test_each_subcommand_factors_the_exterior_once_per_k(cfg_file, tmp_path, fac
     sizes = [n for n, _ in factored]
     assert bool(sizes) == bool(meshes)   # the oracle factors nothing
     assert [sum(map(sizes.count, _exterior_sizes(mesh))) for mesh in meshes] == [n_k] * len(meshes)
+    # every value of every CSV is finite, but the first level's rates, which have no coarser level
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert bool(csvs) == (sub != "radius")   # radius writes JSON only
+    for path in csvs:
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        for i, row in enumerate(rows):
+            assert len(row) == len(header)
+            for name, value in zip(header, row):
+                if path.name == "convergence_table.csv" and i == 0 and name.endswith("_rate"):
+                    assert math.isnan(float(value))
+                else:
+                    assert math.isfinite(float(value)), (path.name, i, name, value)
 
 
 @pytest.mark.parametrize("sub, flags, dtype", [
@@ -369,6 +381,35 @@ def test_exterior_lus_are_single_where_only_auxiliary_solves_read_them(
     exterior = set(itertools.chain.from_iterable(map(_exterior_sizes, meshes)))
     assert {d for n, d in factored if n in exterior} == {np.dtype(dtype)}
     assert {d for n, d in factored if n not in exterior} <= {np.dtype(complex), np.dtype(float)}
+
+
+@pytest.mark.parametrize("sub, flags, named, csv", [
+    # wrote 2,257 nan/inf values, with RuntimeWarnings of c_delta's compensated sum
+    ("expand", ["--delta", "1e160,0"], "delta = (1e+160+0j) truncated at order 2",
+     "expand_field.csv"),
+    # wrote nan as h1_err_J2, and at 1e300 as h1_err_J1: the norm's square overflowed
+    ("sweep-delta", ["--deltas", "1e100,0"], "delta = (1e+100+0j) truncated at order 2",
+     "sweep_delta.csv"),
+    ("sweep-delta", ["--deltas", "1e300,0"], "delta = (1e+300+0j) truncated at order 1",
+     "sweep_delta.csv"),
+])
+def test_expansion_that_overflows_exits_4(cfg_file, tmp_path, capsys, sub, flags, named, csv):
+    assert main([sub, str(cfg_file), "--out", str(tmp_path / "out"), *flags]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error [VALIDATION_ERROR]: ") and err.count("\n") == 1
+    assert err.endswith(f"{named} is not finite\n")
+    assert not (tmp_path / "out" / csv).exists()
+
+
+def test_delta_at_the_direct_solves_floor_exits_8(tmp_path, capsys):
+    # the direct solve's error in the ENZ constant mode is about eps/|delta|
+    # (ROADMAP item 12), so at delta = 1e-300 its field fails the contract
+    text = CANONICAL_CFG.replace("delta = 0.01,0", "delta = 1e-300,0")
+    assert _exit_code(tmp_path, text, sub="direct") == 8   # SINGULAR_SYSTEM
+    err = capsys.readouterr().err
+    assert err.startswith("error [SINGULAR_SYSTEM]: backward error ") and err.count("\n") == 1
+    assert "exceeds 1.0e-10" in err   # 6.883e+00
+    assert not (tmp_path / "out" / "direct_field.csv").exists()
 
 
 def test_mesh_size_at_half_gap_exits_6(tmp_path):
