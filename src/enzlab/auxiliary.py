@@ -98,11 +98,11 @@ def _memoized_system(mesh: Mesh, name: str, key, build) -> fem.LinearSystem:
 def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     """The radiating exterior operator, on the mesh's collar too, once per mesh and (k, radiation).
 
-    Its one LU lives in the blocks that every copy of the system shares, for as long
-    as anything holds the system: the Dirichlet block with Gamma_Omega fixed until a
-    caller asks for ``S_e`` (:func:`exterior_schur`), and ``B`` from then on.  The
-    block's LU is double, or single refined to double where only auxiliary solves
-    read it (:func:`_exterior_lu`).
+    Its one LU lives in the one block that every copy of the system shares, for as
+    long as anything holds the system: the Dirichlet block with Gamma_Omega fixed
+    until a caller asks for ``S_e`` (:func:`exterior_schur`), and ``B``, with
+    Gamma_Omega last, from then on.  The Dirichlet block's LU is double, or single
+    refined to double where only auxiliary solves read it (:func:`_exterior_lu`).
     """
     def build():
         k = cfg.k
@@ -126,12 +126,10 @@ def _exterior_dirichlet(regions, trace=0.0) -> dict:
 def _exterior_lu(ext: fem.LinearSystem, single: bool) -> fem.LinearSystem:
     """``ext``, holding an LU fit for a caller that reads only ``s`` and ``psi_e`` if ``single``.
 
-    The one rule for the precision of the exterior's LU.  An exterior that
-    holds no LU gets its Dirichlet block, which factors at its first solve on a
-    freshly trimmed heap: in single precision if ``single``, each solve refined
-    to double, so the fields pass the same check.  An LU it holds stays, unless
-    a single block meets a call without ``single``, which puts a double block in
-    its place; ``B`` (:func:`exterior_schur`) is double and always stays.
+    The one rule for the precision of the exterior's LU: a held ``B``
+    (:func:`exterior_schur`), which is double, stays; otherwise ``ext`` asks for its
+    Dirichlet block with ``single`` (:meth:`fem.LinearSystem.dirichlet_block`).  A
+    new single block's solves are refined to double, so the fields pass the same check.
 
     ``single`` suits the runs that read only ``s`` and ``psi_e`` off ``ext``:
     the auxiliary set (:func:`solve_auxiliary_set`, so ``aux``,
@@ -145,46 +143,43 @@ def _exterior_lu(ext: fem.LinearSystem, single: bool) -> fem.LinearSystem:
     Not a corrector engine, which lifts a trace off the LU at every step
     (:class:`enzlab.correctors.CorrectorEngine` asks without ``single``).
     """
-    tags = frozenset(_exterior_dirichlet(ext.regions))
-    held = ext._blocks.get(tags)
-    if "S_e" not in ext._blocks and (held is None or held.single and not single):
-        ext._blocks.clear()
-        ext.dirichlet_block(tags, single=single)
+    if _held_schur(ext) is None:
+        ext.dirichlet_block(_exterior_dirichlet(ext.regions), single=single)
     return ext
 
 
-def exterior_schur(ext: fem.LinearSystem):
-    """``(B, S, keep, g)``: ``ext``'s one LU from now on, in its Dirichlet block's place.
+def _held_schur(ext: fem.LinearSystem) -> fem.DirichletBlock | None:
+    """``B`` if ``ext`` holds it (see :func:`exterior_schur`), else None."""
+    return ext.held_block(outer_dirichlet(ext.regions), [Bnd.GAMMA_OMEGA])
 
-    ``B`` is the exterior on ``keep``, off the collar's outer boundary, factored with
-    Gamma_Omega (``g`` in ``keep``) last; ``S`` is ``S_e = A_gg - A_gf A_ff^-1 A_fg``.
+
+def exterior_schur(ext: fem.LinearSystem) -> fem.DirichletBlock:
+    """``B``, ``ext``'s one LU from now on, in its Dirichlet block's place.
+
+    ``B`` is ``ext``'s block off the collar's outer boundary with Gamma_Omega last;
+    ``B.schur`` is ``S_e = A_gg - A_gf A_ff^-1 A_fg`` on its Gamma_Omega nodes ``B.tail``.
     """
-    if "S_e" not in ext._blocks:
-        ext._blocks.clear()   # the Dirichlet block's LU goes before B is factored
-        fixed = list(outer_dirichlet(ext.regions))
-        keep = fem.split_nodes(ext.mesh, ext.regions, fixed)[0]
-        n_g = len(ext.local_boundary(Bnd.GAMMA_OMEGA))
-        order = fem.node_order(ext.mesh, ext.regions, fixed, [Bnd.GAMMA_OMEGA])
-        B, S = fem.interface_last(ext.A, keep[order], n_g)
-        ext._blocks["S_e"] = B, S, keep, order[len(keep) - n_g:]
-    return ext._blocks["S_e"]
+    B = ext.dirichlet_block(outer_dirichlet(ext.regions), last=[Bnd.GAMMA_OMEGA])
+    B.schur   # factored and read now, before a direct solve's A(delta) is made
+    return B
 
 
 def condensed_load(ext: fem.LinearSystem, cfg: PhysicsConfig) -> np.ndarray:
     """``z = A_gf A_ff^-1 b_f`` for the load of ``cfg.sources``, per (k, radiation, sources)."""
-    B, S, keep, g = exterior_schur(ext)
+    B = exterior_schur(ext)
 
     def build():
-        r = source_load(ext.mesh, ext.regions, cfg.sources)[keep]
-        r[g] = 0.0   # B [x; y] = [b_f; 0] has S_e y = -z
-        return -S @ B.lu_solve(r)[g]
+        r = source_load(ext.mesh, ext.regions, cfg.sources)[B.rows]
+        r[B.tail] = 0.0   # B [x; y] = [b_f; 0] has S_e y = -z
+        return -B.schur @ B.lu_solve(r)[B.tail]
     return ext.mesh.cached("condensed load", (complex(cfg.k), cfg.radiation, cfg.sources), build)
 
 
 def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray,
                     trace) -> np.ndarray:
     """:func:`solve_exterior`'s values off ``B``, unchecked, by ``B [x; y] = [b_f; z + S_e t]``."""
-    B, S, keep, g = exterior_schur(ext)
+    B = exterior_schur(ext)
+    S, keep, g = B.schur, B.rows, B.tail
     r = rhs[keep]
     r[g] = (condensed_load(ext, cfg) if rhs.any() else 0.0) + S @ np.broadcast_to(trace, len(g))
     u = np.zeros(len(rhs), dtype=complex)
@@ -196,11 +191,11 @@ def exterior_values(ext: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray,
 def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray, trace):
     """The exterior field of load ``rhs`` (zero or from ``cfg.sources``), ``trace`` on Gamma_Omega.
 
-    Solved on the system's one LU: its Dirichlet block by :func:`fem.solve`,
-    or ``B``, by :func:`exterior_values` and :func:`fem.certify`.
+    Solved on the system's one LU: ``B``, by :func:`exterior_values` and
+    :func:`fem.certify`, or otherwise its Dirichlet block by :func:`fem.solve`.
     """
     bc = _exterior_dirichlet(system.regions, trace)
-    if "S_e" in system._blocks:
+    if _held_schur(system) is not None:
         return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
     return solve(system, rhs, bc)
 

@@ -162,10 +162,11 @@ def run_sweep_delta(spec, cfg, opts, outdir: Path) -> None:
         errs = []
         for j in (0, 1, 2):
             v = engine.assemble_expansion(hier, delta, order=j)
-            errs.append(compare_fields(u, v, window=opts.window).h1_error)
-            if not math.isfinite(errs[-1]):   # its square overflowed in the norm
+            try:
+                errs.append(compare_fields(u, v, window=opts.window).h1_error)
+            except ValidationError as exc:   # its square overflowed in the norm
                 raise ValidationError(f"the H1 error of the expansion at delta = {delta} "
-                                      f"truncated at order {j} is not finite")
+                                      f"truncated at order {j} is not finite") from exc
         return errs
 
     deltas = [complex(d) for d in opts.deltas]

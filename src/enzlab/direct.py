@@ -20,12 +20,13 @@ auxiliary source field reads, since no source reaches the scatterer.  The
 dopant is not condensed, so k^2 at a dopant Dirichlet eigenvalue still
 solves.
 
-``S_e``, the condensed load and the recovery come off the exterior system's
-one LU, where :func:`auxiliary.exterior_schur` puts ``B`` in the Dirichlet
-block's place; the auxiliary set and the corrector engine, which hold the same
-system, then solve on ``B`` too.  Each delta factors Omega's operator, with
-Gamma_Omega last since ``S_e`` is dense there, as one sum of the kept ``C_1``
-and ``K_ENZ`` in Omega's numbering.  The node orders are the mesh's own.
+``S_e`` (``B.schur``), the condensed load and the recovery come off the
+exterior system's one LU, ``B``, its block with Gamma_Omega last, that
+:func:`auxiliary.exterior_schur` asks for; the auxiliary set and the corrector
+engine, which hold the same system, then solve on ``B`` too.  Each delta
+factors Omega's operator, with Gamma_Omega last since ``S_e`` is dense there,
+as one sum of the kept ``C_1`` and ``K_ENZ`` in Omega's numbering.  The node
+orders are the mesh's own.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:
     b_ext = source_load(mesh, ext.regions, cfg.sources)
     gamma = fem._local_boundary(mesh, OMEGA_REGIONS, Bnd.GAMMA_OMEGA)
     if b_ext.any() and op.C_1 is None:   # first, so A(delta) is not alive while S_e is read
-        S, n_g = exterior_schur(ext)[1], len(gamma)
+        S, n_g = exterior_schur(ext).schur, len(gamma)
         op.C_1 = (op.A_om + sp.csc_matrix((S.ravel(), (np.repeat(gamma, n_g), np.tile(gamma, n_g))),
                                           shape=op.A_om.shape)).tocsc()
     system = transmission_system(mesh, cfg)

@@ -29,24 +29,24 @@ unknowns in an order, its norm and its LU, in double precision or, where the
 caller chose single when it made the block, in single precision with every
 solve refined to double.  A solve takes one load: :meth:`Factored.lu_solve`
 one vector, and :func:`solve` one ``(rhs, dirichlet)`` pair.  The block may
-be all of the matrix or a principal block of it (a :class:`DirichletBlock` on
-its free nodes, the exterior off its collar's outer boundary); no caller
-slices a copy of it: the LU's input is cut from the matrix in one step, and
+be all of the matrix or a principal block of it, a :class:`DirichletBlock`,
+of which a :class:`LinearSystem` holds at most one, with every LU it holds
+(:meth:`LinearSystem.dirichlet_block`); a block that orders curves last reads
+their Schur complement off its LU (:attr:`DirichletBlock.schur`).  No caller
+slices a copy of a block: the LU's input is cut from the matrix in one step, and
 the norm (:func:`block_norm`) and every product (:func:`block_product`, also
 the operators of :func:`dirichlet_eigs`) read the matrix through the block's
-rows.  Every solve
-meets one residual contract: a normwise backward error above 1e-10 raises
-SINGULAR_SYSTEM.  A bare factorization, bordered ones included, is checked
-by :meth:`Factored.solve`; a Dirichlet-constrained field, from :func:`solve`
-or :func:`certify`, by one check that forms its residual ``A u - rhs`` once
-over every node, tests the free rows and keeps it for :func:`flux_extract`.
-Both take the free rows' load from one lift, :func:`free_load`, and the
-free block's norm from :func:`block_norm`.
+rows.  Every solve meets one residual contract: a normwise backward error
+above 1e-10 raises SINGULAR_SYSTEM.  A bare factorization, bordered ones
+included, is checked by :meth:`Factored.solve`; a Dirichlet-constrained
+field, from :func:`solve` or :func:`certify`, by one check that forms its
+residual ``A u - rhs`` once over every node, tests the free rows and keeps
+it for :func:`flux_extract`.  Both take the free rows' load from one lift,
+:func:`free_load`, and the free block's norm from :func:`block_norm`.
 
 The heap is trimmed (:func:`trim_heap`, glibc's ``malloc_trim(0)``) right
 before the largest factorizations of a mesh: each :class:`DirichletBlock`'s
-LU (the exterior and the dopant), on its first use, and the interface-last
-exterior LU (:func:`interface_last`).  The numpy temporaries
+LU (the exterior and the dopant), on its first use.  The numpy temporaries
 of the mesh build and the assembly stay resident after they are freed, and
 SuperLU's factors, mapped on their own, never reuse them, so both used to sit
 under the peak: at h = 0.025 a trim after the exterior assembly takes the
@@ -87,7 +87,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (EmptyWindow, IncompatibleData, MeshFailure, NoConvergence,
-                     SingularSystem, TagMismatch, ZeroCoefficient)
+                     SingularSystem, TagMismatch, ValidationError, ZeroCoefficient)
 from .geometry import (Bnd, Circle, Mesh, Region, SourceRing, SourceSpec,
                        _as_region_set, _corners)
 
@@ -540,9 +540,9 @@ def factor(A: sp.csc_matrix):
     0.63 s against 1.01 s, with the process growing by +128 MB against
     +214 MB.  Its solves are refined to double by :meth:`Factored.lu_solve`.
 
-    :func:`interface_last` reads a Schur complement off the CSC copies of
-    both factors that reading ``lu.L`` and ``lu.U`` makes SuperLU keep on the
-    LU, and empties them once read, so a kept LU costs its own factors only.
+    :attr:`DirichletBlock.schur` reads a Schur complement off the CSC copies
+    of both factors that reading ``lu.L`` and ``lu.U`` makes SuperLU keep on
+    the LU, and empties them once read, so a kept LU costs its own factors only.
 
     ``splu`` sorts the column indices of ``A`` in place, so ``A`` is changed
     under a caller that keeps it.  Every caller passes a fresh cut, which
@@ -572,35 +572,6 @@ def trim_heap() -> None:
     trim = getattr(_LIBC, "malloc_trim", None)
     if trim is not None:
         trim(0)
-
-
-def interface_last(A: sp.csc_matrix, order: np.ndarray, n_last: int):
-    """Factor ``A``'s block on ``order`` and read off the Schur complement of its tail.
-
-    ``order`` is the positions in ``A`` of the block's unknowns (see
-    :class:`Factored`), in a :func:`node_order` with last tags, whose final
-    ``n_last`` entries are the trailing nodes.  The trailing block of the
-    factors of the block in that order is then ``S = A_tt - A_tl A_ll^-1
-    A_lt``, as long as threshold pivoting kept every trailing row in the
-    trailing block; SINGULAR_SYSTEM otherwise.
-
-    Returns the block as a :class:`Factored`, and ``S`` as a dense array on
-    the tail's order.  The CSC copies of ``lu.L`` and ``lu.U`` that SuperLU keeps
-    (see :func:`factor`) are then emptied in place into valid matrices with no
-    entries: the LU solves as before, and nothing may read them afterwards.
-    """
-    B = Factored(A, order)
-    trim_heap()
-    lu = B.lu
-    m = len(order) - n_last
-    if not (lu.perm_r[m:] >= m).all():
-        raise SingularSystem("pivoting moved an interface row into the eliminated block")
-    L, U = lu.L, lu.U
-    # rows of the trailing block come out in perm_r's order; put them back
-    S = (L[m:, m:] @ U[m:, m:]).toarray()[lu.perm_r[m:] - m]
-    for F in (L, U):   # cached on the LU; were they fresh copies, dropping L, U would free them
-        F.data, F.indices, F.indptr = F.data[:0].copy(), F.indices[:0].copy(), 0 * F.indptr
-    return B, S
 
 
 # Largest accepted normwise backward error ||Ax-b|| / (||A|| ||x|| + ||b||).
@@ -778,13 +749,15 @@ class DirichletBlock(Factored):
     the ``fixed`` nodes, whose columns :func:`free_load` reads, and an LU
     factored on first use on a trimmed heap.  It holds ``A`` by reference and
     no slice of it, so no copy of the free block (16.1 MiB for the exterior
-    at h = 0.025) is alive next to ``A`` while its LU is factored.
+    at h = 0.025) is alive next to ``A`` while its LU is factored.  The last
+    ``n_last`` entries of ``order``, its last curves' nodes, are at :attr:`tail`.
     """
 
     def __init__(self, A: sp.csc_matrix, order: np.ndarray, fixed: np.ndarray,
-                 single: bool = False):
+                 single: bool = False, n_last: int = 0):
         super().__init__(A, order, single)
         self.fixed = fixed   # local indices of the constrained nodes
+        self.tail = self._perm[len(order) - n_last:]
 
     @cached_property
     def lu(self):
@@ -792,6 +765,25 @@ class DirichletBlock(Factored):
         # leaves what the loads and lifts allocate after it under the LU's peak
         trim_heap()
         return super().lu
+
+    @cached_property
+    def schur(self) -> np.ndarray:
+        """``A_tt - A_tl A_ll^-1 A_lt`` on :attr:`tail`, dense: the trailing block of the factors.
+
+        SINGULAR_SYSTEM if threshold pivoting moved a trailing row out of that
+        block.  The factors' CSC copies that SuperLU keeps once read (see
+        :func:`factor`) are emptied in place; the LU solves as before.
+        """
+        lu = self.lu
+        m = len(self.order) - len(self.tail)
+        if not (lu.perm_r[m:] >= m).all():
+            raise SingularSystem("pivoting moved an interface row into the eliminated block")
+        L, U = lu.L, lu.U
+        # rows of the trailing block come out in perm_r's order; put them back
+        S = (L[m:, m:] @ U[m:, m:]).toarray()[lu.perm_r[m:] - m]
+        for F in (L, U):   # cached on the LU; were they fresh copies, dropping L, U would free them
+            F.data, F.indices, F.indptr = F.data[:0].copy(), F.indices[:0].copy(), 0 * F.indptr
+        return S
 
 
 @dataclass(eq=False)
@@ -802,21 +794,28 @@ class LinearSystem:
     regions: frozenset
     A: sp.csc_matrix
     nodes: np.ndarray
-    _blocks: dict = dc_field(default_factory=dict, repr=False)   # every copy shares them
+    _blocks: dict = dc_field(default_factory=dict, repr=False)   # at most one; every copy shares it
 
-    def dirichlet_block(self, tags, single: bool = False) -> DirichletBlock:
-        """Block with the nodes of the ``Bnd`` tags fixed; built once per tag set.
+    def dirichlet_block(self, tags, single: bool = False, last=()) -> DirichletBlock:
+        """The system's one block: the ``Bnd`` tags' nodes fixed, the ``last`` curves' nodes last.
 
-        ``single`` is the precision of the LU of a block this call builds; a
-        block built before keeps its own.
+        The held block is returned if it has these tags and last curves and is
+        double or ``single`` is asked; otherwise it and its LU are dropped before a
+        new block, of LU precision ``single``, is made.  Last curves are not fixed.
         """
-        tags = frozenset(Bnd(t) for t in tags)
-        block = self._blocks.get(tags)
-        if block is None:
-            free, fixed = split_nodes(self.mesh, self.regions, tags)
-            block = self._blocks[tags] = DirichletBlock(
-                self.A, free[node_order(self.mesh, self.regions, tags)], fixed, single)
+        key = frozenset(map(Bnd, tags)), tuple(map(Bnd, last))
+        block = self._blocks.get(key)
+        if block is None or block.single and not single:
+            self._blocks.clear()
+            free, fixed = split_nodes(self.mesh, self.regions, key[0])
+            n_last = sum(len(self.local_boundary(tag)) for tag in key[1])
+            block = self._blocks[key] = DirichletBlock(
+                self.A, free[node_order(self.mesh, self.regions, *key)], fixed, single, n_last)
         return block
+
+    def held_block(self, tags, last=()) -> DirichletBlock | None:
+        """The block the system holds for these tags and last curves, in its precision, or None."""
+        return self._blocks.get((frozenset(map(Bnd, tags)), tuple(map(Bnd, last))))
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
         return _local_boundary(self.mesh, self.regions, tag)
@@ -952,7 +951,7 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     """
     rhs = np.asarray(rhs, dtype=complex)
     dirichlet = dict(dirichlet or {})
-    block = system.dirichlet_block(dirichlet)
+    block = system.held_block(dirichlet) or system.dirichlet_block(dirichlet)
     u = np.zeros(len(system.nodes), dtype=complex)
     for tag, val in dirichlet.items():
         u[system.local_boundary(Bnd(tag))] = val
@@ -1199,11 +1198,18 @@ def _norm_forms(field: ScalarField, window) -> _NormForms:
     return mesh.cached(("norm forms", regions, key), None, build)
 
 
+def _norm_of(sq: float) -> float:
+    """``sqrt(sq)``; VALIDATION_ERROR if the squared norm ``sq`` overflowed (is not finite)."""
+    if not math.isfinite(sq):
+        raise ValidationError(f"a squared norm is not finite ({sq}): the field is too large")
+    return math.sqrt(sq)
+
+
 def h1_l2_norms(field: ScalarField, window=None) -> tuple[float, float]:
     """:func:`h1_norm` and :func:`l2_norm` from one lookup of the forms."""
     forms, x = _norm_forms(field, window), field.values
     l22 = forms.l2_sq(x)
-    return math.sqrt(forms.seminorm_sq(x) + l22), math.sqrt(l22)
+    return _norm_of(forms.seminorm_sq(x) + l22), _norm_of(l22)
 
 
 def h1_norm(field: ScalarField, window=None) -> float:
@@ -1214,19 +1220,20 @@ def h1_norm(field: ScalarField, window=None) -> float:
     ``|u|_1^2 = Re xs^H K xs`` with ``xs = x - w.x``, the field less its
     window mean.  Both equal the triangle-by-triangle sums; the shift keeps
     the seminorm of a near-constant field (the ENZ shell's at small delta)
-    from losing the digits an unshifted ``x^H K x`` cancels away.
+    from losing the digits an unshifted ``x^H K x`` cancels away.  A squared
+    norm that is not finite raises VALIDATION_ERROR, in every windowed norm.
     """
     return h1_l2_norms(field, window)[0]
 
 
 def h1_seminorm(field: ScalarField, window=None) -> float:
     """Discrete ``|grad u|`` over the window, from the mean-shifted stiffness form."""
-    return math.sqrt(_norm_forms(field, window).seminorm_sq(field.values))
+    return _norm_of(_norm_forms(field, window).seminorm_sq(field.values))
 
 
 def l2_norm(field: ScalarField, window=None) -> float:
     """Discrete L2 norm over the window, from the consistent-mass form."""
-    return math.sqrt(_norm_forms(field, window).l2_sq(field.values))
+    return _norm_of(_norm_forms(field, window).l2_sq(field.values))
 
 
 def integrate(field: ScalarField, window=None) -> complex:

@@ -102,9 +102,6 @@ class Circle(_Disk):
         """Largest distance from the origin to the curve."""
         return math.hypot(*self.center) + self.radius
 
-    def area(self) -> float:
-        return math.pi * self.radius**2
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -181,9 +178,6 @@ class Polygon:
 
     def circumradius(self) -> float:
         return float(np.linalg.norm(self._v(), axis=1).max())
-
-    def area(self) -> float:
-        return float(abs(_signed_area(self._v())))
 
 
 Shape = Union[Circle, Polygon]

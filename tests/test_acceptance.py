@@ -137,6 +137,37 @@ def test_criterion_3_neumann_recovery(mesh_fine, cfg_ring, engine_fine):
                f"resolvent defect = {resolvent:.2e} at |delta|*rho = 0.3")
 
 
+# The relative H1 gaps measured for orders 0, 1 and 2 at h = 0.05, R = 0.5 and
+# N = 64 were 8.8e-14, 3.9e-13 and 2.4e-12: the direct solves' roundoff over
+# R^j.  Each bound is ten times its gap.
+_CAUCHY_BOUNDS = (8.8e-13, 3.9e-12, 2.4e-11)
+
+
+def test_direct_solves_taylor_coefficients_are_the_hierarchys(mesh_fine, cfg_ring,
+                                                               engine_fine, hier_fine):
+    # the paper's central claim on one mesh, with no fit: the order-j Taylor
+    # coefficient of delta -> u(delta), by the trapezoid rule on |delta| = R
+    # (Cauchy's formula), is the hierarchy's order-j field
+    R, N = 0.5, 64
+    deltas = R * np.exp(2j * np.pi * (np.arange(N) + 0.5) / N)
+    coeffs = 0.0
+    for delta in deltas:
+        u = solve_transmission(mesh_fine, dataclasses.replace(cfg_ring, delta=delta))
+        coeffs = coeffs + np.outer(delta ** -np.arange(len(_CAUCHY_BOUNDS)), u.values) / N
+    gaps, prev = [], None
+    for j, bound in enumerate(_CAUCHY_BOUNDS):
+        total = engine_fine.assemble_expansion(hier_fine, 1.0, order=j)
+        v = total if prev is None else total - prev
+        prev = total
+        gap = (compare_fields(ScalarField(mesh_fine, u.regions, coeffs[j]), v).h1_error
+               / h1_norm(v, PHYSICAL_REGIONS & v.regions))
+        assert gap <= bound, f"order {j}: relative H1 gap {gap:.2e} above {bound:.1e}"
+        gaps.append(gap)
+    print("PASS Taylor coefficients of the direct solve (R = 0.5, N = 64) equal the "
+          "hierarchy's: relative H1 gaps " + ", ".join(f"{g:.1e}" for g in gaps)
+          + " at orders 0, 1, 2")
+
+
 def test_criterion_4_beta_sign_certificate(mesh_fine):
     generic_mesh = build_mesh(GENERIC_SPEC, 0.05)
     worst = math.inf

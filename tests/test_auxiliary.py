@@ -10,6 +10,7 @@ from enzlab.auxiliary import (PhysicsConfig, compute_beta, compute_cstar,
                               compute_mueff, exterior_system, rellich_residual,
                               solve_auxiliary_set, solve_psi_d, solve_psi_e,
                               solve_s)
+from enzlab.correctors import CorrectorEngine
 from enzlab.errors import ResonantDopant, SingularSystem
 from enzlab.fem import l2_norm
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Region, SourceRing,
@@ -287,6 +288,18 @@ def _exterior_holding(mesh, cfg, lu):
     return ext
 
 
+def test_b_survives_the_exterior_lu_rule_of_an_auxiliary_set_and_an_engine(cfg_ring, factored):
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    ext = _exterior_holding(mesh, cfg_ring, "B")
+    B = auxiliary._held_schur(ext)
+    n_factored = len(factored)
+    solve_auxiliary_set(mesh, cfg_ring)   # asks for a single LU
+    CorrectorEngine(mesh, cfg_ring)       # asks for a double one
+    assert list(ext._blocks.values()) == [B]
+    n_dirichlet = len(fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0])
+    assert not {len(B.rows), n_dirichlet} & {n for n, _ in factored[n_factored:]}
+
+
 @pytest.mark.parametrize("lu, passes", [("double", 1), ("single", 3), ("B", 1)])
 def test_each_exterior_field_takes_one_vector_per_pass_off_the_lu(cfg_ring, monkeypatch,
                                                                   lu, passes):
@@ -294,8 +307,7 @@ def test_each_exterior_field_takes_one_vector_per_pass_off_the_lu(cfg_ring, monk
     ext = _exterior_holding(mesh, cfg_ring, lu)
     for solve in (solve_s, solve_psi_e):   # factors, and reads B's condensed load once
         solve(mesh, cfg_ring, system=ext)
-    assert [ff.single for ff in ext._blocks.values() if isinstance(ff, fem.Factored)] in (
-        [lu == "single"], [])
+    assert [ff.single for ff in ext._blocks.values()] == [lu == "single"]
     off_lu, shapes = fem.Factored._off_lu, []
     monkeypatch.setattr(fem.Factored, "_off_lu",
                         lambda self, b, trans: shapes.append(b.shape) or off_lu(self, b, trans))

@@ -262,7 +262,7 @@ def test_engine_and_direct_solves_share_the_exterior(monkeypatch, cfg_ring):
     for delta in (1e-2, 3e-3 + 1e-3j, -0.05j):
         solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=delta))
     ext = auxiliary.exterior_system(mesh, cfg_ring)
-    n_free = len(ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).rows)
+    n_free = len(fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_INF, Bnd.GAMMA_OMEGA])[0])
     n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
     n_omega = len(mesh.region_nodes([Region.DOPANT, Region.ENZ]))
     system = transmission_system(mesh, cfg_ring)
@@ -295,7 +295,8 @@ def test_direct_sweep_factors_the_exterior_once(monkeypatch, cfg_ring):
     n_gamma = len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
     assert factored.count(n_free + n_gamma) == 1   # the interface-last exterior
     assert n_free not in factored                  # no exterior Dirichlet block
-    assert list(ext._blocks) == ["S_e"]            # B is the system's one LU
+    (block,) = ext._blocks.values()
+    assert block is auxiliary._held_schur(ext)     # B is the system's one LU
 
 
 def _trimmed_run(cfg, events):
@@ -349,7 +350,8 @@ def test_engine_steps_the_same_after_a_direct_solve(monkeypatch, cfg_ring):
     after = engine.step(seed)
     assert factored == []
     gc.collect()
-    assert block_ref() is None and list(engine.ext_system._blocks) == ["S_e"]
+    (held,) = engine.ext_system._blocks.values()
+    assert block_ref() is None and held is auxiliary._held_schur(engine.ext_system)
     for a, b in zip((before.g, before.h_e, before.h_d), (after.g, after.h_e, after.h_d)):
         assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(a.values).max()
 
@@ -362,9 +364,10 @@ def test_exterior_schur_complement_maps_a_trace_to_its_flux(cfg_ring, thickness)
     rng = np.random.default_rng(0)
     t = rng.standard_normal(len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))) + 1j
     lam = auxiliary.solve_exterior(ext, cfg_ring, np.zeros(len(ext.nodes), dtype=complex), t)
-    assert [type(b) for b in ext._blocks.values()] == [fem.DirichletBlock]
+    (block,) = ext._blocks.values()
+    assert block is ext.held_block(auxiliary._exterior_dirichlet(ext.regions))   # not B
     h_e = fem.flux_extract(lam, ext, Bnd.GAMMA_OMEGA, orientation="canonical").values
-    S_e = auxiliary.exterior_schur(ext)[1]
+    S_e = auxiliary.exterior_schur(ext).schur
     flux = fem.curve_sign(ext.regions, Bnd.GAMMA_OMEGA) * (S_e @ t)
     assert np.abs(flux - h_e).max() <= 1e-12 * np.abs(h_e).max()
 
@@ -444,11 +447,23 @@ def test_condensed_operator_is_omega_plus_exterior_schur_complement(mesh_coarse,
     assert not D[off].any()
     # S_e by column solves on the exterior system, as in tests/test_fem.py
     ext = auxiliary.exterior_system(mesh_coarse, cfg_ring)
-    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).rows
+    free = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF, Bnd.GAMMA_OMEGA])[0]
     g = ext.local_boundary(Bnd.GAMMA_OMEGA)
     X = spla.splu(ext.A[np.ix_(free, free)].tocsc()).solve(ext.A[np.ix_(free, g)].toarray())
     S_e = ext.A[np.ix_(g, g)].toarray() - ext.A[np.ix_(g, free)] @ X
     assert np.abs(D[np.ix_(gamma, gamma)] - S_e).max() <= 1e-13 * np.abs(S_e).max()
+
+
+def test_a_field_scaled_past_overflow_has_no_norm(mesh_coarse, cfg_ring):
+    # the squares of its norms overflow: they raise rather than return inf or nan
+    u = solve_transmission(mesh_coarse, cfg_ring)
+    big = u * 1e200
+    with pytest.raises(ValidationError, match="squared norm is not finite"):
+        compare_fields(big, u)
+    for norm in (h1_norm, h1_seminorm, l2_norm):
+        with pytest.raises(ValidationError):
+            norm(big, PHYSICAL_REGIONS)
+    assert math.isfinite(compare_fields(u * 1e150, u).h1_error)
 
 
 def test_alternating_norm_windows_build_each_form_once(monkeypatch, mesh_coarse, cfg_ring):

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import math
+import pathlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +206,49 @@ def test_dirichlet_block_cached_per_tag_set(annulus_mesh):
     assert inf_only is not both
     assert len(inf_only.fixed) == len(annulus_mesh.boundary_nodes(Bnd.GAMMA_INF))
     assert sorted(np.concatenate([both.rows, both.fixed])) == list(range(len(sys_.nodes)))
+
+
+def test_a_system_holds_one_block_and_drops_it_for_another(annulus_mesh):
+    sys_ = _laplace_system(annulus_mesh, [Region.EXTERIOR, Region.PML])
+    copy = dataclasses.replace(sys_)   # copies share the one block
+    requests = [([Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF], ()), ([Bnd.GAMMA_INF], ()),
+                ([Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA]), ([Bnd.GAMMA_INF], ())]
+    for (tags, last), (next_tags, next_last) in zip(requests, requests[1:]):
+        block = sys_.dirichlet_block(tags, last=last)
+        block.lu
+        held = weakref.ref(block)
+        del block
+        new = copy.dirichlet_block(next_tags, last=next_last)
+        gc.collect()
+        assert held() is None   # the old block and its LU are gone
+        assert list(sys_._blocks.values()) == [new] and sys_.held_block(tags, last) is None
+        assert sys_.held_block(next_tags, next_last) is new
+        del new
+
+
+def test_a_double_request_replaces_a_single_block_and_a_single_keeps_a_double(annulus_mesh):
+    sys_ = _laplace_system(annulus_mesh, [Region.EXTERIOR, Region.PML])
+    tags = [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF]
+    single = sys_.dirichlet_block(tags, single=True)
+    assert sys_.dirichlet_block(tags, single=True) is single
+    double = sys_.dirichlet_block(tags)
+    assert single.single and not double.single and double is not single
+    assert sys_.dirichlet_block(tags, single=True) is double
+    assert list(sys_._blocks.values()) == [double]
+    # a solve takes the held block in its own precision, and builds a double one
+    sys_._blocks.clear()
+    single = sys_.dirichlet_block(tags, single=True)
+    u = solve(sys_, np.zeros(len(sys_.nodes)), {Bnd.GAMMA_OMEGA: 1.0, Bnd.GAMMA_INF: 0.0})
+    assert list(sys_._blocks.values()) == [single] and np.isfinite(u.values).all()
+    sys_._blocks.clear()
+    solve(sys_, np.zeros(len(sys_.nodes)), {Bnd.GAMMA_OMEGA: 1.0, Bnd.GAMMA_INF: 0.0})
+    assert [b.single for b in sys_._blocks.values()] == [False]
+
+
+def test_no_module_but_fem_touches_a_systems_blocks():
+    src = pathlib.Path(fem.__file__).parent
+    touching = [p.name for p in sorted(src.glob("*.py")) if "._blocks" in p.read_text()]
+    assert touching == ["fem.py"]
 
 
 def test_flux_constant_field_is_zero(annulus_mesh):
@@ -746,30 +792,41 @@ def test_factor_breakdown_is_singular_system():
         fem.factor(A)
 
 
-def test_interface_last_under_threshold_pivoting():
+def _tail_block(A, n_last):
+    """The block of all of ``A`` in its own order, with its last ``n_last`` rows last."""
+    return fem.DirichletBlock(sp.csc_matrix(A), np.arange(A.shape[0]), np.arange(0), n_last=n_last)
+
+
+def test_schur_complement_under_threshold_pivoting():
     # the leading diagonal 1e-3 is below 0.1 of the interface entry under it,
     # so threshold pivoting takes the interface row first
-    A = sp.csc_matrix(np.array([[1e-3, 0.0, 1.0], [0.0, 2.0, 0.5], [1.0, 0.5, 3.0]],
-                               dtype=complex) * (1.0 + 0.2j))
+    A = np.array([[1e-3, 0.0, 1.0], [0.0, 2.0, 0.5], [1.0, 0.5, 3.0]], dtype=complex) * (1.0 + 0.2j)
     with pytest.raises(SingularSystem):
-        fem.interface_last(A, np.arange(3), 1)
+        _tail_block(A, 1).schur
     # a pivot swap inside the interface block still leaves S, rows put back
     A = np.array([[4.0, 1.0, 0.0], [1.0, 0.26, 1.0], [0.0, 1.0, 2.0]], dtype=complex) * (1.0 - 0.3j)
-    B, S = fem.interface_last(sp.csc_matrix(A), np.arange(3), 2)
+    B = _tail_block(A, 2)
+    S = B.schur
     assert not np.array_equal(B.lu.perm_r, np.arange(3))
     ref = A[1:, 1:] - np.outer(A[1:, 0], A[0, 1:]) / A[0, 0]
     assert np.abs(S - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-def test_interface_last_schur_complement_equals_column_solves(mesh_coarse, cfg_ring):
-    ext = exterior_system(mesh_coarse, cfg_ring)
-    free = ext.dirichlet_block({Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}).rows
+def _exterior_of_its_own(mesh, cfg):
+    """The memoized exterior's matrix in a system of its own, whose blocks no other test sees."""
+    return dataclasses.replace(exterior_system(mesh, cfg), _blocks={})
+
+
+def test_schur_complement_equals_column_solves(mesh_coarse, cfg_ring):
+    ext = _exterior_of_its_own(mesh_coarse, cfg_ring)
+    free = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0]
     gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)
-    keep = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF])[0]
-    order = fem.node_order(mesh_coarse, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
-    B, S = fem.interface_last(ext.A[np.ix_(keep, keep)].tocsc(), order, len(gamma))
-    assert np.array_equal(np.sort(keep[order[:len(free)]]), free)
-    assert np.array_equal(keep[order[len(free):]], gamma)
+    B = ext.dirichlet_block([Bnd.GAMMA_INF], last=[Bnd.GAMMA_OMEGA])
+    S = B.schur
+    assert np.array_equal(B.rows, fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF])[0])
+    assert np.array_equal(np.sort(B.order[:len(free)]), free)
+    assert np.array_equal(B.order[len(free):], gamma)
+    assert np.array_equal(B.rows[B.tail], gamma)
     A_ff = ext.A[np.ix_(free, free)].tocsc()
     X = spla.splu(A_ff).solve(ext.A[np.ix_(free, gamma)].toarray())
     ref = ext.A[np.ix_(gamma, gamma)].toarray() - ext.A[np.ix_(gamma, free)] @ X
@@ -831,22 +888,20 @@ def test_an_engine_handed_a_single_set_steps_on_its_lu(cfg_ring, factored):
     assert np.abs(hier.e - ref.e).max() <= 1e-10 * np.abs(ref.e).max()
 
 
-def test_interface_last_empties_the_factor_copies_and_solves_the_same(mesh_coarse, cfg_ring):
-    ext = exterior_system(mesh_coarse, cfg_ring)
-    gamma = ext.local_boundary(Bnd.GAMMA_OMEGA)
-    keep = fem.split_nodes(mesh_coarse, ext.regions, [Bnd.GAMMA_INF])[0]
-    order = fem.node_order(mesh_coarse, ext.regions, [Bnd.GAMMA_INF], [Bnd.GAMMA_OMEGA])
-    A = ext.A[np.ix_(keep, keep)].tocsc()
-    B, S = fem.interface_last(A, order, len(gamma))
+def test_schur_complement_empties_the_factor_copies_and_solves_the_same(mesh_coarse, cfg_ring):
+    ext = _exterior_of_its_own(mesh_coarse, cfg_ring)
+    B = ext.dirichlet_block([Bnd.GAMMA_INF], last=[Bnd.GAMMA_OMEGA])
+    S = B.schur
     assert B.lu.L.nnz == B.lu.U.nnz == 0
-    # a second factorization of the same matrix, its copies read and kept
-    ref = fem.Factored(A, order)
-    m = len(order) - len(gamma)
+    assert B.schur is S   # read once
+    # a second factorization of the same block, its copies read and kept
+    ref = fem.Factored(ext.A, B.order)
+    m = len(B.order) - len(B.tail)
     L, U = ref.lu.L, ref.lu.U
     assert L.nnz > 0 and U.nnz > 0
     S_ref = (L[m:, m:] @ U[m:, m:]).toarray()[ref.lu.perm_r[m:] - m]
     assert np.array_equal(S, S_ref)
-    b = np.random.default_rng(0).standard_normal((len(keep), 2)) @ np.array([1.0, 1.0j])
+    b = np.random.default_rng(0).standard_normal((len(B.rows), 2)) @ np.array([1.0, 1.0j])
     assert np.array_equal(B.solve(b), ref.solve(b))
 
 
@@ -860,20 +915,19 @@ def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
     dop = auxiliary.dopant_system(mesh, cfg_ring)
     tags = [Bnd.GAMMA_OMEGA, *outer_dirichlet(ext.regions)]
     ext_order = fem.node_order(mesh, ext.regions, tags)   # positions in the block's rows
-    block = ext.dirichlet_block(tags)
+    block = ext.dirichlet_block(tags, single=True)
     block.lu   # each block's LU is factored on first use: here, in the order of the cases
     cases = [(ext, block.rows, ext_order, block)]
-    ext._blocks.clear()
-    block = ext.dirichlet_block(tags, single=True)
+    block = ext.dirichlet_block(tags)   # a double request replaces the single block
     block.lu
     cases.append((ext, block.rows, ext_order, block))
-    B, _, keep, _ = auxiliary.exterior_schur(ext)
+    B = auxiliary.exterior_schur(ext)
     order = fem.node_order(mesh, ext.regions, outer_dirichlet(ext.regions), [Bnd.GAMMA_OMEGA])
-    cases.append((ext, keep, order, B))
+    cases.append((ext, B.rows, order, B))
     block = dop.dirichlet_block([Bnd.GAMMA_D])
     block.lu
     cases.append((dop, block.rows, fem.node_order(mesh, dop.regions, [Bnd.GAMMA_D]), block))
-    assert [ff.single for *_, ff in cases] == [False, True, False, False]
+    assert [ff.single for *_, ff in cases] == [True, False, False, False]
     assert len(lu_inputs) == len(cases)
     rng = np.random.default_rng(5)
     for (system, rows, order, ff), lu_input in zip(cases, lu_inputs):
