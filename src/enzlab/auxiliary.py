@@ -31,6 +31,7 @@ from .fem import (BoundaryFunctional, RadiationSpec, ScalarField,
 from .geometry import Bnd, Mesh, Region, SourceSpec, _as_region_set, region_measures
 
 RESONANCE_GUARD = 1e-8   # smallest-singular-value threshold relative to |A|
+_GUARD_ITERS = 12        # the guard's inverse-iteration steps
 
 
 def _branch_sqrt(w: complex) -> complex:
@@ -207,21 +208,19 @@ def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
         mesh, Region.DOPANT, {Region.DOPANT: 1.0 + 0.0j}, {Region.DOPANT: k * k}))
 
 
-def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags, iters: int = 12) -> float:
+def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags) -> float:
     """sigma_min(A_ff) / ||A_ff||_1, by inverse iteration with :meth:`fem.Factored.lu_solve`.
 
-    ``||A_ff||_1`` is read off ``system.A`` through the block's rows and columns.
+    ``A_ff^T = A_ff``, so ``A_ff^-H y = conj(A_ff^-1 conj(y))`` and ``||A_ff||_1 = block.norm``.
     """
     block = system.dirichlet_block(fixed_tags)
     x = np.ones(len(block.rows), dtype=complex) / math.sqrt(len(block.rows))
-    lam = 0.0
-    for _ in range(iters):
-        y = block.lu_solve(x, trans="H")
+    for _ in range(_GUARD_ITERS):
+        y = np.conj(block.lu_solve(np.conj(x)))
         w = block.lu_solve(y)
         lam = float(np.linalg.norm(w))
         x = w / lam
-    sigma_min = 1.0 / math.sqrt(lam)
-    return sigma_min / fem.block_norm(system.A.T, block.rows)
+    return 1.0 / math.sqrt(lam) / block.norm   # sigma_min / ||A_ff||_1
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +257,8 @@ def solve_psi_d(mesh: Mesh, cfg: PhysicsConfig, system=None, guard: bool = True)
         if ratio < RESONANCE_GUARD:
             raise ResonantDopant(
                 f"dopant operator near-singular (sigma_min/|A| = {ratio:.2e})")
-    rhs = np.zeros(len(system.nodes), dtype=complex)
-    u = solve(system, rhs, {Bnd.GAMMA_D: 1.0})
-    flux = flux_extract(u, system, Bnd.GAMMA_D, orientation="canonical")
-    return u, flux
+    u = solve(system, np.zeros(len(system.nodes), dtype=complex), {Bnd.GAMMA_D: 1.0})
+    return u, flux_extract(u, system, Bnd.GAMMA_D, orientation="canonical")
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def transmission_system(mesh: Mesh, cfg: PhysicsConfig) -> LinearSystem:
     a_enz = _enz_coefficient(cfg.delta)
     op = _affine_operator(mesh, cfg)
     A = op.A_1 + (a_enz - 1.0) * op.K_ENZ
-    return LinearSystem(mesh, op.regions, A, mesh.region_nodes(op.regions))
+    return LinearSystem(mesh, op.regions, A)
 
 
 def solve_transmission(mesh: Mesh, cfg: PhysicsConfig) -> ScalarField:

@@ -26,23 +26,24 @@ quarter to a half.  The threshold is 0.1, not 0, because the bordered
 roundoff-sized pivots and solve wrongly without a breakdown.  A
 :class:`Factored` block holds a matrix by reference, the positions of its
 unknowns in an order, its norm and its LU, in double precision or, where the
-caller chose single when it made the block, in single precision with every
-solve refined to double.  A solve takes one load: :meth:`Factored.lu_solve`
-one vector, and :func:`solve` one ``(rhs, dirichlet)`` pair.  The block may
-be all of the matrix or a principal block of it, a :class:`DirichletBlock`,
-of which a :class:`LinearSystem` holds at most one, with every LU it holds
-(:meth:`LinearSystem.dirichlet_block`); a block that orders curves last reads
-their Schur complement off its LU (:attr:`DirichletBlock.schur`).  No caller
-slices a copy of a block: the LU's input is cut from the matrix in one step, and
-the norm (:func:`block_norm`) and every product (:func:`block_product`, also
-the operators of :func:`dirichlet_eigs`) read the matrix through the block's
-rows.  Every solve meets one residual contract: a normwise backward error
-above 1e-10 raises SINGULAR_SYSTEM.  A bare factorization, bordered ones
-included, is checked by :meth:`Factored.solve`; a Dirichlet-constrained
-field, from :func:`solve` or :func:`certify`, by one check that forms its
-residual ``A u - rhs`` once over every node, tests the free rows and keeps
-it for :func:`flux_extract`.  Both take the free rows' load from one lift,
-:func:`free_load`, and the free block's norm from :func:`block_norm`.
+caller chose single for the block, in single precision with every solve refined
+to double.  A solve takes one load, of ``A x = b`` and never the adjoint:
+:meth:`Factored.lu_solve` one vector, and :func:`solve` one ``(rhs, dirichlet)``
+pair.  The block may be all of the matrix or a principal block of it, a
+:class:`DirichletBlock`, of which a :class:`LinearSystem` holds at most one,
+with every LU it holds (:meth:`LinearSystem.dirichlet_block`); a block that
+orders curves last reads their Schur complement off its LU
+(:attr:`DirichletBlock.schur`).  No caller slices a copy of a block: the LU's
+input is cut from the matrix in one step, and the norm (:func:`block_norm`) and
+every product (:func:`block_product`, also the operators of
+:func:`dirichlet_eigs`) read the matrix through the block's rows.  Every solve
+meets one residual contract: a normwise backward error above 1e-10 raises
+SINGULAR_SYSTEM.  A bare factorization, bordered ones included, is checked by
+:meth:`Factored.solve`; every Dirichlet-constrained field, from :func:`solve` or
+:func:`certify`, by one check that forms its residual ``A u - rhs`` once over
+every node, tests the free rows and keeps it for :func:`flux_extract`.  Both
+take the free rows' load from one lift, :func:`free_load`, and the free block's
+norm from :func:`block_norm`.
 
 The heap is trimmed (:func:`trim_heap`, glibc's ``malloc_trim(0)``) right
 before the largest factorizations of a mesh: each :class:`DirichletBlock`'s
@@ -589,8 +590,8 @@ def block_norm(A: sp.spmatrix, rows: np.ndarray) -> float:
     return float((abs(A) @ mask)[rows].max(initial=0.0))
 
 
-def block_product(A: sp.spmatrix, rows: np.ndarray, x: np.ndarray, trans: str = "N") -> np.ndarray:
-    """``A_rr x``, or ``A_rr^H x`` with ``trans="H"``, for ``A``'s principal block on ``rows``.
+def block_product(A: sp.spmatrix, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A_rr x`` for ``A``'s principal block on ``rows``.
 
     ``x`` (a vector or columns of vectors on ``rows``) is padded with zeros to
     all of ``A``'s rows, so the product adds the same nonzero terms in the same
@@ -598,7 +599,7 @@ def block_product(A: sp.spmatrix, rows: np.ndarray, x: np.ndarray, trans: str = 
     """
     z = np.zeros((A.shape[0],) + x.shape[1:], dtype=x.dtype)
     z[rows] = x
-    return (A @ z if trans == "N" else np.conj(A.T @ np.conj(z)))[rows]
+    return (A @ z)[rows]
 
 
 def free_load(A: sp.csc_matrix, rhs: np.ndarray, free, fixed, u: np.ndarray) -> np.ndarray:
@@ -671,18 +672,18 @@ class Factored:
     def lu(self):
         return factor(self.A.astype(self.lu_dtype, copy=False)[self.order][:, self.order].tocsc())
 
-    def lu_solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """``A^-1 b``, or ``A^-H b`` with ``trans="H"``, off the LU, refined if single; unchecked."""
-        x = self._off_lu(b, trans)
+    def lu_solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b`` off the LU, refined if single; unchecked."""
+        x = self._off_lu(b)
         if not self.single:
             return x
-        r = b - block_product(self.A, self.rows, x, trans)
+        r = b - block_product(self.A, self.rows, x)
         res, b_norm = np.linalg.norm(r), np.linalg.norm(b)
         for _ in range(_REFINE_STEPS):
             if res <= _ROUNDOFF * (self.norm * np.linalg.norm(x) + b_norm):   # at roundoff
                 break
-            x_new = x + self._off_lu(r, trans)
-            r_new = b - block_product(self.A, self.rows, x_new, trans)
+            x_new = x + self._off_lu(r)
+            r_new = b - block_product(self.A, self.rows, x_new)
             res_new = np.linalg.norm(r_new)
             if res_new < res:
                 x, r = x_new, r_new
@@ -691,16 +692,16 @@ class Factored:
             res = res_new
         return x
 
-    def _off_lu(self, b: np.ndarray, trans: str) -> np.ndarray:
+    def _off_lu(self, b: np.ndarray) -> np.ndarray:
         """One solve off the LU alone, on the block's rows and in ``A``'s precision."""
         lu = self.lu   # a first use factors here, before b's permuted copy can sit under its peak
         y = b[self._perm]
         if self.single:   # scaled to 1, so that a small residual does not underflow
             scale = np.abs(y).max(initial=0.0) or 1.0
-            y = lu.solve((y / scale).astype(self.lu_dtype), trans=trans)
+            y = lu.solve((y / scale).astype(self.lu_dtype))
             y = y.astype(np.result_type(self.A.dtype, b.dtype)) * scale
         else:
-            y = lu.solve(y, trans=trans)
+            y = lu.solve(y)
         x = np.empty_like(y)
         x[self._perm] = y
         return x
@@ -793,8 +794,11 @@ class LinearSystem:
     mesh: Mesh
     regions: frozenset
     A: sp.csc_matrix
-    nodes: np.ndarray
     _blocks: dict = dc_field(default_factory=dict, repr=False)   # at most one; every copy shares it
+
+    @property
+    def nodes(self) -> np.ndarray:   # the mesh node of each row of A
+        return self.mesh.region_nodes(self.regions)
 
     def dirichlet_block(self, tags, single: bool = False, last=()) -> DirichletBlock:
         """The system's one block: the ``Bnd`` tags' nodes fixed, the ``last`` curves' nodes last.
@@ -908,14 +912,14 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
     if radiation is not None and k is None:
         raise ValueError("radiation assembly needs the wavenumber k")
     collar = Region.PML in regions and mesh.region_triangles(Region.PML).any()
-    nodes = mesh.region_nodes(regions)
+    n = len(mesh.region_nodes(regions))
     A = _scatter(*_element_entries(mesh, regions, diffusion, reaction,
-                                   radiation if collar else None, k), len(nodes))
+                                   radiation if collar else None, k), n)
     if radiation is not None and not collar:
         r_t = mesh.truncation_radius
         q = complex(diffusion.get(Region.EXTERIOR, 1.0)) * (1j * k - 1.0 / (2.0 * r_t))
         A = A - q * _boundary_mass(mesh, regions, Bnd.GAMMA_INF)
-    return LinearSystem(mesh, regions, A, nodes)
+    return LinearSystem(mesh, regions, A)
 
 
 # ---------------------------------------------------------------------------
@@ -942,10 +946,10 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
 
     ``rhs`` is a dual vector aligned with ``system.nodes``.  ``dirichlet``
     maps boundary tags to trace values (scalar or per-node array).  The free
-    block is solved off its LU and checked as :func:`certify` checks, on the
-    block's norm: SINGULAR_SYSTEM if factorization breaks down, the normwise
-    backward error exceeds ``rtol``, or the solution is amplified at the
-    working-precision singularity level (the strongly scaled shell block
+    block is solved off its LU unless its load is zero, and checked as
+    :func:`certify` checks: SINGULAR_SYSTEM if factorization breaks down, the
+    normwise backward error exceeds ``rtol``, or the solution is amplified at
+    the working-precision singularity level (the strongly scaled shell block
     makes a plain ||Ax-b|| <= rtol ||b|| test unattainable in double
     precision while the solve is still perfectly reliable).
     """
@@ -956,27 +960,25 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     for tag, val in dirichlet.items():
         u[system.local_boundary(Bnd(tag))] = val
     b_free = free_load(system.A, rhs, block.rows, block.fixed, u)
-    if np.linalg.norm(b_free) == 0.0:     # the free values stay zero
-        return _checked_field(system, rhs, u)
-    u[block.rows] = block.lu_solve(b_free)
+    if b_free.any():   # else u[block.rows] stays zero, and so does its residual
+        u[block.rows] = block.lu_solve(b_free)
     return _checked_field(system, rhs, u, block.rows, block.norm, b_free, rtol)
 
 
-def _checked_field(system: LinearSystem, rhs: np.ndarray, u: np.ndarray, free=None,
-                   norm: float = 0.0, b_free=None, rtol: float = BACKWARD_RTOL) -> ScalarField:
+def _checked_field(system: LinearSystem, rhs: np.ndarray, u: np.ndarray, free: np.ndarray,
+                   norm: float, b_free: np.ndarray, rtol: float) -> ScalarField:
     """``u`` as a field of ``system``, with its residual ``A u - rhs`` formed once.
 
-    Unless ``free`` is None, the residual's ``free`` rows are checked against
-    the free block, of infinity norm ``norm`` and load ``b_free``:
-    SINGULAR_SYSTEM if the normwise backward error exceeds ``rtol`` or
-    ``u[free]`` is amplified at the singularity level.
+    The residual's ``free`` rows are checked against the free block, of
+    infinity norm ``norm`` and load ``b_free``: SINGULAR_SYSTEM if the
+    normwise backward error exceeds ``rtol`` or ``u[free]`` is amplified at
+    the singularity level.
     """
     resid = system.A @ u - rhs
-    if free is not None:
-        x = u[free]
-        _check_backward_error(resid[free], norm, x, b_free, rtol)
-        if norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * np.linalg.norm(b_free):
-            raise SingularSystem("solution amplification at working-precision singularity level")
+    x = u[free]
+    _check_backward_error(resid[free], norm, x, b_free, rtol)
+    if norm * np.linalg.norm(x) > _AMPLIFICATION_LIMIT * np.linalg.norm(b_free):
+        raise SingularSystem("solution amplification at working-precision singularity level")
     return ScalarField(system.mesh, system.regions, u, SolveRecord(system, rhs, resid))
 
 
@@ -999,7 +1001,7 @@ def certify(system: LinearSystem, rhs: np.ndarray, dirichlet: dict,
     """
     free, fixed = split_nodes(system.mesh, system.regions, dirichlet)
     return _checked_field(system, rhs, values, free, block_norm(system.A, free),
-                          free_load(system.A, rhs, free, fixed, values))
+                          free_load(system.A, rhs, free, fixed, values), BACKWARD_RTOL)
 
 
 def flux_extract(fieldval: ScalarField, system: LinearSystem, tag: Bnd,

@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, as perfbench runs: a threaded BLAS only adds noise to sparse
+# direct solves.  Set before numpy is first imported, or it has no effect.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from enzlab import fem
 from enzlab.auxiliary import PhysicsConfig, solve_auxiliary_set

@@ -310,7 +310,7 @@ def test_each_exterior_field_takes_one_vector_per_pass_off_the_lu(cfg_ring, monk
     assert [ff.single for ff in ext._blocks.values()] == [lu == "single"]
     off_lu, shapes = fem.Factored._off_lu, []
     monkeypatch.setattr(fem.Factored, "_off_lu",
-                        lambda self, b, trans: shapes.append(b.shape) or off_lu(self, b, trans))
+                        lambda self, b: shapes.append(b.shape) or off_lu(self, b))
     for solve in (solve_s, solve_psi_e):
         shapes.clear()
         solve(mesh, cfg_ring, system=ext)
@@ -325,8 +325,8 @@ def test_a_spoiled_exterior_solve_is_refused(cfg_ring, monkeypatch, lu):
         solve(mesh, cfg_ring, system=ext)
     lu_solve = fem.Factored.lu_solve
 
-    def spoiled(self, b, trans="N"):   # off by 1e-6 relative
-        x = lu_solve(self, b, trans)
+    def spoiled(self, b):   # off by 1e-6 relative
+        x = lu_solve(self, b)
         return x * (1.0 + 1e-6 * np.random.default_rng(7).standard_normal(len(x)))
     monkeypatch.setattr(fem.Factored, "lu_solve", spoiled)
     for solve in (solve_s, solve_psi_e):

@@ -656,14 +656,25 @@ def test_dirichlet_solve_checks_the_field_it_returns(mesh_coarse, monkeypatch):
     lu_solve = fem.Factored.lu_solve
     rng = np.random.default_rng(7)
 
-    def perturbed(self, b, trans="N"):
-        x = lu_solve(self, b, trans)
+    def perturbed(self, b):
+        x = lu_solve(self, b)
         return x + 1e-6 * np.abs(x).max() * rng.standard_normal(len(x))
     monkeypatch.setattr(fem.Factored, "lu_solve", perturbed)
     with pytest.raises(SingularSystem):
         solve(sys_, rhs, bc)
     monkeypatch.undo()
     assert np.array_equal(solve(sys_, rhs, bc).values, good.values)
+
+
+def test_zero_load_field_is_checked_once_and_factors_nothing(mesh_coarse, monkeypatch):
+    sys_ = assemble(mesh_coarse, Region.DOPANT, {Region.DOPANT: 1.0}, {Region.DOPANT: 2.0})
+    checks, check = [], fem._check_backward_error
+    monkeypatch.setattr(fem, "_check_backward_error",
+                        lambda *args: checks.append(args) or check(*args))
+    u = solve(sys_, np.zeros(len(sys_.nodes), dtype=complex), {Bnd.GAMMA_D: 0.0})
+    assert len(checks) == 1
+    assert not u.values.any() and not u.record.resid.any()
+    assert "lu" not in sys_.held_block([Bnd.GAMMA_D]).__dict__
 
 
 def test_factor_uses_fill_reducing_ordering(mesh_coarse, cfg_ring):
@@ -842,16 +853,14 @@ def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring,
     assert single.lu_dtype == np.complex64 and double.lu_dtype == np.complex128
     passes, off_lu = [], fem.Factored._off_lu
     monkeypatch.setattr(fem.Factored, "_off_lu",
-                        lambda self, b, trans: passes.append(self.single) or off_lu(self, b, trans))
+                        lambda self, b: passes.append(self.single) or off_lu(self, b))
     rng = np.random.default_rng(3)
     b = rng.standard_normal((len(free), 2)) @ np.array([1.0, 1.0j])
-    for trans in ("N", "H"):
-        passes.clear()
-        x, ref = single.lu_solve(b, trans), double.lu_solve(b, trans)
-        # the solve and two steps: the second reaches roundoff, so no third is paid
-        assert passes == [True] * 3 + [False]
-        assert x.dtype == np.complex128
-        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    x, ref = single.lu_solve(b), double.lu_solve(b)
+    # the solve and two steps: the second reaches roundoff, so no third is paid
+    assert passes == [True] * 3 + [False]
+    assert x.dtype == np.complex128
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     single.solve(b)   # the backward-error contract, checked against A_ff in double
     # a load far below single precision's range is scaled, not flushed to zero
     x, ref = single.lu_solve(1e-60 * b), double.lu_solve(1e-60 * b)
@@ -939,8 +948,7 @@ def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
         ref = fem.Factored(A_ff, order, ff.single)
         assert ff.norm == ref.norm
         b = rng.standard_normal((len(rows), 2)) @ np.array([1.0, 1.0j])
-        for trans in ("N", "H"):
-            assert np.array_equal(ff.lu_solve(b, trans), ref.lu_solve(b, trans))
+        assert np.array_equal(ff.lu_solve(b), ref.lu_solve(b))
         assert np.array_equal(ff.solve(b), ref.solve(b))
 
 
