@@ -211,7 +211,7 @@ def dopant_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
 def _smallest_singular_ratio(system: fem.LinearSystem, fixed_tags) -> float:
     """sigma_min(A_ff) / ||A_ff||_1, by inverse iteration with :meth:`fem.Factored.lu_solve`.
 
-    ``A_ff^T = A_ff``, so ``A_ff^-H y = conj(A_ff^-1 conj(y))`` and ``||A_ff||_1 = block.norm``.
+    ``A_ff`` is complex symmetric, so ``A^-H y = conj(A^-1 conj(y))`` and ``||A||_1 = block.norm``.
     """
     block = system.dirichlet_block(fixed_tags)
     x = np.ones(len(block.rows), dtype=complex) / math.sqrt(len(block.rows))

@@ -1,7 +1,7 @@
 import os
 
-# One BLAS thread, as perfbench runs: a threaded BLAS only adds noise to sparse
-# direct solves.  Set before numpy is first imported, or it has no effect.
+# One BLAS thread, as perfbench runs: OpenBLAS's threads slow the sparse direct
+# solves.  Set before numpy is first imported, or it has no effect.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
