@@ -102,8 +102,9 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     Its one LU lives in the one block that every copy of the system shares, for as
     long as anything holds the system: the Dirichlet block with Gamma_Omega fixed
     until a caller asks for ``S_e`` (:func:`exterior_schur`), and ``B``, with
-    Gamma_Omega last, from then on.  The Dirichlet block's LU is double, or single
-    refined to double where only auxiliary solves read it (:func:`_exterior_lu`).
+    Gamma_Omega last, from then on.  Each reader asks for the precision it needs:
+    an exterior solve for a single block refined to double (:func:`solve_exterior`),
+    a corrector engine for a double one (:func:`stepping_lu`).
     """
     def build():
         k = cfg.k
@@ -124,28 +125,16 @@ def _exterior_dirichlet(regions, trace=0.0) -> dict:
     return {Bnd.GAMMA_OMEGA: trace, **outer_dirichlet(regions)}
 
 
-def _exterior_lu(ext: fem.LinearSystem, single: bool) -> fem.LinearSystem:
-    """``ext``, holding an LU fit for a caller that reads only ``s`` and ``psi_e`` if ``single``.
+def stepping_lu(ext: fem.LinearSystem) -> fem.LinearSystem:
+    """``ext``, holding a double LU, for a caller that lifts a trace off it at every step.
 
-    The one rule for the precision of the exterior's LU: a held ``B``
-    (:func:`exterior_schur`), which is double, stays; otherwise ``ext`` asks for its
-    Dirichlet block with ``single`` (:meth:`fem.LinearSystem.dirichlet_block`).  A
-    new single block's solves are refined to double, so the fields pass the same check.
-
-    ``single`` suits the runs that read only ``s`` and ``psi_e`` off ``ext``:
-    the auxiliary set (:func:`solve_auxiliary_set`, so ``aux``,
-    ``convergence-table`` and each detuning of ``resonance-sweep``) and the
-    resonance sweep's k* flux.  There each solve of ``s`` and ``psi_e`` takes
-    three passes off the LU instead of one, and the factorization takes less
-    time and memory.  On the ``aux_refine`` workload (h in [0.05, 0.07],
-    2-core host, one BLAS thread, 11 alternating pairs) the peak fell from a
-    median of 135.5 to 121.7 MB, with op medians 0.280 and 0.288 s;
-    ``enzlab aux`` at h = 0.025 peaked at 288-292 MB against 368-372 MB.
-    Not a corrector engine, which lifts a trace off the LU at every step
-    (:class:`enzlab.correctors.CorrectorEngine` asks without ``single``).
+    A held ``B`` (:func:`exterior_schur`) stays; otherwise a single-precision
+    Dirichlet block, which :func:`solve_exterior` leaves, is replaced once by a
+    double one (:meth:`fem.LinearSystem.dirichlet_block`).  A refined solve
+    takes three passes off a single LU, one off a double.
     """
     if _held_schur(ext) is None:
-        ext.dirichlet_block(_exterior_dirichlet(ext.regions), single=single)
+        ext.dirichlet_block(_exterior_dirichlet(ext.regions))
     return ext
 
 
@@ -194,10 +183,20 @@ def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray
 
     Solved on the system's one LU: ``B``, by :func:`exterior_values` and
     :func:`fem.certify`, or otherwise its Dirichlet block by :func:`fem.solve`.
+    A held block stays, whatever its precision.  Without one the block is
+    single, refined to double, so the field passes the same check: a run that
+    reads only ``s`` and ``psi_e`` off the exterior (``aux``, ``convergence-table``
+    and the resonance sweep) factors it in less time and memory, and each solve
+    takes three passes off the LU instead of one.  On the ``aux_refine``
+    workload (h in [0.05, 0.07], 2-core host, one BLAS thread, 11 alternating
+    pairs) the peak fell from a median of 135.5 to 121.7 MB, with op medians
+    0.280 and 0.288 s; ``enzlab aux`` at h = 0.025 peaked at 288-292 MB
+    against 368-372 MB.
     """
     bc = _exterior_dirichlet(system.regions, trace)
     if _held_schur(system) is not None:
         return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
+    system.dirichlet_block(bc, single=True)
     return solve(system, rhs, bc)
 
 
@@ -351,9 +350,9 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
 
     ``s`` and then ``psi_e`` are solved by :func:`solve_s` and
     :func:`solve_psi_e`, one load each, on the LU the exterior holds, or on a
-    single-precision one if it holds none (:func:`_exterior_lu`).
+    single-precision one if it holds none (:func:`solve_exterior`).
     """
-    ext = _exterior_lu(exterior_system(mesh, cfg), single=True)
+    ext = exterior_system(mesh, cfg)
     dop = dopant_system(mesh, cfg)
     s, flux_s = solve_s(mesh, cfg, system=ext)
     psi_e, flux_psi_e = solve_psi_e(mesh, cfg, system=ext)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentSeries, NoConvergence, ValidationError
-from .auxiliary import (AuxiliarySet, PhysicsConfig, _exterior_lu, exterior_system,
-                        solve_auxiliary_set, solve_exterior)
+from .auxiliary import (AuxiliarySet, PhysicsConfig, exterior_system, solve_auxiliary_set,
+                        solve_exterior, stepping_lu)
 from .fem import (BACKWARD_RTOL, BoundaryFunctional, NeumannSystem, ScalarField,
                   flux_extract, h1_norm, solve)
 from .geometry import Bnd, Mesh, Region
@@ -114,20 +114,20 @@ class CorrectorHierarchy:
 class CorrectorEngine:
     """Builds and iterates the corrector hierarchy on one (mesh, config).
 
-    Every step lifts a trace off the exterior's one LU, so build the engine
-    without ``aux`` when it will step: it then asks for a double LU before it
-    builds its auxiliary set, and replaces a single-precision block that an
-    auxiliary-only run left on the same mesh and k (:func:`enzlab.auxiliary._exterior_lu`).
-    An engine handed ``aux`` steps on that set's LU, which
-    :func:`solve_auxiliary_set` factors in single precision when the exterior
-    held none; each step then takes three passes off it, not one.
+    Every step lifts a trace off the exterior's one LU, so the engine asks for
+    a double one (:func:`enzlab.auxiliary.stepping_lu`): built without ``aux``,
+    before it builds its auxiliary set, and before each lift.  A single-precision
+    block that an auxiliary-only run left on the same mesh and k, or that
+    :func:`solve_auxiliary_set` factored for the ``aux`` it was handed, is then
+    replaced once: at construction, or at the first lift.  An engine that never
+    lifts, as in the resonance sweep, never pays for that double LU.
     """
 
     def __init__(self, mesh: Mesh, cfg: PhysicsConfig, aux: AuxiliarySet | None = None):
         self.mesh = mesh
         self.cfg = cfg
         if aux is None:
-            _exterior_lu(exterior_system(mesh, cfg), single=False)
+            stepping_lu(exterior_system(mesh, cfg))
             aux = solve_auxiliary_set(mesh, cfg)
         self.aux = aux
         self.ext_system = self.aux.ext_system
@@ -165,7 +165,7 @@ class CorrectorEngine:
     def lift(self, trace_e: np.ndarray, trace_d: np.ndarray):
         """Radiating exterior and interior dopant solves from interface traces."""
         rhs_e = np.zeros(len(self.ext_system.nodes), dtype=complex)
-        lam = solve_exterior(self.ext_system, self.cfg, rhs_e, trace_e)
+        lam = solve_exterior(stepping_lu(self.ext_system), self.cfg, rhs_e, trace_e)
         rhs_d = np.zeros(len(self.dop_system.nodes), dtype=complex)
         chi = solve(self.dop_system, rhs_d, {Bnd.GAMMA_D: trace_d})
         return lam, chi

@@ -146,21 +146,13 @@ PHYSICAL_REGIONS = _as_region_set({Region.DOPANT, Region.ENZ, Region.EXTERIOR})
 
 
 def compare_fields(u: ScalarField, v: ScalarField, window=None) -> Comparison:
-    """Windowed norms of u - v; the window excludes the collar by default."""
+    """Windowed norms of u - v; the window excludes the collar by default.
+
+    ``u`` and ``v`` live on one region set, or TAG_MISMATCH is raised.
+    """
     if window is None:
         window = PHYSICAL_REGIONS & u.regions
-    common = u.regions & v.regions
-    uu = _restrict(u, common)
-    vv = _restrict(v, common)
-    return Comparison(*h1_l2_norms(uu - vv, window))
-
-
-def _restrict(field: ScalarField, regions) -> ScalarField:
-    if field.regions == regions:
-        return field
-    mesh = field.mesh
-    return ScalarField(mesh, regions,
-                       field.values[mesh.region_pos(field.regions)[mesh.region_nodes(regions)]])
+    return Comparison(*h1_l2_norms(u - v, window))
 
 
 def enz_absorption(u: ScalarField, cfg: PhysicsConfig) -> float:

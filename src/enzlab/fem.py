@@ -150,9 +150,6 @@ class ScalarField:
     def trace(self, tag: Bnd) -> np.ndarray:
         return self.values[_local_boundary(self.mesh, self.regions, tag)]
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.mesh, self.regions, self.values.copy())
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._check_compatible(other)
         return ScalarField(self.mesh, self.regions, self.values + other.values)
@@ -656,7 +653,8 @@ class Factored:
     off the LU, not the four of the halving rule alone.  A step costs about
     a double solve, so single precision pays only for an LU that serves a
     few solves: the exterior's, where a run reads only the auxiliary fields
-    off it (:func:`enzlab.auxiliary._exterior_lu`), not a corrector engine's.
+    off it (:func:`enzlab.auxiliary.solve_exterior`), not a corrector engine's
+    (:func:`enzlab.auxiliary.stepping_lu`).
     """
 
     def __init__(self, A: sp.csc_matrix, order: np.ndarray, single: bool = False):

@@ -94,8 +94,9 @@ class RadialLayers:
     """Concentric three-layer medium with an annular ring source.
 
     ``a < b`` are the dopant and scatterer radii, ``c`` the profile extent.
-    ``eps_*`` are the real positive per-layer permittivities (the PDE
-    coefficient is 1/eps).  The source has uniform amplitude on
+    ``eps_*`` are the real positive permittivities of the dopant and the
+    annulus (the PDE coefficient is 1/eps); the exterior's is 1, as the
+    radiation condition needs.  The source has uniform amplitude on
     ``r1 <= r <= r2`` with ``b < r1 < r2 <= c``.
     """
 
@@ -104,7 +105,6 @@ class RadialLayers:
     c: float
     eps_dopant: float = 1.0
     eps_enz: float = 1.0
-    eps_exterior: float = 1.0
     source_r1: float = 0.0
     source_r2: float = 0.0
     amplitude: complex = 0.0
@@ -112,7 +112,7 @@ class RadialLayers:
     def __post_init__(self):
         if not (0 < self.a < self.b < self.c):
             raise DomainError("layer radii must satisfy 0 < a < b < c")
-        for e in (self.eps_dopant, self.eps_enz, self.eps_exterior):
+        for e in (self.eps_dopant, self.eps_enz):
             if not (np.isreal(e) and e > 0):
                 raise DomainError("oracle permittivities must be real and positive")
         if self.amplitude != 0 and not (self.b < self.source_r1 < self.source_r2 <= self.c):
@@ -245,9 +245,7 @@ def axisym_solution(layers: RadialLayers, k: float, mu: complex = 1.0) -> Radial
     L = layers
     kd = k * math.sqrt(L.eps_dopant)
     kz = k * math.sqrt(L.eps_enz)
-    id_, iz, ie = 1.0 / L.eps_dopant, 1.0 / L.eps_enz, 1.0 / L.eps_exterior
-    if L.eps_exterior != 1.0:
-        raise DomainError("exterior permittivity must be 1 for the radiation condition")
+    id_, iz = 1.0 / L.eps_dopant, 1.0 / L.eps_enz
     if L.amplitude == 0:
         return RadialSolution(L, k, (0j, 0j, 0j, 0j, 0j), None,
                               _scalar_constants(L, k, mu, 0j, 0j))
@@ -266,7 +264,7 @@ def axisym_solution(layers: RadialLayers, k: float, mu: complex = 1.0) -> Radial
     A[2] = [0, bessel("J0", kz * L.b), bessel("Y0", kz * L.b),
             -bessel("J0", k * L.b), -bessel("Y0", k * L.b)]
     A[3] = [0, -iz * kz * bessel("J1", kz * L.b), -iz * kz * bessel("Y1", kz * L.b),
-            ie * k * bessel("J1", k * L.b), ie * k * bessel("Y1", k * L.b)]
+            k * bessel("J1", k * L.b), k * bessel("Y1", k * L.b)]
     A[4] = [0, 0, 0, -1j, 1.0]
     rhs[4] = 1j * p_j - p_y
     cond = np.linalg.cond(A)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, ResonantDopant, SingularSystem
-from .auxiliary import (PhysicsConfig, _branch_sqrt, _exterior_lu, exterior_system,
-                        solve_auxiliary_set, solve_s)
+from .auxiliary import PhysicsConfig, _branch_sqrt, solve_auxiliary_set, solve_s
 from .correctors import CorrectorEngine
 from .fem import (BoundaryFunctional, Factored, NeumannSystem, ScalarField, _local_boundary,
                   bordered, dirichlet_eigs, eigen_flux, free_load, h1_norm, integrate,
@@ -143,11 +142,8 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
     # limit objects use the exterior problem exactly at the eigenvalue
     cfg_star = PhysicsConfig.from_k(_branch_sqrt(lam_star), sources=cfg.sources,
                                     radiation=cfg.radiation)
-    # only a flux is read off the k* exterior, so its LU is single; the field,
-    # which holds that LU, is not kept
-    ext_star = _exterior_lu(exterior_system(mesh, cfg_star), single=True)
-    flux_s_star = solve_s(mesh, cfg_star, system=ext_star)[1]
-    del ext_star   # the k* LU, before the first gamma's is built
+    # only the flux is kept: the field's record would hold the k* exterior and its LU
+    flux_s_star = solve_s(mesh, cfg_star)[1]
     study.flux_s = flux_s_star
     study.c_bar = compute_cbar(lam_star, means, flux_s_star)
     study.phi_hat0 = solve_phi_hat0(mesh, cluster, study.c_bar, means, flux_s_star)
@@ -159,8 +155,8 @@ def gamma_sweep(mesh: Mesh, cfg: PhysicsConfig, target: float,
         try:
             aux = solve_auxiliary_set(mesh, cfg_g, guard=False)
         except SingularSystem as exc:
-            raise ResonantDopant(
-                f"gamma {gamma} lands on another discrete eigenvalue") from exc
+            raise ResonantDopant(f"k^2 = {complex(k * k):.6g} at gamma = {gamma} lands on a "
+                                 "discrete Dirichlet eigenvalue of the dopant") from exc
         engine = CorrectorEngine(mesh, cfg_g, aux=aux)
         phi0 = engine.enz_solve(engine.seed_state())   # the leading corrector
         rec = GammaRecord(complex(gamma), k, aux.beta, aux.c_star, aux.mu_eff, phi0)

@@ -284,7 +284,7 @@ def _exterior_holding(mesh, cfg, lu):
     if lu == "B":
         auxiliary.exterior_schur(ext)
     else:
-        auxiliary._exterior_lu(ext, single=lu == "single")
+        ext.dirichlet_block(auxiliary._exterior_dirichlet(ext.regions), single=lu == "single")
     return ext
 
 
@@ -293,11 +293,24 @@ def test_b_survives_the_exterior_lu_rule_of_an_auxiliary_set_and_an_engine(cfg_r
     ext = _exterior_holding(mesh, cfg_ring, "B")
     B = auxiliary._held_schur(ext)
     n_factored = len(factored)
-    solve_auxiliary_set(mesh, cfg_ring)   # asks for a single LU
-    CorrectorEngine(mesh, cfg_ring)       # asks for a double one
+    solve_auxiliary_set(mesh, cfg_ring)       # would make a single LU
+    engine = CorrectorEngine(mesh, cfg_ring)  # asks for a double one
+    engine.step(engine.seed_state())          # and again before its lift
     assert list(ext._blocks.values()) == [B]
     n_dirichlet = len(fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0])
     assert not {len(B.rows), n_dirichlet} & {n for n, _ in factored[n_factored:]}
+
+
+def test_a_standalone_exterior_solve_factors_one_single_lu(cfg_ring, factored):
+    # only s and psi_e are read off it, so the exterior's first solve makes a
+    # single-precision block, and the next one solves off it too
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    n_factored = len(factored)
+    solve_s(mesh, cfg_ring)
+    solve_psi_e(mesh, cfg_ring)
+    (block,) = exterior_system(mesh, cfg_ring)._blocks.values()
+    assert block.single
+    assert factored[n_factored:] == [(len(block.rows), np.dtype(np.complex64))]
 
 
 @pytest.mark.parametrize("lu, passes", [("double", 1), ("single", 3), ("B", 1)])

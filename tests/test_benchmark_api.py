@@ -13,7 +13,10 @@ benchmark's ``ok_frac``.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from enzlab import build_mesh, solve_auxiliary_set
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -43,3 +46,16 @@ def test_delta_sweep_ops_pass_their_output_check():
         ops = range(c * w.chunk, (c + 1) * w.chunk)
         reasons += w.check_chunk(state, [w.op(state, i, None) for i in ops])
     assert reasons == [None] * 2 * w.chunk
+
+
+def _exterior_lu_dtype(aux):
+    (block,) = aux.ext_system._blocks.values()
+    return block.lu.L.dtype
+
+
+def test_traced_auxiliary_set_factors_the_exterior_as_the_product_does():
+    # the traced copy times the exterior LU that solve_auxiliary_set builds
+    traced = workloads._traced_aux_set(build_mesh(workloads.CANONICAL, 0.2), workloads.CFG,
+                                       workloads._UNTRACED)
+    product = solve_auxiliary_set(build_mesh(workloads.CANONICAL, 0.2), workloads.CFG)
+    assert _exterior_lu_dtype(traced) == _exterior_lu_dtype(product) == np.complex64

@@ -128,6 +128,36 @@ def test_malformed_config_exits_3(tmp_path):
     assert _exit_code(tmp_path, text) == 3   # PARSE_ERROR
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("seed = 0", "seed = 0\n[extra]\nfoo = 1", "line 19: unknown section [extra]"),
+    ("[domain]", "h = 0.2\n[domain]", "line 2: key outside any section"),
+])
+def test_config_outside_the_three_sections_exits_3(tmp_path, capsys, old, new, message):
+    assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new)) == 3   # PARSE_ERROR
+    assert capsys.readouterr().err == f"error [PARSE_ERROR]: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand, old, new, message", [
+    ("oracle-check", "dopant = circle 0 0 0.3", "dopant = circle 0.3 0 0.2",
+     "oracle comparison requires concentric circles at the origin"),
+    ("oracle-check", "mu = 1,0", "mu = 1,0.2",
+     "oracle comparison requires a real positive wavenumber"),
+    ("oracle-check", "ring 2.3 2.7 1,0", "disk 2.5 0 0.2 1,0",
+     "oracle comparison requires ring sources only"),
+    ("convergence-table", "delta = 0.01,0", "delta = 0.01,0.001",
+     "oracle comparison requires real positive delta"),
+    ("sweep-delta", "seed = 0", "seed = 0",                # the config sets no deltas
+     "sweep needs a nonempty deltas list"),
+    ("resonance-sweep", "dopant = circle 0 0 0.3",
+     "dopant = polygon -0.3 -0.3 0.3 -0.3 0.3 0.3 -0.3 0.3",
+     "resonance_target is required for non-circular dopants"),
+    ("aux", "outer = circle 0 0 1\n", "", "missing required key 'outer'"),
+])
+def test_requests_the_run_cannot_serve_exit_4(tmp_path, capsys, subcommand, old, new, message):
+    assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new), sub=subcommand) == 4
+    assert capsys.readouterr().err == f"error [VALIDATION_ERROR]: {message}\n"
+
+
 def test_malformed_window_key_exits_3(tmp_path):
     text = CANONICAL_CFG.replace("seed = 0", "seed = 0\nwindow = disk 0 0 x")
     assert _exit_code(tmp_path, text) == 3   # PARSE_ERROR
@@ -288,8 +318,10 @@ def test_direct_with_reciprocal_underflow_exits_7(tmp_path):
     ("outer = circle 0 0 1", "outer = polygon -1 -1 1 -1 1 -1 1 1 -1 1"),   # repeated vertex
     ("dopant = circle 0 0 0.3",                               # a C shape: exited 6 at h = 0.05
      "dopant = polygon -0.5 -0.5 0.5 -0.5 0.5 -0.3 -0.3 -0.3 -0.3 0.3 0.5 0.3 0.5 0.5 -0.5 0.5"),
+    ("outer = circle 0 0 1", "outer = polygon -1 -1 1 -1 1 1 0.2 -1.5 -1 1"),   # a bow tie
 ], ids=["dopant_leaving_scatterer", "dopant_radius_0", "dopant_radius_negative",
-        "outer_radius_negative", "outer_repeated_vertex", "dopant_not_star_shaped"])
+        "outer_radius_negative", "outer_repeated_vertex", "dopant_not_star_shaped",
+        "outer_self_intersecting"])
 def test_bad_geometry_exits_5(tmp_path, capsys, old, new):
     assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new)) == 5   # GEOMETRY_INVALID
     err = capsys.readouterr().err
@@ -424,6 +456,15 @@ def test_resonant_dopant_exits_12(tmp_path, mesh_coarse):
     assert _exit_code(tmp_path, text) == 12   # RESONANT_DOPANT
 
 
+def test_resonance_sweep_at_gamma_zero_exits_12_naming_k_squared(tmp_path, capsys):
+    # gamma = 0 puts k^2 on the target's own discrete eigenvalue
+    text = CANONICAL_CFG.replace("seed = 0", "seed = 0\ngammas = 0 0.1")
+    assert _exit_code(tmp_path, text, sub="resonance-sweep") == 12   # RESONANT_DOPANT
+    err = capsys.readouterr().err
+    assert err.startswith("error [RESONANT_DOPANT]: k^2 = ") and err.count("\n") == 1
+    assert "at gamma = 0j lands on a discrete Dirichlet eigenvalue of the dopant" in err
+
+
 def test_empty_window_exits_11(tmp_path):
     # the disk lies outside the truncation circle, so it selects no triangle
     text = CANONICAL_CFG.replace("seed = 0", "seed = 0\nwindow = disk 20 20 0.1\ndeltas = 0.1,0")
@@ -489,6 +530,27 @@ def test_robin_aux_certificate(tmp_path):
     ref = axisym_solution(RadialLayers(a=0.3, b=1.0, c=4.0, eps_enz=0.01, source_r1=2.3,
                                        source_r2=2.7, amplitude=1.0), k=1.0, mu=1.0)
     assert abs(beta - ref.scalars["beta"]) < 0.02 * abs(ref.scalars["beta"])   # 0.7 % seen
+
+
+def _aux_beta(out):
+    vals = [float(v) for v in (out / "aux.csv").read_text().splitlines()[1].split(",")]
+    return complex(vals[4], vals[5])
+
+
+def test_pml_sigma0_sets_the_collar_strength(tmp_path):
+    text = CANONICAL_CFG.replace("[physics]", "[physics]\npml_sigma0 = 2")
+    assert _exit_code(tmp_path, text) == 0
+    beta = _aux_beta(tmp_path / "out")
+    assert _exit_code(tmp_path, CANONICAL_CFG) == 0   # the automatic strength
+    auto = _aux_beta(tmp_path / "out")
+    assert abs(beta - (1.2648 + 11.398j)) < 1e-3 and abs(auto - (0.4861 + 6.8063j)) < 1e-3
+
+
+def test_oracle_check_without_sources_writes_a_zero_profile(tmp_path):
+    text = CANONICAL_CFG.replace("sources = ring 2.3 2.7 1,0\n", "")
+    assert _exit_code(tmp_path, text, sub="oracle-check") == 0
+    table = np.loadtxt(tmp_path / "out" / "oracle_profile.csv", delimiter=",", skiprows=1)
+    assert len(table) > 100 and not table[:, 1:].any()
 
 
 def test_convergence_table_checks_resolution_at_2h(tmp_path, capsys, monkeypatch):

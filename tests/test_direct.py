@@ -12,7 +12,7 @@ from enzlab.auxiliary import PhysicsConfig, exterior_system, outer_dirichlet
 from enzlab.correctors import CorrectorEngine
 from enzlab.direct import (PHYSICAL_REGIONS, compare_fields, enz_absorption,
                            solve_transmission, transmission_system)
-from enzlab.errors import SingularSystem, ValidationError, ZeroCoefficient
+from enzlab.errors import SingularSystem, TagMismatch, ValidationError, ZeroCoefficient
 from enzlab.fem import (RadiationSpec, ScalarField, dirichlet_eigs, h1_norm, h1_seminorm,
                         l2_norm)
 from enzlab.geometry import (Bnd, Circle, Region, SourceRing, SourceSpec, _as_region_set,
@@ -91,6 +91,13 @@ def test_identical_fields_compare_to_zero(mesh_coarse, cfg_ring):
     u = solve_transmission(mesh_coarse, cfg_ring)
     c = compare_fields(u, u)
     assert c.h1_error == 0.0 and c.l2_error == 0.0
+
+
+def test_fields_on_two_region_sets_do_not_compare(mesh_coarse, cfg_ring):
+    u = solve_transmission(mesh_coarse, cfg_ring)
+    v = ScalarField.zeros(mesh_coarse, PHYSICAL_REGIONS)   # u lives on the collar too
+    with pytest.raises(TagMismatch, match="different meshes or regions"):
+        compare_fields(u, v)
 
 
 def test_loss_and_gain_absorption_signs(mesh_coarse, cfg_ring):

@@ -884,14 +884,21 @@ def test_an_engine_after_an_auxiliary_only_set_refactors_in_double(cfg_ring, fac
     assert len(factored) == 6
 
 
-def test_an_engine_handed_a_single_set_steps_on_its_lu(cfg_ring, factored):
+def test_an_engine_handed_a_single_set_refactors_in_double_at_its_first_lift(cfg_ring,
+                                                                             factored):
     mesh = build_mesh(CANONICAL, 0.2)
     engine = CorrectorEngine(mesh, cfg_ring, aux=auxiliary.solve_auxiliary_set(mesh, cfg_ring))
     (block,) = engine.ext_system._blocks.values()
     assert block.single
     n_factored = len(factored)
+    engine.enz_solve(engine.seed_state())   # no lift: the exterior keeps its single LU
+    assert list(engine.ext_system._blocks.values()) == [block]
     hier = engine.build_hierarchy(3)   # every lift passes its field's check
-    assert len(factored) == n_factored + 1   # the Neumann system; the exterior is not refactored
+    (stepped,) = engine.ext_system._blocks.values()
+    assert not stepped.single and np.array_equal(stepped.rows, block.rows)
+    # the Neumann system, then the exterior once, in double, at the first lift
+    assert factored[n_factored:] == [(factored[n_factored][0], np.dtype(complex)),
+                                     (len(block.rows), np.dtype(complex))]
     # the same hierarchy off a double LU, on a mesh of its own
     ref = CorrectorEngine(build_mesh(CANONICAL, 0.2), cfg_ring).build_hierarchy(3)
     assert np.abs(hier.e - ref.e).max() <= 1e-10 * np.abs(ref.e).max()
@@ -969,8 +976,8 @@ def test_factoring_a_block_leaves_its_systems_matrix_unchanged(cfg_ring):
 
 
 def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypatch):
-    # the auxiliary-only rule makes a single-precision block and leaves it
-    # unfactored; its first solve trims the heap and factors.  Factoring when
+    # an exterior solve makes a single-precision block, unfactored; its first
+    # lu_solve trims the heap and factors.  Factoring when
     # the block is made put the source load and the solves' temporaries under
     # the LU's peak, and trimming then but factoring later did too:
     # convergence-table's manifest peak_rss_mb at h = 0.05 rose by about 28
@@ -980,10 +987,7 @@ def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypa
     monkeypatch.setattr(fem, "trim_heap", lambda: calls.append("trim") or trim())
     monkeypatch.setattr(fem, "factor", lambda A: calls.append(A.dtype) or factor(A))
     mesh = build_mesh(CANONICAL, 0.1)
-    ext = exterior_system(mesh, cfg_ring)
-    auxiliary._exterior_lu(ext, single=True)
-    assert calls == []
-    auxiliary.solve_s(mesh, cfg_ring, system=ext)
+    auxiliary.solve_s(mesh, cfg_ring)   # makes the exterior's single-precision block
     assert calls == ["trim", np.dtype(np.complex64)]
     calls.clear()
     # the guard factors the dopant block, and the solve reuses it
@@ -1100,9 +1104,8 @@ def test_norm_forms_match_elementwise_reference(mesh_coarse, cfg_ring):
         d = 0.02 - 0.01j
         u = direct.solve_transmission(mesh, dataclasses.replace(cfg_ring, delta=d))
         v = engine.assemble_expansion(hier, d, order=1)
-        common = u.regions & v.regions
-        fields = [direct._restrict(u, common) - direct._restrict(v, common)]
-        for regions in (common, Region.ENZ):
+        fields = [u - v]
+        for regions in (u.regions, Region.ENZ):
             n = len(mesh.region_nodes(regions))
             fields.append(ScalarField(mesh, regions, rng.standard_normal(n)
                                       + 1j * rng.standard_normal(n)))

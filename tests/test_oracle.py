@@ -94,7 +94,7 @@ def test_wronskian_identity():
 
 
 def _source_layers(**kw):
-    base = dict(a=0.3, b=1.0, c=4.0, eps_dopant=1.0, eps_enz=1.0, eps_exterior=1.0,
+    base = dict(a=0.3, b=1.0, c=4.0, eps_dopant=1.0, eps_enz=1.0,
                 source_r1=2.3, source_r2=2.7, amplitude=1.0)
     base.update(kw)
     return RadialLayers(**base)
