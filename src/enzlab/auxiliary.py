@@ -196,7 +196,7 @@ def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray
     bc = _exterior_dirichlet(system.regions, trace)
     if _held_schur(system) is not None:
         return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
-    system.dirichlet_block(bc, single=True)
+    system.dirichlet_block(bc, single=True, fold=system.turn_invariant(rhs, bc))
     return solve(system, rhs, bc)
 
 
@@ -354,8 +354,8 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
     """
     ext = exterior_system(mesh, cfg)
     dop = dopant_system(mesh, cfg)
-    s, flux_s = solve_s(mesh, cfg, system=ext)
     psi_e, flux_psi_e = solve_psi_e(mesh, cfg, system=ext)
+    s, flux_s = solve_s(mesh, cfg, system=ext)
     psi_d, flux_psi_d = solve_psi_d(mesh, cfg, system=dop, guard=guard)
     beta = compute_beta(flux_psi_e, flux_psi_d, mesh, cfg)
     c_star = compute_cstar(beta, flux_s)

@@ -20,8 +20,6 @@ from .fem import RadiationSpec
 from .geometry import Circle, DomainSpec, Polygon, SourceDisk, SourceRing, SourceSpec
 from .auxiliary import PhysicsConfig
 
-_SECTIONS = ("domain", "physics", "run")
-
 
 @dataclass
 class RunOptions:
@@ -156,9 +154,29 @@ def _parse_sources(text: str, where: str) -> SourceSpec:
     return SourceSpec(tuple(entries))
 
 
+# Every key each section may give, with its value parser.
+_KEYS = {
+    "domain": dict(outer=_parse_shape, dopant=_parse_shape, h=_parse_float,
+                   truncation_radius=_parse_float, pml_thickness=_parse_float),
+    "physics": dict(omega=_parse_float, mu=_parse_complex, k=_parse_complex,
+                    delta=_parse_complex, sources=_parse_sources, radiation=_parse_text,
+                    pml_sigma0=_parse_sigma0, pml_order=_parse_int),
+    "run": dict(order=_parse_int, rho_iters=_parse_int, seed=_parse_int,
+                deltas=_parse_complex_list, window=_parse_window_key,
+                gammas=_parse_complex_list, resonance_target=_parse_float, out=_parse_text),
+}
+
+
 def _read_sections(path) -> dict:
-    sections: dict = {name: {} for name in _SECTIONS}
-    current = None
+    """``{section: {key: (text, "line N")}}``; PARSE_ERROR on a key its section does
+    not know or gives twice, naming the key, the line and the section.
+
+    A section may be opened again: its later block replaces the keys it gives,
+    as the tests' configs do to vary one key.  Within one block, under one
+    header, a key given twice is a mistake.
+    """
+    sections: dict = {name: {} for name in _KEYS}
+    current, block = None, {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -168,14 +186,19 @@ def _read_sections(path) -> dict:
                 name = line[1:-1].strip()
                 if name not in sections:
                     raise ParseError(f"line {lineno}: unknown section [{name}]")
-                current = name
+                current, block = name, {}
                 continue
             if "=" not in line:
                 raise ParseError(f"line {lineno}: expected key = value, got {line!r}")
             if current is None:
                 raise ParseError(f"line {lineno}: key outside any section")
             key, val = (s.strip() for s in line.split("=", 1))
-            sections[current][key] = (val, f"line {lineno}")
+            if key not in _KEYS[current]:
+                raise ParseError(f"line {lineno}: unknown key {key!r} in [{current}]")
+            if key in block:
+                raise ParseError(f"line {lineno}: key {key!r} in [{current}] repeats {block[key]}")
+            block[key] = f"line {lineno}"
+            sections[current][key] = (val, block[key])
     return sections
 
 
@@ -190,24 +213,24 @@ def parse_config(path):
     """Parse a configuration file into (DomainSpec, PhysicsConfig, RunOptions).
 
     Only the keys a file gives are read here; each dataclass holds every
-    other default and checks its own fields.  Parse failures carry line
+    other default and checks its own fields.  A key its section does not
+    know, misspelled, and a key given twice in one section are parse
+    failures, not ignored or overridden.  Parse failures carry line
     numbers; validation failures name the violated invariant.
     """
     sec = _read_sections(path)
 
-    def read(section, **convs) -> dict:
-        """``{key: conv(text, where)}`` for each ``key=conv`` the section gives."""
+    def read(section, *keys) -> dict:
+        """``{key: value}`` for each of ``keys`` the section gives, parsed as ``_KEYS`` says."""
         given = sec[section]
-        return {key: conv(*given[key]) for key, conv in convs.items() if key in given}
+        return {key: _KEYS[section][key](*given[key]) for key in keys if key in given}
 
-    dom = read("domain", outer=_parse_shape, dopant=_parse_shape, h=_parse_float,
-               truncation_radius=_parse_float, pml_thickness=_parse_float)
+    dom = read("domain", "outer", "dopant", "h", "truncation_radius", "pml_thickness")
     for key in ("outer", "dopant"):
         if key not in dom:
             raise ValidationError(f"missing required key {key!r}")
-    phy = read("physics", omega=_parse_float, mu=_parse_complex, k=_parse_complex,
-               delta=_parse_complex, sources=_parse_sources)
-    rad = read("physics", radiation=_parse_text, pml_sigma0=_parse_sigma0, pml_order=_parse_int)
+    phy = read("physics", "omega", "mu", "k", "delta", "sources")
+    rad = read("physics", "radiation", "pml_sigma0", "pml_order")
     mode = rad.pop("radiation", "pml")   # picks the default collar; the mesh picks the treatment
     if mode not in ("pml", "robin"):
         raise ValidationError(f"unknown radiation mode {mode!r}")
@@ -241,9 +264,6 @@ def parse_config(path):
         raise ValidationError(f"radiation = {mode} requires pml_thickness {need}")
     cfg.sources.validate(spec)
 
-    opts = RunOptions(h=h, **read("run", order=_parse_int, rho_iters=_parse_int, seed=_parse_int,
-                                  deltas=_parse_complex_list, window=_parse_window_key,
-                                  gammas=_parse_complex_list, resonance_target=_parse_float,
-                                  out=_parse_text))
+    opts = RunOptions(h=h, **read("run", *_KEYS["run"]))
     check_resolution(cfg.k, h)
     return spec, cfg, opts

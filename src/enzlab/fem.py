@@ -89,7 +89,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (EmptyWindow, IncompatibleData, MeshFailure, NoConvergence,
                      SingularSystem, TagMismatch, ValidationError, ZeroCoefficient)
-from .geometry import (Bnd, Circle, Mesh, Region, SourceRing, SourceSpec,
+from .geometry import (TURN_RTOL, Bnd, Circle, Mesh, Region, SourceRing, SourceSpec,
                        _as_region_set, _corners)
 
 # Fraction of row-sum lumping mixed into every mass matrix.  One half cancels
@@ -784,6 +784,117 @@ class DirichletBlock(Factored):
             F.data, F.indices, F.indptr = F.data[:0].copy(), F.indices[:0].copy(), 0 * F.indptr
         return S
 
+    def serves(self, single: bool, fold: bool) -> bool:
+        """Whether a request for ``single`` or ``fold`` (:meth:`LinearSystem.dirichlet_block`) takes this block."""
+        return single or not self.single
+
+
+class FoldedBlock(DirichletBlock):
+    """The free block of a quarter-turn invariant system, on its invariant sector.
+
+    Where the quarter turn maps the system's matrix and fixed nodes onto
+    themselves, an invariant free load has an invariant solution, which
+    takes one value per orbit of four free nodes (:func:`sector`).  That
+    value solves ``A_0 = A[reps] @ C``, where ``reps`` holds one free node of
+    each orbit and ``C`` sums each orbit's columns; ``A_0`` is complex
+    symmetric, since ``A`` is and commutes with the turn.  The block's LU is
+    the :func:`factor` of ``A_0`` in double precision, in the sector's nested
+    dissection order, on a trimmed heap; a solve reads the load on ``reps``
+    and unfolds the answer to every free node.  It is a :class:`DirichletBlock`
+    of the free nodes otherwise: its rows, fixed nodes and norm are the full
+    block's, so a field solved off it meets the full system's check.  It
+    serves only a load and Dirichlet values that are invariant too.
+
+    On the canonical exterior at h = 0.05 (2-core host, one BLAS thread) the
+    sector has 7,299 unknowns against 29,196, nnz(L + U) 0.51M against
+    2.19M, and factors in 26 ms against 130 ms off the full double block,
+    with one solve in 2.0 ms against 8.0 ms; at h = 0.025, 29,332 against
+    117,328 unknowns, 2.49M against 10.67M, 232 against 789 ms, 11 against
+    42 ms.  The field differs from the full solve by 1.8e-14 and 4.4e-14
+    (max norm, relative), with a backward error on the full system of 3e-16.
+    """
+
+    def __init__(self, A: sp.csc_matrix, free: np.ndarray, fixed: np.ndarray, sector):
+        super().__init__(A, free, fixed)   # the rows and norm of the full free block
+        self.reps, self.orbit, order = sector
+        C = sp.csc_matrix((np.ones(len(free)), (free, self.orbit)),
+                          shape=(A.shape[0], len(self.reps)))
+        self.sector = Factored((A[free[self.reps]] @ C).tocsc(), order)
+
+    @cached_property
+    def lu(self):
+        trim_heap()
+        return self.sector.lu
+
+    def _off_lu(self, b: np.ndarray) -> np.ndarray:
+        self.lu   # a first use trims and factors here
+        return self.sector._off_lu(b[self.reps])[self.orbit]
+
+    def serves(self, single: bool, fold: bool) -> bool:
+        return fold
+
+
+def sector(mesh: Mesh, regions, fixed_tags) -> tuple | None:
+    """The invariant sector of the free nodes of ``regions`` off ``fixed_tags``, or None.
+
+    The free nodes are ``split_nodes(mesh, regions, fixed_tags)[0]``, and
+    the sector exists if the quarter turn of the regions' nodes
+    (:meth:`Mesh.quarter_turn`) maps each of them to a free node, and neither
+    a quarter nor a half turn maps one to itself: every orbit then has four
+    nodes.
+    Returns ``(reps, orbit, order)``: the position of one node of each orbit
+    among the free nodes, the one of largest x, so the representatives fill
+    the sector ``|y| <= x``; the orbit of each free node; and the
+    :func:`_nested_dissection` of the representatives joined by the orbits of
+    the triangle edges between free nodes.  Like :func:`node_order` it
+    depends on the node sets only, and is kept in :meth:`Mesh.cached` under
+    ``("sector", regions, fixed)``, None included.
+    """
+    regions = _as_region_set(regions)
+    fixed = frozenset(Bnd(t) for t in fixed_tags)
+
+    def build():
+        turn = mesh.quarter_turn(regions)
+        if turn is None:
+            return None
+        free = split_nodes(mesh, regions, fixed)[0]
+        pos = np.full(len(turn), -1)
+        pos[free] = ids = np.arange(len(free))
+        t = pos[turn[free]]
+        if (t < 0).any():
+            return None
+        t2 = t[t]
+        t3 = t2[t]
+        if (t == ids).any() or (t2 == ids).any():
+            return None
+        heads = np.flatnonzero(np.minimum.reduce([ids, t, t2, t3]) == ids)
+        members = np.stack([heads, t[heads], t2[heads], t3[heads]])
+        orbit = np.empty(len(free), dtype=np.intp)
+        orbit[members] = np.arange(len(heads))
+        xy = mesh.nodes[mesh.region_nodes(regions)[free]]
+        reps = members[np.argmax(xy[members, 0], axis=0), np.arange(len(heads))]
+        tris = pos[mesh.region_pos(regions)[mesh.triangles[mesh.region_triangles(regions)]]]
+        ea, eb = tris.ravel(), tris[:, [1, 2, 0]].ravel()   # every triangle edge
+        both = (ea >= 0) & (eb >= 0)
+        ea, eb = orbit[ea[both]], orbit[eb[both]]
+        out = reps, orbit, _nested_dissection(xy[reps], ea[ea != eb], eb[ea != eb])
+        for a in out:
+            a.setflags(write=False)
+        return out
+    return mesh.cached(("sector", regions, fixed), None, build)
+
+
+def _turn_invariant(x, turn: np.ndarray) -> bool:
+    """Whether a vector or a square sparse matrix on ``turn``'s nodes equals its quarter turn.
+
+    Equal means within :data:`~enzlab.geometry.TURN_RTOL` of the largest modulus of ``x``.
+    """
+    if sp.issparse(x):
+        gap, size = abs(x[turn][:, turn] - x).max(), abs(x).max()
+    else:
+        gap, size = np.abs(x[turn] - x).max(initial=0.0), np.abs(x).max(initial=0.0)
+    return gap <= TURN_RTOL * size
+
 
 @dataclass(eq=False)
 class LinearSystem:
@@ -798,29 +909,59 @@ class LinearSystem:
     def nodes(self) -> np.ndarray:   # the mesh node of each row of A
         return self.mesh.region_nodes(self.regions)
 
-    def dirichlet_block(self, tags, single: bool = False, last=()) -> DirichletBlock:
+    def dirichlet_block(self, tags, single: bool = False, last=(),
+                        fold: bool = False) -> DirichletBlock:
         """The system's one block: the ``Bnd`` tags' nodes fixed, the ``last`` curves' nodes last.
 
-        The held block is returned if it has these tags and last curves and is
-        double or ``single`` is asked; otherwise it and its LU are dropped before a
-        new block, of LU precision ``single``, is made.  Last curves are not fixed.
+        ``fold`` says that the caller's load and Dirichlet values are
+        quarter-turn invariant (:meth:`turn_invariant`).  The held block is
+        returned if it has these tags and last curves and serves the request:
+        a full block in double always, one in single if ``single`` is asked, a
+        :class:`FoldedBlock` if ``fold`` is.  Otherwise it and its LU are
+        dropped before a new block is made: folded if ``fold`` is asked and
+        the system folds (:meth:`_folded`), else full, of LU precision
+        ``single``.  Last curves are not fixed.
         """
         key = frozenset(map(Bnd, tags)), tuple(map(Bnd, last))
         block = self._blocks.get(key)
-        if block is None or block.single and not single:
+        if block is None or not block.serves(single, fold):
             self._blocks.clear()
             free, fixed = split_nodes(self.mesh, self.regions, key[0])
-            n_last = sum(len(self.local_boundary(tag)) for tag in key[1])
-            block = self._blocks[key] = DirichletBlock(
-                self.A, free[node_order(self.mesh, self.regions, *key)], fixed, single, n_last)
+            block = fold and not last and self._folded(key[0], free, fixed)
+            if not block:
+                n_last = sum(len(self.local_boundary(tag)) for tag in key[1])
+                block = DirichletBlock(self.A, free[node_order(self.mesh, self.regions, *key)],
+                                       fixed, single, n_last)
+            self._blocks[key] = block
         return block
 
+    def _folded(self, tags, free, fixed) -> FoldedBlock | None:
+        """The :class:`FoldedBlock` with ``tags`` fixed, if ``A`` and the free nodes fold, else None."""
+        sec = sector(self.mesh, self.regions, tags)
+        if sec is None or not _turn_invariant(self.A, self.mesh.quarter_turn(self.regions)):
+            return None
+        return FoldedBlock(self.A, free, fixed, sec)
+
     def held_block(self, tags, last=()) -> DirichletBlock | None:
-        """The block the system holds for these tags and last curves, in its precision, or None."""
+        """The block the system holds for these tags and last curves, of its kind, or None."""
         return self._blocks.get((frozenset(map(Bnd, tags)), tuple(map(Bnd, last))))
 
     def local_boundary(self, tag: Bnd) -> np.ndarray:
         return _local_boundary(self.mesh, self.regions, tag)
+
+    def dirichlet_values(self, dirichlet: dict) -> np.ndarray:
+        """A vector on the system's nodes holding the ``dirichlet`` values, zero elsewhere."""
+        u = np.zeros(len(self.nodes), dtype=complex)
+        for tag, val in dirichlet.items():
+            u[self.local_boundary(Bnd(tag))] = val
+        return u
+
+    def turn_invariant(self, rhs: np.ndarray, dirichlet: dict) -> bool:
+        """Whether the mesh's quarter turn maps the system's nodes onto themselves and
+        keeps ``rhs`` and the ``dirichlet`` values (:meth:`Mesh.quarter_turn`)."""
+        turn = self.mesh.quarter_turn(self.regions)
+        return turn is not None and all(_turn_invariant(v, turn)
+                                        for v in (rhs, self.dirichlet_values(dirichlet)))
 
 
 def _pml_coefficients(mesh: Mesh, tri_idx: np.ndarray, k: complex, rad: RadiationSpec):
@@ -953,10 +1094,11 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     """
     rhs = np.asarray(rhs, dtype=complex)
     dirichlet = dict(dirichlet or {})
-    block = system.held_block(dirichlet) or system.dirichlet_block(dirichlet)
-    u = np.zeros(len(system.nodes), dtype=complex)
-    for tag, val in dirichlet.items():
-        u[system.local_boundary(Bnd(tag))] = val
+    block = system.held_block(dirichlet)
+    if isinstance(block, FoldedBlock) and not system.turn_invariant(rhs, dirichlet):
+        block = None   # a folded block serves invariant data only
+    block = block or system.dirichlet_block(dirichlet)
+    u = system.dirichlet_values(dirichlet)
     b_free = free_load(system.A, rhs, block.rows, block.fixed, u)
     if b_free.any():   # else u[block.rows] stays zero, and so does its residual
         u[block.rows] = block.lu_solve(b_free)

@@ -37,6 +37,14 @@ MAX_NODES = 1_000_000
 # Nodes per h^2 of truncation-disk area, below every mesh measured (1.58 to
 # 1.83 on circles from h = 0.2 to 0.025), so the estimate never overshoots.
 _NODES_PER_H2_AREA = 1.5
+# Largest difference between data and its image under the quarter turn, over
+# the data's largest modulus, that counts as invariant: for node coordinates
+# (:meth:`Mesh.quarter_turn`) and for a system's matrix, load and Dirichlet
+# values (:mod:`enzlab.fem`).  Far above the roundoff of a concentric mesh
+# (coordinates 1e-15, the exterior matrix 1.5e-14 to 3.8e-13 and the ring
+# load 6e-15 to 1.8e-13 from h = 0.2 to 0.0125) and far below the 1e-10 of a
+# solve's backward-error contract.
+TURN_RTOL = 1e-11
 
 
 class Region(IntEnum):
@@ -394,6 +402,42 @@ class Mesh:
             pos[nodes] = np.arange(len(nodes))
             return pos
         return self.cached(("pos", regions), None, build)
+
+    def quarter_turn(self, regions) -> np.ndarray | None:
+        """The quarter turn ``(x, y) -> (-y, x)`` as a map of ``region_nodes(regions)``, or None.
+
+        Entry ``i`` is the position of the image of the ``i``-th node.  The
+        map exists if the image of every node is a node of the set, within
+        :data:`TURN_RTOL` of the largest node radius, and the image of every
+        triangle of the regions is a triangle of the same region; it is then a
+        permutation.  Kept in :meth:`cached` under ``("quarter turn",
+        regions)``, None included.  The concentric meshes have the symmetry
+        (:meth:`Circle.param_grid`), and so has the exterior of an off-centre
+        dopant, whose whole mesh has not.  A reflection keeps the nodes of a
+        concentric mesh but not its triangles.
+        """
+        regions = _as_region_set(regions)
+
+        def build():
+            from scipy.spatial import cKDTree   # 30 ms to import, paid by the first map only
+            nodes = self.region_nodes(regions)
+            xy = self.nodes[nodes]
+            tol = TURN_RTOL * np.sqrt((xy * xy).sum(axis=1).max(initial=0.0))
+            tree = cKDTree(xy, balanced_tree=False, compact_nodes=False)
+            dist, turn = tree.query(np.column_stack((-xy[:, 1], xy[:, 0])),
+                                    distance_upper_bound=tol)
+            if not np.isfinite(dist).all():
+                return None
+            tris = self.region_pos(regions)[self.triangles[self.region_triangles(regions)]]
+            region = self.tri_region[self.region_triangles(regions)]
+
+            def keys(t):   # each triangle as one integer: its sorted nodes, then its region
+                t = np.sort(t, axis=1).astype(np.int64)
+                return ((t[:, 0] * len(nodes) + t[:, 1]) * len(nodes) + t[:, 2]) * len(Region) + region
+            if not np.array_equal(np.sort(keys(tris)), np.sort(keys(turn[tris]))):
+                return None
+            return turn
+        return self.cached(("quarter turn", regions), None, build)
 
     def boundary_nodes(self, tag: Bnd) -> np.ndarray:
         """Boundary nodes in loop order (first node of each directed edge)."""

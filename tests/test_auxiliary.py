@@ -301,16 +301,31 @@ def test_b_survives_the_exterior_lu_rule_of_an_auxiliary_set_and_an_engine(cfg_r
     assert not {len(B.rows), n_dirichlet} & {n for n, _ in factored[n_factored:]}
 
 
-def test_a_standalone_exterior_solve_factors_one_single_lu(cfg_ring, factored):
+def test_a_standalone_exterior_solve_factors_one_single_lu(factored):
     # only s and psi_e are read off it, so the exterior's first solve makes a
-    # single-precision block, and the next one solves off it too
+    # single-precision block, and the next one solves off it too.  The disk
+    # source's load is not invariant under the quarter turn, so s does not fold
+    mesh = build_mesh(CANONICAL_SPEC, 0.2)
+    cfg = PhysicsConfig(sources=DISK_SOURCE)
+    n_factored = len(factored)
+    solve_s(mesh, cfg)
+    solve_psi_e(mesh, cfg)
+    (block,) = exterior_system(mesh, cfg)._blocks.values()
+    assert block.single and not isinstance(block, fem.FoldedBlock)
+    assert factored[n_factored:] == [(len(block.rows), np.dtype(np.complex64))]
+
+
+def test_a_standalone_invariant_exterior_solve_factors_one_folded_lu(cfg_ring, factored):
+    # the ring source and the unit trace are invariant under the quarter turn,
+    # so the first solve folds the block, and the second solves off it too
     mesh = build_mesh(CANONICAL_SPEC, 0.2)
     n_factored = len(factored)
     solve_s(mesh, cfg_ring)
     solve_psi_e(mesh, cfg_ring)
     (block,) = exterior_system(mesh, cfg_ring)._blocks.values()
-    assert block.single
-    assert factored[n_factored:] == [(len(block.rows), np.dtype(np.complex64))]
+    assert isinstance(block, fem.FoldedBlock) and not block.single
+    assert 4 * len(block.reps) == len(block.rows)
+    assert factored[n_factored:] == [(len(block.rows) // 4, np.dtype(complex))]
 
 
 @pytest.mark.parametrize("lu, passes", [("double", 1), ("single", 3), ("B", 1)])
@@ -358,3 +373,65 @@ def test_auxiliary_set_has_the_bits_of_its_one_load_solves(cfg_ring, lu):
         ref, _ = solve(mesh, cfg_ring, system=ext)
         assert np.array_equal(field.values, ref.values)
         assert np.array_equal(field.record.resid, ref.record.resid)
+
+
+NO_COLLAR_SPEC = dataclasses.replace(CANONICAL_SPEC, pml_thickness=0.0)
+# Folded fields, their flux functionals and total fluxes came within 6.0e-14
+# (max norm, relative) of the full double solve's over these cases.
+FOLD_GAP = 1e-12
+
+
+def _rel_gap(a, b):
+    return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("spec", [CANONICAL_SPEC, GENERIC_SPEC, NO_COLLAR_SPEC],
+                         ids=["canonical", "generic", "no_collar"])
+def test_folded_exterior_solves_match_the_full_ones(spec, h):
+    mesh = build_mesh(spec, h)
+    for k in (1.0, 1.3 + 0.2j):
+        cfg = PhysicsConfig.from_k(k, sources=RING_SOURCE)
+        ext = exterior_system(mesh, cfg)
+        full = fem.LinearSystem(mesh, ext.regions, ext.A)   # the same matrix, its own block
+        auxiliary.stepping_lu(full)
+        for solve in (solve_psi_e, solve_s):
+            u, flux = solve(mesh, cfg, system=ext)
+            ref, ref_flux = solve(mesh, cfg, system=full)
+            (block,) = ext._blocks.values()
+            assert isinstance(block, fem.FoldedBlock) and 4 * len(block.reps) == len(block.rows)
+            assert _rel_gap(u.values, ref.values) <= FOLD_GAP
+            assert _rel_gap(flux.values, ref_flux.values) <= FOLD_GAP
+            assert _rel_gap(flux.total(), ref_flux.total()) <= FOLD_GAP
+            # the full system's check, which certify holds a field to, gives the record it carries
+            bc = auxiliary._exterior_dirichlet(ext.regions, 1.0 if solve is solve_psi_e else 0.0)
+            again = fem.certify(ext, u.record.rhs, bc, u.values)
+            assert np.array_equal(again.record.resid, u.record.resid)
+
+
+def test_a_load_the_quarter_turn_moves_takes_the_full_block(cfg_ring):
+    mesh = build_mesh(CANONICAL_SPEC, 0.1)
+    disk = PhysicsConfig(sources=DISK_SOURCE)   # off the origin
+    ext = exterior_system(mesh, disk)
+    psi_e, _ = solve_psi_e(mesh, disk, system=ext)
+    (folded,) = ext._blocks.values()
+    assert isinstance(folded, fem.FoldedBlock)
+    s, flux_s = solve_s(mesh, disk, system=ext)   # the full single block takes its place
+    (block,) = ext._blocks.values()
+    assert block.single and not isinstance(block, fem.FoldedBlock)
+    assert np.array_equal(block.rows, folded.rows)
+    ref = fem.LinearSystem(mesh, ext.regions, ext.A)
+    ref_s, ref_flux = solve_s(mesh, disk, system=auxiliary.stepping_lu(ref))
+    assert _rel_gap(s.values, ref_s.values) <= 1e-10
+    assert _rel_gap(flux_s.total(), ref_flux.total()) <= 1e-10
+    # the held full block stays for an invariant load: psi_e solves off it
+    solve_psi_e(mesh, disk, system=ext)
+    assert list(ext._blocks.values()) == [block]
+    # fem.solve itself takes a held folded block only for invariant data
+    fold = fem.LinearSystem(mesh, ext.regions, ext.A)
+    solve_psi_e(mesh, disk, system=fold)
+    bc = auxiliary._exterior_dirichlet(ext.regions)
+    u = fem.solve(fold, fem.source_load(mesh, ext.regions, disk.sources), bc)
+    (block,) = fold._blocks.values()
+    assert not block.single and not isinstance(block, fem.FoldedBlock)
+    assert _rel_gap(u.values, ref_s.values) <= 1e-12

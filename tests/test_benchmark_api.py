@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from enzlab import build_mesh, solve_auxiliary_set
+from enzlab.geometry import Bnd
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -48,14 +49,18 @@ def test_delta_sweep_ops_pass_their_output_check():
     assert reasons == [None] * 2 * w.chunk
 
 
-def _exterior_lu_dtype(aux):
+def _exterior_lu(aux):
+    """The kind, size and precision of the exterior's LU."""
     (block,) = aux.ext_system._blocks.values()
-    return block.lu.L.dtype
+    return type(block).__name__, block.lu.shape[0], block.lu.L.dtype
 
 
 def test_traced_auxiliary_set_factors_the_exterior_as_the_product_does():
-    # the traced copy times the exterior LU that solve_auxiliary_set builds
+    # the traced copy times the exterior LU that solve_auxiliary_set builds:
+    # the folded block, a quarter of the free nodes, in double
     traced = workloads._traced_aux_set(build_mesh(workloads.CANONICAL, 0.2), workloads.CFG,
                                        workloads._UNTRACED)
     product = solve_auxiliary_set(build_mesh(workloads.CANONICAL, 0.2), workloads.CFG)
-    assert _exterior_lu_dtype(traced) == _exterior_lu_dtype(product) == np.complex64
+    n_free = len(product.ext_system.held_block([Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF]).rows)
+    assert _exterior_lu(traced) == _exterior_lu(product) == ("FoldedBlock", n_free // 4,
+                                                             np.complex128)

@@ -137,6 +137,24 @@ def test_config_outside_the_three_sections_exits_3(tmp_path, capsys, old, new, m
     assert capsys.readouterr().err == f"error [PARSE_ERROR]: {message}\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # each parsed without error before, to its default: truncation radius
+    # 10.28, omega = 1 and order 2
+    ("truncation_radius = 4", "truncation_raduis = 9",
+     "line 5: unknown key 'truncation_raduis' in [domain]"),
+    ("omega = 1", "omgea = 3", "line 10: unknown key 'omgea' in [physics]"),
+    ("order = 2", "ordr = 5", "line 16: unknown key 'ordr' in [run]"),
+    # each took its last line
+    ("h = 0.2", "h = 0.2\nh = 0.15", "line 8: key 'h' in [domain] repeats line 7"),
+    ("delta = 0.01,0", "delta = 0.01,0\ndelta = 0.02,0",
+     "line 13: key 'delta' in [physics] repeats line 12"),
+    ("seed = 0", "seed = 0\nseed = 1", "line 19: key 'seed' in [run] repeats line 18"),
+])
+def test_misspelled_or_repeated_config_key_exits_3(tmp_path, capsys, old, new, message):
+    assert _exit_code(tmp_path, CANONICAL_CFG.replace(old, new)) == 3   # PARSE_ERROR
+    assert capsys.readouterr().err == f"error [PARSE_ERROR]: {message}\n"
+
+
 @pytest.mark.parametrize("subcommand, old, new, message", [
     ("oracle-check", "dopant = circle 0 0 0.3", "dopant = circle 0.3 0 0.2",
      "oracle comparison requires concentric circles at the origin"),
@@ -341,16 +359,18 @@ def test_folded_band_exits_6_naming_its_regions(tmp_path, capsys):
 
 
 def _exterior_sizes(mesh):
-    """Unknowns of the interface-last exterior ``B`` and of the exterior Dirichlet block."""
+    """Unknowns of the interface-last exterior ``B``, of the exterior Dirichlet block, and
+    of that block folded on the quarter turn's invariant sector: a quarter of it."""
     n_keep = (len(mesh.region_nodes([Region.EXTERIOR, Region.PML]))
               - len(mesh.boundary_nodes(Bnd.GAMMA_INF)))
-    return n_keep, n_keep - len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
+    n_block = n_keep - len(mesh.boundary_nodes(Bnd.GAMMA_OMEGA))
+    return n_keep, n_block, n_block // 4
 
 
 def test_sweep_delta_factors_the_exterior_once(tmp_path, factored):
     text = CANONICAL_CFG.replace("seed = 0", "seed = 0\ndeltas = 0.1,0 0.01,0.01")
     assert _exit_code(tmp_path, text, sub="sweep-delta") == 0
-    n_keep, n_block = _exterior_sizes(build_mesh(parse_config(tmp_path / "case.cfg")[0], 0.2))
+    n_keep, n_block, _ = _exterior_sizes(build_mesh(parse_config(tmp_path / "case.cfg")[0], 0.2))
     sizes = [n for n, _ in factored]
     assert sizes.count(n_keep) == 1    # the interface-last exterior
     assert sizes.count(n_block) == 0   # no exterior Dirichlet block
@@ -363,8 +383,8 @@ def test_sweep_delta_factors_the_exterior_once(tmp_path, factored):
     ("convergence-table", [], 1)])
 def test_each_subcommand_factors_the_exterior_once_per_k(cfg_file, tmp_path, factored,
                                                          monkeypatch, sub, flags, n_k):
-    # the exterior LU, B or the Dirichlet block, once per mesh and k: the
-    # resonance sweep solves at k* and at each of its two gammas
+    # the exterior LU, B or the Dirichlet block, full or folded, once per mesh
+    # and k: the resonance sweep solves at k* and at each of its two gammas
     text = cfg_file.read_text().replace("seed = 0", "seed = 0\ngammas = 0.1 0.001")
     if sub == "convergence-table":   # at h = 0.2 its 2h level is above half the gap
         text = text.replace("h = 0.2", "h = 0.1")
@@ -391,18 +411,13 @@ def test_each_subcommand_factors_the_exterior_once_per_k(cfg_file, tmp_path, fac
                     assert math.isfinite(float(value)), (path.name, i, name, value)
 
 
-@pytest.mark.parametrize("sub, flags, dtype", [
-    ("aux", [], np.complex64), ("resonance-sweep", [], np.complex64),
-    ("convergence-table", [], np.complex64), ("expand", [], np.complex128),
-    ("radius", [], np.complex128), ("sweep-delta", ["--deltas", "0.1,0"], np.complex128),
-    ("direct", [], np.complex128), ("poynting", [], np.complex128)])
-def test_exterior_lus_are_single_where_only_auxiliary_solves_read_them(
-        cfg_file, tmp_path, factored, monkeypatch, sub, flags, dtype):
-    # the auxiliary constants alone (and the resonance sweep's k* flux) are read
-    # off a single-precision exterior LU; an engine that steps, and B, are double.
-    # Every other factorization stays double, and the resonance sweep's
-    # Dirichlet eigenpairs factor a real matrix and keep it real
-    text = cfg_file.read_text().replace("seed = 0", "seed = 0\ngammas = 0.1 0.001")
+def _exterior_lus(cfg_file, tmp_path, factored, monkeypatch, sub, flags, text):
+    """Run ``sub`` on the config ``text`` and return the ``(size, dtype)`` of its exterior LUs.
+
+    Every other factorization must be double, or real: the resonance sweep's
+    Dirichlet eigenpairs factor a real matrix and keep it real.
+    """
+    text = text.replace("seed = 0", "seed = 0\ngammas = 0.1 0.001")
     if sub == "convergence-table":   # at h = 0.2 its 2h level is above half the gap
         text = text.replace("h = 0.2", "h = 0.1")
     cfg_file.write_text(text)
@@ -411,8 +426,39 @@ def test_exterior_lus_are_single_where_only_auxiliary_solves_read_them(
                         or meshes[-1])
     assert main([sub, str(cfg_file), "--out", str(tmp_path / "out"), *flags]) == 0
     exterior = set(itertools.chain.from_iterable(map(_exterior_sizes, meshes)))
-    assert {d for n, d in factored if n in exterior} == {np.dtype(dtype)}
     assert {d for n, d in factored if n not in exterior} <= {np.dtype(complex), np.dtype(float)}
+    return {(n, d) for n, d in factored if n in exterior}, meshes
+
+
+@pytest.mark.parametrize("sub, flags, dtype", [
+    ("aux", [], np.complex128), ("resonance-sweep", [], np.complex128),
+    ("convergence-table", [], np.complex128), ("expand", [], np.complex128),
+    ("radius", [], np.complex128), ("sweep-delta", ["--deltas", "0.1,0"], np.complex128),
+    ("direct", [], np.complex128), ("poynting", [], np.complex128)])
+def test_exterior_lus_are_single_where_only_auxiliary_solves_read_them(
+        cfg_file, tmp_path, factored, monkeypatch, sub, flags, dtype):
+    # on the canonical config the auxiliary constants alone (and the resonance
+    # sweep's k* flux) are read off the folded exterior block, a quarter of
+    # the free nodes, in double; an engine that steps, and B, are full and
+    # double.  A load the quarter turn moves takes a single-precision LU (below)
+    lus, meshes = _exterior_lus(cfg_file, tmp_path, factored, monkeypatch, sub, flags,
+                                CANONICAL_CFG)
+    assert {d for _, d in lus} == {np.dtype(dtype)}
+    # B, the full Dirichlet block or the folded one, as _exterior_sizes lists them
+    kind = {"aux": 2, "resonance-sweep": 2, "convergence-table": 2, "expand": 1, "radius": 1}
+    assert {n for n, _ in lus} == {_exterior_sizes(mesh)[kind.get(sub, 0)] for mesh in meshes}
+
+
+@pytest.mark.parametrize("sub", ["aux", "resonance-sweep"])
+def test_exterior_lus_are_single_for_a_load_the_quarter_turn_moves(
+        cfg_file, tmp_path, factored, monkeypatch, sub):
+    # the disk source's s does not fold: it takes the full block in single
+    # precision, after psi_e, solved first, has folded.  (The convergence
+    # table needs ring sources, which never move.)
+    text = CANONICAL_CFG.replace("ring 2.3 2.7 1,0", "disk 2.5 0 0.2 1,0")
+    lus, meshes = _exterior_lus(cfg_file, tmp_path, factored, monkeypatch, sub, [], text)
+    assert lus == {(n, np.dtype(d)) for mesh in meshes for n, d in (
+        (_exterior_sizes(mesh)[1], np.complex64), (_exterior_sizes(mesh)[2], np.complex128))}
 
 
 @pytest.mark.parametrize("sub, flags, named, csv", [
@@ -696,10 +742,11 @@ def test_oracle_check_and_convergence_table(cfg_file, tmp_path, factored, monkey
     assert np.array_equal(table[:, 0], [0.2, 0.1, 0.05])
     assert (np.diff(table[:, 1:4], axis=0) < 0).all()      # every error falls with h
     assert np.isnan(table[0, 4:]).all() and np.isfinite(table[1:, 4:]).all()
-    # each level's exterior block is factored in single precision, the dopant's in double
-    blocks = [(_exterior_sizes(mesh)[1], np.dtype(np.complex64)) for mesh in meshes]
-    assert [f for f in factored if f[1] != np.dtype(complex)] == blocks
-    assert len(factored) == 2 * len(blocks)
+    # each level's exterior block is folded, a quarter of its free nodes, and
+    # factored in double, as the dopant's is
+    assert [n for n, _ in factored[::2]] == [_exterior_sizes(mesh)[2] for mesh in meshes]
+    assert {d for _, d in factored} == {np.dtype(complex)}
+    assert len(factored) == 2 * len(meshes)
 
 
 def test_console_entry_point_runs(cfg_file, tmp_path):

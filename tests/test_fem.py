@@ -870,24 +870,27 @@ def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring,
 def test_an_engine_after_an_auxiliary_only_set_refactors_in_double(cfg_ring, factored):
     mesh = build_mesh(CANONICAL, 0.2)
     auxiliary.solve_auxiliary_set(mesh, cfg_ring)
-    engine = CorrectorEngine(mesh, cfg_ring)   # same mesh and k: it finds the single block
+    engine = CorrectorEngine(mesh, cfg_ring)   # same mesh and k: it finds the folded block
     (block,) = engine.ext_system._blocks.values()
-    assert not block.single
+    assert not block.single and not isinstance(block, fem.FoldedBlock)
     engine.build_hierarchy(2)
     direct.solve_transmission(mesh, cfg_ring)
-    # the single exterior block and the dopant's, then the double exterior
-    # block, the bordered Neumann system, B and Omega's operator
+    # the folded exterior block, a quarter of the free nodes, and the
+    # dopant's, then the full exterior block, the bordered Neumann system, B
+    # and Omega's operator, all in double
     n_block = len(block.rows)
-    assert factored == [(n_block, np.dtype(np.complex64)), (factored[1][0], np.dtype(complex)),
+    assert factored == [(n_block // 4, np.dtype(complex)), (factored[1][0], np.dtype(complex)),
                         (n_block, np.dtype(complex))] + [(n, np.dtype(complex))
                                                          for n, _ in factored[3:]]
     assert len(factored) == 6
 
 
-def test_an_engine_handed_a_single_set_refactors_in_double_at_its_first_lift(cfg_ring,
-                                                                             factored):
+def test_an_engine_handed_a_single_set_refactors_in_double_at_its_first_lift(factored):
+    # the disk source's load is not invariant under the quarter turn, so s
+    # leaves a single-precision block in the place of psi_e's folded one
     mesh = build_mesh(CANONICAL, 0.2)
-    engine = CorrectorEngine(mesh, cfg_ring, aux=auxiliary.solve_auxiliary_set(mesh, cfg_ring))
+    cfg = PhysicsConfig(sources=SourceSpec((SourceDisk((2.5, 0.0), 0.2),)))
+    engine = CorrectorEngine(mesh, cfg, aux=auxiliary.solve_auxiliary_set(mesh, cfg))
     (block,) = engine.ext_system._blocks.values()
     assert block.single
     n_factored = len(factored)
@@ -900,7 +903,7 @@ def test_an_engine_handed_a_single_set_refactors_in_double_at_its_first_lift(cfg
     assert factored[n_factored:] == [(factored[n_factored][0], np.dtype(complex)),
                                      (len(block.rows), np.dtype(complex))]
     # the same hierarchy off a double LU, on a mesh of its own
-    ref = CorrectorEngine(build_mesh(CANONICAL, 0.2), cfg_ring).build_hierarchy(3)
+    ref = CorrectorEngine(build_mesh(CANONICAL, 0.2), cfg).build_hierarchy(3)
     assert np.abs(hier.e - ref.e).max() <= 1e-10 * np.abs(ref.e).max()
 
 
@@ -975,9 +978,24 @@ def test_factoring_a_block_leaves_its_systems_matrix_unchanged(cfg_ring):
         assert np.array_equal(A.data, data)
 
 
+def test_a_block_folds_only_where_its_matrix_is_invariant(cfg_ring):
+    # the mesh and the data are invariant; the matrix, moved at one free node's
+    # diagonal, is checked against the turn's tolerance, never assumed
+    mesh = build_mesh(CANONICAL, 0.1)
+    ext = exterior_system(mesh, cfg_ring)
+    tags = [Bnd.GAMMA_OMEGA, *outer_dirichlet(ext.regions)]
+    i = fem.split_nodes(mesh, ext.regions, tags)[0][0]
+    for moved, folds in ((1e-13, True), (1e-9, False)):
+        A = ext.A.copy()
+        A[i, i] *= 1.0 + moved
+        block = fem.LinearSystem(mesh, ext.regions, A).dirichlet_block(tags, single=True,
+                                                                        fold=True)
+        assert isinstance(block, fem.FoldedBlock) == folds and block.single != folds
+
+
 def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypatch):
-    # an exterior solve makes a single-precision block, unfactored; its first
-    # lu_solve trims the heap and factors.  Factoring when
+    # an exterior solve makes a folded or single-precision block, unfactored;
+    # its first lu_solve trims the heap and factors.  Factoring when
     # the block is made put the source load and the solves' temporaries under
     # the LU's peak, and trimming then but factoring later did too:
     # convergence-table's manifest peak_rss_mb at h = 0.05 rose by about 28
@@ -987,7 +1005,12 @@ def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypa
     monkeypatch.setattr(fem, "trim_heap", lambda: calls.append("trim") or trim())
     monkeypatch.setattr(fem, "factor", lambda A: calls.append(A.dtype) or factor(A))
     mesh = build_mesh(CANONICAL, 0.1)
-    auxiliary.solve_s(mesh, cfg_ring)   # makes the exterior's single-precision block
+    auxiliary.solve_s(mesh, cfg_ring)   # makes the exterior's folded block
+    assert calls == ["trim", np.dtype(complex)]
+    calls.clear()
+    # a load the quarter turn moves makes a single-precision block, on a mesh of its own
+    disk = PhysicsConfig(sources=SourceSpec((SourceDisk((2.5, 0.0), 0.2),)))
+    auxiliary.solve_s(build_mesh(CANONICAL, 0.1), disk)
     assert calls == ["trim", np.dtype(np.complex64)]
     calls.clear()
     # the guard factors the dopant block, and the solve reuses it

@@ -13,6 +13,8 @@ from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
                              load_mesh, region_measures, save_mesh,
                              structured_rectangle_mesh)
 
+from conftest import GENERIC_SPEC as GENERIC
+
 CANONICAL = DomainSpec(outer=Circle((0.0, 0.0), 1.0),
                        dopant=Circle((0.0, 0.0), 0.3),
                        truncation_radius=4.0, pml_thickness=1.0)
@@ -432,3 +434,48 @@ def test_rectangle_helper_topology():
     assert mesh.num_triangles == 24
     assert (mesh.tri_areas > 0).all()
     assert mesh.tri_areas.sum() == pytest.approx(1.0)
+
+
+ALL_REGIONS = tuple(Region)
+EXTERIOR = (Region.EXTERIOR, Region.PML)
+
+
+def _is_quarter_turn(mesh, regions, turn):
+    """``turn`` is a permutation of order four that turns each node onto its image."""
+    ids = np.arange(len(turn))
+    xy = mesh.nodes[mesh.region_nodes(regions)]
+    return (np.array_equal(np.sort(turn), ids) and np.array_equal(turn[turn[turn[turn]]], ids)
+            and np.abs(xy[turn] - np.column_stack((-xy[:, 1], xy[:, 0]))).max() <= 1e-14)
+
+
+def test_a_concentric_mesh_is_quarter_turn_invariant_with_one_fixed_node():
+    mesh = build_mesh(CANONICAL, 0.1)
+    turn = mesh.quarter_turn(ALL_REGIONS)
+    assert _is_quarter_turn(mesh, ALL_REGIONS, turn)
+    (fixed,) = np.flatnonzero(turn == np.arange(len(turn)))   # the dopant's centre
+    assert np.array_equal(mesh.nodes[fixed], [0.0, 0.0])
+    # triangle to triangle, each region kept
+    tris = turn[mesh.triangles]
+    key = {tuple(sorted(t)) + (r,) for t, r in zip(mesh.triangles.tolist(), mesh.tri_region)}
+    assert key == {tuple(sorted(t)) + (r,) for t, r in zip(tris.tolist(), mesh.tri_region)}
+    assert mesh.quarter_turn(ALL_REGIONS) is turn   # cached, read-only
+    assert not turn.flags.writeable
+
+
+def test_an_off_centre_dopant_keeps_the_exterior_invariant_only():
+    mesh = build_mesh(GENERIC, 0.1)
+    assert mesh.quarter_turn(ALL_REGIONS) is None
+    assert mesh.quarter_turn([Region.DOPANT, Region.ENZ]) is None
+    assert _is_quarter_turn(mesh, EXTERIOR, mesh.quarter_turn(EXTERIOR))
+    moved = DomainSpec(outer=Circle((0.1, 0.0), 1.0), dopant=Circle((0.1, 0.0), 0.3),
+                       truncation_radius=4.0, pml_thickness=1.0)
+    assert build_mesh(moved, 0.1).quarter_turn(EXTERIOR) is None
+
+
+def test_a_quarter_turn_must_map_triangles_too():
+    # the nodes of a centred square grid turn onto nodes, but every diagonal
+    # turns onto a diagonal the grid does not have
+    grid = structured_rectangle_mesh(4, 4, 2.0, 2.0, origin=(-1.0, -1.0))
+    nodes = {tuple(p) for p in grid.nodes.tolist()}
+    assert nodes == {(-y, x) for x, y in nodes}
+    assert grid.quarter_turn(Region.EXTERIOR) is None

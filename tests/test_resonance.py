@@ -94,14 +94,15 @@ def test_k_star_exterior_lu_is_freed_before_the_first_gamma(monkeypatch):
     cfg = PhysicsConfig(sources=RING_SOURCE)
     n_ext = len(fem.split_nodes(mesh, exterior_system(mesh, cfg).regions,
                                 [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0])
+    exterior = {n_ext, n_ext // 4}   # the full Dirichlet block, and the folded one
     k_star_block, dead = [], []
     factor = fem.factor
 
     def watched(A):
-        if A.shape[0] == n_ext and not k_star_block:   # the k* exterior Dirichlet block
+        if A.shape[0] in exterior and not k_star_block:   # the k* exterior Dirichlet block
             (block,) = mesh._memo["exterior"][1]._blocks.values()
             k_star_block.append(weakref.ref(block))
-        elif A.shape[0] == n_ext and not dead:         # the first gamma's
+        elif A.shape[0] in exterior and not dead:         # the first gamma's
             dead.append(k_star_block[0]() is None)
         return factor(A)
 
