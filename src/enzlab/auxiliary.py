@@ -102,9 +102,11 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     Its one LU lives in the one block that every copy of the system shares, for as
     long as anything holds the system: the Dirichlet block with Gamma_Omega fixed
     until a caller asks for ``S_e`` (:func:`exterior_schur`), and ``B``, with
-    Gamma_Omega last, from then on.  Each reader asks for the precision it needs:
-    an exterior solve for a single block refined to double (:func:`solve_exterior`),
-    a corrector engine for a double one (:func:`stepping_lu`).
+    Gamma_Omega last, from then on.  Each reader asks for the block it needs: an
+    exterior solve for one folded on the quarter turn's invariant sector where its
+    data is invariant, else for a full single block refined to double
+    (:func:`solve_exterior`); a corrector engine for a full double one
+    (:func:`stepping_lu`).
     """
     def build():
         k = cfg.k
@@ -128,10 +130,11 @@ def _exterior_dirichlet(regions, trace=0.0) -> dict:
 def stepping_lu(ext: fem.LinearSystem) -> fem.LinearSystem:
     """``ext``, holding a double LU, for a caller that lifts a trace off it at every step.
 
-    A held ``B`` (:func:`exterior_schur`) stays; otherwise a single-precision
-    Dirichlet block, which :func:`solve_exterior` leaves, is replaced once by a
-    double one (:meth:`fem.LinearSystem.dirichlet_block`).  A refined solve
-    takes three passes off a single LU, one off a double.
+    A held ``B`` (:func:`exterior_schur`) stays; otherwise a folded or
+    single-precision Dirichlet block, which :func:`solve_exterior` leaves, is
+    replaced once by a full double one (:meth:`fem.LinearSystem.dirichlet_block`).
+    A refined solve takes three passes off a single LU, one off a double; a
+    folded one solves only invariant data, and a lift's trace is not.
     """
     if _held_schur(ext) is None:
         ext.dirichlet_block(_exterior_dirichlet(ext.regions))
@@ -183,15 +186,19 @@ def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray
 
     Solved on the system's one LU: ``B``, by :func:`exterior_values` and
     :func:`fem.certify`, or otherwise its Dirichlet block by :func:`fem.solve`.
-    A held block stays, whatever its precision.  Without one the block is
-    single, refined to double, so the field passes the same check: a run that
-    reads only ``s`` and ``psi_e`` off the exterior (``aux``, ``convergence-table``
-    and the resonance sweep) factors it in less time and memory, and each solve
-    takes three passes off the LU instead of one.  On the ``aux_refine``
-    workload (h in [0.05, 0.07], 2-core host, one BLAS thread, 11 alternating
-    pairs) the peak fell from a median of 135.5 to 121.7 MB, with op medians
-    0.280 and 0.288 s; ``enzlab aux`` at h = 0.025 peaked at 288-292 MB
-    against 368-372 MB.
+    A held full block stays, whatever its precision, and so does a held
+    folded one for data it serves.  Otherwise the block is folded
+    (:class:`fem.FoldedBlock`) where the system, ``rhs`` and the trace are
+    invariant under the quarter turn (:meth:`fem.LinearSystem.turn_invariant`):
+    ``psi_e``, and ``s`` of ring sources, on a scatterer centred on the
+    origin.  Else it is full and single, refined to double, as for a disk
+    source or a scatterer off the origin, and it takes a folded block's place.
+    Either way the field passes the same check.  A run that reads only ``s``
+    and ``psi_e`` off the exterior (``aux``, ``convergence-table`` and the
+    resonance sweep) so factors a quarter of the unknowns, in double: one
+    solve is one pass off the LU, not three.  On the ``aux_refine`` workload
+    (h in [0.05, 0.07], 2-core host, one BLAS thread, 10 alternating pairs)
+    the op median fell from 0.XXX to 0.XXX s and the peak from XXX to XXX MB.
     """
     bc = _exterior_dirichlet(system.regions, trace)
     if _held_schur(system) is not None:
@@ -348,9 +355,13 @@ def solve_auxiliary_set(mesh: Mesh, cfg: PhysicsConfig,
                         guard: bool = True) -> AuxiliarySet:
     """Run the three auxiliary solves and assemble every scalar constant.
 
-    ``s`` and then ``psi_e`` are solved by :func:`solve_s` and
-    :func:`solve_psi_e`, one load each, on the LU the exterior holds, or on a
-    single-precision one if it holds none (:func:`solve_exterior`).
+    ``psi_e`` and then ``s`` are solved by :func:`solve_psi_e` and
+    :func:`solve_s`, one load each, on the LU the exterior holds, or on the
+    one :func:`solve_exterior` makes if it holds none.  ``psi_e`` goes first:
+    its data, a unit trace and no load, is invariant and the same for every
+    source, so it takes the same route, and gives the same bits, whatever the
+    sources, and so do ``beta`` and ``mu_eff``.  The load of ``s`` may then
+    replace a folded block by a full one, if the quarter turn moves it.
     """
     ext = exterior_system(mesh, cfg)
     dop = dopant_system(mesh, cfg)

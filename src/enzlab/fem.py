@@ -45,13 +45,30 @@ every node, tests the free rows and keeps it for :func:`flux_extract`.  Both
 take the free rows' load from one lift, :func:`free_load`, and the free block's
 norm from :func:`block_norm`.
 
+A problem invariant under the quarter turn about the origin is solved on its
+invariant sector.  Where the turn maps a system's nodes onto themselves
+(:meth:`Mesh.quarter_turn`), keeps its matrix, its load and its Dirichlet
+values (:meth:`LinearSystem.turn_invariant`), to
+:data:`~enzlab.geometry.TURN_RTOL`, and maps no free node to itself or to a
+fixed one, the field takes one value per orbit of four free nodes.  Invariance
+is detected and checked, never assumed.  A caller that asks for the fold gets
+a :class:`FoldedBlock` in its system's one place for a block: the free block
+restricted to those orbits (:func:`sector`), a quarter of the unknowns,
+factored in double.  Only :func:`enzlab.auxiliary.solve_exterior` asks, for
+``s`` and ``psi_e`` on a concentric scatterer, and :func:`solve` takes a held
+folded block only for invariant data.  The unfolded field meets the check of
+every other Dirichlet field: its residual over every node, the backward error
+of the free rows against the full free block's norm and load, the
+amplification test, and the :class:`SolveRecord` that :func:`flux_extract`
+reads.
+
 The heap is trimmed (:func:`trim_heap`, glibc's ``malloc_trim(0)``) right
 before the largest factorizations of a mesh: each :class:`DirichletBlock`'s
-LU (the exterior and the dopant), on its first use.  The numpy temporaries
-of the mesh build and the assembly stay resident after they are freed, and
-SuperLU's factors, mapped on their own, never reuse them, so both used to sit
-under the peak: at h = 0.025 a trim after the exterior assembly takes the
-process from 137 to 96 MB.  Nothing else trims: a trim before each per-delta
+LU (the exterior, folded or not, and the dopant), on its first use.  The
+numpy temporaries of the mesh build and the assembly stay resident after they
+are freed, and SuperLU's factors, mapped on their own, never reuse them, so
+both used to sit under the peak: at h = 0.025 a trim after the exterior
+assembly takes the process from 137 to 96 MB.  Nothing else trims: a trim before each per-delta
 Omega factorization makes a direct solve at h = 0.05 5% slower (48.3 against
 46.1 ms, interleaved medians of 20).
 
@@ -653,8 +670,9 @@ class Factored:
     off the LU, not the four of the halving rule alone.  A step costs about
     a double solve, so single precision pays only for an LU that serves a
     few solves: the exterior's, where a run reads only the auxiliary fields
-    off it (:func:`enzlab.auxiliary.solve_exterior`), not a corrector engine's
-    (:func:`enzlab.auxiliary.stepping_lu`).
+    off it and their load is not quarter-turn invariant
+    (:func:`enzlab.auxiliary.solve_exterior`), not a corrector engine's
+    (:func:`enzlab.auxiliary.stepping_lu`) and not a :class:`FoldedBlock`'s.
     """
 
     def __init__(self, A: sp.csc_matrix, order: np.ndarray, single: bool = False):
@@ -785,7 +803,7 @@ class DirichletBlock(Factored):
         return S
 
     def serves(self, single: bool, fold: bool) -> bool:
-        """Whether a request for ``single`` or ``fold`` (:meth:`LinearSystem.dirichlet_block`) takes this block."""
+        """Whether a request (:meth:`LinearSystem.dirichlet_block`) takes this block."""
         return single or not self.single
 
 
@@ -798,28 +816,38 @@ class FoldedBlock(DirichletBlock):
     value solves ``A_0 = A[reps] @ C``, where ``reps`` holds one free node of
     each orbit and ``C`` sums each orbit's columns; ``A_0`` is complex
     symmetric, since ``A`` is and commutes with the turn.  The block's LU is
-    the :func:`factor` of ``A_0`` in double precision, in the sector's nested
-    dissection order, on a trimmed heap; a solve reads the load on ``reps``
-    and unfolds the answer to every free node.  It is a :class:`DirichletBlock`
-    of the free nodes otherwise: its rows, fixed nodes and norm are the full
-    block's, so a field solved off it meets the full system's check.  It
-    serves only a load and Dirichlet values that are invariant too.
+    the :func:`factor` of ``A_0`` in double precision, on a trimmed heap, in
+    the :func:`_nested_dissection` of the representatives ``xy`` joined by
+    the quotient edges, the off-diagonal pattern of ``A_0``.  A solve reads
+    the load on ``reps`` and unfolds the answer to every free node.  It is a
+    :class:`DirichletBlock` of the free nodes otherwise: its rows, fixed
+    nodes and norm are the full block's, so a field solved off it meets the
+    full system's check.  It serves only a load and Dirichlet values that
+    are invariant too.
 
-    On the canonical exterior at h = 0.05 (2-core host, one BLAS thread) the
-    sector has 7,299 unknowns against 29,196, nnz(L + U) 0.51M against
-    2.19M, and factors in 26 ms against 130 ms off the full double block,
-    with one solve in 2.0 ms against 8.0 ms; at h = 0.025, 29,332 against
-    117,328 unknowns, 2.49M against 10.67M, 232 against 789 ms, 11 against
-    42 ms.  The field differs from the full solve by 1.8e-14 and 4.4e-14
-    (max norm, relative), with a backward error on the full system of 3e-16.
+    On the canonical exterior (medians, 2-core host, one BLAS thread), at
+    h = 0.05 the sector has 7,299 unknowns against 29,196, and nnz(L + U) is
+    0.52M against 2.15M.  Making the block (the matrix check, ``A_0`` and
+    its order) takes about 19 ms and its LU 27 ms, against 126 ms for the
+    full block's LU in double and 100 ms in single; a solve takes 1.1 ms,
+    against 5.1 ms off the full double LU and 16.7 ms refined off the single
+    one.  At h = 0.025: 29,332 against 117,328 unknowns, 2.57M against
+    10.49M, 56 + 183 ms against 741 and 602 ms, and 6.9 ms against 41 and
+    118 ms.  The fields differ from the full double solve's by at most
+    6.9e-14 (max norm, relative), with backward errors on the full system
+    below 1e-16.
     """
 
-    def __init__(self, A: sp.csc_matrix, free: np.ndarray, fixed: np.ndarray, sector):
+    def __init__(self, A: sp.csc_matrix, free: np.ndarray, fixed: np.ndarray, sector,
+                 xy: np.ndarray):
         super().__init__(A, free, fixed)   # the rows and norm of the full free block
-        self.reps, self.orbit, order = sector
+        self.reps, self.orbit = sector
         C = sp.csc_matrix((np.ones(len(free)), (free, self.orbit)),
                           shape=(A.shape[0], len(self.reps)))
-        self.sector = Factored((A[free[self.reps]] @ C).tocsc(), order)
+        A_0 = (A[free[self.reps]] @ C).tocsc()
+        col = np.repeat(np.arange(len(self.reps)), np.diff(A_0.indptr))
+        off = A_0.indices != col   # the quotient edges, joining orbits
+        self.sector = Factored(A_0, _nested_dissection(xy, A_0.indices[off], col[off]))
 
     @cached_property
     def lu(self):
@@ -835,20 +863,18 @@ class FoldedBlock(DirichletBlock):
 
 
 def sector(mesh: Mesh, regions, fixed_tags) -> tuple | None:
-    """The invariant sector of the free nodes of ``regions`` off ``fixed_tags``, or None.
+    """The quarter turn's orbits of the free nodes of ``regions`` off ``fixed_tags``, or None.
 
     The free nodes are ``split_nodes(mesh, regions, fixed_tags)[0]``, and
-    the sector exists if the quarter turn of the regions' nodes
+    the orbits are taken if the quarter turn of the regions' nodes
     (:meth:`Mesh.quarter_turn`) maps each of them to a free node, and neither
     a quarter nor a half turn maps one to itself: every orbit then has four
-    nodes.
-    Returns ``(reps, orbit, order)``: the position of one node of each orbit
-    among the free nodes, the one of largest x, so the representatives fill
-    the sector ``|y| <= x``; the orbit of each free node; and the
-    :func:`_nested_dissection` of the representatives joined by the orbits of
-    the triangle edges between free nodes.  Like :func:`node_order` it
-    depends on the node sets only, and is kept in :meth:`Mesh.cached` under
-    ``("sector", regions, fixed)``, None included.
+    nodes.  Returns ``(reps, orbit)``: the position among the free nodes of
+    one node of each orbit, the one of largest x, so that the
+    representatives fill the sector ``|y| <= x``, and the orbit of each free
+    node.  Like :func:`node_order` it depends on the node sets only, and is
+    kept in :meth:`Mesh.cached` under ``("sector", regions, fixed)``, None
+    included.
     """
     regions = _as_region_set(regions)
     fixed = frozenset(Bnd(t) for t in fixed_tags)
@@ -871,16 +897,11 @@ def sector(mesh: Mesh, regions, fixed_tags) -> tuple | None:
         members = np.stack([heads, t[heads], t2[heads], t3[heads]])
         orbit = np.empty(len(free), dtype=np.intp)
         orbit[members] = np.arange(len(heads))
-        xy = mesh.nodes[mesh.region_nodes(regions)[free]]
-        reps = members[np.argmax(xy[members, 0], axis=0), np.arange(len(heads))]
-        tris = pos[mesh.region_pos(regions)[mesh.triangles[mesh.region_triangles(regions)]]]
-        ea, eb = tris.ravel(), tris[:, [1, 2, 0]].ravel()   # every triangle edge
-        both = (ea >= 0) & (eb >= 0)
-        ea, eb = orbit[ea[both]], orbit[eb[both]]
-        out = reps, orbit, _nested_dissection(xy[reps], ea[ea != eb], eb[ea != eb])
-        for a in out:
+        x = mesh.nodes[mesh.region_nodes(regions)[free], 0]
+        reps = members[np.argmax(x[members], axis=0), np.arange(len(heads))]
+        for a in (reps, orbit):
             a.setflags(write=False)
-        return out
+        return reps, orbit
     return mesh.cached(("sector", regions, fixed), None, build)
 
 
@@ -889,11 +910,8 @@ def _turn_invariant(x, turn: np.ndarray) -> bool:
 
     Equal means within :data:`~enzlab.geometry.TURN_RTOL` of the largest modulus of ``x``.
     """
-    if sp.issparse(x):
-        gap, size = abs(x[turn][:, turn] - x).max(), abs(x).max()
-    else:
-        gap, size = np.abs(x[turn] - x).max(initial=0.0), np.abs(x).max(initial=0.0)
-    return gap <= TURN_RTOL * size
+    gap, x = ((x[turn][:, turn] - x).data, x.data) if sp.issparse(x) else (x[turn] - x, x)
+    return np.abs(gap).max(initial=0.0) <= TURN_RTOL * np.abs(x).max(initial=0.0)
 
 
 @dataclass(eq=False)
@@ -936,11 +954,11 @@ class LinearSystem:
         return block
 
     def _folded(self, tags, free, fixed) -> FoldedBlock | None:
-        """The :class:`FoldedBlock` with ``tags`` fixed, if ``A`` and the free nodes fold, else None."""
+        """The :class:`FoldedBlock` with ``tags`` fixed where ``A`` and its free nodes fold."""
         sec = sector(self.mesh, self.regions, tags)
         if sec is None or not _turn_invariant(self.A, self.mesh.quarter_turn(self.regions)):
             return None
-        return FoldedBlock(self.A, free, fixed, sec)
+        return FoldedBlock(self.A, free, fixed, sec, self.mesh.nodes[self.nodes[free[sec[0]]]])
 
     def held_block(self, tags, last=()) -> DirichletBlock | None:
         """The block the system holds for these tags and last curves, of its kind, or None."""

@@ -406,37 +406,36 @@ class Mesh:
     def quarter_turn(self, regions) -> np.ndarray | None:
         """The quarter turn ``(x, y) -> (-y, x)`` as a map of ``region_nodes(regions)``, or None.
 
-        Entry ``i`` is the position of the image of the ``i``-th node.  The
-        map exists if the image of every node is a node of the set, within
-        :data:`TURN_RTOL` of the largest node radius, and the image of every
-        triangle of the regions is a triangle of the same region; it is then a
-        permutation.  Kept in :meth:`cached` under ``("quarter turn",
-        regions)``, None included.  The concentric meshes have the symmetry
-        (:meth:`Circle.param_grid`), and so has the exterior of an off-centre
-        dopant, whose whole mesh has not.  A reflection keeps the nodes of a
-        concentric mesh but not its triangles.
+        Entry ``i`` is the position of the node at the image of the ``i``-th
+        node, within :data:`TURN_RTOL` of the largest node radius; None if
+        some image is no node of the set.  Kept in :meth:`cached` under
+        ``("quarter turn", regions)``, None included.  The concentric meshes
+        have the symmetry (:meth:`Circle.param_grid`), triangles and regions
+        included, and so has the exterior of an off-centre dopant, whose whole
+        mesh has not.  The map is of the nodes only: whether an operator is
+        invariant too is for its matrix to show (:mod:`enzlab.fem`).
+
+        Each image is looked up among the nodes whose projections on one
+        direction lie within the tolerance of its own, the direction at one
+        radian, so that no row or column of a grid shares a projection.
         """
         regions = _as_region_set(regions)
 
         def build():
-            from scipy.spatial import cKDTree   # 30 ms to import, paid by the first map only
-            nodes = self.region_nodes(regions)
-            xy = self.nodes[nodes]
+            xy = self.nodes[self.region_nodes(regions)]
+            image = np.column_stack((-xy[:, 1], xy[:, 0]))
             tol = TURN_RTOL * np.sqrt((xy * xy).sum(axis=1).max(initial=0.0))
-            tree = cKDTree(xy, balanced_tree=False, compact_nodes=False)
-            dist, turn = tree.query(np.column_stack((-xy[:, 1], xy[:, 0])),
-                                    distance_upper_bound=tol)
-            if not np.isfinite(dist).all():
-                return None
-            tris = self.region_pos(regions)[self.triangles[self.region_triangles(regions)]]
-            region = self.tri_region[self.region_triangles(regions)]
-
-            def keys(t):   # each triangle as one integer: its sorted nodes, then its region
-                t = np.sort(t, axis=1).astype(np.int64)
-                return ((t[:, 0] * len(nodes) + t[:, 1]) * len(nodes) + t[:, 2]) * len(Region) + region
-            if not np.array_equal(np.sort(keys(tris)), np.sort(keys(turn[tris]))):
-                return None
-            return turn
+            axis = np.array([math.cos(1.0), math.sin(1.0)])
+            by_proj = np.argsort(xy @ axis)
+            proj = (xy @ axis)[by_proj]
+            lo = np.searchsorted(proj, image @ axis - tol)
+            count = np.searchsorted(proj, image @ axis + tol, side="right") - lo
+            of = np.repeat(np.arange(len(xy)), count)   # each candidate's node
+            cand = by_proj[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+            hit = np.hypot(*(xy[cand] - image[of]).T) <= tol
+            turn = np.full(len(xy), -1)
+            turn[of[hit]] = cand[hit]
+            return None if (turn < 0).any() else turn
         return self.cached(("quarter turn", regions), None, build)
 
     def boundary_nodes(self, tag: Bnd) -> np.ndarray:

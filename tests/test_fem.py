@@ -993,6 +993,23 @@ def test_a_block_folds_only_where_its_matrix_is_invariant(cfg_ring):
         assert isinstance(block, fem.FoldedBlock) == folds and block.single != folds
 
 
+def test_a_block_folds_only_where_its_triangles_turn_too():
+    # a centred grid's nodes turn onto nodes, its diagonals do not: the mass
+    # matrix has entries across the diagonals, so the matrix check refuses
+    grid = structured_rectangle_mesh(5, 5, 2.0, 2.0, origin=(-1.0, -1.0))
+    assert grid.quarter_turn(Region.EXTERIOR) is not None
+    system = assemble(grid, Region.EXTERIOR, {Region.EXTERIOR: 1.0}, {Region.EXTERIOR: 1.0})
+    rhs = np.zeros(len(system.nodes))
+    assert system.turn_invariant(rhs, {Bnd.GAMMA_OMEGA: 1.0})
+    block = system.dirichlet_block([Bnd.GAMMA_OMEGA], fold=True)
+    assert not isinstance(block, fem.FoldedBlock)
+    # the Laplacian alone has no entry across a right triangle's hypotenuse
+    laplace = fem.LinearSystem(grid, system.regions, stiffness_matrix(grid, Region.EXTERIOR))
+    assert isinstance(laplace.dirichlet_block([Bnd.GAMMA_OMEGA], fold=True), fem.FoldedBlock)
+    u = solve(laplace, rhs, {Bnd.GAMMA_OMEGA: 1.0})
+    assert np.allclose(u.values, 1.0, rtol=0, atol=1e-14)
+
+
 def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypatch):
     # an exterior solve makes a folded or single-precision block, unfactored;
     # its first lu_solve trims the heap and factors.  Factoring when
