@@ -214,8 +214,8 @@ def parse_config(path):
 
     Only the keys a file gives are read here; each dataclass holds every
     other default and checks its own fields.  A key its section does not
-    know, misspelled, and a key given twice in one section are parse
-    failures, not ignored or overridden.  Parse failures carry line
+    know, misspelled, and a key given twice under one section header are
+    parse failures, not ignored or overridden.  Parse failures carry line
     numbers; validation failures name the violated invariant.
     """
     sec = _read_sections(path)

@@ -40,10 +40,11 @@ _NODES_PER_H2_AREA = 1.5
 # Largest difference between data and its image under the quarter turn, over
 # the data's largest modulus, that counts as invariant: for node coordinates
 # (:meth:`Mesh.quarter_turn`) and for a system's matrix, load and Dirichlet
-# values (:mod:`enzlab.fem`).  Far above the roundoff of a concentric mesh
-# (coordinates 1e-15, the exterior matrix 1.5e-14 to 3.8e-13 and the ring
-# load 6e-15 to 1.8e-13 from h = 0.2 to 0.0125) and far below the 1e-10 of a
-# solve's backward-error contract.
+# values (:mod:`enzlab.fem`).  Far above the roundoff of the canonical mesh
+# from h = 0.2 to 0.025 (coordinates 9.4e-16 of the largest radius, the
+# exterior matrix 1.5e-14 to 1.8e-13 and the ring load 6.2e-15 to 8.9e-14,
+# at k = 1 and 1.3 + 0.2i) and far below the 1e-10 of a solve's
+# backward-error contract.
 TURN_RTOL = 1e-11
 
 

@@ -7,7 +7,7 @@ import pytest
 from enzlab import geometry
 from enzlab.auxiliary import _physical_rim
 from enzlab.errors import GeometryInvalid, MeshFailure
-from enzlab.fem import split_nodes
+from enzlab.fem import sector, split_nodes
 from enzlab.geometry import (Bnd, Circle, DomainSpec, Polygon, Region,
                              SourceDisk, SourceRing, SourceSpec, _Builder, build_mesh,
                              load_mesh, region_measures, save_mesh,
@@ -460,6 +460,12 @@ def test_a_concentric_mesh_is_quarter_turn_invariant_with_one_fixed_node():
     assert key == {tuple(sorted(t)) + (r,) for t, r in zip(tris.tolist(), mesh.tri_region)}
     assert mesh.quarter_turn(ALL_REGIONS) is turn   # cached, read-only
     assert not turn.flags.writeable
+    # so no fold takes the centre as an unknown: its orbit has one node
+    assert sector(mesh, ALL_REGIONS, []) is None
+    reps, orbit = sector(mesh, EXTERIOR, [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])
+    free = split_nodes(mesh, EXTERIOR, [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0]
+    assert 4 * len(reps) == len(free) and np.array_equal(np.bincount(orbit), [4] * len(reps))
+    assert np.array_equal(orbit[reps], np.arange(len(reps)))
 
 
 def test_an_off_centre_dopant_keeps_the_exterior_invariant_only():
