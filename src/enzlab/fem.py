@@ -107,7 +107,7 @@ import scipy.sparse.linalg as spla
 from .errors import (EmptyWindow, IncompatibleData, MeshFailure, NoConvergence,
                      SingularSystem, TagMismatch, ValidationError, ZeroCoefficient)
 from .geometry import (TURN_RTOL, Bnd, Circle, Mesh, Region, SourceRing, SourceSpec,
-                       _as_region_set, _corners)
+                       _as_region_set, _corners, _spans)
 
 # Fraction of row-sum lumping mixed into every mass matrix.  One half cancels
 # the leading dispersion error of the consistent mass on near-uniform meshes;
@@ -495,11 +495,6 @@ def _nested_dissection(xy: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> np.nda
     return order
 
 
-def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The indices of the ranges ``[start, start + size)``, one after another."""
-    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-
-
 def factor(A: sp.csc_matrix):
     """SuperLU factorization of a square CSC matrix, in the order given.
 
@@ -847,16 +842,16 @@ class FoldedBlock(DirichletBlock):
         A_0 = (A[free[self.reps]] @ C).tocsc()
         col = np.repeat(np.arange(len(self.reps)), np.diff(A_0.indptr))
         off = A_0.indices != col   # the quotient edges, joining orbits
-        self.sector = Factored(A_0, _nested_dissection(xy, A_0.indices[off], col[off]))
+        self.folded = Factored(A_0, _nested_dissection(xy, A_0.indices[off], col[off]))
 
     @cached_property
     def lu(self):
         trim_heap()
-        return self.sector.lu
+        return self.folded.lu
 
     def _off_lu(self, b: np.ndarray) -> np.ndarray:
         self.lu   # a first use trims and factors here
-        return self.sector._off_lu(b[self.reps])[self.orbit]
+        return self.folded._off_lu(b[self.reps])[self.orbit]
 
     def serves(self, single: bool, fold: bool) -> bool:
         return fold
@@ -945,8 +940,8 @@ class LinearSystem:
         if block is None or not block.serves(single, fold):
             self._blocks.clear()
             free, fixed = split_nodes(self.mesh, self.regions, key[0])
-            block = fold and not last and self._folded(key[0], free, fixed)
-            if not block:
+            block = self._folded(key[0], free, fixed) if fold and not last else None
+            if block is None:
                 n_last = sum(len(self.local_boundary(tag)) for tag in key[1])
                 block = DirichletBlock(self.A, free[node_order(self.mesh, self.regions, *key)],
                                        fixed, single, n_last)

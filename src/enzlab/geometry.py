@@ -432,7 +432,7 @@ class Mesh:
             lo = np.searchsorted(proj, image @ axis - tol)
             count = np.searchsorted(proj, image @ axis + tol, side="right") - lo
             of = np.repeat(np.arange(len(xy)), count)   # each candidate's node
-            cand = by_proj[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+            cand = by_proj[_spans(lo, count)]
             hit = np.hypot(*(xy[cand] - image[of]).T) <= tol
             turn = np.full(len(xy), -1)
             turn[of[hit]] = cand[hit]
@@ -485,6 +485,11 @@ def _corners(nodes: np.ndarray, triangles: np.ndarray):
     """
     t = triangles.T
     return nodes[:, 0][t], nodes[:, 1][t]
+
+
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``[start, start + size)``, one after another."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _centroids(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
