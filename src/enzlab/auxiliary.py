@@ -104,9 +104,8 @@ def exterior_system(mesh: Mesh, cfg: PhysicsConfig) -> fem.LinearSystem:
     until a caller asks for ``S_e`` (:func:`exterior_schur`), and ``B``, with
     Gamma_Omega last, from then on.  Each reader asks for the block it needs: an
     exterior solve for one folded on the quarter turn's invariant sector where its
-    data is invariant, else for a full single block refined to double
-    (:func:`solve_exterior`); a corrector engine for a full double one
-    (:func:`stepping_lu`).
+    data is invariant, else for the full one (:func:`solve_exterior`); a corrector
+    engine for the full one (:func:`stepping_lu`).
     """
     def build():
         k = cfg.k
@@ -128,13 +127,12 @@ def _exterior_dirichlet(regions, trace=0.0) -> dict:
 
 
 def stepping_lu(ext: fem.LinearSystem) -> fem.LinearSystem:
-    """``ext``, holding a double LU, for a caller that lifts a trace off it at every step.
+    """``ext``, holding a full LU, for a caller that lifts a trace off it at every step.
 
-    A held ``B`` (:func:`exterior_schur`) stays; otherwise a folded or
-    single-precision Dirichlet block, which :func:`solve_exterior` leaves, is
-    replaced once by a full double one (:meth:`fem.LinearSystem.dirichlet_block`).
-    A refined solve takes three passes off a single LU, one off a double; a
-    folded one solves only invariant data, and a lift's trace is not.
+    A held ``B`` (:func:`exterior_schur`) or full Dirichlet block stays; a folded
+    block, which :func:`solve_exterior` leaves, is replaced once by the full one
+    (:meth:`fem.LinearSystem.dirichlet_block`): it solves only invariant data, and
+    a lift's trace is not.
     """
     if _held_schur(ext) is None:
         ext.dirichlet_block(_exterior_dirichlet(ext.regions))
@@ -186,27 +184,26 @@ def solve_exterior(system: fem.LinearSystem, cfg: PhysicsConfig, rhs: np.ndarray
 
     Solved on the system's one LU: ``B``, by :func:`exterior_values` and
     :func:`fem.certify`, or otherwise its Dirichlet block by :func:`fem.solve`.
-    A held full block stays, whatever its precision, and so does a held
-    folded one for data it serves.  Otherwise the block is folded
+    A held full block stays, and so does a held folded one for invariant
+    data; :func:`fem.solve` replaces a folded one by the full one for data
+    that is not.  When the system holds no block, the block is folded
     (:class:`fem.FoldedBlock`) where the system, ``rhs`` and the trace are
     invariant under the quarter turn (:meth:`fem.LinearSystem.turn_invariant`):
     ``psi_e``, and ``s`` of ring sources, on a scatterer centred on the
-    origin.  Else it is full and single, refined to double, as for a disk
-    source or a scatterer off the origin, and it takes a folded block's place.
-    Either way the field passes the same check.  A run that reads only ``s``
-    and ``psi_e`` off the exterior (``aux``, ``convergence-table`` and the
-    resonance sweep) so factors a quarter of the unknowns, in double: one
-    solve is one pass off the LU, not three.  On the ``aux_refine`` workload
+    origin.  Else it is full, as for a disk source or a scatterer off the
+    origin.  Either way the field passes the same check.  A run that reads
+    only ``s`` and ``psi_e`` off the exterior (``aux``, ``convergence-table``
+    and the resonance sweep) so factors a quarter of the unknowns on a
+    concentric scatterer.  On the ``aux_refine`` workload
     (h in [0.05, 0.07], 2-core host, one BLAS thread, 10 alternating pairs)
-    the op median fell from 0.287 to 0.177 normalized seconds, faster in
-    every pair, and the peak from 121.3 to 119.5 MB.
+    the fold took the op median from 0.287 to 0.177 normalized seconds,
+    faster in every pair, and the peak from 121.3 to 119.5 MB.
     """
     bc = _exterior_dirichlet(system.regions, trace)
     if _held_schur(system) is not None:
         return fem.certify(system, rhs, bc, exterior_values(system, cfg, rhs, trace))
-    held = system.held_block(bc)
-    if held is None or isinstance(held, fem.FoldedBlock):   # a full block serves any data
-        system.dirichlet_block(bc, single=True, fold=system.turn_invariant(rhs, bc))
+    if system.held_block(bc) is None and system.turn_invariant(rhs, bc):
+        system.dirichlet_block(bc, fold=True)
     return solve(system, rhs, bc)
 
 

@@ -115,12 +115,12 @@ class CorrectorEngine:
     """Builds and iterates the corrector hierarchy on one (mesh, config).
 
     Every step lifts a trace off the exterior's one LU, so the engine asks for
-    a double one (:func:`enzlab.auxiliary.stepping_lu`): built without ``aux``,
-    before it builds its auxiliary set, and before each lift.  A folded or
-    single-precision block that an auxiliary-only run left on the same mesh
-    and k, or that :func:`solve_auxiliary_set` factored for the ``aux`` it was
-    handed, is then replaced once: at construction, or at the first lift.  An engine that never
-    lifts, as in the resonance sweep, never pays for that double LU.
+    a full one (:func:`enzlab.auxiliary.stepping_lu`): built without ``aux``,
+    before it builds its auxiliary set, and before each lift.  A folded block
+    that an auxiliary-only run left on the same mesh and k, or that
+    :func:`solve_auxiliary_set` factored for the ``aux`` it was handed, is then
+    replaced once: at construction, or at the first lift.  An engine that never
+    lifts, as in the resonance sweep, never pays for that full LU.
     """
 
     def __init__(self, mesh: Mesh, cfg: PhysicsConfig, aux: AuxiliarySet | None = None):

@@ -25,9 +25,8 @@ quarter to a half.  The threshold is 0.1, not 0, because the bordered
 (Neumann and deflated) systems need the pivoting fallback: with 0 they take
 roundoff-sized pivots and solve wrongly without a breakdown.  A
 :class:`Factored` block holds a matrix by reference, the positions of its
-unknowns in an order, its norm and its LU, in double precision or, where the
-caller chose single for the block, in single precision with every solve refined
-to double.  A solve takes one load, of ``A x = b`` and never the adjoint:
+unknowns in an order, its norm and its LU, in the matrix's own precision.  A
+solve takes one load, of ``A x = b`` and never the adjoint:
 :meth:`Factored.lu_solve` one vector, and :func:`solve` one ``(rhs, dirichlet)``
 pair.  The block may be all of the matrix or a principal block of it, a
 :class:`DirichletBlock`, of which a :class:`LinearSystem` holds at most one,
@@ -53,10 +52,10 @@ values (:meth:`LinearSystem.turn_invariant`), to
 fixed one, the field takes one value per orbit of four free nodes.  Invariance
 is detected and checked, never assumed.  A caller that asks for the fold gets
 a :class:`FoldedBlock` in its system's one place for a block: the free block
-restricted to those orbits (:func:`sector`), a quarter of the unknowns,
-factored in double.  Only :func:`enzlab.auxiliary.solve_exterior` asks, for
-``s`` and ``psi_e`` on a concentric scatterer, and :func:`solve` takes a held
-folded block only for invariant data.  The unfolded field meets the check of
+restricted to those orbits (:func:`sector`), a quarter of the unknowns.  Only
+:func:`enzlab.auxiliary.solve_exterior` asks, for ``s`` and ``psi_e`` on a
+concentric scatterer, and :func:`solve` takes a held folded block only for
+invariant data.  The unfolded field meets the check of
 every other Dirichlet field: its residual over every node, the backward error
 of the free rows against the full free block's norm and load, the
 amplification test, and the :class:`SolveRecord` that :func:`flux_extract`
@@ -544,12 +543,6 @@ def factor(A: sp.csc_matrix):
       against 228 ms (medians of 15).  Measured on a 2-core host with one
       BLAS thread.  A solve moves by roundoff, about 5e-15 relative.
 
-    ``A`` comes in double precision, or, from a single-precision
-    :class:`Factored`, as its ``complex64`` copy, which is factored with the
-    same options and order: on the exterior Dirichlet block at h = 0.025 in
-    0.63 s against 1.01 s, with the process growing by +128 MB against
-    +214 MB.  Its solves are refined to double by :meth:`Factored.lu_solve`.
-
     :attr:`DirichletBlock.schur` reads a Schur complement off the CSC copies
     of both factors that reading ``lu.L`` and ``lu.U`` makes SuperLU keep on
     the LU, and empties them once read, so a kept LU costs its own factors only.
@@ -621,13 +614,6 @@ def free_load(A: sp.csc_matrix, rhs: np.ndarray, free, fixed, u: np.ndarray) -> 
     return b - (A[:, fixed] @ u[fixed])[free] if u[fixed].any() else b
 
 
-# Most refinement steps of a single-precision LU's solve.
-_REFINE_STEPS = 3
-# A refined solve stops once its normwise backward error is at most this:
-# a few units of double-precision roundoff.
-_ROUNDOFF = 4 * np.finfo(float).eps
-
-
 class Factored:
     """A principal block of a square CSC matrix, with its infinity norm and its LU.
 
@@ -638,81 +624,28 @@ class Factored:
     vector lives on the block's rows in increasing order (``rows``): a solve
     reads one vector ``b`` and returns one ``x`` in that numbering, which is ``A``'s own when
     the block is all of ``A``.  The LU, built on first use, is the
-    :func:`factor` of ``A[order][:, order]``, cut in one step from ``A``
-    after the cast to the LU's precision (a cast after the cut can order the
-    indices within a column differently).  The norm (:func:`block_norm`),
-    the refinement's products and :meth:`solve`'s check read ``A`` through
-    the block's rows, the products by :func:`block_product`, so they give the
-    bits of the sliced block's.  :meth:`solve` is the residual contract of a
-    bare factorization; a :class:`DirichletBlock` is checked by :func:`solve`.
-
-    The precision of the LU is chosen when the matrix is made.  With
-    ``single`` the LU is the :func:`factor` of the single-precision copy of
-    ``A`` (``complex64`` for a complex ``A``), with the same options and
-    order, and :meth:`lu_solve` refines its answer in double against the
-    ``A`` it holds (Carson & Higham, SIAM J. Sci. Comput. 40, 2018; Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 12): each step
-    solves for the double residual ``b - A x`` off the LU and adds the
-    correction, until the residual stops halving or its backward error is
-    at most 4 eps (double-precision roundoff), at most three steps.  So a
-    caller gets a double-precision answer, and every check is unchanged.
-    On the exterior Dirichlet block at h = 0.025 (117,328 unknowns, nnz(L +
-    U) 10.67M), on a 2-core host with one BLAS thread, the factorization took
-    0.63 s and grew the process by +128 MB in ``complex64``, against 1.01 s
-    and +214 MB in ``complex128``; the backward error was 1.3e-8 after the
-    single-precision solve, 2.8e-13 after one step and 1.8e-17 after two,
-    against 2.5e-17 off the double LU, so a solve there takes three passes
-    off the LU, not the four of the halving rule alone.  A step costs about
-    a double solve, so single precision pays only for an LU that serves a
-    few solves: the exterior's, where a run reads only the auxiliary fields
-    off it and their load is not quarter-turn invariant
-    (:func:`enzlab.auxiliary.solve_exterior`), not a corrector engine's
-    (:func:`enzlab.auxiliary.stepping_lu`) and not a :class:`FoldedBlock`'s.
+    :func:`factor` of ``A[order][:, order]``, cut in one step from ``A``, in
+    ``A``'s own precision.  The norm (:func:`block_norm`) and :meth:`solve`'s
+    check read ``A`` through the block's rows, the check's product by
+    :func:`block_product`, so they give the bits of the sliced block's.
+    :meth:`solve` is the residual contract of a bare factorization; a
+    :class:`DirichletBlock` is checked by :func:`solve`.
     """
 
-    def __init__(self, A: sp.csc_matrix, order: np.ndarray, single: bool = False):
+    def __init__(self, A: sp.csc_matrix, order: np.ndarray):
         self.A = A
         self.order = order
         self.rows, self._perm = np.unique(order, return_inverse=True)   # rows[_perm] is order
         self.norm = block_norm(A, self.rows)
-        self.single = single
-        self.lu_dtype = (np.dtype(np.complex64 if A.dtype.kind == "c" else np.float32)
-                         if single else A.dtype)
 
     @cached_property
     def lu(self):
-        return factor(self.A.astype(self.lu_dtype, copy=False)[self.order][:, self.order].tocsc())
+        return factor(self.A[self.order][:, self.order].tocsc())
 
     def lu_solve(self, b: np.ndarray) -> np.ndarray:
-        """``A^-1 b`` off the LU, refined if single; unchecked."""
-        x = self._off_lu(b)
-        if not self.single:
-            return x
-        r = b - block_product(self.A, self.rows, x)
-        res, b_norm = np.linalg.norm(r), np.linalg.norm(b)
-        for _ in range(_REFINE_STEPS):
-            if res <= _ROUNDOFF * (self.norm * np.linalg.norm(x) + b_norm):   # at roundoff
-                break
-            x_new = x + self._off_lu(r)
-            r_new = b - block_product(self.A, self.rows, x_new)
-            res_new = np.linalg.norm(r_new)
-            if res_new < res:
-                x, r = x_new, r_new
-            if not res_new < 0.5 * res:   # stopped halving
-                break
-            res = res_new
-        return x
-
-    def _off_lu(self, b: np.ndarray) -> np.ndarray:
-        """One solve off the LU alone, on the block's rows and in ``A``'s precision."""
+        """``A^-1 b`` off the LU, on the block's rows; unchecked."""
         lu = self.lu   # a first use factors here, before b's permuted copy can sit under its peak
-        y = b[self._perm]
-        if self.single:   # scaled to 1, so that a small residual does not underflow
-            scale = np.abs(y).max(initial=0.0) or 1.0
-            y = lu.solve((y / scale).astype(self.lu_dtype))
-            y = y.astype(np.result_type(self.A.dtype, b.dtype)) * scale
-        else:
-            y = lu.solve(y)
+        y = lu.solve(b[self._perm])
         x = np.empty_like(y)
         x[self._perm] = y
         return x
@@ -765,9 +698,8 @@ class DirichletBlock(Factored):
     ``n_last`` entries of ``order``, its last curves' nodes, are at :attr:`tail`.
     """
 
-    def __init__(self, A: sp.csc_matrix, order: np.ndarray, fixed: np.ndarray,
-                 single: bool = False, n_last: int = 0):
-        super().__init__(A, order, single)
+    def __init__(self, A: sp.csc_matrix, order: np.ndarray, fixed: np.ndarray, n_last: int = 0):
+        super().__init__(A, order)
         self.fixed = fixed   # local indices of the constrained nodes
         self.tail = self._perm[len(order) - n_last:]
 
@@ -797,10 +729,6 @@ class DirichletBlock(Factored):
             F.data, F.indices, F.indptr = F.data[:0].copy(), F.indices[:0].copy(), 0 * F.indptr
         return S
 
-    def serves(self, single: bool, fold: bool) -> bool:
-        """Whether a request (:meth:`LinearSystem.dirichlet_block`) takes this block."""
-        return single or not self.single
-
 
 class FoldedBlock(DirichletBlock):
     """The free block of a quarter-turn invariant system, on its invariant sector.
@@ -811,26 +739,24 @@ class FoldedBlock(DirichletBlock):
     value solves ``A_0 = A[reps] @ C``, where ``reps`` holds one free node of
     each orbit and ``C`` sums each orbit's columns; ``A_0`` is complex
     symmetric, since ``A`` is and commutes with the turn.  The block's LU is
-    the :func:`factor` of ``A_0`` in double precision, on a trimmed heap, in
-    the :func:`_nested_dissection` of the representatives ``xy`` joined by
-    the quotient edges, the off-diagonal pattern of ``A_0``.  A solve reads
+    the :func:`factor` of ``A_0``, on a trimmed heap, in the
+    :func:`_nested_dissection` of the representatives ``xy`` joined by the
+    quotient edges, the off-diagonal pattern of ``A_0``.  A solve reads
     the load on ``reps`` and unfolds the answer to every free node.  It is a
     :class:`DirichletBlock` of the free nodes otherwise: its rows, fixed
     nodes and norm are the full block's, so a field solved off it meets the
-    full system's check.  It serves only a load and Dirichlet values that
+    full system's check.  It solves only for a load and Dirichlet values that
     are invariant too.
 
     On the canonical exterior (medians, 2-core host, one BLAS thread), at
     h = 0.05 the sector has 7,299 unknowns against 29,196, and nnz(L + U) is
     0.52M against 2.15M.  Making the block (the matrix check, ``A_0`` and
     its order) takes about 19 ms and its LU 27 ms, against 126 ms for the
-    full block's LU in double and 100 ms in single; a solve takes 1.1 ms,
-    against 5.1 ms off the full double LU and 16.7 ms refined off the single
-    one.  At h = 0.025: 29,332 against 117,328 unknowns, 2.57M against
-    10.49M, 56 + 183 ms against 741 and 602 ms, and 6.9 ms against 41 and
-    118 ms.  The fields differ from the full double solve's by at most
-    6.9e-14 (max norm, relative), with backward errors on the full system
-    below 1e-16.
+    full block's LU; a solve takes 1.1 ms, against 5.1 ms off the full LU.
+    At h = 0.025: 29,332 against 117,328 unknowns, 2.57M against 10.49M,
+    56 + 183 ms against 741 ms, and 6.9 ms against 41 ms.  The fields
+    differ from the full solve's by at most 6.9e-14 (max norm, relative),
+    with backward errors on the full system below 1e-16.
     """
 
     def __init__(self, A: sp.csc_matrix, free: np.ndarray, fixed: np.ndarray, sector,
@@ -849,12 +775,9 @@ class FoldedBlock(DirichletBlock):
         trim_heap()
         return self.folded.lu
 
-    def _off_lu(self, b: np.ndarray) -> np.ndarray:
+    def lu_solve(self, b: np.ndarray) -> np.ndarray:
         self.lu   # a first use trims and factors here
-        return self.folded._off_lu(b[self.reps])[self.orbit]
-
-    def serves(self, single: bool, fold: bool) -> bool:
-        return fold
+        return self.folded.lu_solve(b[self.reps])[self.orbit]
 
 
 def sector(mesh: Mesh, regions, fixed_tags) -> tuple | None:
@@ -922,29 +845,28 @@ class LinearSystem:
     def nodes(self) -> np.ndarray:   # the mesh node of each row of A
         return self.mesh.region_nodes(self.regions)
 
-    def dirichlet_block(self, tags, single: bool = False, last=(),
-                        fold: bool = False) -> DirichletBlock:
+    def dirichlet_block(self, tags, last=(), fold: bool = False) -> DirichletBlock:
         """The system's one block: the ``Bnd`` tags' nodes fixed, the ``last`` curves' nodes last.
 
         ``fold`` says that the caller's load and Dirichlet values are
         quarter-turn invariant (:meth:`turn_invariant`).  The held block is
-        returned if it has these tags and last curves and serves the request:
-        a full block in double always, one in single if ``single`` is asked, a
-        :class:`FoldedBlock` if ``fold`` is.  Otherwise it and its LU are
-        dropped before a new block is made: folded if ``fold`` is asked and
-        the system folds (:meth:`_folded`), else full, of LU precision
-        ``single``.  Last curves are not fixed.
+        returned if it has these tags and last curves, unless it is a
+        :class:`FoldedBlock` and ``fold`` is not asked: a full block solves
+        any data, a folded one invariant data only.  Otherwise it and its LU
+        are dropped before a new block is made: folded if ``fold`` is asked
+        and the system folds (:meth:`_folded`), else full.  Last curves are
+        not fixed.
         """
         key = frozenset(map(Bnd, tags)), tuple(map(Bnd, last))
         block = self._blocks.get(key)
-        if block is None or not block.serves(single, fold):
+        if block is None or (isinstance(block, FoldedBlock) and not fold):
             self._blocks.clear()
             free, fixed = split_nodes(self.mesh, self.regions, key[0])
             block = self._folded(key[0], free, fixed) if fold and not last else None
             if block is None:
                 n_last = sum(len(self.local_boundary(tag)) for tag in key[1])
                 block = DirichletBlock(self.A, free[node_order(self.mesh, self.regions, *key)],
-                                       fixed, single, n_last)
+                                       fixed, n_last)
             self._blocks[key] = block
         return block
 
@@ -1055,8 +977,7 @@ def assemble(mesh: Mesh, regions, diffusion: dict, reaction: dict,
     Its peak memory is the scatter's, since :func:`_element_entries` frees
     the element arrays first.  In a fresh process at h = 0.025 the
     canonical exterior raises the peak from 121 to 223 MB (282 MB with the
-    element arrays alive through the scatter), below the 246 MB of its
-    single-precision factorization.
+    element arrays alive through the scatter).
     """
     regions = _as_region_set(regions)
     if not mesh.region_triangles(regions).any():
@@ -1109,7 +1030,7 @@ def solve(system: LinearSystem, rhs: np.ndarray, dirichlet: dict | None = None,
     dirichlet = dict(dirichlet or {})
     block = system.held_block(dirichlet)
     if isinstance(block, FoldedBlock) and not system.turn_invariant(rhs, dirichlet):
-        block = None   # a folded block serves invariant data only
+        block = None   # a folded block solves invariant data only
     block = block or system.dirichlet_block(dirichlet)
     u = system.dirichlet_values(dirichlet)
     b_free = free_load(system.A, rhs, block.rows, block.fixed, u)

@@ -279,12 +279,12 @@ def test_rellich_zero_field(mesh_coarse):
 
 
 def _exterior_holding(mesh, cfg, lu):
-    """The exterior on its own mesh, holding the LU ``lu``: a double or single block, or B."""
+    """The exterior on its own mesh, holding the LU ``lu``: the full Dirichlet block, or B."""
     ext = exterior_system(mesh, cfg)
     if lu == "B":
         auxiliary.exterior_schur(ext)
     else:
-        ext.dirichlet_block(auxiliary._exterior_dirichlet(ext.regions), single=lu == "single")
+        ext.dirichlet_block(auxiliary._exterior_dirichlet(ext.regions))
     return ext
 
 
@@ -293,26 +293,26 @@ def test_b_survives_the_exterior_lu_rule_of_an_auxiliary_set_and_an_engine(cfg_r
     ext = _exterior_holding(mesh, cfg_ring, "B")
     B = auxiliary._held_schur(ext)
     n_factored = len(factored)
-    solve_auxiliary_set(mesh, cfg_ring)       # would make a single LU
-    engine = CorrectorEngine(mesh, cfg_ring)  # asks for a double one
+    solve_auxiliary_set(mesh, cfg_ring)       # would make a folded LU
+    engine = CorrectorEngine(mesh, cfg_ring)  # asks for a full one
     engine.step(engine.seed_state())          # and again before its lift
     assert list(ext._blocks.values()) == [B]
     n_dirichlet = len(fem.split_nodes(mesh, ext.regions, [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF])[0])
     assert not {len(B.rows), n_dirichlet} & {n for n, _ in factored[n_factored:]}
 
 
-def test_a_standalone_exterior_solve_factors_one_single_lu(factored):
-    # only s and psi_e are read off it, so the exterior's first solve makes a
-    # single-precision block, and the next one solves off it too.  The disk
-    # source's load is not invariant under the quarter turn, so s does not fold
+def test_a_standalone_exterior_solve_factors_one_full_lu(factored):
+    # the disk source's load is not invariant under the quarter turn, so s
+    # does not fold: the exterior's first solve makes the full block, in
+    # double, and the next one solves off it too
     mesh = build_mesh(CANONICAL_SPEC, 0.2)
     cfg = PhysicsConfig(sources=DISK_SOURCE)
     n_factored = len(factored)
     solve_s(mesh, cfg)
     solve_psi_e(mesh, cfg)
     (block,) = exterior_system(mesh, cfg)._blocks.values()
-    assert block.single and not isinstance(block, fem.FoldedBlock)
-    assert factored[n_factored:] == [(len(block.rows), np.dtype(np.complex64))]
+    assert not isinstance(block, fem.FoldedBlock)
+    assert factored[n_factored:] == [(len(block.rows), np.dtype(np.complex128))]
 
 
 def test_a_standalone_invariant_exterior_solve_factors_one_folded_lu(cfg_ring, factored):
@@ -323,29 +323,30 @@ def test_a_standalone_invariant_exterior_solve_factors_one_folded_lu(cfg_ring, f
     solve_s(mesh, cfg_ring)
     solve_psi_e(mesh, cfg_ring)
     (block,) = exterior_system(mesh, cfg_ring)._blocks.values()
-    assert isinstance(block, fem.FoldedBlock) and not block.single
+    assert isinstance(block, fem.FoldedBlock)
     assert 4 * len(block.reps) == len(block.rows)
     assert factored[n_factored:] == [(len(block.rows) // 4, np.dtype(complex))]
 
 
-@pytest.mark.parametrize("lu, passes", [("double", 1), ("single", 3), ("B", 1)])
+@pytest.mark.parametrize("lu, passes", [("double", 1), ("B", 1)])
 def test_each_exterior_field_takes_one_vector_per_pass_off_the_lu(cfg_ring, monkeypatch,
                                                                   lu, passes):
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
     ext = _exterior_holding(mesh, cfg_ring, lu)
     for solve in (solve_s, solve_psi_e):   # factors, and reads B's condensed load once
         solve(mesh, cfg_ring, system=ext)
-    assert [ff.single for ff in ext._blocks.values()] == [lu == "single"]
-    off_lu, shapes = fem.Factored._off_lu, []
-    monkeypatch.setattr(fem.Factored, "_off_lu",
-                        lambda self, b: shapes.append(b.shape) or off_lu(self, b))
+    (held,) = ext._blocks.values()
+    assert not isinstance(held, fem.FoldedBlock)
+    lu_solve, shapes = fem.Factored.lu_solve, []
+    monkeypatch.setattr(fem.Factored, "lu_solve",
+                        lambda self, b: shapes.append(b.shape) or lu_solve(self, b))
     for solve in (solve_s, solve_psi_e):
         shapes.clear()
         solve(mesh, cfg_ring, system=ext)
         assert len(shapes) == passes and all(len(shape) == 1 for shape in shapes)
 
 
-@pytest.mark.parametrize("lu", ["double", "single", "B"])
+@pytest.mark.parametrize("lu", ["double", "B"])
 def test_a_spoiled_exterior_solve_is_refused(cfg_ring, monkeypatch, lu):
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
     ext = _exterior_holding(mesh, cfg_ring, lu)
@@ -362,7 +363,7 @@ def test_a_spoiled_exterior_solve_is_refused(cfg_ring, monkeypatch, lu):
             solve(mesh, cfg_ring, system=ext)
 
 
-@pytest.mark.parametrize("lu", ["double", "single", "B"])
+@pytest.mark.parametrize("lu", ["double", "B"])
 def test_auxiliary_set_has_the_bits_of_its_one_load_solves(cfg_ring, lu):
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
     ext = _exterior_holding(mesh, cfg_ring, lu)
@@ -409,16 +410,18 @@ def test_folded_exterior_solves_match_the_full_ones(spec, h):
             assert np.array_equal(again.record.resid, u.record.resid)
 
 
-def test_a_load_the_quarter_turn_moves_takes_the_full_block(cfg_ring):
+def test_a_load_the_quarter_turn_moves_takes_the_full_block(cfg_ring, factored):
     mesh = build_mesh(CANONICAL_SPEC, 0.1)
     disk = PhysicsConfig(sources=DISK_SOURCE)   # off the origin
     ext = exterior_system(mesh, disk)
     psi_e, _ = solve_psi_e(mesh, disk, system=ext)
     (folded,) = ext._blocks.values()
     assert isinstance(folded, fem.FoldedBlock)
-    s, flux_s = solve_s(mesh, disk, system=ext)   # the full single block takes its place
+    n_factored = len(factored)
+    s, flux_s = solve_s(mesh, disk, system=ext)   # the full block takes its place
     (block,) = ext._blocks.values()
-    assert block.single and not isinstance(block, fem.FoldedBlock)
+    assert not isinstance(block, fem.FoldedBlock)
+    assert factored[n_factored:] == [(len(block.rows), np.dtype(np.complex128))]
     assert np.array_equal(block.rows, folded.rows)
     ref = fem.LinearSystem(mesh, ext.regions, ext.A)
     ref_s, ref_flux = solve_s(mesh, disk, system=auxiliary.stepping_lu(ref))
@@ -433,5 +436,5 @@ def test_a_load_the_quarter_turn_moves_takes_the_full_block(cfg_ring):
     bc = auxiliary._exterior_dirichlet(ext.regions)
     u = fem.solve(fold, fem.source_load(mesh, ext.regions, disk.sources), bc)
     (block,) = fold._blocks.values()
-    assert not block.single and not isinstance(block, fem.FoldedBlock)
+    assert not isinstance(block, fem.FoldedBlock)
     assert _rel_gap(u.values, ref_s.values) <= 1e-12

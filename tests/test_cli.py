@@ -430,35 +430,33 @@ def _exterior_lus(cfg_file, tmp_path, factored, monkeypatch, sub, flags, text):
     return {(n, d) for n, d in factored if n in exterior}, meshes
 
 
-@pytest.mark.parametrize("sub, flags, dtype", [
-    ("aux", [], np.complex128), ("resonance-sweep", [], np.complex128),
-    ("convergence-table", [], np.complex128), ("expand", [], np.complex128),
-    ("radius", [], np.complex128), ("sweep-delta", ["--deltas", "0.1,0"], np.complex128),
-    ("direct", [], np.complex128), ("poynting", [], np.complex128)])
-def test_exterior_lus_are_single_where_only_auxiliary_solves_read_them(
-        cfg_file, tmp_path, factored, monkeypatch, sub, flags, dtype):
+@pytest.mark.parametrize("sub, flags", [
+    ("aux", []), ("resonance-sweep", []), ("convergence-table", []), ("expand", []),
+    ("radius", []), ("sweep-delta", ["--deltas", "0.1,0"]), ("direct", []), ("poynting", [])])
+def test_exterior_lus_are_folded_where_only_auxiliary_solves_read_them(
+        cfg_file, tmp_path, factored, monkeypatch, sub, flags):
     # on the canonical config the auxiliary constants alone (and the resonance
     # sweep's k* flux) are read off the folded exterior block, a quarter of
-    # the free nodes, in double; an engine that steps, and B, are full and
-    # double.  A load the quarter turn moves takes a single-precision LU (below)
+    # the free nodes; an engine that steps, and B, are full.  Every one is
+    # double.  A load the quarter turn moves takes the full block (below)
     lus, meshes = _exterior_lus(cfg_file, tmp_path, factored, monkeypatch, sub, flags,
                                 CANONICAL_CFG)
-    assert {d for _, d in lus} == {np.dtype(dtype)}
+    assert {d for _, d in lus} == {np.dtype(np.complex128)}
     # B, the full Dirichlet block or the folded one, as _exterior_sizes lists them
     kind = {"aux": 2, "resonance-sweep": 2, "convergence-table": 2, "expand": 1, "radius": 1}
     assert {n for n, _ in lus} == {_exterior_sizes(mesh)[kind.get(sub, 0)] for mesh in meshes}
 
 
 @pytest.mark.parametrize("sub", ["aux", "resonance-sweep"])
-def test_exterior_lus_are_single_for_a_load_the_quarter_turn_moves(
+def test_exterior_lus_are_folded_then_full_for_a_load_the_quarter_turn_moves(
         cfg_file, tmp_path, factored, monkeypatch, sub):
-    # the disk source's s does not fold: it takes the full block in single
-    # precision, after psi_e, solved first, has folded.  (The convergence
+    # the disk source's s does not fold: it takes the full block, after
+    # psi_e, solved first, has folded; both in double.  (The convergence
     # table needs ring sources, which never move.)
     text = CANONICAL_CFG.replace("ring 2.3 2.7 1,0", "disk 2.5 0 0.2 1,0")
     lus, meshes = _exterior_lus(cfg_file, tmp_path, factored, monkeypatch, sub, [], text)
-    assert lus == {(n, np.dtype(d)) for mesh in meshes for n, d in (
-        (_exterior_sizes(mesh)[1], np.complex64), (_exterior_sizes(mesh)[2], np.complex128))}
+    assert lus == {(n, np.dtype(np.complex128)) for mesh in meshes
+                   for n in _exterior_sizes(mesh)[1:]}
 
 
 @pytest.mark.parametrize("sub, flags, named, csv", [

@@ -226,23 +226,25 @@ def test_a_system_holds_one_block_and_drops_it_for_another(annulus_mesh):
         del new
 
 
-def test_a_double_request_replaces_a_single_block_and_a_single_keeps_a_double(annulus_mesh):
+def test_a_full_request_replaces_a_folded_block_and_a_fold_keeps_a_full_one(annulus_mesh):
     sys_ = _laplace_system(annulus_mesh, [Region.EXTERIOR, Region.PML])
     tags = [Bnd.GAMMA_OMEGA, Bnd.GAMMA_INF]
-    single = sys_.dirichlet_block(tags, single=True)
-    assert sys_.dirichlet_block(tags, single=True) is single
-    double = sys_.dirichlet_block(tags)
-    assert single.single and not double.single and double is not single
-    assert sys_.dirichlet_block(tags, single=True) is double
-    assert list(sys_._blocks.values()) == [double]
-    # a solve takes the held block in its own precision, and builds a double one
+    folded = sys_.dirichlet_block(tags, fold=True)
+    assert isinstance(folded, fem.FoldedBlock)
+    assert sys_.dirichlet_block(tags, fold=True) is folded
+    full = sys_.dirichlet_block(tags)
+    assert not isinstance(full, fem.FoldedBlock) and np.array_equal(full.rows, folded.rows)
+    assert sys_.dirichlet_block(tags, fold=True) is full
+    assert list(sys_._blocks.values()) == [full]
+    # a solve of invariant data takes the held folded block, and builds a full one
     sys_._blocks.clear()
-    single = sys_.dirichlet_block(tags, single=True)
-    u = solve(sys_, np.zeros(len(sys_.nodes)), {Bnd.GAMMA_OMEGA: 1.0, Bnd.GAMMA_INF: 0.0})
-    assert list(sys_._blocks.values()) == [single] and np.isfinite(u.values).all()
+    folded = sys_.dirichlet_block(tags, fold=True)
+    bc = {Bnd.GAMMA_OMEGA: 1.0, Bnd.GAMMA_INF: 0.0}
+    u = solve(sys_, np.zeros(len(sys_.nodes)), bc)
+    assert list(sys_._blocks.values()) == [folded] and np.isfinite(u.values).all()
     sys_._blocks.clear()
-    solve(sys_, np.zeros(len(sys_.nodes)), {Bnd.GAMMA_OMEGA: 1.0, Bnd.GAMMA_INF: 0.0})
-    assert [b.single for b in sys_._blocks.values()] == [False]
+    solve(sys_, np.zeros(len(sys_.nodes)), bc)
+    assert [isinstance(b, fem.FoldedBlock) for b in sys_._blocks.values()] == [False]
 
 
 def test_no_module_but_fem_touches_a_systems_blocks():
@@ -844,35 +846,12 @@ def test_schur_complement_equals_column_solves(mesh_coarse, cfg_ring):
     assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()   # 6.8e-16 seen
 
 
-def test_single_precision_lu_refines_to_the_double_answer(mesh_coarse, cfg_ring, monkeypatch):
-    ext = exterior_system(mesh_coarse, cfg_ring)
-    tags = {Bnd.GAMMA_OMEGA: 0.0, **outer_dirichlet(ext.regions)}
-    free = fem.split_nodes(mesh_coarse, ext.regions, tags)[0]
-    A_ff, order = ext.A[np.ix_(free, free)].tocsc(), fem.node_order(mesh_coarse, ext.regions, tags)
-    single, double = fem.Factored(A_ff, order, single=True), fem.Factored(A_ff, order)
-    assert single.lu_dtype == np.complex64 and double.lu_dtype == np.complex128
-    passes, off_lu = [], fem.Factored._off_lu
-    monkeypatch.setattr(fem.Factored, "_off_lu",
-                        lambda self, b: passes.append(self.single) or off_lu(self, b))
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal((len(free), 2)) @ np.array([1.0, 1.0j])
-    x, ref = single.lu_solve(b), double.lu_solve(b)
-    # the solve and two steps: the second reaches roundoff, so no third is paid
-    assert passes == [True] * 3 + [False]
-    assert x.dtype == np.complex128
-    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    single.solve(b)   # the backward-error contract, checked against A_ff in double
-    # a load far below single precision's range is scaled, not flushed to zero
-    x, ref = single.lu_solve(1e-60 * b), double.lu_solve(1e-60 * b)
-    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
 def test_an_engine_after_an_auxiliary_only_set_refactors_in_double(cfg_ring, factored):
     mesh = build_mesh(CANONICAL, 0.2)
     auxiliary.solve_auxiliary_set(mesh, cfg_ring)
     engine = CorrectorEngine(mesh, cfg_ring)   # same mesh and k: it finds the folded block
     (block,) = engine.ext_system._blocks.values()
-    assert not block.single and not isinstance(block, fem.FoldedBlock)
+    assert not isinstance(block, fem.FoldedBlock)
     engine.build_hierarchy(2)
     direct.solve_transmission(mesh, cfg_ring)
     # the folded exterior block, a quarter of the free nodes, and the
@@ -885,25 +864,24 @@ def test_an_engine_after_an_auxiliary_only_set_refactors_in_double(cfg_ring, fac
     assert len(factored) == 6
 
 
-def test_an_engine_handed_a_single_set_refactors_in_double_at_its_first_lift(factored):
-    # the disk source's load is not invariant under the quarter turn, so s
-    # leaves a single-precision block in the place of psi_e's folded one
+def test_an_engine_handed_a_folded_set_refactors_in_full_at_its_first_lift(cfg_ring, factored):
+    # the ring source and psi_e's trace are invariant under the quarter turn,
+    # so the set leaves the folded block, which a lift's trace is not
     mesh = build_mesh(CANONICAL, 0.2)
-    cfg = PhysicsConfig(sources=SourceSpec((SourceDisk((2.5, 0.0), 0.2),)))
-    engine = CorrectorEngine(mesh, cfg, aux=auxiliary.solve_auxiliary_set(mesh, cfg))
+    engine = CorrectorEngine(mesh, cfg_ring, aux=auxiliary.solve_auxiliary_set(mesh, cfg_ring))
     (block,) = engine.ext_system._blocks.values()
-    assert block.single
+    assert isinstance(block, fem.FoldedBlock)
     n_factored = len(factored)
-    engine.enz_solve(engine.seed_state())   # no lift: the exterior keeps its single LU
+    engine.enz_solve(engine.seed_state())   # no lift: the exterior keeps its folded LU
     assert list(engine.ext_system._blocks.values()) == [block]
     hier = engine.build_hierarchy(3)   # every lift passes its field's check
     (stepped,) = engine.ext_system._blocks.values()
-    assert not stepped.single and np.array_equal(stepped.rows, block.rows)
-    # the Neumann system, then the exterior once, in double, at the first lift
+    assert not isinstance(stepped, fem.FoldedBlock) and np.array_equal(stepped.rows, block.rows)
+    # the Neumann system, then the full exterior block once, in double, at the first lift
     assert factored[n_factored:] == [(factored[n_factored][0], np.dtype(complex)),
-                                     (len(block.rows), np.dtype(complex))]
-    # the same hierarchy off a double LU, on a mesh of its own
-    ref = CorrectorEngine(build_mesh(CANONICAL, 0.2), cfg).build_hierarchy(3)
+                                     (len(block.rows), np.dtype(np.complex128))]
+    # the same hierarchy off an LU that was full from the start, on a mesh of its own
+    ref = CorrectorEngine(build_mesh(CANONICAL, 0.2), cfg_ring).build_hierarchy(3)
     assert np.abs(hier.e - ref.e).max() <= 1e-10 * np.abs(ref.e).max()
 
 
@@ -934,28 +912,24 @@ def test_blocks_factor_in_place_as_their_sliced_copies(cfg_ring, monkeypatch):
     dop = auxiliary.dopant_system(mesh, cfg_ring)
     tags = [Bnd.GAMMA_OMEGA, *outer_dirichlet(ext.regions)]
     ext_order = fem.node_order(mesh, ext.regions, tags)   # positions in the block's rows
-    block = ext.dirichlet_block(tags, single=True)
+    block = ext.dirichlet_block(tags)
     block.lu   # each block's LU is factored on first use: here, in the order of the cases
     cases = [(ext, block.rows, ext_order, block)]
-    block = ext.dirichlet_block(tags)   # a double request replaces the single block
-    block.lu
-    cases.append((ext, block.rows, ext_order, block))
     B = auxiliary.exterior_schur(ext)
     order = fem.node_order(mesh, ext.regions, outer_dirichlet(ext.regions), [Bnd.GAMMA_OMEGA])
     cases.append((ext, B.rows, order, B))
     block = dop.dirichlet_block([Bnd.GAMMA_D])
     block.lu
     cases.append((dop, block.rows, fem.node_order(mesh, dop.regions, [Bnd.GAMMA_D]), block))
-    assert [ff.single for *_, ff in cases] == [True, False, False, False]
     assert len(lu_inputs) == len(cases)
     rng = np.random.default_rng(5)
     for (system, rows, order, ff), lu_input in zip(cases, lu_inputs):
         assert ff.A is system.A
         A_ff = system.A[np.ix_(rows, rows)].tocsc()
-        ref_input = A_ff.astype(ff.lu_dtype)[order][:, order].tocsc()
+        ref_input = A_ff[order][:, order].tocsc()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(lu_input, name), getattr(ref_input, name)), name
-        ref = fem.Factored(A_ff, order, ff.single)
+        ref = fem.Factored(A_ff, order)
         assert ff.norm == ref.norm
         b = rng.standard_normal((len(rows), 2)) @ np.array([1.0, 1.0j])
         assert np.array_equal(ff.lu_solve(b), ref.lu_solve(b))
@@ -988,9 +962,8 @@ def test_a_block_folds_only_where_its_matrix_is_invariant(cfg_ring):
     for moved, folds in ((1e-13, True), (1e-9, False)):
         A = ext.A.copy()
         A[i, i] *= 1.0 + moved
-        block = fem.LinearSystem(mesh, ext.regions, A).dirichlet_block(tags, single=True,
-                                                                        fold=True)
-        assert isinstance(block, fem.FoldedBlock) == folds and block.single != folds
+        block = fem.LinearSystem(mesh, ext.regions, A).dirichlet_block(tags, fold=True)
+        assert isinstance(block, fem.FoldedBlock) == folds
 
 
 def test_a_block_folds_only_where_its_triangles_turn_too():
@@ -1011,7 +984,7 @@ def test_a_block_folds_only_where_its_triangles_turn_too():
 
 
 def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypatch):
-    # an exterior solve makes a folded or single-precision block, unfactored;
+    # an exterior solve makes a folded or full block, unfactored;
     # its first lu_solve trims the heap and factors.  Factoring when
     # the block is made put the source load and the solves' temporaries under
     # the LU's peak, and trimming then but factoring later did too:
@@ -1025,10 +998,10 @@ def test_dirichlet_blocks_trim_the_heap_right_before_their_lu(cfg_ring, monkeypa
     auxiliary.solve_s(mesh, cfg_ring)   # makes the exterior's folded block
     assert calls == ["trim", np.dtype(complex)]
     calls.clear()
-    # a load the quarter turn moves makes a single-precision block, on a mesh of its own
+    # a load the quarter turn moves makes the full block, on a mesh of its own
     disk = PhysicsConfig(sources=SourceSpec((SourceDisk((2.5, 0.0), 0.2),)))
     auxiliary.solve_s(build_mesh(CANONICAL, 0.1), disk)
-    assert calls == ["trim", np.dtype(np.complex64)]
+    assert calls == ["trim", np.dtype(complex)]
     calls.clear()
     # the guard factors the dopant block, and the solve reuses it
     auxiliary.solve_psi_d(mesh, cfg_ring)
