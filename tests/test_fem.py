@@ -866,7 +866,7 @@ def test_an_engine_after_an_auxiliary_only_set_refactors_in_double(cfg_ring, fac
 
 def test_an_engine_handed_a_folded_set_refactors_in_full_at_its_first_lift(cfg_ring, factored):
     # the ring source and psi_e's trace are invariant under the quarter turn,
-    # so the set leaves the folded block, which a lift's trace is not
+    # so the set leaves the folded block, which cannot take a lift's trace
     mesh = build_mesh(CANONICAL, 0.2)
     engine = CorrectorEngine(mesh, cfg_ring, aux=auxiliary.solve_auxiliary_set(mesh, cfg_ring))
     (block,) = engine.ext_system._blocks.values()
